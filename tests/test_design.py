@@ -1,5 +1,6 @@
 """Assignment mechanisms: counts, enumeration order, sampling, probabilities."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -134,6 +135,13 @@ class TestSampling:
         b = sample_assignments(CRD(10, 5), 20, seed=2)
         assert not np.array_equal(a, b)
 
+    def test_prefix_stable_past_int64(self):
+        # the big-integer path keeps the (seed, j) contract too
+        for design in (CRD(100, 50), RBD(((6, 3),) * 30)):
+            long = sample_assignments(design, 40, seed=31)
+            short = sample_assignments(design, 7, seed=31)
+            np.testing.assert_array_equal(long[:7], short)
+
     def test_huge_space(self):
         draws = sample_assignments(CRD(135, 72), 4, seed=0)
         assert (draws.sum(axis=1) == 72).all()
@@ -154,6 +162,53 @@ class TestSampling:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             sample_assignments(CRD(4, 2), 0, seed=1)
+
+
+# SHA-256 of sample_assignments(design, 40, seed).tobytes(), recorded before the
+# sampler was vectorized: a change here is a seed-stream change.
+GOLDEN_DESIGNS = {
+    "crd_100_50": CRD(100, 50),
+    "crd_200_100": CRD(200, 100),
+    "crd_135_72": CRD(135, 72),
+    "crd_66_33": CRD(66, 33),  # just above 2**62 assignments
+    "crd_64_32": CRD(64, 32),  # just below 2**62 assignments
+    "rbd_30x6_3": RBD(((6, 3),) * 30),
+    "rbd_mixed": RBD(((70, 35), (6, 3)) * 4),
+    "rbd_200x6_3": RBD(((6, 3),) * 200),  # index wider than 512 bits
+}
+GOLDEN_SEEDS = {"int": 11, "tuple": (3, 5), "big": (1 << 64) + 12345}
+GOLDEN_SAMPLE_SHA256 = {
+    ("crd_100_50", "int"): "cdf4703a5da1c236c42d273b06b15ace127725cd08ca1f05aef3ab333bdd54a8",
+    ("crd_100_50", "tuple"): "a06d536de50ccdf22c89834645cbd8698ed1ec51fabfb08dea4998f81d703d16",
+    ("crd_100_50", "big"): "e7e6e76d78ffbb2801a59ea833b1f8dc3ff787bc8c78644488ac40c04ae6d100",
+    ("crd_200_100", "int"): "d963d991e615ad75483d6e3e2f85d04507e849916619694e7e5031e253d44727",
+    ("crd_200_100", "tuple"): "caff3cbb9b63473eebf5eb7f664d7d0efc2aac031b2305f45923b4f3b107be8a",
+    ("crd_200_100", "big"): "20313d9fa3df4a36017e1e29602dbc35b34b254d382043eab55ae2eda9cf49da",
+    ("crd_135_72", "int"): "3290a0a9adaac0b17e920b6a43fcb4f17704ab84e557a159ba7162c6ebf132e5",
+    ("crd_135_72", "tuple"): "c12f634d36cdd7461efcb776c490230d1da97c1b093c7159a0959a366974fa54",
+    ("crd_135_72", "big"): "339d6bcd3301e88fc1175b03a493bffb698cdd002c1f52a6c794db593a90b85a",
+    ("crd_66_33", "int"): "223bc2db2c532ab6d7d1aeb8267b3c04159e49d31942d117e427b877d430e13d",
+    ("crd_66_33", "tuple"): "2e8e0c5ba4dc1de9514980887b0b3cb80a3bb1c19d3b907cbb49871cb0435a2d",
+    ("crd_66_33", "big"): "57ebe8d583efa24ca31ebe21355fc48f70e8873e6285b84e4ea671ac73179713",
+    ("crd_64_32", "int"): "a1abf4042d1e2c1798fab4de9485b83a5955be3051f40691255bbd311764cd2b",
+    ("crd_64_32", "tuple"): "96eeecf6e4bd64a8bf66b9550be27ee48d239ef817dfa32bf127dcaa5cfce976",
+    ("crd_64_32", "big"): "e3a6803db55e9ed095935739e46657382d298fe39fa18581823017a93d12e8cc",
+    ("rbd_30x6_3", "int"): "101c363d6ed24b337937318073d09ee59cb2069654fb0d03ce5e7c3c1445b746",
+    ("rbd_30x6_3", "tuple"): "89bfb7cafec4cda0ed658cac1312508de736b76b2290bb55c9a1cdeb611a31df",
+    ("rbd_30x6_3", "big"): "437dc1d88c0d2934ac0630c8b1f2d2f1c317fc7d451b0883850cab5874b9da88",
+    ("rbd_mixed", "int"): "6f223eba8889054881b60ad9f32060fcf3017666116dc2f1325815cf4e5c8e29",
+    ("rbd_mixed", "tuple"): "f6688be3377cce4be18e403dbc0ce1e259f4309f205351560bdceeeb60efda53",
+    ("rbd_mixed", "big"): "5d0db14d15044634ec609a604ee9986943dd030ca24f301e3ac493c4eec9b36c",
+    ("rbd_200x6_3", "int"): "6439f28fa00a5afde1626b6929db2cbc1f8cfec10aa53da83c741950fb1f0f5d",
+    ("rbd_200x6_3", "tuple"): "364e97ccddc1ffd4e4739425935b9d6d4ef5a59aa2b2f3ee124e63b7a9ac5faf",
+    ("rbd_200x6_3", "big"): "f5cc6860937e08ce7ff30080f7f86cc0462e0516e9bb20994f062cd889540fc1",
+}
+
+
+@pytest.mark.parametrize("design_name, seed_name", list(GOLDEN_SAMPLE_SHA256))
+def test_sample_golden_bytes(design_name, seed_name):
+    draws = sample_assignments(GOLDEN_DESIGNS[design_name], 40, GOLDEN_SEEDS[seed_name])
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == GOLDEN_SAMPLE_SHA256[design_name, seed_name]
 
 
 class TestProbability:
