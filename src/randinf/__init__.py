@@ -39,7 +39,6 @@ from .design import (
     assignment_matrix,
     assignment_probability,
     assignment_probability_exact,
-    enumerate_assignments,
     sample_assignments,
     total_assignments,
 )

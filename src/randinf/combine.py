@@ -29,6 +29,7 @@ introduces sits far below combination accuracy at the scales involved.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -219,18 +220,26 @@ def _laplace_quantile(u):
     return np.where(u <= 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
 
 
-def _mc_reference_cdf(f0_quantile, weights: np.ndarray):
-    """Empirical reference CDF of sum w_i F0qf(U_i) from seeded uniform draws."""
+def _mc_reference_cdf(f0_quantile, weights: np.ndarray) -> np.ndarray:
+    """Sorted seeded sample of sum w_i F0qf(U_i): the empirical reference CDF."""
     rng = np.random.default_rng(_MC_REFERENCE_SEED)
     u = rng.uniform(P_CLIP, 1 - P_CLIP, size=(_MC_REFERENCE_DRAWS, weights.size))
     sample = np.sort(f0_quantile(u) @ weights)
+    sample.flags.writeable = False
+    return sample
 
-    def cdf(x, m=None):
-        x = np.asarray(x, dtype=float)
-        out = np.searchsorted(sample, x, side="right") / sample.size
-        return float(out) if out.ndim == 0 else out
 
-    return cdf
+# a weighted combined interval combines four times with the same transform and
+# weights; the 1M-draw sample is built once for all of them
+@lru_cache(maxsize=4)
+def _mc_reference_sample(f0_quantile, weights: tuple) -> np.ndarray:
+    return _mc_reference_cdf(f0_quantile, np.array(weights))
+
+
+def _mc_reference_values(f0_quantile, weights: np.ndarray, g) -> np.ndarray:
+    """Empirical reference CDF at ``g``, its sample cached per (transform, weights)."""
+    sample = _mc_reference_sample(f0_quantile, tuple(weights.tolist()))
+    return np.searchsorted(sample, g, side="right") / sample.size
 
 
 def _combine_matrix(P: np.ndarray, combiner: CombinerSpec) -> np.ndarray:
@@ -246,13 +255,11 @@ def _combine_matrix(P: np.ndarray, combiner: CombinerSpec) -> np.ndarray:
     if combiner.method == "fisher":
         if unit:
             return chisq_upper(2 * m, -2.0 * np.sum(np.log(P), axis=0))
-        cdf = _mc_reference_cdf(np.log, w)
-        return np.asarray(cdf(w @ np.log(P)))
+        return _mc_reference_values(np.log, w, w @ np.log(P))
     if combiner.method == "double_exponential":
         if unit:
             return np.asarray(laplace_sum_cdf(m, np.sum(_laplace_quantile(P), axis=0)))
-        cdf = _mc_reference_cdf(_laplace_quantile, w)
-        return np.asarray(cdf(w @ _laplace_quantile(P)))
+        return _mc_reference_values(_laplace_quantile, w, w @ _laplace_quantile(P))
     if combiner.method == "custom":
         if combiner.reference_cdf is None:
             raise ValueError("custom combiner lacks a reference CDF evaluator")
@@ -329,7 +336,9 @@ def combined_interval(
     Coverage is at least ``1 - alpha``.
 
     ``modes`` optionally gives one mode per experiment (for example different
-    Monte Carlo seeds); otherwise ``mode`` applies to all.
+    Monte Carlo seeds); otherwise ``mode`` applies to all.  The interval's
+    ``mode`` records the mode that ran: the common one when all experiments
+    share it, else the tuple of per-experiment modes.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
@@ -341,6 +350,10 @@ def combined_interval(
         )
     if modes is None:
         modes = [mode] * len(experiments)
+    elif len(set(modes)) == 1:
+        mode = modes[0]
+    else:
+        mode = tuple(modes)
     fs_lplus = [
         build_step_function(data, design, stat, PValueKind.LPLUS, m)
         for (data, design), m in zip(experiments, modes)

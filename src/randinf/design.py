@@ -10,6 +10,15 @@ enumeration order is fixed: treated-index sets in colexicographic order, and
 for an RBD the product order over blocks with block 0 varying fastest.  This
 order is part of the public contract so that golden results are stable.
 
+Every assignment row comes from one vectorized colex unranker: global index
+``i`` is split into block ranks by ``%`` and ``//`` (block 0 fastest), and each
+block rank is unranked by a ``searchsorted`` walk down a binomial table, all
+rows at once.  Indices, block ranks and tables are int64 while they fit in
+2**62 and exact Python ints (numpy ``object`` arrays) beyond, so a space past
+2**62 whose blocks each fit, such as many small RBD blocks, still unranks
+every block on int64.  :func:`assignment_matrix` unranks ``0..total-1``;
+:func:`sample_assignments` unranks uniform random indices.
+
 Sampling is counter based: draw ``j`` of ``sample_assignments(design, k,
 seed)`` depends only on ``(seed, j)``, never on ``k`` or on which other draws
 were made, so results are reproducible regardless of batching or parallelism.
@@ -20,7 +29,7 @@ assignment space (no rejection against the space itself).
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -32,15 +41,14 @@ __all__ = [
     "Design",
     "EnumerationCapError",
     "total_assignments",
-    "enumerate_assignments",
     "assignment_matrix",
     "sample_assignments",
     "assignment_probability",
     "assignment_probability_exact",
 ]
 
-# Vectorized index arithmetic needs headroom below 2**63; larger spaces take
-# the arbitrary-precision path.
+# Vectorized index arithmetic needs headroom below 2**63; larger indices and
+# block ranks are exact Python ints in object arrays.
 _INT64_SAFE_TOTAL = 1 << 62
 
 
@@ -108,122 +116,51 @@ def total_assignments(design: Design) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Colexicographic enumeration and unranking of k-subsets
+# Colexicographic unranking of k-subsets
 #
 # The rank of a treated-index set {c_1 < ... < c_k} is sum_i C(c_i, i); rank 0
-# is {0, ..., k-1}.  Successor and unranking below realize the same order.
+# is {0, ..., k-1}.  One vectorized unranker realizes this order for
+# enumeration and for sampling alike.
 # ---------------------------------------------------------------------------
 
 
-def _colex_first(k):
-    return list(range(k))
-
-
-def _colex_next(c, n):
-    """Advance ``c`` (sorted list) to its colex successor in-place; False at end."""
-    k = len(c)
-    for i in range(k):
-        nxt = c[i + 1] if i + 1 < k else n
-        if c[i] + 1 < nxt:
-            c[i] += 1
-            for j in range(i):
-                c[j] = j
-            return True
-    return False
-
-
-def _colex_unrank(n, k, m):
-    """Treated-index set of colex rank ``m`` among k-subsets of range(n)."""
-    out = [0] * k
-    for i in range(k, 0, -1):
-        c = i - 1
-        v = 0
-        # largest c with C(c, i) <= m
-        while c + 1 < n and (nv := comb(c + 1, i)) <= m:
-            c += 1
-            v = nv
-        out[i - 1] = c
-        m -= v if c >= i else 0
-    return out
-
-
-def _clipped_binom_table(n, k, clip):
-    """C(r, i) for r <= n, i <= k, entries clipped to ``clip`` (int64-safe)."""
-    table = np.zeros((n + 1, k + 1), dtype=np.int64)
-    for r in range(n + 1):
-        for i in range(min(r, k) + 1):
-            table[r, i] = min(comb(r, i), clip)
-    return table
-
-
 def _unrank_block_vectorized(n, k, m):
-    """Colex-unrank an int64 array of ranks into an (len(m), n) 0/1 matrix."""
-    table = _clipped_binom_table(n, k, _INT64_SAFE_TOTAL)
-    m = m.astype(np.int64).copy()
+    """Colex-unrank an array of ranks into a (len(m), n) 0/1 matrix.
+
+    int64 ranks are unranked against binomials clipped to 2**62: ranks of a
+    block that fits stay below that, so a clipped entry is never selected.
+    object ranks (Python ints, for blocks past 2**62) use exact binomials.
+    """
+    table = np.array([[comb(r, i) for r in range(n + 1)] for i in range(k + 1)], dtype=object)
+    if m.dtype != object:
+        table = np.minimum(table, _INT64_SAFE_TOTAL).astype(np.int64)
     rows = np.arange(m.size)
     w = np.zeros((m.size, n), dtype=np.int8)
     for i in range(k, 0, -1):
-        # columns of `table` are non-decreasing in r, so searchsorted finds
-        # the largest r with C(r, i) <= m
-        c = np.searchsorted(table[:, i], m, side="right") - 1
-        np.maximum(c, i - 1, out=c)
+        # table[i] is non-decreasing in r and C(r, i) = 0 for r < i, so this
+        # is the largest c >= i - 1 with C(c, i) <= m
+        c = np.searchsorted(table[i], m, side="right") - 1
         w[rows, c] = 1
-        m -= np.where(c >= i, table[c, i], 0)
+        m = m - table[i, c]
     return w
 
 
-def _indices_to_assignments(design: Design, idx) -> np.ndarray:
-    """Map global assignment indices to assignment vectors (block 0 fastest)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    n = design.n_units
-    w = np.zeros((idx.size, n), dtype=np.int8)
-    rem = idx.copy()
-    for start, k, t in _block_slices(design):
-        rem, m = np.divmod(rem, comb(k, t))
-        w[:, start : start + k] = _unrank_block_vectorized(k, t, m)
-    return w
+def _indices_to_assignments(design: Design, idx: np.ndarray) -> np.ndarray:
+    """Map global assignment indices to assignment vectors (block 0 fastest).
 
-
-def _index_to_assignment_bigint(design: Design, idx: int) -> np.ndarray:
-    w = np.zeros(design.n_units, dtype=np.int8)
+    ``idx`` is int64, or object (Python ints) for spaces past 2**62.  The
+    indices are split into block ranks with ``%`` and ``//``, and every block
+    whose own space fits is unranked on int64.
+    """
+    w = np.zeros((idx.size, design.n_units), dtype=np.int8)
     rem = idx
     for start, k, t in _block_slices(design):
         b_total = comb(k, t)
-        rem, m = divmod(rem, b_total)
-        for c in _colex_unrank(k, t, m):
-            w[start + c] = 1
+        m, rem = rem % b_total, rem // b_total
+        if b_total <= _INT64_SAFE_TOTAL:
+            m = m.astype(np.int64, copy=False)
+        w[:, start : start + k] = _unrank_block_vectorized(k, t, m)
     return w
-
-
-def enumerate_assignments(design: Design, cap: int | None = None) -> Iterator[np.ndarray]:
-    """Yield every assignment exactly once, in the documented colex order.
-
-    Parameters
-    ----------
-    design : CRD or RBD
-    cap : int, optional
-        Raise :class:`EnumerationCapError` up front if the assignment space
-        exceeds this many vectors.
-    """
-    total = total_assignments(design)
-    if cap is not None and total > cap:
-        raise EnumerationCapError(
-            f"{total} assignments exceed the enumeration cap of {cap}"
-        )
-    slices = _block_slices(design)
-    states = [_colex_first(t) for _, _, t in slices]
-    while True:
-        w = np.zeros(design.n_units, dtype=np.int8)
-        for (start, _, _), c in zip(slices, states):
-            for j in c:
-                w[start + j] = 1
-        yield w
-        for (_, k, t), c in zip(slices, states):
-            if _colex_next(c, k):
-                break  # block 0 varies fastest
-            c[:] = _colex_first(t)
-        else:
-            return
 
 
 def assignment_matrix(design: Design, cap: int = 2_000_000) -> np.ndarray:
@@ -258,32 +195,33 @@ def _fallback_index(seed, j: int, total: int) -> int:
             return draw
 
 
-def _sample_indices(design: Design, k: int, seed) -> list:
-    """k iid uniform assignment indices; entry j depends only on (seed, j)."""
+def _sample_indices(design: Design, k: int, seed) -> np.ndarray:
+    """k iid uniform assignment indices; entry j depends only on (seed, j).
+
+    int64 for spaces of at most 2**62 assignments, object (Python ints) past it.
+    """
     total = total_assignments(design)
-    words = _philox_words(seed, k)
-    if total <= _INT64_SAFE_TOTAL:
-        bits = total.bit_length()
-        cand = (words & np.uint64((1 << bits) - 1)).astype(np.int64)
-        ok = cand < total
-        first = np.argmax(ok, axis=1)
-        idx = cand[np.arange(k), first]
-        out = idx.tolist()
-        for j in np.nonzero(~ok.any(axis=1))[0]:
-            out[j] = _fallback_index(seed, int(j), total)
-        return out
-    # huge spaces: arbitrary-precision rejection per draw, still (seed, j)-pure
     bits = total.bit_length()
     if bits > 512:
-        return [_fallback_index(seed, j, total) for j in range(k)]
-    out = []
-    for j in range(k):
-        draw = 0
-        for piece in words[j]:
-            draw = (draw << 64) | int(piece)
-        draw &= (1 << bits) - 1
-        out.append(draw if draw < total else _fallback_index(seed, j, total))
-    return out
+        return np.array([_fallback_index(seed, j, total) for j in range(k)], dtype=object)
+    words = _philox_words(seed, k)
+    if total <= _INT64_SAFE_TOTAL:
+        # eight candidates per draw; the first one below total is taken
+        cand = (words & np.uint64((1 << bits) - 1)).astype(np.int64)
+        ok = cand < total
+        idx = cand[np.arange(k), np.argmax(ok, axis=1)]
+        missed = ~ok.any(axis=1)
+    else:
+        # one candidate per draw: the low `bits` bits of the row's eight words
+        # read as one 512-bit integer, word 0 most significant
+        idx = np.zeros(k, dtype=object)
+        for col in words[:, 8 - (bits + 63) // 64 :].T:
+            idx = (idx << 64) | col.astype(object)
+        idx &= (1 << bits) - 1
+        missed = idx >= total
+    for j in np.nonzero(missed)[0]:
+        idx[j] = _fallback_index(seed, int(j), total)
+    return idx
 
 
 def sample_assignments(design: Design, k: int, seed) -> np.ndarray:
@@ -291,14 +229,14 @@ def sample_assignments(design: Design, k: int, seed) -> np.ndarray:
 
     Fully reproducible: draw ``j`` is a pure function of ``(seed, j)``, so the
     result is byte-identical however the draws are batched or parallelized.
+    Each draw is a uniform index into the space, unranked by the same colex
+    unranker as :func:`assignment_matrix`.  Indices are int64 while the space
+    has at most 2**62 assignments and exact Python ints past it; even then a
+    block whose own space fits is unranked on int64.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    idx = _sample_indices(design, k, seed)
-    total = total_assignments(design)
-    if total <= _INT64_SAFE_TOTAL:
-        return _indices_to_assignments(design, np.asarray(idx, dtype=np.int64))
-    return np.stack([_index_to_assignment_bigint(design, i) for i in idx])
+    return _indices_to_assignments(design, _sample_indices(design, k, seed))
 
 
 def _satisfies(design: Design, w: np.ndarray) -> bool:

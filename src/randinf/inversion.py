@@ -351,6 +351,10 @@ class ConfidenceInterval:
     (neither one-sided test rejects there), and excluding it would break the
     guaranteed coverage exactly in heavily tied populations.  Traditional
     intervals use the plain half-open membership and carry no guarantee.
+
+    ``mode`` is how the interval was computed: one ``ExactMode`` or
+    ``MCMode``, or, for a combined interval whose experiments ran under
+    different modes, the tuple of per-experiment modes in experiment order.
     """
 
     lower: float
@@ -359,7 +363,7 @@ class ConfidenceInterval:
     alpha2: float
     method: str
     statistic: str
-    mode: Mode
+    mode: Mode | tuple
     closure: str = "[)"
 
     @property

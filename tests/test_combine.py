@@ -8,6 +8,8 @@ from scipy import integrate, stats
 
 from randinf import (
     CRD,
+    ExactMode,
+    MCMode,
     PValueKind,
     assignment_matrix,
     build_step_function,
@@ -258,6 +260,38 @@ class TestCombinedInterval:
                 [(data1, design), (data2, design)], diff_means, make_combiner(name), 0.05
             )
             assert ci.contains(1.0)
+
+    def test_weighted_reference_built_once(self, toy, diff_means, monkeypatch):
+        from randinf import combine
+
+        builds = []
+        build = combine._mc_reference_cdf
+        monkeypatch.setattr(
+            combine, "_mc_reference_cdf", lambda *a: builds.append(1) or build(*a)
+        )
+        combine._mc_reference_sample.cache_clear()
+        pair = [toy] * 2
+        first = combined_interval(pair, diff_means, fisher([2.0, 1.0]), 0.05)
+        assert len(builds) == 1
+        combine._mc_reference_sample.cache_clear()
+        again = combined_interval(pair, diff_means, fisher([2.0, 1.0]), 0.05)
+        # a cached sample gives the same interval as a fresh one
+        assert (first.lower, first.upper) == (again.lower, again.upper)
+        assert len(builds) == 2
+
+    def test_mode_records_per_experiment_modes(self, toy, diff_means):
+        data, design = toy
+        pair = [(data, design)] * 2
+        exact, mc1, mc2 = ExactMode(cap=2000), MCMode(k=500, seed=1), MCMode(k=500, seed=2)
+        # run_scenario mixes an exact arm with a Monte Carlo arm
+        ci = combined_interval(pair, diff_means, fisher(), 0.05, modes=[exact, mc1])
+        assert ci.mode == (exact, mc1)
+        ci = combined_interval(pair, diff_means, fisher(), 0.05, modes=[mc1, mc2])
+        assert ci.mode == (mc1, mc2)
+        ci = combined_interval(pair, diff_means, fisher(), 0.05, modes=[mc1, mc1])
+        assert ci.mode == mc1
+        ci = combined_interval(pair, diff_means, fisher(), 0.05, mode=mc2)
+        assert ci.mode == mc2
 
     def test_non_ei_statistic_refused(self, toy, studentized):
         data, design = toy

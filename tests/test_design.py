@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from randinf import (
     assignment_matrix,
     assignment_probability,
     assignment_probability_exact,
-    enumerate_assignments,
     sample_assignments,
     total_assignments,
 )
+from randinf.design import _unrank_block_vectorized
 
 
 class TestConstruction:
@@ -57,37 +58,58 @@ class TestTotals:
         assert total_assignments(RBD(((10, 5),))) == total_assignments(CRD(10, 5))
 
 
+def _colex(n, t):
+    """Oracle: every t-subset of range(n), in colex order."""
+    return sorted(itertools.combinations(range(n), t), key=lambda c: c[::-1])
+
+
+def _oracle_matrix(design):
+    """Oracle: the product of per-block colex orders, block 0 varying fastest."""
+    rows = []
+    for combo in itertools.product(*[_colex(k, t) for k, t in reversed(design.blocks)]):
+        row = []
+        for (k, _), subset in zip(design.blocks, reversed(combo)):
+            row += [int(j in subset) for j in range(k)]
+        rows.append(row)
+    return np.array(rows, dtype=np.int8)
+
+
+def _colex_rank(subset):
+    return sum(comb(int(c), i) for i, c in enumerate(subset, start=1))
+
+
 class TestEnumeration:
     def test_crd_4_2_colex_order(self):
-        assigns = list(enumerate_assignments(CRD(4, 2)))
-        assert len(assigns) == 6
+        assigns = assignment_matrix(CRD(4, 2))
+        assert assigns.shape == (6, 4)
         np.testing.assert_array_equal(assigns[0], [1, 1, 0, 0])
         treated_sets = [tuple(np.nonzero(a)[0]) for a in assigns]
         assert treated_sets == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
-    def test_crd_10_5_stream_length(self):
-        assert sum(1 for _ in enumerate_assignments(CRD(10, 5))) == 252
+    def test_crd_10_5_count(self):
+        assert assignment_matrix(CRD(10, 5)).shape == (252, 10)
 
     def test_rbd_2x2(self):
-        assigns = list(enumerate_assignments(RBD(((2, 1), (2, 1)))))
+        assigns = assignment_matrix(RBD(((2, 1), (2, 1))))
         assert len(assigns) == 4
         assert all(a[:2].sum() == 1 and a[2:].sum() == 1 for a in assigns)
+        # block 0 varies fastest
+        np.testing.assert_array_equal(
+            assigns, [[1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1]]
+        )
 
     def test_each_assignment_once(self):
-        assigns = {tuple(a.tolist()) for a in enumerate_assignments(CRD(7, 3))}
+        assigns = assignment_matrix(CRD(7, 3))
         assert len(assigns) == 35
+        assert len({tuple(a.tolist()) for a in assigns}) == 35
 
     def test_cap_exceeded(self):
         with pytest.raises(EnumerationCapError):
-            list(enumerate_assignments(CRD(30, 15), cap=1000))
-        with pytest.raises(EnumerationCapError):
             assignment_matrix(CRD(30, 15), cap=1000)
 
-    def test_matrix_matches_stream(self):
-        for design in (CRD(6, 3), CRD(7, 5), RBD(((4, 2), (3, 1)))):
-            mat = assignment_matrix(design)
-            stream = np.stack(list(enumerate_assignments(design)))
-            np.testing.assert_array_equal(mat, stream)
+    def test_matrix_matches_colex_oracle(self):
+        for design in (CRD(6, 3), CRD(7, 5), RBD(((4, 2), (3, 1))), RBD(((3, 1), (4, 2), (2, 1)))):
+            np.testing.assert_array_equal(assignment_matrix(design), _oracle_matrix(design))
 
     def test_matrix_matches_itertools_set(self):
         # brute-force oracle: colex enumeration hits exactly the k-subsets
@@ -102,6 +124,26 @@ class TestEnumeration:
         assert mat.shape == (220, 12)
         assert (mat.sum(axis=1) == 9).all()
         assert len({tuple(r) for r in mat.tolist()}) == 220
+
+
+class TestUnranker:
+    @pytest.mark.parametrize("n, t", [(1, 1), (4, 2), (6, 1), (7, 3), (8, 5), (9, 8)])
+    def test_object_ranks_match_colex_oracle(self, n, t):
+        ranks = np.arange(comb(n, t))
+        oracle = _colex(n, t)
+        want = np.array([[int(j in oracle[m]) for j in range(n)] for m in ranks], dtype=np.int8)
+        np.testing.assert_array_equal(_unrank_block_vectorized(n, t, ranks.astype(object)), want)
+        np.testing.assert_array_equal(_unrank_block_vectorized(n, t, ranks), want)
+
+    @pytest.mark.parametrize("n, t", [(66, 33), (100, 50), (200, 100), (135, 72)])
+    def test_object_ranks_past_int64_invert_the_rank(self, n, t):
+        total = comb(n, t)
+        rng = np.random.default_rng(n)
+        ranks = [0, 1, total // 2, total - 2, total - 1]
+        ranks += [int(x) * total // (1 << 62) for x in rng.integers(0, 1 << 62, size=20)]
+        rows = _unrank_block_vectorized(n, t, np.array(ranks, dtype=object))
+        assert (rows.sum(axis=1) == t).all()
+        assert [_colex_rank(np.nonzero(r)[0]) for r in rows] == ranks
 
 
 class TestSampling:
@@ -231,6 +273,6 @@ class TestProbability:
         for design in (CRD(6, 3), RBD(((3, 1), (4, 2)))):
             total = sum(
                 assignment_probability_exact(design, w)
-                for w in enumerate_assignments(design)
+                for w in assignment_matrix(design)
             )
             assert total == Fraction(1)
