@@ -1,10 +1,14 @@
 """Step-function construction, inversion, and interval guarantees."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from randinf import (
     CRD,
+    RBD,
+    ExactMode,
     LevelTooHighError,
     MCMode,
     NonMonotoneStatisticError,
@@ -13,9 +17,12 @@ from randinf import (
     assignment_matrix,
     build_step_function,
     confidence_interval,
+    generate_population,
     invert_lower,
     invert_upper,
     p_value,
+    sample_assignments,
+    tied_discrete_population,
     traditional_interval,
 )
 from conftest import random_experiment
@@ -293,3 +300,63 @@ class TestTraditional:
         prop = confidence_interval(data, design, diff_means, 0.025, 0.025)
         trad = traditional_interval(data, design, diff_means, 0.05)
         assert trad.upper - trad.lower <= prop.upper - prop.lower + 1e-12
+
+
+def _golden_wilcoxon_case(name):
+    """(data, design, mode) of one pinned Wilcoxon step-function case."""
+    if name == "rbd_10x6_3_mc":
+        design = RBD(((6, 3),) * 10)
+        pop = generate_population(60, 1.0, seed=71)
+        return pop.observe(sample_assignments(design, 1, seed=72)[0]), design, MCMode(k=2000, seed=73)
+    if name == "crd_14_7_exact":
+        design = CRD(14, 7)
+        pop = generate_population(14, 1.0, seed=74)
+        return pop.observe(assignment_matrix(design)[1234]), design, ExactMode()
+    if name == "tied_crd_15_5_exact":
+        design = CRD(15, 5)
+        return tied_discrete_population().observe(assignment_matrix(design)[987]), design, ExactMode()
+    assert name == "int_crd_16_8_exact"
+    design = CRD(16, 8)  # integer outcomes 0..4: exact ties and dyadic candidates
+    rng = np.random.default_rng(75)
+    y = rng.integers(0, 4, size=16).astype(float)
+    w = np.zeros(16, dtype=np.int8)
+    w[rng.choice(16, size=8, replace=False)] = 1
+    return ObservedData(w, y + w), design, ExactMode()
+
+
+def _step_digest(f):
+    h = hashlib.sha256()
+    h.update(f.breakpoints.tobytes())
+    h.update(f.counts.tobytes())
+    h.update(np.array([f.base_count, f.never_count], dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of (breakpoints, counts, base_count, never_count) of Wilcoxon step
+# functions, recorded while every switch point was found by re-ranking at each
+# bisection step: a change here changes breakpoint bytes.
+GOLDEN_WILCOXON_SHA256 = {
+    ("rbd_10x6_3_mc", "LPLUS"): "383b600d33e9ac639bda60fa068f6b3b93ef288e2e0214296ebf9b261f99cec6",
+    ("rbd_10x6_3_mc", "UPLUS"): "367eea8e24cf7d7fce31f97c02889c05cc24ec8f9e9ae8612b6d0fc858d68a0c",
+    ("rbd_10x6_3_mc", "LMINUS"): "367eea8e24cf7d7fce31f97c02889c05cc24ec8f9e9ae8612b6d0fc858d68a0c",
+    ("rbd_10x6_3_mc", "UMINUS"): "383b600d33e9ac639bda60fa068f6b3b93ef288e2e0214296ebf9b261f99cec6",
+    ("crd_14_7_exact", "LPLUS"): "06cde742e0abeb6151dddc33d3c1e0c57cb4c911a25ccab52cbe03d3f9cd6262",
+    ("crd_14_7_exact", "UPLUS"): "8f3f75a761c45c8783fbccd472a81424ffca802e8f7f82d412c0f142704d8ef5",
+    ("crd_14_7_exact", "LMINUS"): "60219ac04345fc4eef0835712c6eccec0bb08503a0b0b3feaf285a91f0b8d394",
+    ("crd_14_7_exact", "UMINUS"): "4e006c570f1a3b342a0ef8bbd09e0573a94560593a715ca5292717926604c0e7",
+    ("tied_crd_15_5_exact", "LPLUS"): "d728a15f7cea4e82bf6fa9a98f637b2b6b659c03cb248c3889f0fe1ea26cbd1a",
+    ("tied_crd_15_5_exact", "UPLUS"): "1187594837a6d0f44d9c3d7a7c3a7584782ef74f4c68bcca8f49401eb5a65422",
+    ("tied_crd_15_5_exact", "LMINUS"): "6e7082024e48d2e1d70e84fafea5b9004dca50575695f9711e2aa0bb97960032",
+    ("tied_crd_15_5_exact", "UMINUS"): "723661e71cc262b62e76d15ef4a9c88d2ee854014eca7690c1b0e144e0e6e626",
+    ("int_crd_16_8_exact", "LPLUS"): "87389281c1282df2a90b62114dda2bafff84f1eaf32769ce6fa6d3192dd3ed7b",
+    ("int_crd_16_8_exact", "UPLUS"): "5da5fabaa72b193ad9e7fe0fe68645a0971dc42d8a980c2a1b2f680c50bba014",
+    ("int_crd_16_8_exact", "LMINUS"): "8a1c4ac3f8257b7bc562d3e64e7109081df2730233c16a6468aba7b3b484ca18",
+    ("int_crd_16_8_exact", "UMINUS"): "b69ab80fd7535ae8b519ca41bc35cd7633488ed9e0396ad60607c1046f1eabd8",
+}
+
+
+@pytest.mark.parametrize("case, side", list(GOLDEN_WILCOXON_SHA256))
+def test_wilcoxon_step_function_golden_bytes(wilcoxon, case, side):
+    data, design, mode = _golden_wilcoxon_case(case)
+    f = build_step_function(data, design, wilcoxon, PValueKind[side], mode)
+    assert _step_digest(f) == GOLDEN_WILCOXON_SHA256[case, side]
