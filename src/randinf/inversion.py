@@ -7,7 +7,17 @@ strict-inequality sides) the observed statistic.  The p-value function is a
 step function jumping exactly at those points, so it is represented losslessly
 by sorted breakpoints with probability weights.  For ``diff_means`` the
 statistic is affine in theta and breakpoints are closed form; other monotone
-statistics are bisected to an absolute tolerance of ``1e-9 * max(1, scale)``.
+statistics are bisected to an absolute tolerance of ``1e-9 * max(1, scale)``
+in theta, comparing statistic values with a tolerance of
+``1e-9 * max(1, |T_obs|)`` in the statistic's own units.
+
+A statistic with the ``switch_points`` capability (``wilcoxon_rank_sum``)
+supplies each assignment's exact switch point ``b*``: for the rank sum, an
+order statistic of the pairwise differences ``(y_j - y_i) / c`` of treated
+unit ``i`` and control unit ``j``, ``c`` in {1, 2}.  It drives the same
+bisection: each step compares theta with ``b*`` instead of re-ranking the
+replicates, and the statistic is evaluated only at exact hits on ``b*``.
+Breakpoints are the same bytes as from bisection on statistic values.
 
 Evaluation semantics per side (``b`` a breakpoint):
 
@@ -171,51 +181,79 @@ def _affine_coefficients(data: ObservedData, W: np.ndarray):
     return a, b
 
 
-def _bisect_crossings(data, stat, W, t_obs, strict, scale):
+def _bisect_crossings(data, stat, W, t_obs, strict, scale, switch_points=None):
     """Per-row switch points of 1{T(theta, w) >= T_obs} (or > for strict).
 
-    Brackets expand geometrically from the outcome scale; a side whose
-    statistic stops changing across a doubling has saturated (rank statistics
-    freeze once theta clears the outcome range), which classifies the row as
-    never switching (+inf) or always on (-inf).
+    Without ``switch_points``, brackets expand geometrically from the outcome
+    scale; a side whose statistic stops changing across a doubling has
+    saturated (rank statistics freeze once theta clears the outcome range),
+    which classifies the row as never switching (+inf) or always on (-inf).
+
+    With ``switch_points`` (a statistic's exact ``b*`` per row), rows with
+    ``b* = +-inf`` are classified directly, and every finite ``b*`` lies
+    within the outcome range, inside the initial bracket.  Each bisection
+    decision is then ``theta > b*``; the statistic is evaluated only where
+    theta is within ``1e-12 * scale`` of ``b*``, where rounding or a tie at
+    ``b*`` itself can decide.  The bisection, its stopping rule and the final
+    check are shared, so both ways give the same bytes.
     """
-    tol = 1e-9 * max(1.0, scale)
+    tol = 1e-9 * max(1.0, scale)  # theta units: bisection width
+    t_tol = 1e-9 * max(1.0, abs(t_obs))  # statistic units: tie tolerance
+    threshold = t_obs + t_tol / 2 if strict else t_obs - t_tol / 2
     y = data.y_obs
     w_obs = data.w_obs.astype(float)
-    # realized outcomes under row w at theta: y + theta * d
-    D = W * (1 - w_obs) - (1 - W) * w_obs
 
-    def t_at(theta_rows):
-        return evaluate_realized(stat, y + theta_rows[:, None] * D, W)
+    def t_at(theta_rows, rows=slice(None)):
+        # realized outcomes under row w at theta: y + theta * d
+        Wr = W[rows]
+        D = Wr * (1 - w_obs) - (1 - Wr) * w_obs
+        return evaluate_realized(stat, y + theta_rows[:, None] * D, Wr)
 
-    def on(theta_rows):
-        vals = t_at(theta_rows)
-        return (vals > t_obs + tol / 2) if strict else (vals >= t_obs - tol / 2)
+    def passes(vals):
+        return (vals > threshold) if strict else (vals >= threshold)
 
     k = W.shape[0]
     lo = np.full(k, -2.0 * max(1.0, scale))
     hi = np.full(k, +2.0 * max(1.0, scale))
-    never = np.zeros(k, dtype=bool)
-    always = np.zeros(k, dtype=bool)
-    for _ in range(200):
-        on_hi = on(hi)
-        on_lo = on(lo)
-        grow_hi = ~on_hi & ~never & ~always
-        grow_lo = on_lo & ~always & ~never
-        if not grow_hi.any() and not grow_lo.any():
-            break
-        if grow_hi.any():
-            old = t_at(hi)
-            hi = np.where(grow_hi, hi * 2, hi)
-            frozen = grow_hi & (np.abs(t_at(hi) - old) <= tol / 4) & ~on(hi)
-            never |= frozen
-        if grow_lo.any():
-            old = t_at(lo)
-            lo = np.where(grow_lo, lo * 2, lo)
-            frozen = grow_lo & (np.abs(t_at(lo) - old) <= tol / 4) & on(lo)
-            always |= frozen
+    if switch_points is not None:
+        # smallest half-integer that passes the tolerance test
+        m = np.floor(2 * threshold) / 2 + 0.5 if strict else np.ceil(2 * threshold) / 2
+        b_star = switch_points(data, W, m)
+        never = b_star == np.inf
+        always = b_star == -np.inf
+        near_tol = 1e-12 * max(1.0, scale)
+
+        def on(theta_rows):
+            is_on = theta_rows > b_star
+            near = np.flatnonzero(np.abs(theta_rows - b_star) <= near_tol)
+            if near.size:
+                is_on[near] = passes(t_at(theta_rows[near], near))
+            return is_on
     else:
-        raise BracketingError("no bracket for some assignment after 200 doublings")
+        def on(theta_rows):
+            return passes(t_at(theta_rows))
+
+        never = np.zeros(k, dtype=bool)
+        always = np.zeros(k, dtype=bool)
+        for _ in range(200):
+            on_hi = on(hi)
+            on_lo = on(lo)
+            grow_hi = ~on_hi & ~never & ~always
+            grow_lo = on_lo & ~always & ~never
+            if not grow_hi.any() and not grow_lo.any():
+                break
+            if grow_hi.any():
+                old = t_at(hi)
+                hi = np.where(grow_hi, hi * 2, hi)
+                frozen = grow_hi & (np.abs(t_at(hi) - old) <= t_tol / 4) & ~on(hi)
+                never |= frozen
+            if grow_lo.any():
+                old = t_at(lo)
+                lo = np.where(grow_lo, lo * 2, lo)
+                frozen = grow_lo & (np.abs(t_at(lo) - old) <= t_tol / 4) & on(lo)
+                always |= frozen
+        else:
+            raise BracketingError("no bracket for some assignment after 200 doublings")
 
     moving = ~never & ~always
     b_lo = lo.copy()
@@ -247,8 +285,10 @@ def build_step_function(
 
     Refuses statistics not certified monotone and right continuous in theta
     (their curves need not be invertible step functions).  With
-    ``validate=True`` the diff_means closed form is cross-checked against the
-    bisection path on up to 100 assignments.
+    ``validate=True`` the diff_means closed form, or the bisection driven by a
+    statistic's exact ``switch_points``, is cross-checked against the generic
+    bisection on up to 100 assignments; switch-point crossings must match it
+    exactly.
     """
     if side == PValueKind.TWO_SIDED_L:
         raise ValueError("build one-sided functions; two-sided values combine LPLUS and LMINUS")
@@ -276,7 +316,12 @@ def build_step_function(
             if not np.allclose(crossings[idx], ref, atol=1e-6 * max(1.0, scale), rtol=0):
                 raise AssertionError("closed-form breakpoints disagree with the bisection oracle")
     else:
-        crossings = _bisect_crossings(data, stat, W, t_obs, strict, scale)
+        crossings = _bisect_crossings(data, stat, W, t_obs, strict, scale, stat.switch_points)
+        if validate and stat.switch_points is not None:
+            idx = np.arange(min(100, W.shape[0]))
+            ref = _bisect_crossings(data, stat, W[idx], t_obs, strict, scale)
+            if not np.array_equal(crossings[idx], ref):
+                raise AssertionError("switch-point crossings disagree with the generic bisection")
 
     denom = W.shape[0]
     n_on_everywhere = int(np.sum(crossings == -np.inf))

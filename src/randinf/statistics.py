@@ -17,7 +17,9 @@ Three statistics ship with the registry:
     non-monotone, so interval inversion refuses it.
 ``wilcoxon_rank_sum``
     Sum of treatment-arm ranks of the realized outcomes, midranks for ties.
-    EI.
+    EI.  Its exact per-assignment switch points in ``theta`` come from the
+    pairwise differences of treated and control outcomes (the structure
+    behind the Hodges-Lehmann estimator), see :func:`_wilcoxon_switch_points`.
 
 All statistics here are oriented so that large values indicate effects above
 the hypothesized ``theta``.
@@ -125,6 +127,14 @@ class StatisticSpec:
     ``ei_certified`` statistics are non-decreasing in the treated potentials
     and non-increasing in the control potentials, which guarantees
     ``theta_monotone_rightcontinuous`` for the map theta -> T(imputed, w).
+
+    ``switch_points(data, W, m)`` is optional.  For every assignment row of
+    ``W`` it returns the exact ``b*`` such that ``T(theta, w) >= m`` holds for
+    every theta above ``b*`` and fails for every theta below it, ``-inf`` for
+    rows where it always holds and ``+inf`` where it never does.  A statistic
+    with this capability takes only half-integer values, so a tolerance test
+    against the observed value is the same as ``T >= m`` for a half-integer
+    ``m``; inversion then bisects on comparisons with ``b*``.
     """
 
     name: str
@@ -132,6 +142,7 @@ class StatisticSpec:
     ei_certified: bool
     theta_monotone_rightcontinuous: bool
     realized_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    switch_points: Optional[Callable[..., np.ndarray]] = None
 
     def __post_init__(self):
         if self.ei_certified and not self.theta_monotone_rightcontinuous:
@@ -172,6 +183,49 @@ def _studentized_rows(Y, W):
 def _wilcoxon_rows(Y, W):
     R = rankdata(Y, axis=1, method="average")
     return (R * W).sum(axis=1)
+
+
+# Pair entries built at once by the switch-point kernel; bounds its memory.
+_PAIR_CHUNK = 1 << 16
+
+
+def _wilcoxon_switch_points(data: ObservedData, W: np.ndarray, m: float) -> np.ndarray:
+    """Exact switch points of ``1{T(theta, w) >= m}`` for the rank sum.
+
+    Under the constant-effect null unit ``i`` realizes ``y_i + theta * d_i``
+    with ``d_i = w_i - w_obs_i``.  The rank sum of row ``w`` is
+    ``n1(n1+1)/2`` plus, over treated ``i`` and control ``j``, 1 if unit
+    ``i`` outranks ``j`` and 1/2 if they tie.  With ``c = d_i - d_j`` in
+    {0, 1, 2}, a pair with ``c = 0`` contributes a constant and a pair with
+    ``c > 0`` switches on at ``q = (y_j - y_i) / c``.  Away from the ``q``,
+    ``T = base + #{q < theta}``, so ``T >= m`` exactly when theta exceeds the
+    ``ceil(m - base)``-th smallest ``q`` of the row.  Every CRD/RBD row treats
+    the same number of units; pairs are built in row chunks of at most
+    ``_PAIR_CHUNK`` entries.
+    """
+    y = data.y_obs
+    w_obs = data.w_obs
+    k, n = W.shape
+    out = np.empty(k)
+    n1 = int(round(W[0].sum()))
+    n0 = n - n1
+    step = max(1, _PAIR_CHUNK // (n1 * n0))
+    for start in range(0, k, step):
+        treated = W[start:start + step] > 0.5
+        r = treated.shape[0]
+        ti = np.nonzero(treated)[1].reshape(r, n1)
+        ci = np.nonzero(~treated)[1].reshape(r, n0)
+        diff = (y[ci][:, None, :] - y[ti][:, :, None]).reshape(r, -1)
+        c = ((1 - w_obs[ti])[:, :, None] + w_obs[ci][:, None, :]).reshape(r, -1)
+        fixed = c == 0
+        wins = (fixed & (diff < 0)).sum(axis=1) + 0.5 * (fixed & (diff == 0)).sum(axis=1)
+        base = n1 * (n1 + 1) / 2 + wins
+        q = np.divide(diff, c, out=np.full(diff.shape, np.inf), where=~fixed)
+        q.sort(axis=1)
+        need = np.ceil(m - base).astype(np.int64)  # pairs that must be on
+        pick = q[np.arange(r), np.clip(need - 1, 0, n1 * n0 - 1)]
+        out[start:start + r] = np.where(need <= 0, -np.inf, np.where(need > n1 * n0, np.inf, pick))
+    return out
 
 
 _REGISTRY: dict = {}
@@ -224,6 +278,7 @@ WILCOXON = register_statistic(
         ei_certified=True,
         theta_monotone_rightcontinuous=True,
         realized_rows=_wilcoxon_rows,
+        switch_points=_wilcoxon_switch_points,
     )
 )
 

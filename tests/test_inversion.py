@@ -1,5 +1,6 @@
 """Step-function construction, inversion, and interval guarantees."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -25,7 +26,10 @@ from randinf import (
     tied_discrete_population,
     traditional_interval,
 )
+from randinf._util import round_sig
 from conftest import random_experiment
+
+ONE_SIDED = (PValueKind.LPLUS, PValueKind.UPLUS, PValueKind.LMINUS, PValueKind.UMINUS)
 
 
 class TestStepFunction:
@@ -80,6 +84,35 @@ class TestStepFunction:
         grid = np.linspace(-6, 6, 301) + 0.0037137
         direct = np.array([p_value(data, design, wilcoxon, t, PValueKind.LPLUS) for t in grid])
         np.testing.assert_allclose(np.atleast_1d(f.value(grid)), direct, atol=0)
+
+    @pytest.mark.parametrize("side", ONE_SIDED)
+    @pytest.mark.parametrize("factor", [1e9, 1e10])
+    def test_wilcoxon_outcome_scale_invariance(self, toy, wilcoxon, side, factor):
+        # rank statistics ignore the outcome scale: statistic values are
+        # compared in rank units, so outcomes near 1e9 invert like outcomes near 1
+        data, design = toy
+        big = ObservedData(data.w_obs, data.y_obs * factor)
+        f = build_step_function(data, design, wilcoxon, side)
+        g = build_step_function(big, design, wilcoxon, side, validate=True)
+        np.testing.assert_array_equal(g.breakpoints, round_sig(f.breakpoints * factor))
+        np.testing.assert_array_equal(g.counts, f.counts)
+        assert (g.base_count, g.never_count) == (f.base_count, f.never_count)
+        grid = (np.linspace(-6, 6, 61) + 0.0037137) * factor
+        direct = np.array([p_value(big, design, wilcoxon, t, side) for t in grid])
+        np.testing.assert_array_equal(np.atleast_1d(g.value(grid)), direct)
+
+    @pytest.mark.parametrize("side", ONE_SIDED)
+    def test_wilcoxon_validate_cross_checks_switch_points(self, toy, wilcoxon, side):
+        data, design = toy
+        checked = build_step_function(data, design, wilcoxon, side, validate=True)
+        plain = build_step_function(data, design, wilcoxon, side)
+        assert _step_digest(checked) == _step_digest(plain)
+        # a switch-point hook off by a quarter unit is caught by the oracle
+        skewed = dataclasses.replace(
+            wilcoxon, switch_points=lambda d, W, m: wilcoxon.switch_points(d, W, m) + 0.25
+        )
+        with pytest.raises(AssertionError, match="generic bisection"):
+            build_step_function(data, design, skewed, side, validate=True)
 
     def test_non_monotone_statistic_refused(self, toy, studentized):
         data, design = toy

@@ -1,20 +1,25 @@
-"""Imputation, statistic evaluation, and the effect-increasing probe."""
+"""Imputation, statistic evaluation, Wilcoxon switch points, and the effect-increasing probe."""
 
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
 from randinf import (
+    CRD,
+    RBD,
     DegenerateDenominatorError,
     ObservedData,
     StatisticError,
+    assignment_matrix,
     ei_probe,
     evaluate,
     evaluate_many,
     get_statistic,
     impute,
     observed_statistic,
+    sample_assignments,
 )
+from randinf import statistics as statistics_mod
 from conftest import random_experiment
 
 
@@ -166,3 +171,34 @@ class TestEIProbe:
         data, design = toy
         with pytest.raises(ValueError):
             ei_probe(diff_means, data, design, trials=0, seed=1)
+
+
+class TestWilcoxonSwitchPoints:
+    def test_threshold_met_exactly_past_switch_point(self, wilcoxon):
+        # T(theta) >= m just above b* and fails just below it, per row
+        rng = np.random.default_rng(8)
+        data, design = random_experiment(rng, n=9, n_treated=4)
+        W = assignment_matrix(design).astype(float)
+        D = W - data.w_obs
+        for m in (12.5, 20.0, 27.5):
+            b = wilcoxon.switch_points(data, W, m)
+            finite = np.isfinite(b)
+            for theta, want in ((b + 1e-9, True), (b - 1e-9, False)):
+                t = np.where(finite, theta, 0.0)
+                vals = (rankdata(data.y_obs + t[:, None] * D, axis=1) * W).sum(axis=1)
+                assert ((vals >= m) == want)[finite].all()
+            always = b == -np.inf
+            never = b == np.inf
+            for t in (-1e3, 1e3):
+                vals = (rankdata(data.y_obs + t * D, axis=1) * W).sum(axis=1)
+                assert (vals[always] >= m).all() and (vals[never] < m).all()
+
+    @pytest.mark.parametrize("design", [CRD(10, 4), RBD(((5, 2), (6, 3)))])
+    def test_chunking_does_not_change_result(self, wilcoxon, design, monkeypatch):
+        rng = np.random.default_rng(9)
+        y = np.round(rng.normal(size=design.n_units), 1)
+        data = ObservedData(sample_assignments(design, 1, seed=1)[0], y)
+        W = sample_assignments(design, 300, seed=2).astype(float)
+        whole = wilcoxon.switch_points(data, W, 20.5)
+        monkeypatch.setattr(statistics_mod, "_PAIR_CHUNK", 1)
+        np.testing.assert_array_equal(wilcoxon.switch_points(data, W, 20.5), whole)
