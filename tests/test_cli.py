@@ -350,3 +350,96 @@ class TestDeterminismAndSerialization:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 9
         assert all(0 <= float(r["p"]) <= 1 for r in rows)
+
+
+def _write_experiment(path, design, pop_seed, w_seed):
+    """Write a seeded lognormal experiment under ``design`` as a CLI CSV."""
+    from randinf import generate_population, sample_assignments
+
+    pop = generate_population(design.n_units, 1.0, seed=pop_seed)
+    data = pop.observe(sample_assignments(design, 1, seed=w_seed)[0])
+    blocked = isinstance(design, RBD)
+    labels = np.repeat(np.arange(len(design.blocks)), [s for s, _ in design.blocks]) if blocked else None
+    lines = ["unit_id,w,y" + (",block" if blocked else "")]
+    for i, (w, y) in enumerate(zip(data.w_obs, data.y_obs)):
+        lines.append(f"u{i},{w},{float(y)!r}" + (f",b{labels[i]}" if blocked else ""))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+_GOLDEN_DESIGNS = {
+    "crd:12,6": CRD(12, 6),
+    "crd:10,5": CRD(10, 5),
+    "rbd:6/3,6/3,6/3,6/3": RBD(((6, 3),) * 4),
+    "rbd:4/2,4/2": RBD(((4, 2), (4, 2))),
+}
+
+# (argv after the input files, design strings): every file gets pop seed
+# 100 + i and observed-assignment seed 200 + i
+_GOLDEN_CLI_CASES = {
+    "invert_trad_exact_dm": (
+        ["invert", "--design", "crd:12,6", "--traditional", "--json"], ["crd:12,6"]),
+    "invert_trad_exact_wilcoxon": (
+        ["invert", "--design", "crd:12,6", "--traditional", "--json",
+         "--statistic", "wilcoxon_rank_sum", "--alpha1", "0.03", "--alpha2", "0.07"], ["crd:12,6"]),
+    "invert_trad_grid_exact_dm": (
+        ["invert", "--design", "crd:10,5", "--traditional", "--grid=-2,-1,0,0.5,1,2,3,4",
+         "--json"], ["crd:10,5"]),
+    "invert_trad_mc_dm": (
+        ["invert", "--design", "rbd:6/3,6/3,6/3,6/3", "--traditional", "--json",
+         "--mode", "mc", "--k", "2000", "--seed", "7"], ["rbd:6/3,6/3,6/3,6/3"]),
+    "invert_trad_mc_wilcoxon": (
+        ["invert", "--design", "rbd:6/3,6/3,6/3,6/3", "--traditional", "--json",
+         "--mode", "mc", "--k", "2000", "--seed", "7", "--statistic", "wilcoxon_rank_sum"],
+        ["rbd:6/3,6/3,6/3,6/3"]),
+    "combine_exact_dm_fisher": (
+        ["combine", "--designs", "crd:12,6;crd:10,5;rbd:4/2,4/2", "--json"],
+        ["crd:12,6", "crd:10,5", "rbd:4/2,4/2"]),
+    "combine_exact_wilcoxon_de": (
+        ["combine", "--designs", "crd:12,6;crd:10,5;rbd:4/2,4/2", "--json",
+         "--combiner", "de", "--statistic", "wilcoxon_rank_sum"],
+        ["crd:12,6", "crd:10,5", "rbd:4/2,4/2"]),
+    "combine_exact_dm_weighted_fisher": (
+        ["combine", "--designs", "crd:12,6;crd:10,5", "--json", "--weights", "2,1"],
+        ["crd:12,6", "crd:10,5"]),
+    "combine_mc_dm_stouffer": (
+        ["combine", "--designs", "rbd:6/3,6/3,6/3,6/3;crd:12,6", "--json",
+         "--combiner", "stouffer", "--mode", "mc", "--k", "1500", "--seed", "11"],
+        ["rbd:6/3,6/3,6/3,6/3", "crd:12,6"]),
+    "combine_mc_wilcoxon_fisher": (
+        ["combine", "--designs", "rbd:6/3,6/3,6/3,6/3;crd:12,6;crd:10,5", "--json",
+         "--mode", "mc", "--k", "1500", "--seed", "11", "--statistic", "wilcoxon_rank_sum"],
+        ["rbd:6/3,6/3,6/3,6/3", "crd:12,6", "crd:10,5"]),
+}
+
+# SHA-256 of the stdout bytes of each case, input paths replaced by "{f0}",
+# "{f1}", ..., recorded while every side of every experiment was built from its
+# own replicate matrix.
+GOLDEN_CLI_SHA256 = {
+    "invert_trad_exact_dm": "9aba3961931388a637bca35445c592f8f3dfece4f7ad83c13b54a3ace31eb1ed",
+    "invert_trad_exact_wilcoxon": "37ccf4f02dd9a10a3aae49bc52987ff93e5b9c774edb0cd6da8afa19f1a2a02b",
+    "invert_trad_grid_exact_dm": "77d68537730feff491988448c40507101bcaea01e1a9612d1c4075fa768e28f3",
+    "invert_trad_mc_dm": "b200e23496f5331bba3fdbe473dacf6268d499d20f327e6c4b7caae9671077f6",
+    "invert_trad_mc_wilcoxon": "45736ebb2c20573e456bb7c7475dc1c376a9a60093661548e9edc79b36de4f4e",
+    "combine_exact_dm_fisher": "e4519a07dc5b2785f6ec7a997d5485cb6871f3025a002e7f7e231edd4735b1b1",
+    "combine_exact_wilcoxon_de": "256b09306acf0dc271a5ad6415ec91363bb0549263bc64837cfed7c9075bc2e6",
+    "combine_exact_dm_weighted_fisher": "14d51b5db7a27cab61683630313ea9ed04f8e2d9dfa542b61d2fed5d52f9b494",
+    "combine_mc_dm_stouffer": "189c4218f21215819ff6c22205db17571f6c1d3c4c470a2d684a22b43af58061",
+    "combine_mc_wilcoxon_fisher": "f4e8f20cbeb5be14cf1174872935db0cf4d644914fc18ff136e812c595bf76b3",
+}
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN_CLI_CASES))
+def test_cli_interval_golden_bytes(case, capsys, tmp_path):
+    import hashlib
+
+    argv, design_texts = _GOLDEN_CLI_CASES[case]
+    files = [
+        _write_experiment(tmp_path / f"e{i}.csv", _GOLDEN_DESIGNS[text], 100 + i, 200 + i)
+        for i, text in enumerate(design_texts)
+    ]
+    code, out, err = run_cli([argv[0], *files, *argv[1:]], capsys)
+    assert code == 0, err
+    for i, path in enumerate(files):  # combine echoes its input paths
+        out = out.replace(json.dumps(path), f'"{{f{i}}}"')
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CLI_SHA256[case]

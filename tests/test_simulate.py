@@ -169,3 +169,40 @@ class TestExactValidityAudit:
         pop = generate_population(8, 0.0, seed=13)
         report = exact_validity_audit(pop, RBD(((4, 2), (4, 2))), alphas=(0.10,))
         assert report.dominance_ok and report.coverage_ok(0.10)
+
+
+_GOLDEN_SCENARIOS = {
+    # CRD(16,8) has 12870 assignments: Monte Carlo with k_cap draws;
+    # RBD 2x(8,4) has 4900: exact
+    "dm_1x16_mc_2x8_exact": dict(design1=balanced_design(1, 16), design2=balanced_design(2, 8)),
+    "dm_1x16_mc_both": dict(design1=balanced_design(1, 16), design2=balanced_design(1, 16)),
+    "wilcoxon_2x8_exact_1x16_mc": dict(
+        design1=balanced_design(2, 8), design2=balanced_design(1, 16),
+        statistic="wilcoxon_rank_sum",
+    ),
+}
+
+# SHA-256 of every arm's (coverage, width_mean, width_sd) float64 bytes in
+# arm order, recorded while every side of every experiment was built from its
+# own replicate matrix.
+GOLDEN_SCENARIO_SHA256 = {
+    "dm_1x16_mc_2x8_exact": "3e388563138a6abde57184e022d9a08d19d55ce57d60f188f2f1cba8a6e1749f",
+    "dm_1x16_mc_both": "de000b698087b71e5f8ec5c7776c0809e9ec8683abd2a8ad280d2ca4557ae5a8",
+    "wilcoxon_2x8_exact_1x16_mc": "dff9dcb4d6582800dcb078274bb5827de96a9959ed7f4ae2d3de3d8d521dd2b1",
+}
+
+
+def _arms_digest(result):
+    import hashlib
+
+    h = hashlib.sha256()
+    for name, arm in result.arms.items():
+        h.update(name.encode())
+        h.update(np.array([arm.coverage, arm.width_mean, arm.width_sd]).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN_SCENARIOS))
+def test_run_scenario_golden_bytes(case):
+    cfg = ScenarioConfig(reps=3, k_cap=5000, master_seed=20260808, **_GOLDEN_SCENARIOS[case])
+    assert _arms_digest(run_scenario(cfg)) == GOLDEN_SCENARIO_SHA256[case]
