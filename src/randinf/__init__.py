@@ -49,6 +49,7 @@ from .inversion import (
     NonMonotoneStatisticError,
     PValueStepFunction,
     build_step_function,
+    build_step_functions,
     confidence_interval,
     invert_lower,
     invert_upper,

@@ -16,16 +16,18 @@ import sys
 import numpy as np
 
 from . import __version__
-from .combine import combined_interval, make_combiner
+from .combine import _combined_interval, make_combiner
 from .datasets import toy_experiment
 from .design import CRD, RBD, Design, EnumerationCapError
 from .inversion import (
     ConfidenceInterval,
     LevelTooHighError,
     NonMonotoneStatisticError,
+    _proposed_interval,
+    _require_invertible,
+    _traditional_interval,
     build_step_function,
-    confidence_interval,
-    traditional_interval,
+    build_step_functions,
 )
 from .mcplan import required_k, threshold_table
 from .randomization import DEFAULT_ENUMERATION_CAP, ExactMode, MCMode, PValueKind, p_values
@@ -286,13 +288,12 @@ def cmd_invert(args):
     mode = _mode_from_args(args)
     alpha1 = args.alpha1 if args.alpha1 is not None else args.alpha / 2
     alpha2 = args.alpha2 if args.alpha2 is not None else args.alpha / 2
-    ci = confidence_interval(data, design, stat, alpha1, alpha2, mode)
-    out = {"proposed": _interval_dict(ci)}
+    _require_invertible(stat, alpha1, alpha2)
+    fs = build_step_functions(data, design, stat, mode)
+    out = {"proposed": _interval_dict(_proposed_interval(fs, alpha1, alpha2))}
     if args.traditional:
-        grid = None
-        if args.grid:
-            grid = [float(v) for v in args.grid.split(",")]
-        tr = traditional_interval(data, design, stat, alpha1 + alpha2, mode, theta_grid=grid)
+        grid = [float(v) for v in args.grid.split(",")] if args.grid else None
+        tr = _traditional_interval(fs[PValueKind.LPLUS], alpha1 + alpha2, grid)
         out["traditional"] = _interval_dict(tr)
     _dump(out, args.json)
 
@@ -306,11 +307,10 @@ def cmd_combine(args):
     mode = _mode_from_args(args)
     combiner = make_combiner(args.combiner, None if not args.weights else
                              [float(v) for v in args.weights.split(",")])
-    combined = combined_interval(experiments, stat, combiner, args.alpha, mode)
-    per_exp = [
-        confidence_interval(data, design, stat, args.alpha / 2, args.alpha / 2, mode)
-        for data, design in experiments
-    ]
+    _require_invertible(stat, args.alpha)
+    fss = [build_step_functions(data, design, stat, mode) for data, design in experiments]
+    combined = _combined_interval(fss, combiner, args.alpha)
+    per_exp = [_proposed_interval(fs, args.alpha / 2, args.alpha / 2) for fs in fss]
     out = {
         "combined": _interval_dict(combined),
         "combiner": args.combiner,
@@ -371,8 +371,9 @@ def cmd_toy(args):
     stat = get_statistic("diff_means")
     thetas = [-3.0, -1.0, 0.0, 1.0, 3.0]
     pvals = [p_values(data, design, stat, t)[PValueKind.LPLUS] for t in thetas]
-    ci = confidence_interval(data, design, stat, 0.025, 0.025)
-    tr = traditional_interval(data, design, stat, 0.05, theta_grid=thetas)
+    fs = build_step_functions(data, design, stat)
+    ci = _proposed_interval(fs, 0.025, 0.025)
+    tr = _traditional_interval(fs[PValueKind.LPLUS], 0.05, theta_grid=thetas)
     if args.json:
         out = {
             "data": {

@@ -38,9 +38,9 @@ from scipy.special import gammaincc, ndtr, ndtri
 
 from .inversion import (
     ConfidenceInterval,
-    NonMonotoneStatisticError,
     PValueStepFunction,
-    build_step_function,
+    _require_invertible,
+    build_step_functions,
 )
 from .randomization import ExactMode, Mode, PValueKind
 
@@ -340,28 +340,24 @@ def combined_interval(
     ``mode`` records the mode that ran: the common one when all experiments
     share it, else the tuple of per-experiment modes.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    _require_invertible(stat, alpha)
     if not experiments:
         raise ValueError("need at least one experiment")
-    if not stat.ei_certified:
-        raise NonMonotoneStatisticError(
-            f"statistic {stat.name!r} is not certified effect increasing"
-        )
     if modes is None:
         modes = [mode] * len(experiments)
-    elif len(set(modes)) == 1:
-        mode = modes[0]
-    else:
-        mode = tuple(modes)
-    fs_lplus = [
-        build_step_function(data, design, stat, PValueKind.LPLUS, m)
+    fss = [
+        build_step_functions(data, design, stat, m)
         for (data, design), m in zip(experiments, modes)
     ]
-    fs_uplus = [
-        build_step_function(data, design, stat, PValueKind.UPLUS, m)
-        for (data, design), m in zip(experiments, modes)
-    ]
+    return _combined_interval(fss, combiner, alpha)
+
+
+def _combined_interval(fss: Sequence[dict], combiner: CombinerSpec, alpha: float) -> ConfidenceInterval:
+    """Combined interval from each experiment's step functions (LPLUS and UPLUS)."""
+    fs_lplus = [fs[PValueKind.LPLUS] for fs in fss]
+    fs_uplus = [fs[PValueKind.UPLUS] for fs in fss]
+    modes = [f.mode for f in fs_lplus]
+    mode = modes[0] if len(set(modes)) == 1 else tuple(modes)
     c_lplus = combine_functions(fs_lplus, combiner)
     c_uplus = combine_functions(fs_uplus, combiner)
 
@@ -373,9 +369,7 @@ def combined_interval(
     # lower: sup{theta: combined LPLUS <= alpha/2}; right continuous, value on
     # [grid[k], grid[k+1]) is value(grid[k]), value before grid[0] is the base
     vals_lo = np.atleast_1d(c_lplus.value(grid))
-    before_lo = float(
-        _combine_matrix(np.array([[f.base] for f in fs_lplus]), combiner)[0]
-    )
+    before_lo = float(_combine_matrix(np.array([[f.base] for f in fs_lplus]), combiner)[0])
     if before_lo > half:
         lower = -np.inf
     else:
@@ -394,5 +388,5 @@ def combined_interval(
 
     return ConfidenceInterval(
         lower=lower, upper=upper, alpha1=half, alpha2=half,
-        method="proposed", statistic=stat.name, mode=mode,
+        method="proposed", statistic=fs_lplus[0].statistic, mode=mode,
     )

@@ -5,19 +5,22 @@ switch point in theta: the smallest hypothesized effect at which the statistic
 on the imputed table under ``w`` reaches (or strictly exceeds, for the
 strict-inequality sides) the observed statistic.  The p-value function is a
 step function jumping exactly at those points, so it is represented losslessly
-by sorted breakpoints with probability weights.  For ``diff_means`` the
-statistic is affine in theta and breakpoints are closed form; other monotone
-statistics are bisected to an absolute tolerance of ``1e-9 * max(1, scale)``
-in theta, comparing statistic values with a tolerance of
-``1e-9 * max(1, |T_obs|)`` in the statistic's own units.
+by sorted breakpoints with probability weights.
 
-A statistic with the ``switch_points`` capability (``wilcoxon_rank_sum``)
-supplies each assignment's exact switch point ``b*``: for the rank sum, an
-order statistic of the pairwise differences ``(y_j - y_i) / c`` of treated
-unit ``i`` and control unit ``j``, ``c`` in {1, 2}.  It drives the same
-bisection: each step compares theta with ``b*`` instead of re-ranking the
-replicates, and the statistic is evaluated only at exact hits on ``b*``.
-Breakpoints are the same bytes as from bisection on statistic values.
+:func:`build_step_functions` is the one kernel per experiment: one replicate
+matrix, two crossing vectors ``ge`` (``T >= T_obs``) and ``gt``
+(``T > T_obs``), and all four one-sided functions from them by counting.
+How crossings are found is a capability of the statistic:
+
+- ``affine`` (``diff_means``): ``T = a + b * theta`` per row, closed form;
+- ``switch_points`` (``wilcoxon_rank_sum``): each row's exact switch point
+  ``b*`` (for the rank sum an order statistic of the pairwise differences
+  ``(y_j - y_i) / c``, ``c`` in {1, 2}) decides each bisection step instead
+  of re-ranking the replicates; the statistic is evaluated only at exact hits
+  on ``b*``, so breakpoints are the same bytes as from plain bisection;
+- otherwise bisection to an absolute tolerance of ``1e-9 * max(1, scale)`` in
+  theta, comparing statistic values with a tolerance of
+  ``1e-9 * max(1, |T_obs|)`` in the statistic's own units.
 
 Evaluation semantics per side (``b`` a breakpoint):
 
@@ -65,15 +68,12 @@ __all__ = [
     "BracketingError",
     "LevelTooHighError",
     "build_step_function",
+    "build_step_functions",
     "invert_lower",
     "invert_upper",
     "confidence_interval",
     "traditional_interval",
 ]
-
-_GE_SIDES = (PValueKind.LPLUS, PValueKind.UMINUS)  # need the T >= T_obs crossing
-_GT_SIDES = (PValueKind.UPLUS, PValueKind.LMINUS)  # need the T > T_obs crossing
-
 
 class NonMonotoneStatisticError(ValueError):
     """Inversion requested for a statistic without a monotone p-value curve."""
@@ -122,74 +122,49 @@ class PValueStepFunction:
 
     def value(self, theta):
         """Evaluate at ``theta`` (scalar or array), exact step semantics."""
-        t = round_sig(np.asarray(theta, dtype=float))
-        increasing = self.side in (PValueKind.LPLUS, PValueKind.UPLUS)
-        if increasing:
-            search = "right" if self.side == PValueKind.LPLUS else "left"
-            idx = np.searchsorted(self.breakpoints, t, side=search)
-            active = self._cum()[idx]
-        else:
-            search = "left" if self.side == PValueKind.LMINUS else "right"
-            idx = np.searchsorted(self.breakpoints, t, side=search)
-            active = self._tail()[idx]
-        out = (self.base_count + active) / self.denom
-        return float(out) if np.ndim(theta) == 0 else out
+        return self._at(theta, "right" if self.side in (PValueKind.LPLUS, PValueKind.UMINUS) else "left")
 
     def value_from_right(self, theta):
         """Right limit at ``theta``: the value just above it."""
-        t = round_sig(np.asarray(theta, dtype=float))
-        idx = np.searchsorted(self.breakpoints, t, side="right")
-        if self.side in (PValueKind.LPLUS, PValueKind.UPLUS):
-            active = self._cum()[idx]
-        else:
-            active = self._tail()[idx]
-        out = (self.base_count + active) / self.denom
+        return self._at(theta, "right")
+
+    def _at(self, theta, search):
+        idx = np.searchsorted(self.breakpoints, round_sig(np.asarray(theta, dtype=float)), side=search)
+        out = self._levels()[idx]
         return float(out) if np.ndim(theta) == 0 else out
 
-    def _cum(self):
-        return np.concatenate(([0], np.cumsum(self.counts)))
-
-    def _tail(self):
-        return np.concatenate((np.cumsum(self.counts[::-1])[::-1], [0]))
+    def _levels(self):
+        """Values on the breakpoints.size + 1 theta intervals the breakpoints cut, in order."""
+        if self.side in (PValueKind.LPLUS, PValueKind.UPLUS):  # mass switched on below theta
+            active = np.concatenate(([0], np.cumsum(self.counts)))
+        else:  # mass not yet switched off
+            active = np.concatenate((np.cumsum(self.counts[::-1])[::-1], [0]))
+        return (self.base_count + active) / self.denom
 
     def limit_low(self) -> float:
         """Value as theta -> -inf."""
-        if self.side in (PValueKind.LPLUS, PValueKind.UPLUS):
-            return self.base_count / self.denom
-        return (self.base_count + int(self.counts.sum())) / self.denom
+        return self.value(-np.inf)
 
     def limit_high(self) -> float:
         """Value as theta -> +inf."""
-        if self.side in (PValueKind.LPLUS, PValueKind.UPLUS):
-            return (self.base_count + int(self.counts.sum())) / self.denom
-        return self.base_count / self.denom
+        return self.value(np.inf)
 
 
-def _affine_coefficients(data: ObservedData, W: np.ndarray):
-    """Intercept and slope of theta -> diff_means(imputed_theta, w), per row.
-
-    The slope counts treatment/control mismatches against the observed
-    assignment scaled by arm sizes, so it is >= 0 and vanishes exactly for
-    rows equal to the observed assignment (which stay tied at T_obs).
-    """
-    y = data.y_obs
-    w_obs = data.w_obs.astype(float)
-    n1 = W.sum(axis=1)
-    n0 = W.shape[1] - n1
-    a = (W @ y) / n1 - ((1 - W) @ y) / n0
-    b = (W @ (1 - w_obs)) / n1 + ((1 - W) @ w_obs) / n0
-    return a, b
+def _threshold(t_obs, strict):
+    """Value a replicate must reach (or pass, if strict): T_obs moved by half the tie tolerance."""
+    t_tol = 1e-9 * max(1.0, abs(t_obs))  # statistic units
+    return t_obs + t_tol / 2 if strict else t_obs - t_tol / 2
 
 
-def _bisect_crossings(data, stat, W, t_obs, strict, scale, switch_points=None):
+def _bisect_crossings(data, stat, W, t_obs, strict, scale, b_star=None):
     """Per-row switch points of 1{T(theta, w) >= T_obs} (or > for strict).
 
-    Without ``switch_points``, brackets expand geometrically from the outcome
+    Without ``b_star``, brackets expand geometrically from the outcome
     scale; a side whose statistic stops changing across a doubling has
     saturated (rank statistics freeze once theta clears the outcome range),
     which classifies the row as never switching (+inf) or always on (-inf).
 
-    With ``switch_points`` (a statistic's exact ``b*`` per row), rows with
+    With ``b_star`` (a statistic's exact ``switch_points`` per row), rows with
     ``b* = +-inf`` are classified directly, and every finite ``b*`` lies
     within the outcome range, inside the initial bracket.  Each bisection
     decision is then ``theta > b*``; the statistic is evaluated only where
@@ -199,7 +174,7 @@ def _bisect_crossings(data, stat, W, t_obs, strict, scale, switch_points=None):
     """
     tol = 1e-9 * max(1.0, scale)  # theta units: bisection width
     t_tol = 1e-9 * max(1.0, abs(t_obs))  # statistic units: tie tolerance
-    threshold = t_obs + t_tol / 2 if strict else t_obs - t_tol / 2
+    threshold = _threshold(t_obs, strict)
     y = data.y_obs
     w_obs = data.w_obs.astype(float)
 
@@ -215,10 +190,7 @@ def _bisect_crossings(data, stat, W, t_obs, strict, scale, switch_points=None):
     k = W.shape[0]
     lo = np.full(k, -2.0 * max(1.0, scale))
     hi = np.full(k, +2.0 * max(1.0, scale))
-    if switch_points is not None:
-        # smallest half-integer that passes the tolerance test
-        m = np.floor(2 * threshold) / 2 + 0.5 if strict else np.ceil(2 * threshold) / 2
-        b_star = switch_points(data, W, m)
+    if b_star is not None:
         never = b_star == np.inf
         always = b_star == -np.inf
         near_tol = 1e-12 * max(1.0, scale)
@@ -273,25 +245,40 @@ def _bisect_crossings(data, stat, W, t_obs, strict, scale, switch_points=None):
     return crossings
 
 
-def build_step_function(
+def _crossings(data, stat, W, t_obs, scale):
+    """The ``ge`` and ``gt`` crossing vectors of every row, by capability."""
+    if stat.affine is not None:
+        a, b = stat.affine(data, W)
+        moving = b > 0  # rows with b = 0 tie T_obs at every theta
+        at = np.divide(t_obs - a, b, out=np.zeros_like(a), where=moving)
+        return np.where(moving, at, -np.inf), np.where(moving, at, np.inf)
+    b_ge = b_gt = None
+    if stat.switch_points is not None:
+        # smallest half-integers that pass the two tolerance tests
+        m = np.array([np.ceil(2 * _threshold(t_obs, False)) / 2,
+                      np.floor(2 * _threshold(t_obs, True)) / 2 + 0.5])
+        b_ge, b_gt = stat.switch_points(data, W, m)
+    return (_bisect_crossings(data, stat, W, t_obs, False, scale, b_ge),
+            _bisect_crossings(data, stat, W, t_obs, True, scale, b_gt))
+
+
+def build_step_functions(
     data: ObservedData,
     design: Design,
     stat: StatisticSpec,
-    side: PValueKind,
     mode: Mode = ExactMode(),
     validate: bool = False,
-) -> PValueStepFunction:
-    """Construct the exact breakpoint representation of a p-value curve.
+) -> dict:
+    """All four one-sided p-value functions of one experiment, keyed by side.
 
-    Refuses statistics not certified monotone and right continuous in theta
-    (their curves need not be invertible step functions).  With
-    ``validate=True`` the diff_means closed form, or the bisection driven by a
-    statistic's exact ``switch_points``, is cross-checked against the generic
-    bisection on up to 100 assignments; switch-point crossings must match it
-    exactly.
+    ``LPLUS``/``UMINUS`` count the ``ge`` crossings and ``UPLUS``/``LMINUS``
+    the ``gt`` crossings; each pair shares its (read-only) breakpoint and
+    count arrays, with base and never masses swapped.  Refuses statistics not
+    certified monotone and right continuous in theta.  With ``validate=True``
+    crossings from an ``affine`` or ``switch_points`` capability are checked
+    against the generic bisection on up to 100 assignments: to
+    ``1e-6 * scale`` for the closed form, exactly for switch points.
     """
-    if side == PValueKind.TWO_SIDED_L:
-        raise ValueError("build one-sided functions; two-sided values combine LPLUS and LMINUS")
     if not stat.theta_monotone_rightcontinuous:
         raise NonMonotoneStatisticError(
             f"statistic {stat.name!r} is not certified monotone in theta; "
@@ -300,53 +287,52 @@ def build_step_function(
     W = _replicate_matrix(design, mode)
     t_obs = observed_statistic(stat, data)
     scale = max(1.0, float(np.max(np.abs(data.y_obs))), float(np.ptp(data.y_obs)))
-    strict = side in _GT_SIDES
+    ge, gt = _crossings(data, stat, W, t_obs, scale)
 
-    if stat.name == "diff_means":
-        a, b = _affine_coefficients(data, W)
-        moving = b > 0
-        crossings = np.where(
-            moving,
-            np.divide(t_obs - a, b, out=np.zeros_like(a), where=moving),
-            -np.inf if not strict else np.inf,
-        )
-        if validate and moving.any():
-            idx = np.nonzero(moving)[0][:100]
+    if validate and (stat.affine is not None or stat.switch_points is not None):
+        idx = np.arange(min(100, W.shape[0]))
+        atol = 1e-6 * scale if stat.affine is not None else 0.0
+        for strict, crossings in ((False, ge), (True, gt)):
             ref = _bisect_crossings(data, stat, W[idx], t_obs, strict, scale)
-            if not np.allclose(crossings[idx], ref, atol=1e-6 * max(1.0, scale), rtol=0):
-                raise AssertionError("closed-form breakpoints disagree with the bisection oracle")
-    else:
-        crossings = _bisect_crossings(data, stat, W, t_obs, strict, scale, stat.switch_points)
-        if validate and stat.switch_points is not None:
-            idx = np.arange(min(100, W.shape[0]))
-            ref = _bisect_crossings(data, stat, W[idx], t_obs, strict, scale)
-            if not np.array_equal(crossings[idx], ref):
-                raise AssertionError("switch-point crossings disagree with the generic bisection")
+            if not np.allclose(crossings[idx], ref, rtol=0.0, atol=atol):
+                raise AssertionError("crossings disagree with the generic bisection")
 
-    denom = W.shape[0]
-    n_on_everywhere = int(np.sum(crossings == -np.inf))
-    n_on_nowhere = int(np.sum(crossings == np.inf))
-    finite = round_sig(crossings[np.isfinite(crossings)])
-    breakpoints, counts = np.unique(finite, return_counts=True)
-
-    if side in (PValueKind.LPLUS, PValueKind.UPLUS):
-        base_count, never_count = n_on_everywhere, n_on_nowhere
-    else:
+    fs = {}
+    for crossings, rising, falling in ((ge, PValueKind.LPLUS, PValueKind.UMINUS),
+                                       (gt, PValueKind.UPLUS, PValueKind.LMINUS)):
+        always = int(np.sum(crossings == -np.inf))
+        never = int(np.sum(crossings == np.inf))
+        breakpoints, counts = np.unique(round_sig(crossings[np.isfinite(crossings)]),
+                                        return_counts=True)
+        counts = counts.astype(np.int64)
+        breakpoints.flags.writeable = counts.flags.writeable = False
         # complements: rows whose crossing event always holds never satisfy
         # the <= / < event, and vice versa
-        base_count, never_count = n_on_nowhere, n_on_everywhere
+        for side, base, off in ((rising, always, never), (falling, never, always)):
+            fs[side] = PValueStepFunction(
+                side=side, breakpoints=breakpoints, counts=counts, base_count=base,
+                never_count=off, denom=W.shape[0], statistic=stat.name, t_obs=t_obs, mode=mode,
+            )
+    return fs
 
-    return PValueStepFunction(
-        side=side,
-        breakpoints=breakpoints,
-        counts=counts.astype(np.int64),
-        base_count=base_count,
-        never_count=never_count,
-        denom=denom,
-        statistic=stat.name,
-        t_obs=t_obs,
-        mode=mode,
-    )
+
+def build_step_function(
+    data: ObservedData,
+    design: Design,
+    stat: StatisticSpec,
+    side: PValueKind,
+    mode: Mode = ExactMode(),
+    validate: bool = False,
+) -> PValueStepFunction:
+    """One side's p-value curve: ``build_step_functions(...)[side]``."""
+    if side == PValueKind.TWO_SIDED_L:
+        raise ValueError("build one-sided functions; two-sided values combine LPLUS and LMINUS")
+    return build_step_functions(data, design, stat, mode, validate)[side]
+
+
+def _cut(f: PValueStepFunction, j: int) -> float:
+    """Where f's first ``j`` theta intervals end: -inf, the breakpoints, +inf, indexed."""
+    return float(np.concatenate(([-np.inf], f.breakpoints, [np.inf]))[j])
 
 
 def invert_lower(f: PValueStepFunction, alpha1: float) -> float:
@@ -354,19 +340,15 @@ def invert_lower(f: PValueStepFunction, alpha1: float) -> float:
 
     Returns ``-inf`` when even the base mass exceeds ``alpha1`` (no theta
     attains so small a p-value) and ``+inf`` when the function never rises
-    above ``alpha1``.
+    above ``alpha1``.  Levels are compared with the p-values
+    :meth:`PValueStepFunction.value` returns, ``count / denom`` floats.
     """
     if f.side != PValueKind.LPLUS:
         raise ValueError("lower inversion needs a LPLUS function")
     if not 0 < alpha1 < 1:
         raise ValueError("alpha1 must lie in (0, 1)")
-    if f.base_count > alpha1 * f.denom:
-        return -np.inf
-    cum = (f.base_count + np.cumsum(f.counts)) / f.denom
-    j = int(np.searchsorted(cum, alpha1, side="right"))
-    if j >= f.breakpoints.size:
-        return np.inf
-    return float(f.breakpoints[j])
+    # the intervals with p <= alpha1 come first; their union ends at the cut
+    return _cut(f, int(np.searchsorted(f._levels(), alpha1, side="right")))
 
 
 def invert_upper(f: PValueStepFunction, alpha2: float) -> float:
@@ -375,15 +357,8 @@ def invert_upper(f: PValueStepFunction, alpha2: float) -> float:
         raise ValueError("upper inversion needs a LMINUS function")
     if not 0 < alpha2 < 1:
         raise ValueError("alpha2 must lie in (0, 1)")
-    if f.base_count > alpha2 * f.denom:
-        return np.inf
-    if f.breakpoints.size == 0:
-        return -np.inf
-    at_bp = (f.base_count + np.cumsum(f.counts[::-1])[::-1]) / f.denom  # value at each breakpoint
-    above = np.nonzero(at_bp > alpha2)[0]
-    if above.size == 0:
-        return -np.inf
-    return float(f.breakpoints[above[-1]])
+    # the intervals with p > alpha2 come first; the rest starts at the cut
+    return _cut(f, int(np.sum(f._levels() > alpha2)))
 
 
 @dataclass(frozen=True)
@@ -421,6 +396,55 @@ class ConfidenceInterval:
         return bool(self.lower <= theta < self.upper)
 
 
+def _require_invertible(stat: StatisticSpec, alpha1: float, alpha2: float | None = None):
+    """Every interval needs levels in (0, 1), summing below 1, and an EI statistic."""
+    if alpha2 is None:
+        if not 0 < alpha1 < 1:
+            raise ValueError("alpha must lie in (0, 1)")
+    elif not (0 < alpha1 < 1 and 0 < alpha2 < 1 and alpha1 + alpha2 < 1):
+        raise ValueError("need 0 < alpha1, alpha2 and alpha1 + alpha2 < 1")
+    if not stat.ei_certified:
+        raise NonMonotoneStatisticError(
+            f"statistic {stat.name!r} is not certified effect increasing; "
+            "inversion with it has no coverage guarantee"
+        )
+
+
+def _proposed_interval(fs: dict, alpha1: float, alpha2: float) -> ConfidenceInterval:
+    """Guaranteed interval from one experiment's step functions (LPLUS and LMINUS)."""
+    f = fs[PValueKind.LPLUS]
+    lower = invert_lower(f, alpha1)
+    upper = invert_upper(fs[PValueKind.LMINUS], alpha2)
+    if lower > upper:
+        raise LevelTooHighError(
+            f"levels alpha1={alpha1}, alpha2={alpha2} leave no interval "
+            f"(lower {lower} > upper {upper})"
+        )
+    return ConfidenceInterval(
+        lower=lower, upper=upper, alpha1=alpha1, alpha2=alpha2,
+        method="proposed", statistic=f.statistic, mode=f.mode,
+    )
+
+
+def _traditional_interval(f: PValueStepFunction, alpha: float, theta_grid=None) -> ConfidenceInterval:
+    """Two-crossing interval from one LPLUS function, at alpha/2 and 1 - alpha/2."""
+    half = alpha / 2
+    if theta_grid is not None:
+        grid = np.sort(np.asarray(theta_grid, dtype=float))
+        p = f.value(grid)
+        above = np.nonzero(p > half)[0]
+        lower = float(grid[above[0]]) if above.size else np.inf
+        reach = np.nonzero(p >= 1 - half)[0]
+        upper = float(grid[reach[0]]) if reach.size else np.inf
+    else:
+        lower = invert_lower(f, half)
+        upper = _cut(f, int(np.searchsorted(f._levels(), 1 - half, side="left")))
+    return ConfidenceInterval(
+        lower=lower, upper=upper, alpha1=half, alpha2=half,
+        method="traditional", statistic=f.statistic, mode=f.mode,
+    )
+
+
 def confidence_interval(
     data: ObservedData,
     design: Design,
@@ -436,26 +460,8 @@ def confidence_interval(
     same effect-increasing statistic.  Coverage holds exactly, with no
     tolerance, over the randomization distribution.
     """
-    if not (0 < alpha1 < 1 and 0 < alpha2 < 1 and alpha1 + alpha2 < 1):
-        raise ValueError("need 0 < alpha1, alpha2 and alpha1 + alpha2 < 1")
-    if not stat.ei_certified:
-        raise NonMonotoneStatisticError(
-            f"statistic {stat.name!r} is not certified effect increasing; "
-            "inversion with it has no coverage guarantee"
-        )
-    f_lo = build_step_function(data, design, stat, PValueKind.LPLUS, mode)
-    f_hi = build_step_function(data, design, stat, PValueKind.LMINUS, mode)
-    lower = invert_lower(f_lo, alpha1)
-    upper = invert_upper(f_hi, alpha2)
-    if lower > upper:
-        raise LevelTooHighError(
-            f"levels alpha1={alpha1}, alpha2={alpha2} leave no interval "
-            f"(lower {lower} > upper {upper})"
-        )
-    return ConfidenceInterval(
-        lower=lower, upper=upper, alpha1=alpha1, alpha2=alpha2,
-        method="proposed", statistic=stat.name, mode=mode,
-    )
+    _require_invertible(stat, alpha1, alpha2)
+    return _proposed_interval(build_step_functions(data, design, stat, mode), alpha1, alpha2)
 
 
 def traditional_interval(
@@ -474,33 +480,6 @@ def traditional_interval(
     the crossings are read off the grid (first grid point past each level),
     reproducing the coarse-grid workflow; otherwise they are exact.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not stat.ei_certified:
-        raise NonMonotoneStatisticError(
-            f"statistic {stat.name!r} is not certified effect increasing; "
-            "inversion with it has no coverage guarantee"
-        )
-    f = build_step_function(data, design, stat, PValueKind.LPLUS, mode)
-    half = alpha / 2
-    if theta_grid is not None:
-        grid = np.sort(np.asarray(theta_grid, dtype=float))
-        p = f.value(grid)
-        above = np.nonzero(p > half)[0]
-        lower = float(grid[above[0]]) if above.size else np.inf
-        reach = np.nonzero(p >= 1 - half)[0]
-        upper = float(grid[reach[0]]) if reach.size else np.inf
-    else:
-        lower = invert_lower(f, half)
-        cum = (f.base_count + np.cumsum(f.counts)) / f.denom
-        j = int(np.searchsorted(cum, 1 - half, side="left"))
-        if f.base_count >= (1 - half) * f.denom:
-            upper = -np.inf
-        elif j >= f.breakpoints.size:
-            upper = np.inf
-        else:
-            upper = float(f.breakpoints[j])
-    return ConfidenceInterval(
-        lower=lower, upper=upper, alpha1=half, alpha2=half,
-        method="traditional", statistic=stat.name, mode=mode,
-    )
+    _require_invertible(stat, alpha)
+    f = build_step_functions(data, design, stat, mode)[PValueKind.LPLUS]
+    return _traditional_interval(f, alpha, theta_grid)

@@ -16,16 +16,24 @@ level.  The traditional two-crossing interval is audited alongside for
 comparison; it carries no guarantee and undercovers on heavily tied data.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._util import round_sig
-from .combine import combined_interval, make_combiner
+from .combine import _combined_interval, make_combiner
 from .datasets import PotentialTable
 from .design import CRD, RBD, Design, assignment_matrix, sample_assignments, total_assignments
-from .inversion import confidence_interval
+from .inversion import (
+    PValueStepFunction,
+    _proposed_interval,
+    _require_invertible,
+    _traditional_interval,
+    build_step_functions,
+    invert_lower,
+    invert_upper,
+)
 from .randomization import DominanceProfile, ExactMode, MCMode, PValueKind, dominance_profile
 from .statistics import StatisticSpec, get_statistic
 
@@ -125,13 +133,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     stat = get_statistic(config.statistic)
     designs = (config.design1, config.design2)
     half = config.alpha / 2
+    _require_invertible(stat, half, half)
     arm_names = ["exp1", "exp2", *config.combiners]
     covered = {name: np.zeros(config.reps, dtype=bool) for name in arm_names}
     widths = {name: np.zeros(config.reps) for name in arm_names}
 
     for rep in range(config.reps):
-        experiments = []
-        modes = []
+        fss = []
         for e, design in enumerate(designs, start=1):
             pop = generate_population(
                 design.n_units, config.true_theta, seed=(config.master_seed, rep, e, 0)
@@ -143,16 +151,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                 mode = ExactMode(cap=config.k_cap)
             else:
                 mode = MCMode(k=config.k_cap, seed=_rep_seed(config.master_seed, rep, e, 2))
-            experiments.append((data, design))
-            modes.append(mode)
-            ci = confidence_interval(data, design, stat, half, half, mode)
+            fss.append(build_step_functions(data, design, stat, mode))
+            ci = _proposed_interval(fss[-1], half, half)
             name = f"exp{e}"
             covered[name][rep] = ci.contains(config.true_theta)
             widths[name][rep] = ci.width
         for comb_name in config.combiners:
-            ci = combined_interval(
-                experiments, stat, make_combiner(comb_name), config.alpha, modes=modes
-            )
+            ci = _combined_interval(fss, make_combiner(comb_name), config.alpha)
             covered[comb_name][rep] = ci.contains(config.true_theta)
             widths[comb_name][rep] = ci.width
 
@@ -187,22 +192,20 @@ class AuditReport:
         return self.proposed_coverage[alpha] >= 1 - alpha
 
 
-def _interval_quantile_indices(k: int, alpha1: float, alpha2: float):
-    """Indices into each sorted per-column breakpoint vector (k-1 finite bps).
+def _endpoint_ranks(k: int, alpha: float):
+    """Ranks of the proposed lower, proposed upper and traditional upper endpoints.
 
-    Mirrors invert_lower / invert_upper for uniform weights with the observed
-    assignment as base mass: the same (integer count)/denominator floats are
-    compared against the levels, so the fast path picks the same breakpoints.
+    Every column's k - 1 sorted breakpoints carry unit counts over a base atom
+    (the observed assignment), so the public inverters applied to the
+    index-valued function 0..k-2 pick the ranks; +-inf for infinite endpoints.
     """
-    cum = (1.0 + np.arange(1, k)) / k          # value at and past each sorted bp
-    i_lo = None if 1.0 / k > alpha1 else int(np.searchsorted(cum, alpha1, side="right"))
-    at_bp = (1.0 + (k - 1) - np.arange(k - 1)) / k  # value AT each sorted bp
-    if 1.0 / k > alpha2:
-        i_hi = None
-    else:
-        above = at_bp > alpha2
-        i_hi = int(np.nonzero(above)[0][-1]) if above.any() else -1
-    return i_lo, i_hi
+    ranks = np.arange(k - 1.0)
+    f = PValueStepFunction(
+        side=PValueKind.LPLUS, breakpoints=ranks, counts=np.ones(k - 1, dtype=np.int64),
+        base_count=1, never_count=0, denom=k, statistic="rank", t_obs=0.0, mode=ExactMode(),
+    )
+    g = replace(f, side=PValueKind.LMINUS)
+    return invert_lower(f, alpha / 2), invert_upper(g, alpha / 2), _traditional_interval(f, alpha).upper
 
 
 def exact_validity_audit(
@@ -256,10 +259,7 @@ def exact_validity_audit(
     proposed_width = {}
     traditional_width = {}
     for alpha in alphas:
-        half = alpha / 2
-        i_lo, i_hi = _interval_quantile_indices(k, half, half)
-        cum = (1.0 + np.arange(1, k)) / k
-        i_tr = int(np.searchsorted(cum, 1 - half, side="left"))
+        ranks = _endpoint_ranks(k, alpha)
         covered_p = np.zeros(k, dtype=bool)
         covered_t = np.zeros(k, dtype=bool)
         width_p = np.zeros(k)
@@ -277,12 +277,9 @@ def exact_validity_audit(
             BP[B == 0] = np.nan  # the observed assignment itself: base mass
             BP = round_sig(BP)
             BP_sorted = np.sort(BP, axis=0)[: k - 1]  # NaNs sort last; one per column
-            lower = BP_sorted[i_lo, :] if i_lo is not None else np.full(cols.size, -np.inf)
-            if i_hi is None:
-                upper = np.full(cols.size, np.inf)
-            else:
-                upper = BP_sorted[i_hi, :]
-            upper_t = BP_sorted[i_tr, :] if i_tr < k - 1 else np.full(cols.size, np.inf)
+            lower, upper, upper_t = (
+                BP_sorted[int(r)] if np.isfinite(r) else np.full(cols.size, r) for r in ranks
+            )
             covered_p[cols] = (lower <= theta0) & (theta0 <= upper)
             covered_t[cols] = (lower <= theta0) & (theta0 < upper_t)
             width_p[cols] = upper - lower

@@ -128,13 +128,17 @@ class StatisticSpec:
     and non-increasing in the control potentials, which guarantees
     ``theta_monotone_rightcontinuous`` for the map theta -> T(imputed, w).
 
-    ``switch_points(data, W, m)`` is optional.  For every assignment row of
-    ``W`` it returns the exact ``b*`` such that ``T(theta, w) >= m`` holds for
-    every theta above ``b*`` and fails for every theta below it, ``-inf`` for
-    rows where it always holds and ``+inf`` where it never does.  A statistic
-    with this capability takes only half-integer values, so a tolerance test
-    against the observed value is the same as ``T >= m`` for a half-integer
-    ``m``; inversion then bisects on comparisons with ``b*``.
+    Optional capabilities replace inversion's generic bisection.
+    ``affine(data, W)`` returns per-row ``(a, b)``, ``b >= 0``, with
+    ``T(theta, w) = a + b * theta`` and ``b = 0`` only on rows that tie the
+    observed value: switch points are closed form.
+    ``switch_points(data, W, m)`` returns every row's exact ``b*`` such that
+    ``T(theta, w) >= m`` holds for every theta above ``b*`` and fails below
+    it, ``-inf``/``+inf`` for rows where it always/never holds; for an array
+    of thresholds ``m`` the result has shape ``m.shape + (k,)``.  A statistic
+    with it takes only half-integer values, so a tolerance test against the
+    observed value is ``T >= m`` for a half-integer ``m``, and the bisection
+    compares theta with ``b*``.
     """
 
     name: str
@@ -142,6 +146,7 @@ class StatisticSpec:
     ei_certified: bool
     theta_monotone_rightcontinuous: bool
     realized_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    affine: Optional[Callable[..., tuple]] = None
     switch_points: Optional[Callable[..., np.ndarray]] = None
 
     def __post_init__(self):
@@ -160,6 +165,22 @@ def _arm_sizes(W):
 def _diff_means_rows(Y, W):
     n1, n0 = _arm_sizes(W)
     return (Y * W).sum(axis=1) / n1 - (Y * (1 - W)).sum(axis=1) / n0
+
+
+def _diff_means_affine(data: ObservedData, W: np.ndarray):
+    """Intercept and slope of theta -> diff_means(imputed_theta, w), per row.
+
+    The slope counts treatment/control mismatches against the observed
+    assignment scaled by arm sizes, so it is >= 0 and vanishes exactly for
+    rows equal to the observed assignment (which stay tied at T_obs).
+    """
+    y = data.y_obs
+    w_obs = data.w_obs.astype(float)
+    n1 = W.sum(axis=1)
+    n0 = W.shape[1] - n1
+    a = (W @ y) / n1 - ((1 - W) @ y) / n0
+    b = (W @ (1 - w_obs)) / n1 + ((1 - W) @ w_obs) / n0
+    return a, b
 
 
 def _studentized_rows(Y, W):
@@ -189,7 +210,7 @@ def _wilcoxon_rows(Y, W):
 _PAIR_CHUNK = 1 << 16
 
 
-def _wilcoxon_switch_points(data: ObservedData, W: np.ndarray, m: float) -> np.ndarray:
+def _wilcoxon_switch_points(data: ObservedData, W: np.ndarray, m) -> np.ndarray:
     """Exact switch points of ``1{T(theta, w) >= m}`` for the rank sum.
 
     Under the constant-effect null unit ``i`` realizes ``y_i + theta * d_i``
@@ -201,12 +222,14 @@ def _wilcoxon_switch_points(data: ObservedData, W: np.ndarray, m: float) -> np.n
     ``T = base + #{q < theta}``, so ``T >= m`` exactly when theta exceeds the
     ``ceil(m - base)``-th smallest ``q`` of the row.  Every CRD/RBD row treats
     the same number of units; pairs are built in row chunks of at most
-    ``_PAIR_CHUNK`` entries.
+    ``_PAIR_CHUNK`` entries, and each row's ``q`` are sorted once for every
+    threshold in ``m``.
     """
     y = data.y_obs
     w_obs = data.w_obs
     k, n = W.shape
-    out = np.empty(k)
+    m = np.asarray(m, dtype=float)
+    out = np.empty((m.size, k))
     n1 = int(round(W[0].sum()))
     n0 = n - n1
     step = max(1, _PAIR_CHUNK // (n1 * n0))
@@ -222,10 +245,10 @@ def _wilcoxon_switch_points(data: ObservedData, W: np.ndarray, m: float) -> np.n
         base = n1 * (n1 + 1) / 2 + wins
         q = np.divide(diff, c, out=np.full(diff.shape, np.inf), where=~fixed)
         q.sort(axis=1)
-        need = np.ceil(m - base).astype(np.int64)  # pairs that must be on
+        need = np.ceil(m.reshape(-1, 1) - base).astype(np.int64)  # pairs that must be on
         pick = q[np.arange(r), np.clip(need - 1, 0, n1 * n0 - 1)]
-        out[start:start + r] = np.where(need <= 0, -np.inf, np.where(need > n1 * n0, np.inf, pick))
-    return out
+        out[:, start:start + r] = np.where(need <= 0, -np.inf, np.where(need > n1 * n0, np.inf, pick))
+    return out.reshape(m.shape + (k,))
 
 
 _REGISTRY: dict = {}
@@ -258,6 +281,7 @@ DIFF_MEANS = register_statistic(
         ei_certified=True,
         theta_monotone_rightcontinuous=True,
         realized_rows=_diff_means_rows,
+        affine=_diff_means_affine,
     )
 )
 

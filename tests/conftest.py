@@ -40,3 +40,19 @@ def random_experiment(rng, n=8, n_treated=None, effect=0.0, lognormal=False):
     w[rng.choice(n, size=n_treated, replace=False)] = 1
     y_obs = y0 + effect * w
     return ObservedData(w_obs=w, y_obs=y_obs), CRD(n, n_treated)
+
+
+@pytest.fixture
+def replicate_builds(monkeypatch):
+    """Designs of the replicate matrices the inversion kernel builds, in order."""
+    import randinf.inversion as inversion_mod
+
+    builds = []
+    real = inversion_mod._replicate_matrix
+
+    def counting(design, mode):
+        builds.append(design)
+        return real(design, mode)
+
+    monkeypatch.setattr(inversion_mod, "_replicate_matrix", counting)
+    return builds

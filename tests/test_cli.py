@@ -167,6 +167,20 @@ class TestSubcommands:
         single = json.loads(out2)["proposed"]
         assert (combined["lower"], combined["upper"]) == (single["lower"], single["upper"])
 
+    def test_invert_traditional_builds_one_replicate_matrix(self, capsys, replicate_builds):
+        code, _, _ = run_cli(
+            ["invert", TOY_CSV, "--design", "crd:10,5", "--traditional", "--json"], capsys
+        )
+        assert code == 0 and replicate_builds == [CRD(10, 5)]
+
+    def test_combine_builds_one_replicate_matrix_per_experiment(self, capsys, replicate_builds):
+        code, _, _ = run_cli(
+            ["combine", TOY_CSV, TOY_CSV, TOY_CSV, "--designs", "crd:10,5;crd:10,5;crd:10,5",
+             "--mode", "mc", "--k", "300", "--seed", "4", "--json"],
+            capsys,
+        )
+        assert code == 0 and replicate_builds == [CRD(10, 5)] * 3
+
     def test_mc_threshold_table(self, capsys):
         code, out, _ = run_cli(["mc-threshold", "--json"], capsys)
         rows = json.loads(out)["rows"]

@@ -15,10 +15,15 @@ from randinf import (
     NonMonotoneStatisticError,
     ObservedData,
     PValueKind,
+    PValueStepFunction,
     assignment_matrix,
     build_step_function,
+    build_step_functions,
+    combined_interval,
     confidence_interval,
+    fisher,
     generate_population,
+    get_statistic,
     invert_lower,
     invert_upper,
     p_value,
@@ -26,7 +31,11 @@ from randinf import (
     tied_discrete_population,
     traditional_interval,
 )
+from randinf import statistics as statistics_mod
 from randinf._util import round_sig
+from randinf.inversion import _crossings
+from randinf.randomization import _replicate_matrix
+from randinf.statistics import observed_statistic
 from conftest import random_experiment
 
 ONE_SIDED = (PValueKind.LPLUS, PValueKind.UPLUS, PValueKind.LMINUS, PValueKind.UMINUS)
@@ -179,6 +188,30 @@ class TestInvertLower:
         g = build_step_function(data, design, diff_means, PValueKind.LMINUS)
         with pytest.raises(ValueError):
             invert_lower(g, 0.05)
+
+
+class TestInversionAtBaseLevel:
+    # a level equal to the base p-value is attained: p-values are count/denom
+    # floats and the base mass is compared as one, although 49 * (1/49) < 1
+    K = 49
+
+    def _index_function(self, side):
+        k = self.K
+        return PValueStepFunction(
+            side=side, breakpoints=np.arange(k - 1.0), counts=np.ones(k - 1, dtype=np.int64),
+            base_count=1, never_count=0, denom=k, statistic="rank", t_obs=0.0, mode=ExactMode(),
+        )
+
+    def test_lower(self):
+        f = self._index_function(PValueKind.LPLUS)
+        alpha = f.value(-1.0)
+        assert alpha * self.K < 1
+        assert invert_lower(f, alpha) == 0.0
+
+    def test_upper(self):
+        g = self._index_function(PValueKind.LMINUS)
+        alpha = g.value(self.K)
+        assert invert_upper(g, alpha) == self.K - 2.0
 
 
 class TestInvertUpper:
@@ -393,3 +426,92 @@ def test_wilcoxon_step_function_golden_bytes(wilcoxon, case, side):
     data, design, mode = _golden_wilcoxon_case(case)
     f = build_step_function(data, design, wilcoxon, PValueKind[side], mode)
     assert _step_digest(f) == GOLDEN_WILCOXON_SHA256[case, side]
+
+
+class TestKernel:
+    @pytest.mark.parametrize("name", ["diff_means", "wilcoxon_rank_sum"])
+    @pytest.mark.parametrize("mode", [ExactMode(), MCMode(k=400, seed=5)])
+    def test_side_pairs_share_counts_with_swapped_masses(self, toy, name, mode):
+        data, design = toy
+        fs = build_step_functions(data, design, get_statistic(name), mode)
+        assert list(fs) == [PValueKind.LPLUS, PValueKind.UMINUS, PValueKind.UPLUS, PValueKind.LMINUS]
+        for a, b in ((PValueKind.LPLUS, PValueKind.UMINUS), (PValueKind.UPLUS, PValueKind.LMINUS)):
+            assert fs[a].breakpoints is fs[b].breakpoints and fs[a].counts is fs[b].counts
+            assert not fs[a].breakpoints.flags.writeable and not fs[a].counts.flags.writeable
+            assert (fs[a].base_count, fs[a].never_count) == (fs[b].never_count, fs[b].base_count)
+        for side, f in fs.items():
+            assert _step_digest(f) == _step_digest(build_step_function(data, design, get_statistic(name), side, mode))
+
+    def test_one_replicate_matrix_per_experiment(self, toy, diff_means, replicate_builds):
+        data, design = toy
+        build_step_functions(data, design, diff_means)
+        confidence_interval(data, design, diff_means, 0.025, 0.025)
+        traditional_interval(data, design, diff_means, 0.05)
+        assert replicate_builds == [design] * 3
+        replicate_builds.clear()
+        combined_interval([(data, design)] * 3, diff_means, fisher(), 0.05)
+        assert replicate_builds == [design] * 3
+
+    def test_one_switch_point_call_for_both_crossing_vectors(self, toy, wilcoxon):
+        data, design = toy
+        thresholds = []
+
+        def switch_points(d, W, m):
+            thresholds.append(np.shape(m))
+            return wilcoxon.switch_points(d, W, m)
+
+        counted = dataclasses.replace(wilcoxon, switch_points=switch_points)
+        fs = build_step_functions(data, design, counted)
+        assert thresholds == [(2,)]
+        ref = build_step_functions(data, design, wilcoxon)
+        for side in ONE_SIDED:
+            assert _step_digest(fs[side]) == _step_digest(ref[side])
+
+    def test_affine_copy_takes_the_closed_form(self, diff_means, monkeypatch):
+        rng = np.random.default_rng(41)
+        data, design = random_experiment(rng, n=9, lognormal=True)
+        calls = []
+
+        def affine(d, W):
+            calls.append(W.shape[0])
+            return diff_means.affine(d, W)
+
+        monkeypatch.setitem(
+            statistics_mod._REGISTRY, "diff_means_copy",
+            dataclasses.replace(diff_means, name="diff_means_copy", affine=affine),
+        )
+        copy = get_statistic("diff_means_copy")
+        fs = build_step_functions(data, design, copy, validate=True)
+        assert calls == [126]
+        ref = build_step_functions(data, design, diff_means)
+        for side in ONE_SIDED:
+            assert _step_digest(fs[side]) == _step_digest(ref[side])
+        # a closed form off by a constant is caught by the bisection oracle
+        def skewed_affine(d, W):
+            a, b = diff_means.affine(d, W)
+            return a + 0.01, b
+
+        skewed = dataclasses.replace(copy, affine=skewed_affine)
+        with pytest.raises(AssertionError, match="generic bisection"):
+            build_step_functions(data, design, skewed, validate=True)
+
+    @pytest.mark.parametrize("mode", [ExactMode(), MCMode(k=300, seed=8)])
+    def test_copy_without_affine_bisects_within_validate_tolerance(self, diff_means, monkeypatch, mode):
+        rng = np.random.default_rng(42)
+        data, design = random_experiment(rng, n=9, lognormal=True)
+        monkeypatch.setitem(
+            statistics_mod._REGISTRY, "diff_means_bisected",
+            dataclasses.replace(diff_means, name="diff_means_bisected", affine=None),
+        )
+        bisected = get_statistic("diff_means_bisected")
+        W = _replicate_matrix(design, mode)
+        t_obs = observed_statistic(diff_means, data)
+        scale = max(1.0, float(np.max(np.abs(data.y_obs))), float(np.ptp(data.y_obs)))
+        for closed, generic in zip(_crossings(data, diff_means, W, t_obs, scale),
+                                   _crossings(data, bisected, W, t_obs, scale)):
+            np.testing.assert_array_equal(np.isinf(closed), np.isinf(generic))
+            np.testing.assert_allclose(closed, generic, rtol=0, atol=1e-6 * scale)
+        fs = build_step_functions(data, design, bisected, mode, validate=True)
+        ref = build_step_functions(data, design, diff_means, mode)
+        for side in ONE_SIDED:
+            assert (fs[side].base_count, fs[side].never_count) == (ref[side].base_count, ref[side].never_count)

@@ -15,7 +15,7 @@ from randinf import (
     get_statistic,
     p_value,
 )
-from randinf.inversion import _bisect_crossings
+from randinf.inversion import _bisect_crossings, _crossings
 from randinf.randomization import _replicate_matrix
 from randinf.statistics import observed_statistic
 
@@ -61,15 +61,16 @@ def _scale(data):
 
 
 @PROPERTY_SETTINGS
-@given(experiments(), st.booleans())
-def test_switch_point_crossings_equal_generic_bisection(experiment, strict):
+@given(experiments())
+def test_switch_point_crossings_equal_generic_bisection(experiment):
+    # both crossing vectors of the kernel, from one switch-point call
     data, design, mode = experiment
     W = _replicate_matrix(design, mode)
     t_obs = observed_statistic(WILCOXON, data)
     scale = _scale(data)
-    exact = _bisect_crossings(data, WILCOXON, W, t_obs, strict, scale, WILCOXON.switch_points)
-    generic = _bisect_crossings(data, WILCOXON, W, t_obs, strict, scale)
-    np.testing.assert_array_equal(exact, generic)
+    for strict, exact in zip((False, True), _crossings(data, WILCOXON, W, t_obs, scale)):
+        generic = _bisect_crossings(data, WILCOXON, W, t_obs, strict, scale)
+        np.testing.assert_array_equal(exact, generic)
 
 
 @PROPERTY_SETTINGS

@@ -206,3 +206,45 @@ def _arms_digest(result):
 def test_run_scenario_golden_bytes(case):
     cfg = ScenarioConfig(reps=3, k_cap=5000, master_seed=20260808, **_GOLDEN_SCENARIOS[case])
     assert _arms_digest(run_scenario(cfg)) == GOLDEN_SCENARIO_SHA256[case]
+
+
+def _former_endpoint_indices(k, alpha):
+    """The audit's index arithmetic before it called the public inverters."""
+    half = alpha / 2
+    cum = (1.0 + np.arange(1, k)) / k
+    i_lo = None if 1.0 / k > half else int(np.searchsorted(cum, half, side="right"))
+    at_bp = (1.0 + (k - 1) - np.arange(k - 1)) / k
+    if 1.0 / k > half:
+        i_hi = None
+    else:
+        above = at_bp > half
+        i_hi = int(np.nonzero(above)[0][-1]) if above.any() else -1
+    i_tr = int(np.searchsorted(cum, 1 - half, side="left"))
+    return i_lo, i_hi, i_tr if i_tr < k - 1 else None
+
+
+def test_endpoint_ranks_match_former_index_arithmetic():
+    from randinf.simulate import _endpoint_ranks
+
+    for k in range(2, 201):
+        # 2/k is the level whose half equals the base atom; at k = 2 it is 1,
+        # not a level
+        for alpha in (0.01, 0.05, 0.1, 2 / k):
+            if alpha >= 1:
+                continue
+            lo, hi, tr = _endpoint_ranks(k, alpha)
+            got = (
+                None if lo == -np.inf else int(lo),
+                None if hi == np.inf else int(hi),
+                None if tr == np.inf else int(tr),
+            )
+            assert got == _former_endpoint_indices(k, alpha), (k, alpha)
+
+
+def test_one_replicate_matrix_per_experiment_per_rep(replicate_builds):
+    cfg = ScenarioConfig(
+        design1=balanced_design(1, 16), design2=balanced_design(2, 8),
+        reps=1, k_cap=5000, master_seed=3,
+    )
+    run_scenario(cfg)
+    assert replicate_builds == [cfg.design1, cfg.design2]

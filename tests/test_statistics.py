@@ -202,3 +202,32 @@ class TestWilcoxonSwitchPoints:
         whole = wilcoxon.switch_points(data, W, 20.5)
         monkeypatch.setattr(statistics_mod, "_PAIR_CHUNK", 1)
         np.testing.assert_array_equal(wilcoxon.switch_points(data, W, 20.5), whole)
+
+    @pytest.mark.parametrize("design", [CRD(10, 4), RBD(((5, 2), (6, 3)))])
+    def test_threshold_array_sorts_once_per_row(self, wilcoxon, design, monkeypatch):
+        # an array of thresholds gives one row of switch points per threshold,
+        # equal to scalar calls; a scalar keeps shape (k,)
+        rng = np.random.default_rng(10)
+        data = ObservedData(sample_assignments(design, 1, seed=3)[0], rng.normal(size=design.n_units))
+        W = sample_assignments(design, 200, seed=4).astype(float)
+        m = np.array([14.0, 20.5, 27.0])
+        assert wilcoxon.switch_points(data, W, 20.5).shape == (200,)
+        together = wilcoxon.switch_points(data, W, m)
+        assert together.shape == (3, 200)
+        for row, mi in zip(together, m):
+            np.testing.assert_array_equal(row, wilcoxon.switch_points(data, W, mi))
+        monkeypatch.setattr(statistics_mod, "_PAIR_CHUNK", 1)
+        np.testing.assert_array_equal(wilcoxon.switch_points(data, W, m), together)
+
+
+class TestAffineCapability:
+    def test_diff_means_is_affine_in_theta(self, diff_means):
+        # T(theta, w) = a + b * theta on every row, b >= 0
+        rng = np.random.default_rng(12)
+        data, design = random_experiment(rng, n=8)
+        W = assignment_matrix(design).astype(float)
+        a, b = diff_means.affine(data, W)
+        assert (b >= 0).all()
+        for theta in (-2.0, 0.0, 1.5):
+            direct = evaluate_many(diff_means, impute(data, theta), W)
+            np.testing.assert_allclose(a + b * theta, direct, rtol=0, atol=1e-12)
