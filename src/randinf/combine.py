@@ -39,6 +39,8 @@ from scipy.special import gammaincc, ndtr, ndtri
 from .inversion import (
     ConfidenceInterval,
     PValueStepFunction,
+    _cut,
+    _levels_on,
     _require_invertible,
     build_step_functions,
 )
@@ -229,8 +231,9 @@ def _mc_reference_cdf(f0_quantile, weights: np.ndarray) -> np.ndarray:
     return sample
 
 
-# a weighted combined interval combines four times with the same transform and
-# weights; the 1M-draw sample is built once for all of them
+# a weighted combined interval combines twice with the same transform and
+# weights, and later requests in the same process may again; the 1M-draw
+# sample is built once for all of them
 @lru_cache(maxsize=4)
 def _mc_reference_sample(f0_quantile, weights: tuple) -> np.ndarray:
     return _mc_reference_cdf(f0_quantile, np.array(weights))
@@ -332,8 +335,10 @@ def combined_interval(
     estimand.  The lower endpoint inverts the combined lower-plus function at
     ``alpha/2``; the upper endpoint inverts the combined lower-minus function,
     built as one minus the combination of the strict upper-plus components, at
-    ``alpha/2``.  Both are computed exactly on the union breakpoint grid.
-    Coverage is at least ``1 - alpha``.
+    ``alpha/2``.  Both are computed exactly: each combined function is read
+    once per theta interval of the union breakpoint grid, and each endpoint is
+    where the first interval past its level starts.  Coverage is at least
+    ``1 - alpha``.
 
     ``modes`` optionally gives one mode per experiment (for example different
     Monte Carlo seeds); otherwise ``mode`` applies to all.  The interval's
@@ -358,35 +363,16 @@ def _combined_interval(fss: Sequence[dict], combiner: CombinerSpec, alpha: float
     fs_uplus = [fs[PValueKind.UPLUS] for fs in fss]
     modes = [f.mode for f in fs_lplus]
     mode = modes[0] if len(set(modes)) == 1 else tuple(modes)
-    c_lplus = combine_functions(fs_lplus, combiner)
-    c_uplus = combine_functions(fs_uplus, combiner)
-
-    half = alpha / 2
-    grid = np.unique(np.concatenate([c_lplus.breakpoints, c_uplus.breakpoints]))
+    grid = np.unique(np.concatenate([f.breakpoints for f in fs_lplus + fs_uplus]))
     if grid.size == 0:
         raise ValueError("no breakpoints: the combined function is constant")
 
-    # lower: sup{theta: combined LPLUS <= alpha/2}; right continuous, value on
-    # [grid[k], grid[k+1]) is value(grid[k]), value before grid[0] is the base
-    vals_lo = np.atleast_1d(c_lplus.value(grid))
-    before_lo = float(_combine_matrix(np.array([[f.base] for f in fs_lplus]), combiner)[0])
-    if before_lo > half:
-        lower = -np.inf
-    else:
-        above = np.nonzero(vals_lo > half)[0]
-        lower = float(grid[above[0]]) if above.size else np.inf
-
-    # upper: inf{theta: combined LMINUS <= alpha/2} with LMINUS = 1 - UPLUS;
-    # left continuous, value on (grid[k], grid[k+1]] is the right limit at grid[k]
-    lminus_at = 1.0 - np.atleast_1d(c_uplus.value(grid))
-    lminus_right = 1.0 - np.atleast_1d(c_uplus.value_from_right(grid))
-    if lminus_at[0] <= half:
-        upper = -np.inf
-    else:
-        drops = np.nonzero(lminus_right <= half)[0]
-        upper = float(grid[drops[0]]) if drops.size else np.inf
-
+    half = alpha / 2
+    # lower: sup{theta: combined LPLUS <= alpha/2}; upper: inf{theta: combined
+    # LMINUS <= alpha/2}, with LMINUS = 1 - combined UPLUS
+    lplus = _combine_matrix(np.vstack([_levels_on(f, grid) for f in fs_lplus]), combiner)
+    lminus = 1.0 - _combine_matrix(np.vstack([_levels_on(f, grid) for f in fs_uplus]), combiner)
     return ConfidenceInterval(
-        lower=lower, upper=upper, alpha1=half, alpha2=half,
+        lower=_cut(grid, lplus > half), upper=_cut(grid, lminus <= half), alpha1=half, alpha2=half,
         method="proposed", statistic=fs_lplus[0].statistic, mode=mode,
     )

@@ -330,9 +330,18 @@ def build_step_function(
     return build_step_functions(data, design, stat, mode, validate)[side]
 
 
-def _cut(f: PValueStepFunction, j: int) -> float:
-    """Where f's first ``j`` theta intervals end: -inf, the breakpoints, +inf, indexed."""
-    return float(np.concatenate(([-np.inf], f.breakpoints, [np.inf]))[j])
+def _levels_on(f: PValueStepFunction, grid: np.ndarray) -> np.ndarray:
+    """f's values on the grid.size + 1 theta intervals a sorted superset of its breakpoints cuts."""
+    return f._levels()[np.concatenate(([0], np.searchsorted(f.breakpoints, grid, side="right")))]
+
+
+def _cut(grid: np.ndarray, hit: np.ndarray) -> float:
+    """Where the first theta interval whose level is a ``hit`` starts: -inf, a grid point or +inf.
+
+    ``hit`` has one entry per interval the sorted ``grid`` cuts, ``grid.size + 1``.
+    """
+    j = int(np.argmax(hit)) if hit.any() else hit.size
+    return float(np.concatenate(([-np.inf], grid, [np.inf]))[j])
 
 
 def invert_lower(f: PValueStepFunction, alpha1: float) -> float:
@@ -348,7 +357,7 @@ def invert_lower(f: PValueStepFunction, alpha1: float) -> float:
     if not 0 < alpha1 < 1:
         raise ValueError("alpha1 must lie in (0, 1)")
     # the intervals with p <= alpha1 come first; their union ends at the cut
-    return _cut(f, int(np.searchsorted(f._levels(), alpha1, side="right")))
+    return _cut(f.breakpoints, f._levels() > alpha1)
 
 
 def invert_upper(f: PValueStepFunction, alpha2: float) -> float:
@@ -358,7 +367,7 @@ def invert_upper(f: PValueStepFunction, alpha2: float) -> float:
     if not 0 < alpha2 < 1:
         raise ValueError("alpha2 must lie in (0, 1)")
     # the intervals with p > alpha2 come first; the rest starts at the cut
-    return _cut(f, int(np.sum(f._levels() > alpha2)))
+    return _cut(f.breakpoints, f._levels() <= alpha2)
 
 
 @dataclass(frozen=True)
@@ -429,16 +438,14 @@ def _proposed_interval(fs: dict, alpha1: float, alpha2: float) -> ConfidenceInte
 def _traditional_interval(f: PValueStepFunction, alpha: float, theta_grid=None) -> ConfidenceInterval:
     """Two-crossing interval from one LPLUS function, at alpha/2 and 1 - alpha/2."""
     half = alpha / 2
-    if theta_grid is not None:
-        grid = np.sort(np.asarray(theta_grid, dtype=float))
-        p = f.value(grid)
-        above = np.nonzero(p > half)[0]
-        lower = float(grid[above[0]]) if above.size else np.inf
-        reach = np.nonzero(p >= 1 - half)[0]
-        upper = float(grid[reach[0]]) if reach.size else np.inf
+    if theta_grid is None:
+        grid, levels = f.breakpoints, f._levels()
     else:
-        lower = invert_lower(f, half)
-        upper = _cut(f, int(np.searchsorted(f._levels(), 1 - half, side="left")))
+        # a coarse grid is read at its points only; nothing below its first point
+        grid = np.sort(np.asarray(theta_grid, dtype=float))
+        levels = np.concatenate(([0.0], f.value(grid)))
+    lower = _cut(grid, levels > half)
+    upper = _cut(grid, levels >= 1 - half)
     return ConfidenceInterval(
         lower=lower, upper=upper, alpha1=half, alpha2=half,
         method="traditional", statistic=f.statistic, mode=f.mode,

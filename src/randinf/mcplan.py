@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Design, total_assignments
-from .inversion import PValueStepFunction
+from .inversion import PValueStepFunction, _levels_on
 
 __all__ = [
     "McPlan",
@@ -80,19 +80,11 @@ def threshold_table(epsilons, delta: float = 0.01):
 def mc_sup_error(estimated: PValueStepFunction, exact: PValueStepFunction) -> float:
     """Exact sup-norm distance between two same-side step functions.
 
-    Both are step functions, so the supremum over theta is attained on the
-    union of their breakpoints: each union breakpoint is checked at the point,
-    on the open interval to its right, and below all breakpoints.
+    Both are constant on each theta interval the union of their breakpoints
+    cuts, and a value at a union breakpoint is the level of the interval on
+    one side of it, so the supremum is the largest difference of levels.
     """
     if estimated.side != exact.side:
         raise ValueError("functions must share a side")
     grid = np.unique(np.concatenate([estimated.breakpoints, exact.breakpoints]))
-    below = abs(estimated.limit_low() - exact.limit_low())
-    if grid.size == 0:
-        return below
-    at = np.abs(np.atleast_1d(estimated.value(grid)) - np.atleast_1d(exact.value(grid)))
-    right = np.abs(
-        np.atleast_1d(estimated.value_from_right(grid))
-        - np.atleast_1d(exact.value_from_right(grid))
-    )
-    return float(max(at.max(), right.max(), below))
+    return float(np.max(np.abs(_levels_on(estimated, grid) - _levels_on(exact, grid))))

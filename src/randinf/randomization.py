@@ -255,12 +255,8 @@ def dominance_profile(
     observed assignment ``j`` is a tail probability of the common distribution
     at its own statistic value.
     """
-    W = assignment_matrix(design, cap=cap).astype(float)
-    table = impute(data, theta0)
-    t = round_sig(evaluate_many(stat, table, W))
-    values, counts = np.unique(t, return_counts=True)
-    denom = W.shape[0]
-    gamma_star = float(counts.max() / denom)
+    dist = randomization_distribution(data, design, stat, theta0, ExactMode(cap))
+    counts, denom = dist.counts, dist.denom
 
     suffix = np.cumsum(counts[::-1])[::-1]          # counts of T >= values[i]
     prefix = np.cumsum(counts)                      # counts of T <= values[i]
@@ -282,4 +278,4 @@ def dominance_profile(
         ends = np.append(start[1:], levels.size) - 1
         cdf = cum[ends] / denom  # P(p <= uniq[i])
         profiles[kind] = (uniq, cdf)
-    return DominanceProfile(profiles=profiles, gamma_star=gamma_star, denom=denom)
+    return DominanceProfile(profiles=profiles, gamma_star=dist.gamma_star, denom=denom)

@@ -260,6 +260,7 @@ def exact_validity_audit(
     traditional_width = {}
     for alpha in alphas:
         ranks = _endpoint_ranks(k, alpha)
+        finite = [int(r) for r in ranks if np.isfinite(r)]
         covered_p = np.zeros(k, dtype=bool)
         covered_t = np.zeros(k, dtype=bool)
         width_p = np.zeros(k)
@@ -275,11 +276,12 @@ def exact_validity_audit(
             with np.errstate(divide="ignore", invalid="ignore"):
                 BP = (t_obs[None, :] - A) / B
             BP[B == 0] = np.nan  # the observed assignment itself: base mass
-            BP = round_sig(BP)
-            BP_sorted = np.sort(BP, axis=0)[: k - 1]  # NaNs sort last; one per column
-            lower, upper, upper_t = (
-                BP_sorted[int(r)] if np.isfinite(r) else np.full(cols.size, r) for r in ranks
-            )
+            # NaNs sort last, one per column; rounding is monotone, so only
+            # the order statistics at the finite ranks (the traditional upper
+            # one always is) are found and rounded
+            BP.partition(finite, axis=0)
+            at = dict(zip(finite, round_sig(BP[finite])))
+            lower, upper, upper_t = (at[int(r)] if np.isfinite(r) else np.full(cols.size, r) for r in ranks)
             covered_p[cols] = (lower <= theta0) & (theta0 <= upper)
             covered_t[cols] = (lower <= theta0) & (theta0 < upper_t)
             width_p[cols] = upper - lower

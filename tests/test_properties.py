@@ -1,4 +1,6 @@
-"""Property tests: exact switch points against the generic bisection and direct p-values."""
+"""Property tests: exact switch points against the generic bisection and direct
+p-values, and the interval-level reads of inversion and sup-norm error against
+point evaluation."""
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -12,14 +14,20 @@ from randinf import (
     ObservedData,
     PValueKind,
     build_step_function,
+    build_step_functions,
+    combine_functions,
     get_statistic,
+    make_combiner,
+    mc_sup_error,
     p_value,
 )
+from randinf.combine import _combined_interval
 from randinf.inversion import _bisect_crossings, _crossings
 from randinf.randomization import _replicate_matrix
 from randinf.statistics import observed_statistic
 
 WILCOXON = get_statistic("wilcoxon_rank_sum")
+DIFF_MEANS = get_statistic("diff_means")
 SIDES = (PValueKind.LPLUS, PValueKind.UPLUS, PValueKind.LMINUS, PValueKind.UMINUS)
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -84,3 +92,55 @@ def test_step_function_equals_direct_p_value_off_candidates(experiment, side, u)
     assume(np.min(np.abs(candidates - theta)) > 1e-6 * _scale(data))
     f = build_step_function(data, design, WILCOXON, side, mode)
     assert f.value(theta) == p_value(data, design, WILCOXON, theta, side, mode)
+
+
+def _union_grid(fs):
+    return np.unique(np.concatenate([f.breakpoints for f in fs]))
+
+
+def _first_start(grid, theta, hit):
+    """Largest grid point <= the first hit test point (-inf below the grid, +inf if none)."""
+    if not hit.any():
+        return np.inf
+    j = np.searchsorted(grid, theta[np.argmax(hit)], side="right")
+    return -np.inf if j == 0 else float(grid[j - 1])
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(experiments(), min_size=1, max_size=3),
+       st.sampled_from([DIFF_MEANS, WILCOXON]),
+       st.sampled_from(["fisher", "de", "stouffer"]),
+       st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+def test_combined_interval_equals_point_evaluation(exps, stat, name, alpha):
+    fss = [build_step_functions(data, design, stat, mode) for data, design, mode in exps]
+    combiner = make_combiner(name)
+    c_lplus = combine_functions([fs[PValueKind.LPLUS] for fs in fss], combiner)
+    c_uplus = combine_functions([fs[PValueKind.UPLUS] for fs in fss], combiner)
+    grid = _union_grid([c_lplus, c_uplus])
+    assume(grid.size > 0)
+    # one test point per theta interval and one at each grid point, in order
+    mids = np.append(0.5 * (grid[:-1] + grid[1:]), grid[-1] + 1.0)
+    theta = np.concatenate(([grid[0] - 1.0], np.column_stack((grid, mids)).ravel()))
+    for c in (c_lplus, c_uplus):
+        np.testing.assert_array_equal(c.value_from_right(grid), c.value(mids))
+    half = alpha / 2
+    ci = _combined_interval(fss, combiner, alpha)
+    assert ci.lower == _first_start(grid, theta, c_lplus.value(theta) > half)
+    assert ci.upper == _first_start(grid, theta, 1.0 - c_uplus.value(theta) <= half)
+
+
+@PROPERTY_SETTINGS
+@given(experiments(), st.sampled_from([DIFF_MEANS, WILCOXON]), st.integers(0, 2**32))
+def test_mc_sup_error_equals_point_and_right_limit_maximum(experiment, stat, seed):
+    data, design, mode = experiment
+    fs = build_step_functions(data, design, stat, mode)
+    estimates = build_step_functions(data, design, stat, MCMode(k=50, seed=seed))
+    for side in SIDES:
+        est, exact = estimates[side], fs[side]
+        grid = _union_grid([est, exact])
+        former = max(
+            abs(est.limit_low() - exact.limit_low()),
+            np.max(np.abs(est.value(grid) - exact.value(grid)), initial=0.0),
+            np.max(np.abs(est.value_from_right(grid) - exact.value_from_right(grid)), initial=0.0),
+        )
+        assert mc_sup_error(est, exact) == former

@@ -138,24 +138,24 @@ class TestExactValidityAudit:
         np.testing.assert_array_equal(levels, [1.0])
 
     def test_matches_public_interval_construction(self, diff_means):
-        # dual route: the vectorized audit equals per-assignment inversion
-        pop = generate_population(7, 0.5, seed=42)
-        design = CRD(7, 3)
-        report = exact_validity_audit(pop, design, alphas=(0.10,))
-        covered = 0
-        covered_trad = 0
-        widths = []
-        W = assignment_matrix(design)
-        for w in W:
-            data = pop.observe(w)
-            ci = confidence_interval(data, design, diff_means, 0.05, 0.05)
-            tr = traditional_interval(data, design, diff_means, 0.10)
-            covered += ci.contains(0.5)
-            covered_trad += tr.contains(0.5)
-            widths.append(ci.width)
-        assert report.proposed_coverage[0.10] == covered / len(W)
-        assert report.traditional_coverage[0.10] == covered_trad / len(W)
-        assert report.proposed_width_mean[0.10] == pytest.approx(np.mean(widths), rel=1e-12)
+        # dual route: the vectorized audit equals per-assignment inversion.
+        # CRD(5,2) has 10 assignments: at alpha 0.10 the base atom 1/10
+        # exceeds alpha/2, so both proposed endpoints are infinite ranks while
+        # the traditional upper one is finite; at 0.50 all three are finite
+        for n, n1, theta0, seed, alphas in ((7, 3, 0.5, 42, (0.10,)),
+                                            (5, 2, -0.25, 8, (0.10, 0.50))):
+            pop = generate_population(n, theta0, seed=seed)
+            design = CRD(n, n1)
+            report = exact_validity_audit(pop, design, alphas=alphas)
+            W = assignment_matrix(design)
+            for alpha in alphas:
+                cis = [confidence_interval(pop.observe(w), design, diff_means, alpha / 2, alpha / 2)
+                       for w in W]
+                trs = [traditional_interval(pop.observe(w), design, diff_means, alpha) for w in W]
+                assert report.proposed_coverage[alpha] == np.mean([ci.contains(theta0) for ci in cis])
+                assert report.traditional_coverage[alpha] == np.mean([tr.contains(theta0) for tr in trs])
+                for got, cs in ((report.proposed_width_mean, cis), (report.traditional_width_mean, trs)):
+                    assert got[alpha] == pytest.approx(np.mean([c.width for c in cs]), rel=1e-12)
 
     def test_constant_effect_required(self):
         from randinf.datasets import PotentialTable
