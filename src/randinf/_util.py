@@ -1,4 +1,4 @@
-"""Shared numeric helpers: significant-digit rounding and seed folding."""
+"""Shared numeric helpers: significant-digit rounding, seed folding, atoms of a sample."""
 
 import numpy as np
 
@@ -40,3 +40,26 @@ def fold_seed(seed) -> int:
     entropy = seed if isinstance(seed, (tuple, list)) else (int(seed),)
     state = np.random.SeedSequence([int(e) & ((1 << 64) - 1) for e in entropy]).generate_state(2, np.uint64)
     return int(state[0]) | (int(state[1]) << 64)
+
+
+def atoms(x: np.ndarray):
+    """Sorted distinct values of the 1-d float array ``x`` and their int64 counts.
+
+    The same arrays as ``np.unique(x, return_counts=True)``, but ``x`` is
+    sorted in place and never copied.  A caller that hands over its only
+    reference to ``x`` lets it go once the values are picked, so the call
+    needs at most 24 bytes a distinct value beyond ``x``.
+    """
+    x.sort()
+    first = np.empty(x.size, dtype=bool)  # each run of equal values starts here
+    first[:1] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    values = x[starts]
+    size = x.size
+    del x
+    counts = np.empty(starts.size, dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = size - starts[-1:]
+    return values, counts

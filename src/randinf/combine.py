@@ -68,6 +68,9 @@ P_CLIP = 1e-12
 # seed for Monte Carlo reference CDFs (weighted fisher / double_exponential)
 _MC_REFERENCE_SEED = 202406
 _MC_REFERENCE_DRAWS = 1_000_000
+# rows of uniforms drawn at once; a multiple of 8, so that the weighted row
+# sums round as over the whole matrix
+_MC_REFERENCE_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +226,18 @@ def _laplace_quantile(u):
 
 
 def _mc_reference_cdf(f0_quantile, weights: np.ndarray) -> np.ndarray:
-    """Sorted seeded sample of sum w_i F0qf(U_i): the empirical reference CDF."""
+    """Sorted seeded sample of sum w_i F0qf(U_i): the empirical reference CDF.
+
+    The uniforms are drawn in chunks of rows, in order, from one generator:
+    the same draws as one whole matrix, without holding it.
+    """
     rng = np.random.default_rng(_MC_REFERENCE_SEED)
-    u = rng.uniform(P_CLIP, 1 - P_CLIP, size=(_MC_REFERENCE_DRAWS, weights.size))
-    sample = np.sort(f0_quantile(u) @ weights)
+    sample = np.empty(_MC_REFERENCE_DRAWS)
+    for start in range(0, _MC_REFERENCE_DRAWS, _MC_REFERENCE_CHUNK):
+        stop = min(start + _MC_REFERENCE_CHUNK, _MC_REFERENCE_DRAWS)
+        u = rng.uniform(P_CLIP, 1 - P_CLIP, size=(stop - start, weights.size))
+        sample[start:stop] = f0_quantile(u) @ weights
+    sample.sort()
     sample.flags.writeable = False
     return sample
 

@@ -163,13 +163,19 @@ def _indices_to_assignments(design: Design, idx: np.ndarray) -> np.ndarray:
     return w
 
 
-def assignment_matrix(design: Design, cap: int = 2_000_000) -> np.ndarray:
-    """All assignments as one (total, n_units) int8 matrix, in enumeration order."""
+def _enumerable_total(design: Design, cap: int) -> int:
+    """The number of assignments, refused above ``cap``."""
     total = total_assignments(design)
     if total > cap:
         raise EnumerationCapError(
             f"{total} assignments exceed the enumeration cap of {cap}"
         )
+    return total
+
+
+def assignment_matrix(design: Design, cap: int = 2_000_000) -> np.ndarray:
+    """All assignments as one (total, n_units) int8 matrix, in enumeration order."""
+    total = _enumerable_total(design, cap)
     return _indices_to_assignments(design, np.arange(total, dtype=np.int64))
 
 

@@ -7,10 +7,12 @@ strict-inequality sides) the observed statistic.  The p-value function is a
 step function jumping exactly at those points, so it is represented losslessly
 by sorted breakpoints with probability weights.
 
-:func:`build_step_functions` is the one kernel per experiment: one replicate
-matrix, two crossing vectors ``ge`` (``T >= T_obs``) and ``gt``
-(``T > T_obs``), and all four one-sided functions from them by counting.
-How crossings are found is a capability of the statistic:
+:func:`build_step_functions` is the one kernel per experiment: one pass over
+the replicate rows in ``int8`` blocks (see :mod:`randinf.randomization`), two
+crossing vectors ``ge`` (``T >= T_obs``) and ``gt`` (``T > T_obs``) found
+block by block and rounded as they arrive, and all four one-sided functions
+from them by counting.  How crossings are found is a capability of the
+statistic:
 
 - ``affine`` (``diff_means``): ``T = a + b * theta`` per row, closed form;
 - ``switch_points`` (``wilcoxon_rank_sum``): each row's exact switch point
@@ -20,7 +22,9 @@ How crossings are found is a capability of the statistic:
   on ``b*``, so breakpoints are the same bytes as from plain bisection;
 - otherwise bisection to an absolute tolerance of ``1e-9 * max(1, scale)`` in
   theta, comparing statistic values with a tolerance of
-  ``1e-9 * max(1, |T_obs|)`` in the statistic's own units.
+  ``1e-9 * max(1, |T_obs|)`` in the statistic's own units.  Its number of
+  halvings is set by the widest bracket of all rows, so it makes two passes
+  over the blocks and keeps each row's bracket in between.
 
 Evaluation semantics per side (``b`` a breakpoint):
 
@@ -51,9 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import round_sig
+from ._util import atoms, round_sig
 from .design import Design
-from .randomization import ExactMode, Mode, PValueKind, _replicate_matrix
+from .randomization import ExactMode, Mode, PValueKind, _replicate_source
 from .statistics import (
     ObservedData,
     StatisticSpec,
@@ -156,24 +160,8 @@ def _threshold(t_obs, strict):
     return t_obs + t_tol / 2 if strict else t_obs - t_tol / 2
 
 
-def _bisect_crossings(data, stat, W, t_obs, strict, scale, b_star=None):
-    """Per-row switch points of 1{T(theta, w) >= T_obs} (or > for strict).
-
-    Without ``b_star``, brackets expand geometrically from the outcome
-    scale; a side whose statistic stops changing across a doubling has
-    saturated (rank statistics freeze once theta clears the outcome range),
-    which classifies the row as never switching (+inf) or always on (-inf).
-
-    With ``b_star`` (a statistic's exact ``switch_points`` per row), rows with
-    ``b* = +-inf`` are classified directly, and every finite ``b*`` lies
-    within the outcome range, inside the initial bracket.  Each bisection
-    decision is then ``theta > b*``; the statistic is evaluated only where
-    theta is within ``1e-12 * scale`` of ``b*``, where rounding or a tie at
-    ``b*`` itself can decide.  The bisection, its stopping rule and the final
-    check are shared, so both ways give the same bytes.
-    """
-    tol = 1e-9 * max(1.0, scale)  # theta units: bisection width
-    t_tol = 1e-9 * max(1.0, abs(t_obs))  # statistic units: tie tolerance
+def _row_tests(data, stat, W, t_obs, strict):
+    """For rows of the float block ``W`` at per-row theta: the statistic, and whether it reaches T_obs."""
     threshold = _threshold(t_obs, strict)
     y = data.y_obs
     w_obs = data.w_obs.astype(float)
@@ -184,29 +172,63 @@ def _bisect_crossings(data, stat, W, t_obs, strict, scale, b_star=None):
         D = Wr * (1 - w_obs) - (1 - Wr) * w_obs
         return evaluate_realized(stat, y + theta_rows[:, None] * D, Wr)
 
-    def passes(vals):
+    def on(theta_rows, rows=slice(None)):
+        vals = t_at(theta_rows, rows)
         return (vals > threshold) if strict else (vals >= threshold)
 
-    k = W.shape[0]
-    lo = np.full(k, -2.0 * max(1.0, scale))
-    hi = np.full(k, +2.0 * max(1.0, scale))
-    if b_star is not None:
-        never = b_star == np.inf
-        always = b_star == -np.inf
-        near_tol = 1e-12 * max(1.0, scale)
+    return t_at, on
 
-        def on(theta_rows):
-            is_on = theta_rows > b_star
-            near = np.flatnonzero(np.abs(theta_rows - b_star) <= near_tol)
-            if near.size:
-                is_on[near] = passes(t_at(theta_rows[near], near))
-            return is_on
-    else:
-        def on(theta_rows):
-            return passes(t_at(theta_rows))
 
-        never = np.zeros(k, dtype=bool)
-        always = np.zeros(k, dtype=bool)
+def _bisect(on, b_lo, b_hi, moving, tol, steps=None):
+    """Halve the moving rows' brackets until all are at most ``tol`` wide, or ``steps`` times.
+
+    Returns the brackets and the number of halvings made.
+    """
+    made = 0
+    while (made < steps) if steps is not None else (np.max((b_hi - b_lo)[moving], initial=0.0) > tol):
+        mid = 0.5 * (b_lo + b_hi)
+        is_on = on(mid)
+        b_lo = np.where(moving & ~is_on, mid, b_lo)
+        b_hi = np.where(moving & is_on, mid, b_hi)
+        made += 1
+    return b_lo, b_hi, made
+
+
+def _resolved(on, b_hi, moving, always, tol):
+    """A block's crossings after bisection, each moving row's confirmed to switch within ``tol``."""
+    crossings = np.where(moving, b_hi, np.where(always, -np.inf, np.inf))
+    chk = moving.nonzero()[0]
+    if chk.size:
+        bad = ~on(b_hi)[chk] | on((b_hi - 2 * tol))[chk]
+        if bad.any():
+            raise BracketingError("a resolved breakpoint failed the +/- tolerance check")
+    return crossings
+
+
+def _bisect_crossings(data, stat, source, t_obs, strict, scale):
+    """Each block's per-row switch points of 1{T(theta, w) >= T_obs} (or > for strict).
+
+    Brackets expand geometrically from the outcome scale; a side whose
+    statistic stops changing across a doubling has saturated (rank statistics
+    freeze once theta clears the outcome range), which classifies the row as
+    never switching (+inf) or always on (-inf).  Bisection then halves every
+    moving row's bracket until the widest of all rows is within the tolerance.
+    Rows are independent, so a first pass over the source bisects each block
+    until its own widest bracket is; a second pass halves each block's
+    brackets until it has been halved as often as the block that needed most,
+    checks them and yields its crossings.  Only the brackets (16 bytes a row)
+    outlive a block.
+    """
+    tol = 1e-9 * max(1.0, scale)  # theta units: bisection width
+    t_tol = 1e-9 * max(1.0, abs(t_obs))  # statistic units: tie tolerance
+    reach = 2.0 * max(1.0, scale)
+    states = []
+    for W in source.blocks():
+        t_at, on = _row_tests(data, stat, W.astype(float), t_obs, strict)
+        lo = np.full(W.shape[0], -reach)
+        hi = np.full(W.shape[0], reach)
+        never = np.zeros(W.shape[0], dtype=bool)
+        always = np.zeros(W.shape[0], dtype=bool)
         for _ in range(200):
             on_hi = on(hi)
             on_lo = on(lo)
@@ -226,40 +248,68 @@ def _bisect_crossings(data, stat, W, t_obs, strict, scale, b_star=None):
                 always |= frozen
         else:
             raise BracketingError("no bracket for some assignment after 200 doublings")
-
-    moving = ~never & ~always
-    b_lo = lo.copy()
-    b_hi = hi.copy()
-    while np.max((b_hi - b_lo)[moving], initial=0.0) > tol:
-        mid = 0.5 * (b_lo + b_hi)
-        is_on = on(mid)
-        b_lo = np.where(moving & ~is_on, mid, b_lo)
-        b_hi = np.where(moving & is_on, mid, b_hi)
-    crossings = np.where(moving, b_hi, np.where(always, -np.inf, np.inf))
-    # confirm each resolved switch point behaves like one
-    chk = moving.nonzero()[0]
-    if chk.size:
-        bad = ~on(b_hi)[chk] | on((b_hi - 2 * tol))[chk]
-        if bad.any():
-            raise BracketingError("a resolved breakpoint failed the +/- tolerance check")
-    return crossings
+        moving = ~never & ~always
+        states.append((*_bisect(on, lo, hi, moving, tol), moving, always))
+    steps = max(made for _, _, made, _, _ in states)
+    for W, (b_lo, b_hi, made, moving, always) in zip(source.blocks(), states):
+        _, on = _row_tests(data, stat, W.astype(float), t_obs, strict)
+        _, b_hi, _ = _bisect(on, b_lo, b_hi, moving, tol, steps - made)
+        yield _resolved(on, b_hi, moving, always, tol)
 
 
-def _crossings(data, stat, W, t_obs, scale):
-    """The ``ge`` and ``gt`` crossing vectors of every row, by capability."""
-    if stat.affine is not None:
-        a, b = stat.affine(data, W)
-        moving = b > 0  # rows with b = 0 tie T_obs at every theta
-        at = np.divide(t_obs - a, b, out=np.zeros_like(a), where=moving)
-        return np.where(moving, at, -np.inf), np.where(moving, at, np.inf)
-    b_ge = b_gt = None
-    if stat.switch_points is not None:
-        # smallest half-integers that pass the two tolerance tests
-        m = np.array([np.ceil(2 * _threshold(t_obs, False)) / 2,
-                      np.floor(2 * _threshold(t_obs, True)) / 2 + 0.5])
-        b_ge, b_gt = stat.switch_points(data, W, m)
-    return (_bisect_crossings(data, stat, W, t_obs, False, scale, b_ge),
-            _bisect_crossings(data, stat, W, t_obs, True, scale, b_gt))
+def _switch_point_crossings(data, stat, W, t_obs, strict, scale, b_star):
+    """One float block's crossings from its rows' exact switch points ``b_star``.
+
+    Rows with ``b* = +-inf`` are classified directly, and every finite ``b*``
+    lies within the outcome range, inside the initial bracket, so all moving
+    rows of every block share one bracket width and one number of halvings.
+    Each bisection decision is then ``theta > b*``; the statistic is evaluated
+    only where theta is within ``1e-12 * scale`` of ``b*``, where rounding or a
+    tie at ``b*`` itself can decide.  The bisection, its stopping rule and the
+    final check are those of :func:`_bisect_crossings`, so both ways give the
+    same bytes.
+    """
+    tol = 1e-9 * max(1.0, scale)
+    near_tol = 1e-12 * max(1.0, scale)
+    _, passes = _row_tests(data, stat, W, t_obs, strict)
+
+    def on(theta_rows):
+        is_on = theta_rows > b_star
+        near = np.flatnonzero(np.abs(theta_rows - b_star) <= near_tol)
+        if near.size:
+            is_on[near] = passes(theta_rows[near], near)
+        return is_on
+
+    always = b_star == -np.inf
+    moving = ~always & (b_star != np.inf)
+    reach = np.full(b_star.size, 2.0 * max(1.0, scale))
+    _, b_hi, _ = _bisect(on, -reach, reach, moving, tol)
+    return _resolved(on, b_hi, moving, always, tol)
+
+
+def _crossings(data, stat, source, t_obs, scale):
+    """The ``ge`` and ``gt`` crossings of each block of the source's rows, in row order.
+
+    How they are found is a capability of the statistic.
+    """
+    if stat.affine is None and stat.switch_points is None:
+        yield from zip(_bisect_crossings(data, stat, source, t_obs, False, scale),
+                       _bisect_crossings(data, stat, source, t_obs, True, scale))
+        return
+    for W in source.blocks():
+        W = W.astype(float)
+        if stat.affine is not None:
+            a, b = stat.affine(data, W)
+            moving = b > 0  # rows with b = 0 tie T_obs at every theta
+            at = np.divide(t_obs - a, b, out=np.zeros_like(a), where=moving)
+            yield np.where(moving, at, -np.inf), np.where(moving, at, np.inf)
+        else:
+            # smallest half-integers that pass the two tolerance tests
+            m = np.array([np.ceil(2 * _threshold(t_obs, False)) / 2,
+                          np.floor(2 * _threshold(t_obs, True)) / 2 + 0.5])
+            b_ge, b_gt = stat.switch_points(data, W, m)
+            yield (_switch_point_crossings(data, stat, W, t_obs, False, scale, b_ge),
+                   _switch_point_crossings(data, stat, W, t_obs, True, scale, b_gt))
 
 
 def build_step_functions(
@@ -284,34 +334,55 @@ def build_step_functions(
             f"statistic {stat.name!r} is not certified monotone in theta; "
             "its p-value curve can be non-monotone and inversion need not yield an interval"
         )
-    W = _replicate_matrix(design, mode)
+    return _step_functions(data, stat, _replicate_source(design, mode), validate)
+
+
+def _step_functions(data: ObservedData, stat: StatisticSpec, source, validate: bool = False) -> dict:
+    """:func:`build_step_functions` on the rows of a replicate source.
+
+    Each block's finite crossings are rounded as the block arrives, so the
+    rounded ``ge`` and ``gt`` vectors, 8 bytes a row each, are all that spans
+    every row.
+    """
     t_obs = observed_statistic(stat, data)
     scale = max(1.0, float(np.max(np.abs(data.y_obs))), float(np.ptp(data.y_obs)))
-    ge, gt = _crossings(data, stat, W, t_obs, scale)
+    rounded = [np.empty(source.size), np.empty(source.size)]  # finite crossings, rounded
+    filled = [0, 0]
+    always = [0, 0]
+    never = [0, 0]
+    head = []  # crossing blocks covering the rows that validate checks
+    for block in _crossings(data, stat, source, t_obs, scale):
+        if validate and sum(ge.size for ge, _ in head) < 100:
+            head.append(block)
+        for i, crossings in enumerate(block):
+            always[i] += int(np.sum(crossings == -np.inf))
+            never[i] += int(np.sum(crossings == np.inf))
+            finite = round_sig(crossings[np.isfinite(crossings)])
+            rounded[i][filled[i]:filled[i] + finite.size] = finite
+            filled[i] += finite.size
 
     if validate and (stat.affine is not None or stat.switch_points is not None):
-        idx = np.arange(min(100, W.shape[0]))
+        rows = source.head(100)
         atol = 1e-6 * scale if stat.affine is not None else 0.0
-        for strict, crossings in ((False, ge), (True, gt)):
-            ref = _bisect_crossings(data, stat, W[idx], t_obs, strict, scale)
-            if not np.allclose(crossings[idx], ref, rtol=0.0, atol=atol):
+        for i, strict in enumerate((False, True)):
+            kernel = np.concatenate([block[i] for block in head])[:rows.size]
+            ref = np.concatenate(list(_bisect_crossings(data, stat, rows, t_obs, strict, scale)))
+            if not np.allclose(kernel, ref, rtol=0.0, atol=atol):
                 raise AssertionError("crossings disagree with the generic bisection")
 
     fs = {}
-    for crossings, rising, falling in ((ge, PValueKind.LPLUS, PValueKind.UMINUS),
-                                       (gt, PValueKind.UPLUS, PValueKind.LMINUS)):
-        always = int(np.sum(crossings == -np.inf))
-        never = int(np.sum(crossings == np.inf))
-        breakpoints, counts = np.unique(round_sig(crossings[np.isfinite(crossings)]),
-                                        return_counts=True)
-        counts = counts.astype(np.int64)
+    for i, (rising, falling) in enumerate(((PValueKind.LPLUS, PValueKind.UMINUS),
+                                           (PValueKind.UPLUS, PValueKind.LMINUS))):
+        # handed over, so that atoms frees the vector once it has the values
+        breakpoints, counts = atoms(rounded.pop(0)[:filled[i]])
         breakpoints.flags.writeable = counts.flags.writeable = False
         # complements: rows whose crossing event always holds never satisfy
         # the <= / < event, and vice versa
-        for side, base, off in ((rising, always, never), (falling, never, always)):
+        for side, base, off in ((rising, always[i], never[i]), (falling, never[i], always[i])):
             fs[side] = PValueStepFunction(
                 side=side, breakpoints=breakpoints, counts=counts, base_count=base,
-                never_count=off, denom=W.shape[0], statistic=stat.name, t_obs=t_obs, mode=mode,
+                never_count=off, denom=source.size, statistic=stat.name, t_obs=t_obs,
+                mode=source.mode,
             )
     return fs
 

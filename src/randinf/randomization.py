@@ -22,6 +22,12 @@ Exact mode enumerates every assignment; Monte Carlo mode aggregates over
 counts, so probabilities are exact ratios.  Repeated statistic values are
 merged after rounding to 12 significant digits, which makes tie classification
 deterministic across platforms.
+
+The assignment rows of a mode are never held as one matrix: a replicate source
+unranks them in ``int8`` blocks of at most ``_ROW_BLOCK`` rows, and every
+consumer (here and in :mod:`randinf.inversion`) works block by block, keeping
+only per-row results of 8 bytes a row.  Rows and their order are those of
+``assignment_matrix`` (exact) or ``sample_assignments`` (Monte Carlo).
 """
 
 import enum
@@ -31,8 +37,8 @@ from typing import Union
 
 import numpy as np
 
-from ._util import round_sig
-from .design import Design, assignment_matrix, sample_assignments
+from ._util import atoms, round_sig
+from .design import Design, _enumerable_total, _indices_to_assignments, _sample_indices
 from .statistics import ObservedData, StatisticSpec, evaluate_many, impute, observed_statistic
 
 __all__ = [
@@ -81,10 +87,57 @@ class PValueKind(enum.Enum):
     TWO_SIDED_L = "TwoSidedL"
 
 
-def _replicate_matrix(design: Design, mode: Mode) -> np.ndarray:
+# Rows per block of a replicate source.  A multiple of 8: BLAS row dot
+# products over a block then round exactly as over the whole matrix.
+_ROW_BLOCK = 1 << 15
+
+
+class _ReplicateSource:
+    """The assignment rows of one design under one mode, as int8 row blocks.
+
+    Exact mode enumerates the indices ``0..size-1``; Monte Carlo mode holds the
+    ``k`` indices drawn once at construction (8 bytes a row).  :meth:`blocks`
+    unranks them ``_ROW_BLOCK`` rows at a time, so the blocks are, in order,
+    the rows of ``assignment_matrix`` or ``sample_assignments``.  Each pass
+    unranks again, except that a source whose rows fit in one block keeps it.
+    """
+
+    def __init__(self, design: Design, mode: Mode, size: int, indices=None):
+        self.design = design
+        self.mode = mode
+        self.size = size
+        self._indices = indices
+        self._kept = None
+
+    def blocks(self):
+        """Read-only int8 blocks of at most ``_ROW_BLOCK`` rows, in row order."""
+        if self._kept is not None:
+            yield self._kept
+            return
+        for start in range(0, self.size, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, self.size)
+            if self._indices is None:
+                idx = np.arange(start, stop, dtype=np.int64)
+            else:
+                idx = self._indices[start:stop]
+            block = _indices_to_assignments(self.design, idx)
+            block.flags.writeable = False
+            if stop - start == self.size:
+                self._kept = block
+            yield block
+
+    def head(self, n: int) -> "_ReplicateSource":
+        """A source of the first ``n`` rows."""
+        n = min(n, self.size)
+        indices = None if self._indices is None else self._indices[:n]
+        return _ReplicateSource(self.design, self.mode, n, indices)
+
+
+def _replicate_source(design: Design, mode: Mode) -> _ReplicateSource:
+    """The rows of ``mode``: refused above an exact cap, drawn once for Monte Carlo."""
     if isinstance(mode, ExactMode):
-        return assignment_matrix(design, cap=mode.cap).astype(float)
-    return sample_assignments(design, mode.k, mode.seed).astype(float)
+        return _ReplicateSource(design, mode, _enumerable_total(design, mode.cap))
+    return _ReplicateSource(design, mode, mode.k, _sample_indices(design, mode.k, mode.seed))
 
 
 @dataclass(frozen=True)
@@ -128,13 +181,15 @@ def randomization_distribution(
     mode: Mode = ExactMode(),
 ) -> RandomizationDistribution:
     """Distribution of the statistic over assignments under the null at ``theta``."""
-    W = _replicate_matrix(design, mode)
+    source = _replicate_source(design, mode)
     table = impute(data, theta)
-    t_rep = round_sig(evaluate_many(stat, table, W))
-    values, counts = np.unique(t_rep, return_counts=True)
-    return RandomizationDistribution(
-        values=values, counts=counts.astype(np.int64), denom=W.shape[0], mode=mode
-    )
+    t_rep = np.empty(source.size)
+    start = 0
+    for W in source.blocks():
+        t_rep[start:start + W.shape[0]] = round_sig(evaluate_many(stat, table, W))
+        start += W.shape[0]
+    values, counts = atoms(t_rep)
+    return RandomizationDistribution(values=values, counts=counts, denom=source.size, mode=mode)
 
 
 def _tail_counts(dist: RandomizationDistribution, t_obs: float):

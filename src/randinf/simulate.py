@@ -29,12 +29,19 @@ from .inversion import (
     PValueStepFunction,
     _proposed_interval,
     _require_invertible,
+    _step_functions,
     _traditional_interval,
-    build_step_functions,
     invert_lower,
     invert_upper,
 )
-from .randomization import DominanceProfile, ExactMode, MCMode, PValueKind, dominance_profile
+from .randomization import (
+    DominanceProfile,
+    ExactMode,
+    MCMode,
+    PValueKind,
+    _replicate_source,
+    dominance_profile,
+)
 from .statistics import StatisticSpec, get_statistic
 
 __all__ = [
@@ -128,12 +135,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     assignment, p-value functions in exact mode when the assignment space is
     within ``k_cap`` and Monte Carlo with ``k_cap`` draws otherwise, the
     individual interval with the level split evenly across tails, and one
-    combined interval per requested combiner.
+    combined interval per requested combiner.  An exact-mode design's rows
+    do not depend on the rep, so its replicate source is made once.
     """
     stat = get_statistic(config.statistic)
     designs = (config.design1, config.design2)
     half = config.alpha / 2
     _require_invertible(stat, half, half)
+    exact = {design: _replicate_source(design, ExactMode(cap=config.k_cap))
+             for design in designs if total_assignments(design) <= config.k_cap}
     arm_names = ["exp1", "exp2", *config.combiners]
     covered = {name: np.zeros(config.reps, dtype=bool) for name in arm_names}
     widths = {name: np.zeros(config.reps) for name in arm_names}
@@ -146,12 +156,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             )
             w_obs = sample_assignments(design, 1, seed=_rep_seed(config.master_seed, rep, e, 1))[0]
             data = pop.observe(w_obs)
-            total = total_assignments(design)
-            if total <= config.k_cap:
-                mode = ExactMode(cap=config.k_cap)
+            if design in exact:
+                source = exact[design]
             else:
                 mode = MCMode(k=config.k_cap, seed=_rep_seed(config.master_seed, rep, e, 2))
-            fss.append(build_step_functions(data, design, stat, mode))
+                source = _replicate_source(design, mode)
+            fss.append(_step_functions(data, stat, source))
             ci = _proposed_interval(fss[-1], half, half)
             name = f"exp{e}"
             covered[name][rep] = ci.contains(config.true_theta)
@@ -254,42 +264,39 @@ def exact_validity_audit(
     excess = max(prof.max_excess(PValueKind.UPLUS), prof.max_excess(PValueKind.UMINUS))
     gamma_bound_ok = max(shortfall, excess) <= prof.gamma_star + 1e-12
 
-    proposed_cov = {}
-    traditional_cov = {}
-    proposed_width = {}
-    traditional_width = {}
-    for alpha in alphas:
-        ranks = _endpoint_ranks(k, alpha)
-        finite = [int(r) for r in ranks if np.isfinite(r)]
-        covered_p = np.zeros(k, dtype=bool)
-        covered_t = np.zeros(k, dtype=bool)
-        width_p = np.zeros(k)
-        width_t = np.zeros(k)
-        chunk = max(1, int(2**22) // k)
-        for start in range(0, k, chunk):
-            cols = np.arange(start, min(start + chunk, k))
-            Yc = Y[cols]
-            Wc = W[cols]
-            A = (W @ Yc.T) / n1 - ((1 - W) @ Yc.T) / n0
-            B = (W @ (1 - Wc).T) / n1 + ((1 - W) @ Wc.T) / n0
-            t_obs = A[cols, np.arange(cols.size)]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                BP = (t_obs[None, :] - A) / B
-            BP[B == 0] = np.nan  # the observed assignment itself: base mass
-            # NaNs sort last, one per column; rounding is monotone, so only
-            # the order statistics at the finite ranks (the traditional upper
-            # one always is) are found and rounded
-            BP.partition(finite, axis=0)
-            at = dict(zip(finite, round_sig(BP[finite])))
-            lower, upper, upper_t = (at[int(r)] if np.isfinite(r) else np.full(cols.size, r) for r in ranks)
-            covered_p[cols] = (lower <= theta0) & (theta0 <= upper)
-            covered_t[cols] = (lower <= theta0) & (theta0 < upper_t)
-            width_p[cols] = upper - lower
-            width_t[cols] = upper_t - lower
-        proposed_cov[alpha] = float(covered_p.mean())
-        traditional_cov[alpha] = float(covered_t.mean())
-        proposed_width[alpha] = float(width_p.mean())
-        traditional_width[alpha] = float(width_t.mean())
+    alphas = tuple(alphas)
+    ranks = [_endpoint_ranks(k, alpha) for alpha in alphas]
+    # each chunk's breakpoints are built once and partitioned at every rank
+    # any alpha reads; the traditional upper rank is always finite
+    finite = sorted({int(r) for rs in ranks for r in rs if np.isfinite(r)})
+    covered_p = np.zeros((len(alphas), k), dtype=bool)
+    covered_t = np.zeros((len(alphas), k), dtype=bool)
+    width_p = np.zeros((len(alphas), k))
+    width_t = np.zeros((len(alphas), k))
+    chunk = max(1, (1 << 18) // k)  # columns; each k x chunk matrix holds at most 2**18 entries
+    for start in range(0, k, chunk):
+        cols = np.arange(start, min(start + chunk, k))
+        Yc = Y[cols]
+        Wc = W[cols]
+        A = (W @ Yc.T) / n1 - ((1 - W) @ Yc.T) / n0
+        B = (W @ (1 - Wc).T) / n1 + ((1 - W) @ Wc.T) / n0
+        t_obs = A[cols, np.arange(cols.size)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            BP = (t_obs[None, :] - A) / B
+        BP[B == 0] = np.nan  # the observed assignment itself: base mass
+        # NaNs sort last, one per column; rounding is monotone, so only the
+        # order statistics at the finite ranks are found and rounded
+        BP.partition(finite, axis=0)
+        at = dict(zip(finite, round_sig(BP[finite])))
+        for j, rs in enumerate(ranks):
+            lower, upper, upper_t = (at[int(r)] if np.isfinite(r) else np.full(cols.size, r) for r in rs)
+            covered_p[j, cols] = (lower <= theta0) & (theta0 <= upper)
+            covered_t[j, cols] = (lower <= theta0) & (theta0 < upper_t)
+            width_p[j, cols] = upper - lower
+            width_t[j, cols] = upper_t - lower
+
+    def per_alpha(values):
+        return {alpha: float(row.mean()) for alpha, row in zip(alphas, values)}
 
     return AuditReport(
         design=design,
@@ -299,8 +306,8 @@ def exact_validity_audit(
         dominance_ok=dominance_ok,
         gamma_bound_ok=gamma_bound_ok,
         max_shortfall=shortfall,
-        proposed_coverage=proposed_cov,
-        traditional_coverage=traditional_cov,
-        proposed_width_mean=proposed_width,
-        traditional_width_mean=traditional_width,
+        proposed_coverage=per_alpha(covered_p),
+        traditional_coverage=per_alpha(covered_t),
+        proposed_width_mean=per_alpha(width_p),
+        traditional_width_mean=per_alpha(width_t),
     )

@@ -42,17 +42,28 @@ def random_experiment(rng, n=8, n_treated=None, effect=0.0, lognormal=False):
     return ObservedData(w_obs=w, y_obs=y_obs), CRD(n, n_treated)
 
 
+def crossing_vectors(data, stat, source, t_obs, scale):
+    """The inversion kernel's ``ge`` and ``gt`` crossings of every row, joined from its blocks."""
+    from randinf.inversion import _crossings
+
+    ge, gt = zip(*_crossings(data, stat, source, t_obs, scale))
+    return np.concatenate(ge), np.concatenate(gt)
+
+
 @pytest.fixture
 def replicate_builds(monkeypatch):
-    """Designs of the replicate matrices the inversion kernel builds, in order."""
+    """Designs of the replicate sources made, in order, wherever they are made."""
     import randinf.inversion as inversion_mod
+    import randinf.randomization as randomization_mod
+    import randinf.simulate as simulate_mod
 
     builds = []
-    real = inversion_mod._replicate_matrix
+    real = randomization_mod._replicate_source
 
     def counting(design, mode):
         builds.append(design)
         return real(design, mode)
 
-    monkeypatch.setattr(inversion_mod, "_replicate_matrix", counting)
+    for mod in (randomization_mod, inversion_mod, simulate_mod):
+        monkeypatch.setattr(mod, "_replicate_source", counting)
     return builds

@@ -33,10 +33,9 @@ from randinf import (
 )
 from randinf import statistics as statistics_mod
 from randinf._util import round_sig
-from randinf.inversion import _crossings
-from randinf.randomization import _replicate_matrix
+from randinf.randomization import _replicate_source
 from randinf.statistics import observed_statistic
-from conftest import random_experiment
+from conftest import crossing_vectors, random_experiment
 
 ONE_SIDED = (PValueKind.LPLUS, PValueKind.UPLUS, PValueKind.LMINUS, PValueKind.UMINUS)
 
@@ -452,7 +451,7 @@ class TestKernel:
         combined_interval([(data, design)] * 3, diff_means, fisher(), 0.05)
         assert replicate_builds == [design] * 3
 
-    def test_one_switch_point_call_for_both_crossing_vectors(self, toy, wilcoxon):
+    def test_one_switch_point_call_for_bothcrossing_vectors(self, toy, wilcoxon):
         data, design = toy
         thresholds = []
 
@@ -504,11 +503,11 @@ class TestKernel:
             dataclasses.replace(diff_means, name="diff_means_bisected", affine=None),
         )
         bisected = get_statistic("diff_means_bisected")
-        W = _replicate_matrix(design, mode)
+        source = _replicate_source(design, mode)
         t_obs = observed_statistic(diff_means, data)
         scale = max(1.0, float(np.max(np.abs(data.y_obs))), float(np.ptp(data.y_obs)))
-        for closed, generic in zip(_crossings(data, diff_means, W, t_obs, scale),
-                                   _crossings(data, bisected, W, t_obs, scale)):
+        for closed, generic in zip(crossing_vectors(data, diff_means, source, t_obs, scale),
+                                   crossing_vectors(data, bisected, source, t_obs, scale)):
             np.testing.assert_array_equal(np.isinf(closed), np.isinf(generic))
             np.testing.assert_allclose(closed, generic, rtol=0, atol=1e-6 * scale)
         fs = build_step_functions(data, design, bisected, mode, validate=True)

@@ -1,6 +1,9 @@
 """Property tests: exact switch points against the generic bisection and direct
-p-values, and the interval-level reads of inversion and sup-norm error against
-point evaluation."""
+p-values, the interval-level reads of inversion and sup-norm error against
+point evaluation, and outputs that do not depend on the replicate block size."""
+
+import dataclasses
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -20,14 +23,26 @@ from randinf import (
     make_combiner,
     mc_sup_error,
     p_value,
+    randomization_distribution,
 )
+from randinf import randomization as randomization_mod
 from randinf.combine import _combined_interval
-from randinf.inversion import _bisect_crossings, _crossings
-from randinf.randomization import _replicate_matrix
+from randinf.inversion import _bisect_crossings
+from randinf.randomization import _replicate_source
 from randinf.statistics import observed_statistic
+from conftest import crossing_vectors
 
 WILCOXON = get_statistic("wilcoxon_rank_sum")
 DIFF_MEANS = get_statistic("diff_means")
+# diff_means without its closed form takes the generic two-pass bisection.
+# Divided by 1 + 100 w_0, rows that treat unit 0 cross far outside the
+# outcome range, so their brackets expand and blocks need different numbers
+# of halvings.
+DIFF_MEANS_BISECTED = dataclasses.replace(DIFF_MEANS, name="diff_means_bisected", affine=None)
+ROW_SCALED = dataclasses.replace(
+    DIFF_MEANS_BISECTED, name="row_scaled", ei_certified=False,
+    realized_rows=lambda Y, W: DIFF_MEANS.realized_rows(Y, W) / (1 + 100 * W[:, 0]),
+)
 SIDES = (PValueKind.LPLUS, PValueKind.UPLUS, PValueKind.LMINUS, PValueKind.UMINUS)
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -73,11 +88,11 @@ def _scale(data):
 def test_switch_point_crossings_equal_generic_bisection(experiment):
     # both crossing vectors of the kernel, from one switch-point call
     data, design, mode = experiment
-    W = _replicate_matrix(design, mode)
+    source = _replicate_source(design, mode)
     t_obs = observed_statistic(WILCOXON, data)
     scale = _scale(data)
-    for strict, exact in zip((False, True), _crossings(data, WILCOXON, W, t_obs, scale)):
-        generic = _bisect_crossings(data, WILCOXON, W, t_obs, strict, scale)
+    for strict, exact in zip((False, True), crossing_vectors(data, WILCOXON, source, t_obs, scale)):
+        generic = np.concatenate(list(_bisect_crossings(data, WILCOXON, source, t_obs, strict, scale)))
         np.testing.assert_array_equal(exact, generic)
 
 
@@ -144,3 +159,25 @@ def test_mc_sup_error_equals_point_and_right_limit_maximum(experiment, stat, see
             np.max(np.abs(est.value_from_right(grid) - exact.value_from_right(grid)), initial=0.0),
         )
         assert mc_sup_error(est, exact) == former
+
+
+@PROPERTY_SETTINGS
+@given(experiments(), st.sampled_from([DIFF_MEANS, WILCOXON, DIFF_MEANS_BISECTED, ROW_SCALED]),
+       st.sampled_from([8, 16]), st.floats(-1.0, 1.0))
+def test_row_block_size_does_not_change_outputs(experiment, stat, block, u):
+    # every experiment here fits one default block; 8 or 16 rows split it
+    data, design, mode = experiment
+    theta = u * 2 * _scale(data)
+
+    def outputs():
+        fs = build_step_functions(data, design, stat, mode)
+        dist = randomization_distribution(data, design, stat, theta, mode)
+        return ([fs[side].breakpoints for side in SIDES] + [fs[side].counts for side in SIDES]
+                + [np.array([fs[side].base_count, fs[side].never_count]) for side in SIDES]
+                + [dist.values, dist.counts])
+
+    one_block = outputs()
+    with mock.patch.object(randomization_mod, "_ROW_BLOCK", block):
+        blocked = outputs()
+    for a, b in zip(one_block, blocked, strict=True):
+        assert np.array_equal(a, b)

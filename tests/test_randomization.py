@@ -1,6 +1,7 @@
 """Randomization distributions, the five p-value kinds, dominance profiles."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,10 +12,13 @@ from randinf import (
     MCMode,
     ObservedData,
     PValueKind,
+    build_step_functions,
     dominance_profile,
+    generate_population,
     p_value,
     p_values,
     randomization_distribution,
+    sample_assignments,
 )
 from randinf.datasets import toy_population
 from conftest import random_experiment
@@ -131,10 +135,10 @@ class TestPValues:
         data, design = random_experiment(rng, n=6)
         exact = {k: v for k, v in p_values(data, design, diff_means, 0.3).items()}
 
-        from randinf.design import assignment_matrix
+        from randinf.design import total_assignments
 
         monkeypatch.setattr(
-            rz, "sample_assignments", lambda d, k, seed: assignment_matrix(d)
+            rz, "_sample_indices", lambda d, k, seed: np.arange(total_assignments(d))
         )
         mc = p_values(data, design, diff_means, 0.3, MCMode(k=20, seed=0))
         assert mc == exact
@@ -187,3 +191,34 @@ class TestDominanceProfile:
             assert (np.diff(levels) > 0).all()
             assert cdf[-1] == 1.0
             assert (np.diff(cdf) > 0).all()
+
+
+@pytest.mark.parametrize("block", [None, 1 << 12])
+@pytest.mark.parametrize("call", ["build_step_functions", "randomization_distribution"])
+def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block):
+    # CRD(20,10) has 184,756 rows; as one float matrix they alone would take
+    # 160 bytes a row.  Streamed in blocks, what spans every row is at most
+    # 40 bytes of it: for the kernel, the four breakpoint and count arrays
+    # (32 bytes a row when every crossing is distinct) and one rounded
+    # crossing vector or the atom starts; for the distribution, the rounded
+    # values and their atoms.  Four float blocks cover the per-block
+    # temporaries.
+    import randinf.randomization as rz
+
+    if block is not None:
+        monkeypatch.setattr(rz, "_ROW_BLOCK", block)
+    design = CRD(20, 10)
+    data = generate_population(20, 1.0, seed=0).observe(sample_assignments(design, 1, seed=1)[0])
+    run = {
+        "build_step_functions": lambda: build_step_functions(data, design, diff_means),
+        "randomization_distribution": lambda: randomization_distribution(data, design, diff_means, 0.5),
+    }[call]
+    run()  # lazily built tables and caches are not what is measured
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = 184_756
+    assert peak < 40 * rows + 4 * rz._ROW_BLOCK * design.n_units * 8

@@ -1,5 +1,7 @@
 """Population generation, the scenario runner, and exact validity audits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from randinf import (
     traditional_interval,
 )
 from randinf.datasets import tied_discrete_population, toy_population
+from randinf.simulate import AuditReport
 from randinf.randomization import PValueKind
 
 
@@ -127,6 +130,26 @@ class TestExactValidityAudit:
         assert report.traditional_coverage[0.05] < report.proposed_coverage[0.05]
         assert round(report.proposed_coverage[0.05], 3) == 0.961
         assert round(report.traditional_coverage[0.05], 3) == 0.897
+
+    def test_several_alphas_equal_single_alpha_audits(self):
+        # one breakpoint pass partitions at every alpha's ranks at once
+        alphas = (0.05, 0.1, 0.2)
+        pop, design = tied_discrete_population(), CRD(15, 5)
+        joint = exact_validity_audit(pop, design, alphas=alphas)
+        for alpha in alphas:
+            single = exact_validity_audit(pop, design, alphas=(alpha,))
+            for field in dataclasses.fields(AuditReport):
+                got, want = getattr(joint, field.name), getattr(single, field.name)
+                if isinstance(want, dict):
+                    assert list(want) == [alpha] and got[alpha] == want[alpha], field.name
+                elif field.name == "dominance":
+                    assert got.profiles.keys() == want.profiles.keys()
+                    for kind, (levels, cdf) in want.profiles.items():
+                        np.testing.assert_array_equal(got.profiles[kind][0], levels)
+                        np.testing.assert_array_equal(got.profiles[kind][1], cdf)
+                    assert (got.gamma_star, got.denom) == (want.gamma_star, want.denom)
+                else:
+                    assert got == want, field.name
 
     def test_constant_population_trivial_coverage(self):
         from randinf.datasets import PotentialTable
@@ -242,9 +265,11 @@ def test_endpoint_ranks_match_former_index_arithmetic():
 
 
 def test_one_replicate_matrix_per_experiment_per_rep(replicate_builds):
+    # 1x16 (12,870 rows) is above k_cap, so Monte Carlo with fresh draws in
+    # every rep; 2x8 (4,900 rows) is exact, and its source serves every rep
     cfg = ScenarioConfig(
         design1=balanced_design(1, 16), design2=balanced_design(2, 8),
-        reps=1, k_cap=5000, master_seed=3,
+        reps=3, k_cap=5000, master_seed=3,
     )
     run_scenario(cfg)
-    assert replicate_builds == [cfg.design1, cfg.design2]
+    assert replicate_builds == [cfg.design2] + [cfg.design1] * 3
