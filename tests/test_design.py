@@ -253,6 +253,41 @@ def test_sample_golden_bytes(design_name, seed_name):
     assert hashlib.sha256(draws.tobytes()).hexdigest() == GOLDEN_SAMPLE_SHA256[design_name, seed_name]
 
 
+# SHA-256 of assignment_matrix(design).tobytes() and of the first and last
+# exact replicate-source blocks, recorded while every enumerated row was
+# unranked one by one: a change here is an enumeration-order change.
+GOLDEN_MATRIX_SHA256 = {
+    "crd_22_11": (CRD(22, 11), "5ebe094e574969feb328dd0904bf8ec4711383074d551f7c8e9a16f309cfdd33"),
+    "rbd_small": (RBD(((4, 2), (3, 1), (5, 2))), "dd410c7936893ac4dfd26af6a536130225b78eb9d59507ac9b9f37c53b91fcf2"),
+    "rbd_2x10_5_8_4": (
+        RBD(((10, 5), (10, 5), (8, 4))),  # 4,445,280 rows, past the default cap
+        "3b8206b31f2d3bb5bae83b0340e00b28a4872d57fdc32d15b6a3b0a09f721c33",
+    ),
+}
+GOLDEN_SOURCE_BLOCKS_CRD_24_9 = (
+    ((32768, 24), "f46be9932c79dc0eea4ee0d252338e022fa3ec37891eff3e557b7504c9ad7050"),
+    ((29552, 24), "293c43ce9e5e1692a30eca3986ed76b72489e8e2490ea8e573105d695ee9b538"),
+)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_MATRIX_SHA256))
+def test_assignment_matrix_golden_bytes(name):
+    design, digest = GOLDEN_MATRIX_SHA256[name]
+    mat = assignment_matrix(design, cap=5_000_000)
+    assert mat.shape == (total_assignments(design), design.n_units)
+    assert hashlib.sha256(mat.tobytes()).hexdigest() == digest
+
+
+def test_exact_source_first_and_last_block_golden_bytes():
+    from randinf.randomization import ExactMode, _replicate_source
+
+    blocks = list(_replicate_source(CRD(24, 9), ExactMode()).blocks())
+    assert sum(b.shape[0] for b in blocks) == comb(24, 9)
+    for block, (shape, digest) in zip((blocks[0], blocks[-1]), GOLDEN_SOURCE_BLOCKS_CRD_24_9):
+        assert block.shape == shape
+        assert hashlib.sha256(block.tobytes()).hexdigest() == digest
+
+
 class TestProbability:
     def test_crd_valid(self):
         w = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
