@@ -33,6 +33,7 @@ from .datasets import (
 )
 from .design import (
     CRD,
+    DEFAULT_ENUMERATION_CAP,
     RBD,
     Design,
     EnumerationCapError,
@@ -57,7 +58,6 @@ from .inversion import (
 )
 from .mcplan import McPlan, error_bound, mc_sup_error, plan, required_k, threshold_table
 from .randomization import (
-    DEFAULT_ENUMERATION_CAP,
     DominanceProfile,
     ExactMode,
     MCMode,

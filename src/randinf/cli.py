@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .combine import _combined_interval, make_combiner
 from .datasets import toy_experiment
-from .design import CRD, RBD, Design, EnumerationCapError
+from .design import CRD, DEFAULT_ENUMERATION_CAP, RBD, Design, EnumerationCapError
 from .inversion import (
     ConfidenceInterval,
     LevelTooHighError,
@@ -30,7 +30,7 @@ from .inversion import (
     build_step_functions,
 )
 from .mcplan import required_k, threshold_table
-from .randomization import DEFAULT_ENUMERATION_CAP, ExactMode, MCMode, PValueKind, p_values
+from .randomization import ExactMode, MCMode, PValueKind, p_values
 from .simulate import ScenarioConfig, balanced_design, run_scenario
 from .statistics import ObservedData, StatisticError, get_statistic, observed_statistic
 

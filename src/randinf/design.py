@@ -10,14 +10,22 @@ enumeration order is fixed: treated-index sets in colexicographic order, and
 for an RBD the product order over blocks with block 0 varying fastest.  This
 order is part of the public contract so that golden results are stable.
 
-Every assignment row comes from one vectorized colex unranker: global index
-``i`` is split into block ranks by ``%`` and ``//`` (block 0 fastest), and each
-block rank is unranked by a ``searchsorted`` walk down a binomial table, all
-rows at once.  Indices, block ranks and tables are int64 while they fit in
-2**62 and exact Python ints (numpy ``object`` arrays) beyond, so a space past
-2**62 whose blocks each fit, such as many small RBD blocks, still unranks
-every block on int64.  :func:`assignment_matrix` unranks ``0..total-1``;
-:func:`sample_assignments` unranks uniform random indices.
+Enumerated rows are written straight from that order's recurrence
+(:func:`_range_to_assignments`): the t-subsets of ``range(n)`` are those of
+``range(n-1)``, then those of size ``t-1`` with unit ``n-1`` added, so any
+contiguous rank range is a few slice copies of small colex tables and fixed
+columns.  Each block of an RBD runs through consecutive ranks, each repeated
+as often as the earlier blocks have assignments, so its columns are filled
+pieces expanded by ``np.repeat``.  :func:`assignment_matrix` and the exact
+replicate source in :mod:`randinf.randomization` both use it.
+
+Sampled rows come from a vectorized colex unranker: global index ``i`` is
+split into block ranks by ``%`` and ``//`` (block 0 fastest), and each block
+rank is unranked by a ``searchsorted`` walk down a binomial table, all rows at
+once.  Indices, block ranks and tables are int64 while they fit in 2**62 and
+exact Python ints (numpy ``object`` arrays) beyond, so a space past 2**62
+whose blocks each fit, such as many small RBD blocks, still unranks every
+block on int64.
 
 Sampling is counter based: draw ``j`` of ``sample_assignments(design, k,
 seed)`` depends only on ``(seed, j)``, never on ``k`` or on which other draws
@@ -26,8 +34,10 @@ Each draw unranks a uniformly chosen index, giving exact uniformity over the
 assignment space (no rejection against the space itself).
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Union
 
@@ -39,6 +49,7 @@ __all__ = [
     "CRD",
     "RBD",
     "Design",
+    "DEFAULT_ENUMERATION_CAP",
     "EnumerationCapError",
     "total_assignments",
     "assignment_matrix",
@@ -50,6 +61,14 @@ __all__ = [
 # Vectorized index arithmetic needs headroom below 2**63; larger indices and
 # block ranks are exact Python ints in object arrays.
 _INT64_SAFE_TOTAL = 1 << 62
+
+# Full enumeration is refused above this many assignments unless a caller
+# passes its own cap.
+DEFAULT_ENUMERATION_CAP = 2_000_000
+
+# Largest colex table kept, in bytes (rows x units, int8); a longer piece of
+# the enumeration order is split at its top unit first.
+_TABLE_BYTES = 1 << 18
 
 
 class EnumerationCapError(RuntimeError):
@@ -119,8 +138,7 @@ def total_assignments(design: Design) -> int:
 # Colexicographic unranking of k-subsets
 #
 # The rank of a treated-index set {c_1 < ... < c_k} is sum_i C(c_i, i); rank 0
-# is {0, ..., k-1}.  One vectorized unranker realizes this order for
-# enumeration and for sampling alike.
+# is {0, ..., k-1}.  The vectorized unranker maps sampled ranks to rows.
 # ---------------------------------------------------------------------------
 
 
@@ -163,6 +181,142 @@ def _indices_to_assignments(design: Design, idx: np.ndarray) -> np.ndarray:
     return w
 
 
+# ---------------------------------------------------------------------------
+# Enumeration by the colex recurrence
+#
+# T(n, t), the colex order of t-subsets of range(n), is T(n-1, t) with unit
+# n-1 off followed by T(n-1, t-1) with it on.  So T(n, t) starts with T(m, t)
+# for every m <= n (the other units off), and a contiguous rank range of it
+# splits at C(n-1, t) into at most two contiguous pieces.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=16)  # at most 16 * _TABLE_BYTES
+def _colex_table(t):
+    """T(m, t) for the largest m with m * C(m, t) <= _TABLE_BYTES, read-only.
+
+    Its first C(n, t) rows and first n columns are T(n, t) for every n <= m.
+    It is built one unit at a time, keeping only the T(j, u) that lead to
+    T(m, t); those of one j together are at most the size of T(m, t).
+    """
+    m = t
+    while (m + 1) * comb(m + 1, t) <= _TABLE_BYTES:
+        m += 1
+    level = {0: np.zeros((1, 0), dtype=np.int8)}
+    for j in range(1, m + 1):
+        nxt = {}
+        for u in range(max(0, t - (m - j)), min(j, t) + 1):
+            tab = np.empty((comb(j, u), j), dtype=np.int8)
+            off = comb(j - 1, u)
+            if u < j:
+                tab[:off, :-1] = level[u]
+            if u > 0:
+                tab[off:, :-1] = level[u - 1]
+            tab[:off, -1] = 0
+            tab[off:, -1] = 1
+            nxt[u] = tab
+        level = nxt
+    table = level[t]
+    table.flags.writeable = False
+    return table
+
+
+def _fill_colex(out, n, t, lo, hi):
+    """Write rows ``lo..hi-1`` of T(n, t) into the (hi - lo, n) int8 view ``out``.
+
+    With at most two units treated, or at most two untreated, the rows are
+    written in closed form; a piece whose T(n, t) fits the table budget is a
+    slice of :func:`_colex_table`.
+    Otherwise the leading units that every row leaves off, or the trailing
+    ones that every row treats, are set at once (found by bisection), and a
+    range that straddles C(n-1, t) is split there: the shorter piece recurses
+    and the longer one loops, so the depth stays below log2(hi - lo) + 1.
+    """
+    while True:
+        total = comb(n, t)
+        u = min(t, n - t)
+        if u <= 2:
+            # complements are read from T(n, n - t) with ranks reversed: the
+            # complement of a set of colex rank r has rank total - 1 - r
+            flip = t > u
+            ranks = np.arange(total - 1 - lo, total - 1 - hi, -1) if flip else np.arange(lo, hi)
+            rows = np.arange(hi - lo)
+            out[...] = flip
+            if u == 2:
+                starts = np.arange(n) * np.arange(-1, n - 1) // 2  # C(c, 2)
+                top = np.searchsorted(starts, ranks, side="right") - 1
+                out[rows, top] = not flip
+                ranks = ranks - starts[top]
+            if u >= 1:
+                out[rows, ranks] = not flip
+            return
+        if n * total <= _TABLE_BYTES:
+            out[...] = _colex_table(t)[lo:hi, :n]
+            return
+        m = t + bisect_left(range(t, n + 1), hi, key=lambda r: comb(r, t))
+        if m < n:  # rows below C(m, t) leave units m.. off
+            out[:, m:] = 0
+            out, n = out[:, :m], m
+            continue
+        # rows in the last C(n-j, t-j) treat units n-j..
+        j = bisect_right(range(t + 1), lo - total, key=lambda i: -comb(n - i, t - i)) - 1
+        if j > 0:
+            out[:, n - j:] = 1
+            shift = total - comb(n - j, t - j)
+            out, n, t, lo, hi = out[:, :n - j], n - j, t - j, lo - shift, hi - shift
+            continue
+        split = comb(n - 1, t) - lo
+        out[:split, n - 1] = 0
+        out[split:, n - 1] = 1
+        pieces = [(out[:split, :n - 1], n - 1, t, lo, lo + split),
+                  (out[split:, :n - 1], n - 1, t - 1, 0, hi - lo - split)]
+        pieces.sort(key=lambda piece: piece[0].shape[0])
+        _fill_colex(*pieces[0])
+        out, n, t, lo, hi = pieces[1]
+
+
+def _fill_cyclic(out, k, t, r0):
+    """Write ranks r0, r0 + 1, ... of T(k, t), modulo C(k, t), into the rows of ``out``."""
+    count, total = out.shape[0], comb(k, t)
+    head = min(count, total - r0)
+    _fill_colex(out[:head], k, t, r0, r0 + head)
+    filled = min(count - head, total)
+    if filled:
+        _fill_colex(out[head:head + filled], k, t, 0, filled)
+    # past the wrap the rows repeat with period total: copy, doubling
+    while head + filled < count:
+        step = min(filled, count - head - filled)
+        out[head + filled:head + filled + step] = out[head:head + step]
+        filled += step
+
+
+def _range_to_assignments(design: Design, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo..hi-1`` of the enumeration order as a (hi - lo, n_units) int8 matrix.
+
+    Row ``i``'s block rank is ``(i // stride) % C(k, t)``, ``stride`` being
+    the product of the earlier blocks' counts.  Over the range, a block thus
+    runs through consecutive ranks modulo C(k, t), each repeated ``stride``
+    times except where the range cuts a run: one filled piece per block,
+    expanded by ``np.repeat``.
+    """
+    w = np.empty((hi - lo, design.n_units), dtype=np.int8)
+    stride = 1
+    for start, k, t in _block_slices(design):
+        b_total = comb(k, t)
+        first, last = lo // stride, (hi - 1) // stride
+        if stride == 1:
+            _fill_cyclic(w[:, start:start + k], k, t, first % b_total)
+        else:
+            runs = np.empty((last - first + 1, k), dtype=np.int8)
+            _fill_cyclic(runs, k, t, first % b_total)
+            counts = np.full(len(runs), min(stride, hi - lo))
+            counts[0] = min(hi, (first + 1) * stride) - lo
+            counts[-1] = hi - max(lo, last * stride)
+            w[:, start:start + k] = np.repeat(runs, counts, axis=0)
+        stride *= b_total
+    return w
+
+
 def _enumerable_total(design: Design, cap: int) -> int:
     """The number of assignments, refused above ``cap``."""
     total = total_assignments(design)
@@ -173,10 +327,9 @@ def _enumerable_total(design: Design, cap: int) -> int:
     return total
 
 
-def assignment_matrix(design: Design, cap: int = 2_000_000) -> np.ndarray:
+def assignment_matrix(design: Design, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """All assignments as one (total, n_units) int8 matrix, in enumeration order."""
-    total = _enumerable_total(design, cap)
-    return _indices_to_assignments(design, np.arange(total, dtype=np.int64))
+    return _range_to_assignments(design, 0, _enumerable_total(design, cap))
 
 
 def _philox_words(seed, k: int) -> np.ndarray:
@@ -235,8 +388,8 @@ def sample_assignments(design: Design, k: int, seed) -> np.ndarray:
 
     Fully reproducible: draw ``j`` is a pure function of ``(seed, j)``, so the
     result is byte-identical however the draws are batched or parallelized.
-    Each draw is a uniform index into the space, unranked by the same colex
-    unranker as :func:`assignment_matrix`.  Indices are int64 while the space
+    Each draw is a uniform index into the space, unranked into the row of
+    :func:`assignment_matrix` at that index.  Indices are int64 while the space
     has at most 2**62 assignments and exact Python ints past it; even then a
     block whose own space fits is unranked on int64.
     """

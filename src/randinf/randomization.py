@@ -24,7 +24,7 @@ merged after rounding to 12 significant digits, which makes tie classification
 deterministic across platforms.
 
 The assignment rows of a mode are never held as one matrix: a replicate source
-unranks them in ``int8`` blocks of at most ``_ROW_BLOCK`` rows, and every
+writes them in ``int8`` blocks of at most ``_ROW_BLOCK`` rows, and every
 consumer (here and in :mod:`randinf.inversion`) works block by block, keeping
 only per-row results of 8 bytes a row.  Rows and their order are those of
 ``assignment_matrix`` (exact) or ``sample_assignments`` (Monte Carlo).
@@ -38,7 +38,14 @@ from typing import Union
 import numpy as np
 
 from ._util import atoms, round_sig
-from .design import Design, _enumerable_total, _indices_to_assignments, _sample_indices
+from .design import (
+    DEFAULT_ENUMERATION_CAP,
+    Design,
+    _enumerable_total,
+    _indices_to_assignments,
+    _range_to_assignments,
+    _sample_indices,
+)
 from .statistics import ObservedData, StatisticSpec, evaluate_many, impute, observed_statistic
 
 __all__ = [
@@ -53,8 +60,6 @@ __all__ = [
     "p_values",
     "dominance_profile",
 ]
-
-DEFAULT_ENUMERATION_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -95,11 +100,11 @@ _ROW_BLOCK = 1 << 15
 class _ReplicateSource:
     """The assignment rows of one design under one mode, as int8 row blocks.
 
-    Exact mode enumerates the indices ``0..size-1``; Monte Carlo mode holds the
+    Exact mode enumerates the rows ``0..size-1``; Monte Carlo mode holds the
     ``k`` indices drawn once at construction (8 bytes a row).  :meth:`blocks`
-    unranks them ``_ROW_BLOCK`` rows at a time, so the blocks are, in order,
-    the rows of ``assignment_matrix`` or ``sample_assignments``.  Each pass
-    unranks again, except that a source whose rows fit in one block keeps it.
+    writes ``_ROW_BLOCK`` rows at a time, so the blocks are, in order, the
+    rows of ``assignment_matrix`` or ``sample_assignments``.  Each pass writes
+    them again, except that a source whose rows fit in one block keeps it.
     """
 
     def __init__(self, design: Design, mode: Mode, size: int, indices=None):
@@ -117,10 +122,9 @@ class _ReplicateSource:
         for start in range(0, self.size, _ROW_BLOCK):
             stop = min(start + _ROW_BLOCK, self.size)
             if self._indices is None:
-                idx = np.arange(start, stop, dtype=np.int64)
+                block = _range_to_assignments(self.design, start, stop)
             else:
-                idx = self._indices[start:stop]
-            block = _indices_to_assignments(self.design, idx)
+                block = _indices_to_assignments(self.design, self._indices[start:stop])
             block.flags.writeable = False
             if stop - start == self.size:
                 self._kept = block

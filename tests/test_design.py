@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -18,7 +19,15 @@ from randinf import (
     sample_assignments,
     total_assignments,
 )
-from randinf.design import _unrank_block_vectorized
+from randinf import cli as cli_mod
+from randinf import design as design_mod
+from randinf import randomization as randomization_mod
+from randinf.design import (
+    _colex_table,
+    _indices_to_assignments,
+    _range_to_assignments,
+    _unrank_block_vectorized,
+)
 
 
 class TestConstruction:
@@ -124,6 +133,40 @@ class TestEnumeration:
         assert mat.shape == (220, 12)
         assert (mat.sum(axis=1) == 9).all()
         assert len({tuple(r) for r in mat.tolist()}) == 220
+
+    def test_one_enumeration_cap(self):
+        for module in (randomization_mod, cli_mod):
+            assert module.DEFAULT_ENUMERATION_CAP is design_mod.DEFAULT_ENUMERATION_CAP
+        with pytest.raises(EnumerationCapError):
+            assignment_matrix(CRD(24, 12))  # 2,704,156 rows
+        assert randomization_mod.ExactMode().cap == design_mod.DEFAULT_ENUMERATION_CAP
+
+    @pytest.mark.parametrize("n, t", [(1500, 2), (1500, 1498), (20000, 1)])
+    def test_wide_ranges_equal_unranked_rows_in_bounded_memory(self, n, t):
+        # 2^10-row ranges at the start, middle and end of each order; beyond
+        # the rows themselves, peak memory stays under 2 MB, any colex table
+        # built on the way included
+        design, total = CRD(n, t), comb(n, t)
+        for lo in (0, total // 2, total - 1024):
+            _colex_table.cache_clear()
+            tracemalloc.start()
+            try:
+                rows = _range_to_assignments(design, lo, lo + 1024)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - rows.nbytes < 2 << 20
+            if t == n - 2:
+                # the unranker's binomial table for CRD(1500, 1498) holds
+                # 2.2M big integers and takes half a minute to build; the
+                # complement of the set of colex rank r in CRD(n, 2) has rank
+                # total - 1 - r here (checked against the unranker directly
+                # for n <= 40 in test_properties.py)
+                ranks = np.arange(total - 1 - lo, total - 1 - lo - 1024, -1)
+                want = 1 - _indices_to_assignments(CRD(n, 2), ranks)
+            else:
+                want = _indices_to_assignments(design, np.arange(lo, lo + 1024))
+            np.testing.assert_array_equal(rows, want)
 
 
 class TestUnranker:

@@ -1,8 +1,10 @@
 """Property tests: exact switch points against the generic bisection and direct
 p-values, the interval-level reads of inversion and sup-norm error against
-point evaluation, and outputs that do not depend on the replicate block size."""
+point evaluation, outputs that do not depend on the replicate block size, and
+enumerated row ranges against the unranker."""
 
 import dataclasses
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -24,8 +26,11 @@ from randinf import (
     mc_sup_error,
     p_value,
     randomization_distribution,
+    total_assignments,
 )
+from randinf import assignment_matrix
 from randinf import randomization as randomization_mod
+from randinf.design import _INT64_SAFE_TOTAL, _indices_to_assignments, _range_to_assignments
 from randinf.combine import _combined_interval
 from randinf.inversion import _bisect_crossings
 from randinf.randomization import _replicate_source
@@ -181,3 +186,61 @@ def test_row_block_size_does_not_change_outputs(experiment, stat, block, u):
         blocked = outputs()
     for a, b in zip(one_block, blocked, strict=True):
         assert np.array_equal(a, b)
+
+
+def _treated(draw, k):
+    """One unit treated, all but one, two, two untreated, half, or any count."""
+    t = draw(st.sampled_from([1, k - 1, 2, k - 2, k // 2]) | st.integers(1, k - 1))
+    return min(max(t, 1), k - 1)
+
+
+@st.composite
+def designs(draw, many_blocks=True):
+    """A CRD of 2-40 units, an RBD of 1-4 blocks or, if ``many_blocks``, of 10-30 small ones."""
+    kind = draw(st.sampled_from(["crd", "rbd", "many"] if many_blocks else ["crd", "rbd"]))
+    if kind == "crd":
+        n = draw(st.integers(2, 40))
+        return CRD(n, _treated(draw, n))
+    count, size = (draw(st.integers(1, 4)), 9) if kind == "rbd" else (draw(st.integers(10, 30)), 5)
+    sizes = [draw(st.integers(2, size)) for _ in range(count)]
+    return RBD(tuple((k, _treated(draw, k)) for k in sizes))
+
+
+@st.composite
+def enumeration_ranges(draw):
+    """(design, lo, hi): a row range around any row, a replicate-block edge or an RBD wrap point.
+
+    Block b of an RBD wraps to rank 0 at each multiple of the product of the
+    counts of blocks 0..b.
+    """
+    design = draw(designs())
+    total = total_assignments(design)
+    edges, stride = [randomization_mod._ROW_BLOCK], 1
+    for k, t in design.blocks[:-1]:
+        stride *= comb(k, t)
+        edges.append(stride)
+    edge = draw(st.sampled_from(edges))
+    anchor = draw(st.integers(0, total) | st.integers(0, total // edge).map(lambda j: j * edge))
+    reach = draw(st.sampled_from([300, 3000]))
+    lo = draw(st.integers(max(0, anchor - reach), min(anchor, total - 1)))
+    hi = draw(st.integers(min(anchor + 1, total), min(total, anchor + reach)))
+    return design, lo, hi
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(enumeration_ranges())
+def test_range_to_assignments_equals_unranked_rows(case):
+    design, lo, hi = case
+    dtype = np.int64 if total_assignments(design) <= _INT64_SAFE_TOTAL else object
+    want = _indices_to_assignments(design, np.arange(lo, hi, dtype=dtype))
+    assert np.array_equal(_range_to_assignments(design, lo, hi), want)
+
+
+@PROPERTY_SETTINGS
+@given(designs(many_blocks=False).filter(lambda d: total_assignments(d) <= 20_000),
+       st.sampled_from([8, 24, 64, 1 << 15]))
+def test_exact_source_blocks_join_to_assignment_matrix(design, block):
+    with mock.patch.object(randomization_mod, "_ROW_BLOCK", block):
+        blocks = list(_replicate_source(design, ExactMode()).blocks())
+    assert all(b.shape[0] == block for b in blocks[:-1])
+    assert np.array_equal(np.concatenate(blocks), assignment_matrix(design))
