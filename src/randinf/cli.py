@@ -243,10 +243,6 @@ def cmd_pcurve(args):
     mode = _mode_from_args(args)
     kind = PValueKind(args.side)
     if args.exact_breakpoints:
-        if not stat.theta_monotone_rightcontinuous:
-            raise NonMonotoneStatisticError(
-                f"statistic {stat.name!r} has no breakpoint representation; use a theta grid"
-            )
         f = build_step_function(data, design, stat, kind, mode)
         rows = [{"breakpoint": _num(b), "value_at": _num(v)}
                 for b, v in zip(f.breakpoints, np.atleast_1d(f.value(f.breakpoints)))]

@@ -100,13 +100,11 @@ def chisq_upper(df: int, x):
 
 
 _LAPLACE_GRID_STEP = 1.0 / 256
-_laplace_cache: dict = {}
 
 
+@lru_cache(maxsize=16)
 def _laplace_table(m: int):
     """Grid CDF of a sum of m standard Laplace variables, cached per m."""
-    if m in _laplace_cache:
-        return _laplace_cache[m]
     half_width = 40.0 + 8.0 * m
     x = np.arange(-half_width, half_width + _LAPLACE_GRID_STEP / 2, _LAPLACE_GRID_STEP)
     dens1 = 0.5 * np.exp(-np.abs(x))
@@ -118,8 +116,7 @@ def _laplace_table(m: int):
     cdf = np.concatenate(([0.0], np.cumsum(steps)))
     cdf /= cdf[-1]
     cdf = 0.5 * (cdf + 1.0 - cdf[::-1])
-    _laplace_cache[m] = (x, cdf)
-    return _laplace_cache[m]
+    return x, cdf
 
 
 def laplace_sum_cdf(m: int, x):

@@ -149,7 +149,12 @@ def _unrank_block_vectorized(n, k, m):
     block that fits stay below that, so a clipped entry is never selected.
     object ranks (Python ints, for blocks past 2**62) use exact binomials.
     """
-    table = np.array([[comb(r, i) for r in range(n + 1)] for i in range(k + 1)], dtype=object)
+    # exact C(r, i) by the hockey-stick rule C(r, i) = sum of C(s, i - 1) over s < r
+    table = np.empty((k + 1, n + 1), dtype=object)
+    table[0] = 1
+    table[1:, 0] = 0
+    for i in range(1, k + 1):
+        table[i, 1:] = np.cumsum(table[i - 1, :-1])
     if m.dtype != object:
         table = np.minimum(table, _INT64_SAFE_TOTAL).astype(np.int64)
     rows = np.arange(m.size)

@@ -7,13 +7,17 @@ and width of the individual and combined intervals.  Everything is seeded
 per (master_seed, repetition, experiment, purpose), so results do not depend
 on scheduling and a scenario is reproducible from its config alone.
 
-The exact audit enumerates the full assignment space of a small population
-twice over -- once treating each assignment as the observed one, once inside
-each p-value -- and verifies, with zero tolerance, the distributional
+The exact audit treats every assignment of a small population in turn as the
+observed one and verifies, with zero tolerance, the distributional
 guarantees: uniform dominance of the weak-inequality p-values, the largest-
 atom bound on their discrepancy, and interval coverage at least the nominal
-level.  The traditional two-crossing interval is audited alongside for
-comparison; it carries no guarantee and undercovers on heavily tied data.
+level.  At the true effect every observed assignment imputes the same table,
+the truth, so one pass of the statistic over the enumeration, ``tau``, serves
+every observed assignment: replicate i's statistic under observed j is the
+line ``tau_i + b_ij (theta - theta0)``, and its breakpoint is
+``theta0 + (tau_j - tau_i) / b_ij``.  The traditional two-crossing interval
+is audited alongside for comparison; it carries no guarantee and undercovers
+on heavily tied data.
 """
 
 from dataclasses import dataclass, replace
@@ -42,7 +46,7 @@ from .randomization import (
     _replicate_source,
     dominance_profile,
 )
-from .statistics import StatisticSpec, get_statistic
+from .statistics import StatisticSpec, evaluate_many, get_statistic, impute
 
 __all__ = [
     "ScenarioConfig",
@@ -225,18 +229,23 @@ def exact_validity_audit(
     alphas: Sequence[float] = (0.05,),
     cap: int = 200_000,
 ) -> AuditReport:
-    """Enumerate a small population twice over and verify the exact guarantees.
+    """Enumerate a small population and verify the exact guarantees.
 
     The population must satisfy a constant-effect null (``y1 - y0`` constant);
     that constant is the audited truth.  Each enumerable assignment is treated
     in turn as the observed one: its four p-values at the truth come from the
     shared randomization distribution, and its proposed and traditional
-    intervals are built from the per-assignment breakpoint columns.  Reports
-    the p-value dominance checks, the largest-atom bound on their discrepancy,
-    and exact interval coverage per level.
+    intervals are built from its column of breakpoints.  Reports the p-value
+    dominance checks, the largest-atom bound on their discrepancy, and exact
+    interval coverage per level.
 
-    The closed-form column path requires ``diff_means``; other statistics
-    would need per-assignment bisection and are refused here.
+    Every observed assignment imputes the truth at ``theta0``, so the
+    statistic of every assignment on that table, ``tau``, is one pass of the
+    registered evaluator, and replicate i's breakpoint under observed j is
+    ``theta0 + (tau_j - tau_i) / b_ij``.  The slope ``b_ij`` is the audit's
+    only statistic-specific step: for ``diff_means`` it is the number of
+    units treated under i and control under j, times ``1/n1 + 1/n0``.
+    Other statistics have no such line in theta and are refused here.
     """
     stat = stat or get_statistic("diff_means")
     if stat.name != "diff_means":
@@ -250,9 +259,12 @@ def exact_validity_audit(
     k, n = W.shape
     n1 = float(W[0].sum())
     n0 = n - n1
-    Y = np.where(W == 1, population.y1, population.y0)  # row j: outcomes observed under assignment j
+    data = population.observe(W[0].astype(np.int8))
+    # at the truth every observed assignment imputes this same table, so
+    # replicate i's statistic under observed j is tau_i + B_ij * (theta - theta0)
+    tau = evaluate_many(stat, impute(data, theta0), W)
 
-    prof = dominance_profile(population.observe(W[0].astype(np.int8)), design, stat, theta0, cap=cap)
+    prof = dominance_profile(data, design, stat, theta0, cap=cap)
     dominance_ok = all(
         prof.dominated_by_uniform(kind) for kind in (PValueKind.LPLUS, PValueKind.LMINUS)
     ) and all(
@@ -276,13 +288,10 @@ def exact_validity_audit(
     chunk = max(1, (1 << 18) // k)  # columns; each k x chunk matrix holds at most 2**18 entries
     for start in range(0, k, chunk):
         cols = np.arange(start, min(start + chunk, k))
-        Yc = Y[cols]
-        Wc = W[cols]
-        A = (W @ Yc.T) / n1 - ((1 - W) @ Yc.T) / n0
-        B = (W @ (1 - Wc).T) / n1 + ((1 - W) @ Wc.T) / n0
-        t_obs = A[cols, np.arange(cols.size)]
+        swaps = n1 - W @ W[cols].T  # units treated under i and control under j
+        B = swaps / n1 + swaps / n0
         with np.errstate(divide="ignore", invalid="ignore"):
-            BP = (t_obs[None, :] - A) / B
+            BP = theta0 + (tau[cols] - tau[:, None]) / B
         BP[B == 0] = np.nan  # the observed assignment itself: base mass
         # NaNs sort last, one per column; rounding is monotone, so only the
         # order statistics at the finite ranks are found and rounded

@@ -269,6 +269,14 @@ class TestExitCodes:
         )
         assert code == 4 and "effect increasing" in err
 
+    def test_non_monotone_exact_breakpoints_is_4(self, capsys):
+        code, out, err = run_cli(
+            ["pcurve", TOY_CSV, "--design", "crd:10,5", "--statistic", "studentized",
+             "--exact-breakpoints"],
+            capsys,
+        )
+        assert code == 4 and out == "" and "not certified monotone" in err
+
     def test_unknown_statistic_is_2(self, capsys):
         code, _, _ = run_cli(
             ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--statistic", "median"],

@@ -18,7 +18,7 @@ from randinf import (
     run_scenario,
     traditional_interval,
 )
-from randinf.datasets import tied_discrete_population, toy_population
+from randinf.datasets import PotentialTable, tied_discrete_population, toy_population
 from randinf.simulate import AuditReport
 from randinf.randomization import PValueKind
 
@@ -152,8 +152,6 @@ class TestExactValidityAudit:
                     assert got == want, field.name
 
     def test_constant_population_trivial_coverage(self):
-        from randinf.datasets import PotentialTable
-
         y = np.full(6, 4.0)
         report = exact_validity_audit(PotentialTable(y, y), CRD(6, 3), alphas=(0.05,))
         assert report.proposed_coverage[0.05] == 1.0
@@ -164,11 +162,18 @@ class TestExactValidityAudit:
         # dual route: the vectorized audit equals per-assignment inversion.
         # CRD(5,2) has 10 assignments: at alpha 0.10 the base atom 1/10
         # exceeds alpha/2, so both proposed endpoints are infinite ranks while
-        # the traditional upper one is finite; at 0.50 all three are finite
-        for n, n1, theta0, seed, alphas in ((7, 3, 0.5, 42, (0.10,)),
-                                            (5, 2, -0.25, 8, (0.10, 0.50))):
-            pop = generate_population(n, theta0, seed=seed)
-            design = CRD(n, n1)
+        # the traditional upper one is finite; at 0.50 all three are finite.
+        # The tied integer population puts endpoints exactly on theta0 != 0,
+        # where only the closed/open endpoint conventions decide coverage
+        tied = np.array([0.0, 0, 1, 1, 1, 2, 2, 3])
+        cases = (
+            (generate_population(7, 0.5, seed=42), CRD(7, 3), (0.10,)),
+            (generate_population(5, -0.25, seed=8), CRD(5, 2), (0.10, 0.50)),
+            (PotentialTable(y0=tied, y1=tied + 1.5), CRD(8, 4), (0.10, 0.20, 0.50)),
+            (generate_population(8, -0.75, seed=5), RBD(((4, 2), (4, 2))), (0.20, 0.50)),
+        )
+        for pop, design, alphas in cases:
+            theta0 = float(pop.y1[0] - pop.y0[0])
             report = exact_validity_audit(pop, design, alphas=alphas)
             W = assignment_matrix(design)
             for alpha in alphas:
@@ -181,8 +186,6 @@ class TestExactValidityAudit:
                     assert got[alpha] == pytest.approx(np.mean([c.width for c in cs]), rel=1e-12)
 
     def test_constant_effect_required(self):
-        from randinf.datasets import PotentialTable
-
         with pytest.raises(ValueError):
             exact_validity_audit(
                 PotentialTable(np.arange(4.0), np.arange(4.0) ** 2), CRD(4, 2)
