@@ -268,12 +268,24 @@ def cmd_pcurve(args):
             print(f"{_num(t)},{_num(p)}")
 
 
+def _floats(text: str, flag: str) -> list:
+    """A comma-separated list of numbers; anything else is an input error."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag} needs comma-separated numbers, got {text!r}") from None
+
+
 def _parse_grid(args):
     if args.grid:
-        return [float(v) for v in args.grid.split(",")]
+        return _floats(args.grid, "--grid")
     if args.grid_range:
-        lo, hi, count = args.grid_range.split(",")
-        return np.linspace(float(lo), float(hi), int(count)).tolist()
+        bounds = _floats(args.grid_range, "--grid-range")
+        if len(bounds) != 3 or not bounds[2].is_integer() or bounds[2] < 1:
+            raise InputError(f"--grid-range needs LO,HI,COUNT with an integer COUNT >= 1, "
+                             f"got {args.grid_range!r}")
+        lo, hi, count = bounds
+        return np.linspace(lo, hi, int(count)).tolist()
     raise InputError("pcurve needs --grid, --grid-range, or --exact-breakpoints")
 
 
@@ -288,7 +300,7 @@ def cmd_invert(args):
     fs = build_step_functions(data, design, stat, mode)
     out = {"proposed": _interval_dict(_proposed_interval(fs, alpha1, alpha2))}
     if args.traditional:
-        grid = [float(v) for v in args.grid.split(",")] if args.grid else None
+        grid = _floats(args.grid, "--grid") if args.grid else None
         tr = _traditional_interval(fs[PValueKind.LPLUS], alpha1 + alpha2, grid)
         out["traditional"] = _interval_dict(tr)
     _dump(out, args.json)
@@ -301,8 +313,7 @@ def cmd_combine(args):
     experiments = [(read_experiment(f, d), d) for f, d in zip(args.files, designs)]
     stat = get_statistic(args.statistic)
     mode = _mode_from_args(args)
-    combiner = make_combiner(args.combiner, None if not args.weights else
-                             [float(v) for v in args.weights.split(",")])
+    combiner = make_combiner(args.combiner, _floats(args.weights, "--weights") if args.weights else None)
     _require_invertible(stat, args.alpha)
     fss = [build_step_functions(data, design, stat, mode) for data, design in experiments]
     combined = _combined_interval(fss, combiner, args.alpha)
@@ -319,7 +330,7 @@ def cmd_combine(args):
 
 
 def cmd_mc_threshold(args):
-    eps = [float(v) for v in args.epsilons.split(",")]
+    eps = _floats(args.epsilons, "--epsilons")
     rows = threshold_table(eps, args.delta)
     if args.json:
         _dump({"delta": _num(args.delta),
@@ -331,8 +342,13 @@ def cmd_mc_threshold(args):
 
 
 def cmd_simulate(args):
-    with open(args.config) as fh:
-        raw = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {args.config}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"{args.config}: the scenario must be a JSON object")
     cfg = ScenarioConfig(
         design1=balanced_design(raw["b1"], raw["k1"]),
         design2=balanced_design(raw["b2"], raw["k2"]),

@@ -22,9 +22,9 @@ statistic:
   on ``b*``, so breakpoints are the same bytes as from plain bisection;
 - otherwise bisection to an absolute tolerance of ``1e-9 * max(1, scale)`` in
   theta, comparing statistic values with a tolerance of
-  ``1e-9 * max(1, |T_obs|)`` in the statistic's own units.  Its number of
-  halvings is set by the widest bracket of all rows, so it makes two passes
-  over the blocks and keeps each row's bracket in between.
+  ``1e-9 * max(1, |T_obs|)`` in the statistic's own units.  Each row's
+  bracket is halved until it alone is that narrow, so a row's crossing
+  depends on that row only, not on the other rows drawn or on the blocks.
 
 Evaluation semantics per side (``b`` a breakpoint):
 
@@ -179,95 +179,76 @@ def _row_tests(data, stat, W, t_obs, strict):
     return t_at, on
 
 
-def _bisect(on, b_lo, b_hi, moving, tol, steps=None):
-    """Halve the moving rows' brackets until all are at most ``tol`` wide, or ``steps`` times.
+def _bisect(on, b_lo, b_hi, moving, always, tol):
+    """A block's crossings: each moving row's bracket halved until it is at most ``tol`` wide.
 
-    Returns the brackets and the number of halvings made.
+    Each row stops on its own bracket, so its crossing does not depend on the
+    other rows.  Every moving row's crossing is then confirmed to switch within
+    ``tol``; the other rows are ``-inf`` where ``always`` on, else ``+inf``.
     """
-    made = 0
-    while (made < steps) if steps is not None else (np.max((b_hi - b_lo)[moving], initial=0.0) > tol):
+    live = moving & (b_hi - b_lo > tol)
+    while live.any():
         mid = 0.5 * (b_lo + b_hi)
         is_on = on(mid)
-        b_lo = np.where(moving & ~is_on, mid, b_lo)
-        b_hi = np.where(moving & is_on, mid, b_hi)
-        made += 1
-    return b_lo, b_hi, made
-
-
-def _resolved(on, b_hi, moving, always, tol):
-    """A block's crossings after bisection, each moving row's confirmed to switch within ``tol``."""
-    crossings = np.where(moving, b_hi, np.where(always, -np.inf, np.inf))
+        b_lo = np.where(live & ~is_on, mid, b_lo)
+        b_hi = np.where(live & is_on, mid, b_hi)
+        live &= b_hi - b_lo > tol
     chk = moving.nonzero()[0]
-    if chk.size:
-        bad = ~on(b_hi)[chk] | on((b_hi - 2 * tol))[chk]
-        if bad.any():
-            raise BracketingError("a resolved breakpoint failed the +/- tolerance check")
-    return crossings
+    if chk.size and (~on(b_hi)[chk] | on(b_hi - 2 * tol)[chk]).any():
+        raise BracketingError("a resolved breakpoint failed the +/- tolerance check")
+    return np.where(moving, b_hi, np.where(always, -np.inf, np.inf))
 
 
-def _bisect_crossings(data, stat, source, t_obs, strict, scale):
-    """Each block's per-row switch points of 1{T(theta, w) >= T_obs} (or > for strict).
+def _bisect_crossings(data, stat, W, t_obs, strict, scale):
+    """One float block's per-row switch points of 1{T(theta, w) >= T_obs} (or > for strict).
 
     Brackets expand geometrically from the outcome scale; a side whose
     statistic stops changing across a doubling has saturated (rank statistics
     freeze once theta clears the outcome range), which classifies the row as
-    never switching (+inf) or always on (-inf).  Bisection then halves every
-    moving row's bracket until the widest of all rows is within the tolerance.
-    Rows are independent, so a first pass over the source bisects each block
-    until its own widest bracket is; a second pass halves each block's
-    brackets until it has been halved as often as the block that needed most,
-    checks them and yields its crossings.  Only the brackets (16 bytes a row)
-    outlive a block.
+    never switching (+inf) or always on (-inf).  :func:`_bisect` then halves
+    every moving row's bracket until it is within the tolerance.
     """
     tol = 1e-9 * max(1.0, scale)  # theta units: bisection width
     t_tol = 1e-9 * max(1.0, abs(t_obs))  # statistic units: tie tolerance
     reach = 2.0 * max(1.0, scale)
-    states = []
-    for W in source.blocks():
-        t_at, on = _row_tests(data, stat, W.astype(float), t_obs, strict)
-        lo = np.full(W.shape[0], -reach)
-        hi = np.full(W.shape[0], reach)
-        never = np.zeros(W.shape[0], dtype=bool)
-        always = np.zeros(W.shape[0], dtype=bool)
-        for _ in range(200):
-            on_hi = on(hi)
-            on_lo = on(lo)
-            grow_hi = ~on_hi & ~never & ~always
-            grow_lo = on_lo & ~always & ~never
-            if not grow_hi.any() and not grow_lo.any():
-                break
-            if grow_hi.any():
-                old = t_at(hi)
-                hi = np.where(grow_hi, hi * 2, hi)
-                frozen = grow_hi & (np.abs(t_at(hi) - old) <= t_tol / 4) & ~on(hi)
-                never |= frozen
-            if grow_lo.any():
-                old = t_at(lo)
-                lo = np.where(grow_lo, lo * 2, lo)
-                frozen = grow_lo & (np.abs(t_at(lo) - old) <= t_tol / 4) & on(lo)
-                always |= frozen
-        else:
-            raise BracketingError("no bracket for some assignment after 200 doublings")
-        moving = ~never & ~always
-        states.append((*_bisect(on, lo, hi, moving, tol), moving, always))
-    steps = max(made for _, _, made, _, _ in states)
-    for W, (b_lo, b_hi, made, moving, always) in zip(source.blocks(), states):
-        _, on = _row_tests(data, stat, W.astype(float), t_obs, strict)
-        _, b_hi, _ = _bisect(on, b_lo, b_hi, moving, tol, steps - made)
-        yield _resolved(on, b_hi, moving, always, tol)
+    t_at, on = _row_tests(data, stat, W, t_obs, strict)
+    lo = np.full(W.shape[0], -reach)
+    hi = np.full(W.shape[0], reach)
+    never = np.zeros(W.shape[0], dtype=bool)
+    always = np.zeros(W.shape[0], dtype=bool)
+    for _ in range(200):
+        on_hi = on(hi)
+        on_lo = on(lo)
+        grow_hi = ~on_hi & ~never & ~always
+        grow_lo = on_lo & ~always & ~never
+        if not grow_hi.any() and not grow_lo.any():
+            break
+        if grow_hi.any():
+            old = t_at(hi)
+            hi = np.where(grow_hi, hi * 2, hi)
+            frozen = grow_hi & (np.abs(t_at(hi) - old) <= t_tol / 4) & ~on(hi)
+            never |= frozen
+        if grow_lo.any():
+            old = t_at(lo)
+            lo = np.where(grow_lo, lo * 2, lo)
+            frozen = grow_lo & (np.abs(t_at(lo) - old) <= t_tol / 4) & on(lo)
+            always |= frozen
+    else:
+        raise BracketingError("no bracket for some assignment after 200 doublings")
+    return _bisect(on, lo, hi, ~never & ~always, always, tol)
 
 
 def _switch_point_crossings(data, stat, W, t_obs, strict, scale, b_star):
     """One float block's crossings from its rows' exact switch points ``b_star``.
 
-    Rows with ``b* = +-inf`` are classified directly, and every finite ``b*``
-    lies within the outcome range, inside the initial bracket, so all moving
-    rows of every block share one bracket width and one number of halvings.
-    Each bisection decision is then ``theta > b*``; the statistic is evaluated
-    only where theta is within ``1e-12 * scale`` of ``b*``, where rounding or a
-    tie at ``b*`` itself can decide.  The bisection, its stopping rule and the
-    final check are those of :func:`_bisect_crossings`, so both ways give the
-    same bytes.
+    Rows with ``b* = +-inf`` are classified directly.  Every finite ``b*`` lies
+    within the outcome range, inside the initial bracket of
+    :func:`_bisect_crossings`, which therefore never widens it.  Each bisection
+    decision is then ``theta > b*``; the statistic is evaluated only where
+    theta is within ``1e-12 * scale`` of ``b*``, where rounding or a tie at
+    ``b*`` itself can decide.  Both ways halve the same bracket with the same
+    decisions under the same row-local stopping rule and final check of
+    :func:`_bisect`, so they give the same bytes.
     """
     tol = 1e-9 * max(1.0, scale)
     near_tol = 1e-12 * max(1.0, scale)
@@ -283,8 +264,7 @@ def _switch_point_crossings(data, stat, W, t_obs, strict, scale, b_star):
     always = b_star == -np.inf
     moving = ~always & (b_star != np.inf)
     reach = np.full(b_star.size, 2.0 * max(1.0, scale))
-    _, b_hi, _ = _bisect(on, -reach, reach, moving, tol)
-    return _resolved(on, b_hi, moving, always, tol)
+    return _bisect(on, -reach, reach, moving, always, tol)
 
 
 def _crossings(data, stat, source, t_obs, scale):
@@ -292,10 +272,6 @@ def _crossings(data, stat, source, t_obs, scale):
 
     How they are found is a capability of the statistic.
     """
-    if stat.affine is None and stat.switch_points is None:
-        yield from zip(_bisect_crossings(data, stat, source, t_obs, False, scale),
-                       _bisect_crossings(data, stat, source, t_obs, True, scale))
-        return
     for W in source.blocks():
         W = W.astype(float)
         if stat.affine is not None:
@@ -303,13 +279,16 @@ def _crossings(data, stat, source, t_obs, scale):
             moving = b > 0  # rows with b = 0 tie T_obs at every theta
             at = np.divide(t_obs - a, b, out=np.zeros_like(a), where=moving)
             yield np.where(moving, at, -np.inf), np.where(moving, at, np.inf)
-        else:
+        elif stat.switch_points is not None:
             # smallest half-integers that pass the two tolerance tests
             m = np.array([np.ceil(2 * _threshold(t_obs, False)) / 2,
                           np.floor(2 * _threshold(t_obs, True)) / 2 + 0.5])
             b_ge, b_gt = stat.switch_points(data, W, m)
             yield (_switch_point_crossings(data, stat, W, t_obs, False, scale, b_ge),
                    _switch_point_crossings(data, stat, W, t_obs, True, scale, b_gt))
+        else:
+            yield (_bisect_crossings(data, stat, W, t_obs, False, scale),
+                   _bisect_crossings(data, stat, W, t_obs, True, scale))
 
 
 def build_step_functions(
@@ -317,27 +296,23 @@ def build_step_functions(
     design: Design,
     stat: StatisticSpec,
     mode: Mode = ExactMode(),
-    validate: bool = False,
 ) -> dict:
     """All four one-sided p-value functions of one experiment, keyed by side.
 
     ``LPLUS``/``UMINUS`` count the ``ge`` crossings and ``UPLUS``/``LMINUS``
     the ``gt`` crossings; each pair shares its (read-only) breakpoint and
     count arrays, with base and never masses swapped.  Refuses statistics not
-    certified monotone and right continuous in theta.  With ``validate=True``
-    crossings from an ``affine`` or ``switch_points`` capability are checked
-    against the generic bisection on up to 100 assignments: to
-    ``1e-6 * scale`` for the closed form, exactly for switch points.
+    certified monotone and right continuous in theta.
     """
     if not stat.theta_monotone_rightcontinuous:
         raise NonMonotoneStatisticError(
             f"statistic {stat.name!r} is not certified monotone in theta; "
             "its p-value curve can be non-monotone and inversion need not yield an interval"
         )
-    return _step_functions(data, stat, _replicate_source(design, mode), validate)
+    return _step_functions(data, stat, _replicate_source(design, mode))
 
 
-def _step_functions(data: ObservedData, stat: StatisticSpec, source, validate: bool = False) -> dict:
+def _step_functions(data: ObservedData, stat: StatisticSpec, source) -> dict:
     """:func:`build_step_functions` on the rows of a replicate source.
 
     Each block's finite crossings are rounded as the block arrives, so the
@@ -350,25 +325,13 @@ def _step_functions(data: ObservedData, stat: StatisticSpec, source, validate: b
     filled = [0, 0]
     always = [0, 0]
     never = [0, 0]
-    head = []  # crossing blocks covering the rows that validate checks
     for block in _crossings(data, stat, source, t_obs, scale):
-        if validate and sum(ge.size for ge, _ in head) < 100:
-            head.append(block)
         for i, crossings in enumerate(block):
             always[i] += int(np.sum(crossings == -np.inf))
             never[i] += int(np.sum(crossings == np.inf))
             finite = round_sig(crossings[np.isfinite(crossings)])
             rounded[i][filled[i]:filled[i] + finite.size] = finite
             filled[i] += finite.size
-
-    if validate and (stat.affine is not None or stat.switch_points is not None):
-        rows = source.head(100)
-        atol = 1e-6 * scale if stat.affine is not None else 0.0
-        for i, strict in enumerate((False, True)):
-            kernel = np.concatenate([block[i] for block in head])[:rows.size]
-            ref = np.concatenate(list(_bisect_crossings(data, stat, rows, t_obs, strict, scale)))
-            if not np.allclose(kernel, ref, rtol=0.0, atol=atol):
-                raise AssertionError("crossings disagree with the generic bisection")
 
     fs = {}
     for i, (rising, falling) in enumerate(((PValueKind.LPLUS, PValueKind.UMINUS),
@@ -393,12 +356,11 @@ def build_step_function(
     stat: StatisticSpec,
     side: PValueKind,
     mode: Mode = ExactMode(),
-    validate: bool = False,
 ) -> PValueStepFunction:
     """One side's p-value curve: ``build_step_functions(...)[side]``."""
     if side == PValueKind.TWO_SIDED_L:
         raise ValueError("build one-sided functions; two-sided values combine LPLUS and LMINUS")
-    return build_step_functions(data, design, stat, mode, validate)[side]
+    return build_step_functions(data, design, stat, mode)[side]
 
 
 def _levels_on(f: PValueStepFunction, grid: np.ndarray) -> np.ndarray:

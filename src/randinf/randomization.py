@@ -130,12 +130,6 @@ class _ReplicateSource:
                 self._kept = block
             yield block
 
-    def head(self, n: int) -> "_ReplicateSource":
-        """A source of the first ``n`` rows."""
-        n = min(n, self.size)
-        indices = None if self._indices is None else self._indices[:n]
-        return _ReplicateSource(self.design, self.mode, n, indices)
-
 
 def _replicate_source(design: Design, mode: Mode) -> _ReplicateSource:
     """The rows of ``mode``: refused above an exact cap, drawn once for Monte Carlo."""

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from randinf import CRD, ObservedData, get_statistic
+from randinf import CRD, ExactMode, ObservedData, get_statistic
+from randinf.statistics import observed_statistic
 from randinf.datasets import studentized_nonmonotone_experiment, toy_experiment
 
 
@@ -42,12 +45,38 @@ def random_experiment(rng, n=8, n_treated=None, effect=0.0, lognormal=False):
     return ObservedData(w_obs=w, y_obs=y_obs), CRD(n, n_treated)
 
 
+def outcome_scale(data):
+    """The inversion kernel's theta scale: the largest of 1, max |y| and the range of y."""
+    return max(1.0, float(np.max(np.abs(data.y_obs))), float(np.ptp(data.y_obs)))
+
+
 def crossing_vectors(data, stat, source, t_obs, scale):
     """The inversion kernel's ``ge`` and ``gt`` crossings of every row, joined from its blocks."""
     from randinf.inversion import _crossings
 
     ge, gt = zip(*_crossings(data, stat, source, t_obs, scale))
     return np.concatenate(ge), np.concatenate(gt)
+
+
+def assert_crossings_match_bisection(data, stat, design, mode=None, rows=100):
+    """Check a statistic's crossing capability against the generic bisection.
+
+    On the first ``rows`` replicate rows of ``mode`` (exact by default) both
+    kernel crossing vectors must equal the bisection's: exactly for
+    ``switch_points``, to ``1e-6 * scale`` for the ``affine`` closed form.
+    """
+    from randinf.inversion import _bisect_crossings
+    from randinf.randomization import _replicate_source
+
+    W = next(_replicate_source(design, mode or ExactMode()).blocks())[:rows]
+    t_obs = observed_statistic(stat, data)
+    scale = outcome_scale(data)
+    head = SimpleNamespace(blocks=lambda: iter([W]))
+    atol = 1e-6 * scale if stat.affine is not None else 0.0
+    for strict, kernel in zip((False, True), crossing_vectors(data, stat, head, t_obs, scale)):
+        ref = _bisect_crossings(data, stat, W.astype(float), t_obs, strict, scale)
+        if not np.allclose(kernel, ref, rtol=0.0, atol=atol):
+            raise AssertionError("crossings disagree with the generic bisection")
 
 
 @pytest.fixture

@@ -284,6 +284,25 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["pcurve", TOY_CSV, "--design", "crd:10,5", "--grid", "a,b"],
+        ["pcurve", TOY_CSV, "--design", "crd:10,5", "--grid-range", "0,1"],
+        ["pcurve", TOY_CSV, "--design", "crd:10,5", "--grid-range", "0,1,x"],
+        ["pcurve", TOY_CSV, "--design", "crd:10,5", "--grid-range", "0,1,2.5"],
+        ["pcurve", TOY_CSV, "--design", "crd:10,5", "--grid-range", "0,1,0"],
+        ["invert", TOY_CSV, "--design", "crd:10,5", "--traditional", "--grid", "x"],
+        ["combine", TOY_CSV, "--designs", "crd:10,5", "--weights", "1,x"],
+        ["mc-threshold", "--epsilons", "x"],
+        ["simulate", "{tmp}/missing.json"],
+        ["simulate", "{tmp}/invalid.json"],
+        ["simulate", "{tmp}/list.json"],
+    ])
+    def test_malformed_list_or_config_is_2(self, capsys, tmp_path, args):
+        (tmp_path / "invalid.json").write_text('{"b1": 1,')
+        (tmp_path / "list.json").write_text("[1, 8, 1, 8]")
+        code, out, err = run_cli([a.format(tmp=tmp_path) for a in args], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
 
 class TestShippedSchemas:
     @staticmethod

@@ -35,7 +35,7 @@ from randinf import statistics as statistics_mod
 from randinf._util import round_sig
 from randinf.randomization import _replicate_source
 from randinf.statistics import observed_statistic
-from conftest import crossing_vectors, random_experiment
+from conftest import assert_crossings_match_bisection, crossing_vectors, outcome_scale, random_experiment
 
 ONE_SIDED = (PValueKind.LPLUS, PValueKind.UPLUS, PValueKind.LMINUS, PValueKind.UMINUS)
 
@@ -43,7 +43,8 @@ ONE_SIDED = (PValueKind.LPLUS, PValueKind.UPLUS, PValueKind.LMINUS, PValueKind.U
 class TestStepFunction:
     def test_toy_golden_values(self, toy, diff_means):
         data, design = toy
-        f = build_step_function(data, design, diff_means, PValueKind.LPLUS, validate=True)
+        assert_crossings_match_bisection(data, diff_means, design)
+        f = build_step_function(data, design, diff_means, PValueKind.LPLUS)
         got = [round(v, 3) for v in np.atleast_1d(f.value(np.array([-3.0, -1.0, 0.0, 1.0, 3.0])))]
         assert got == [0.004, 0.012, 0.131, 0.560, 0.988]
 
@@ -101,7 +102,8 @@ class TestStepFunction:
         data, design = toy
         big = ObservedData(data.w_obs, data.y_obs * factor)
         f = build_step_function(data, design, wilcoxon, side)
-        g = build_step_function(big, design, wilcoxon, side, validate=True)
+        assert_crossings_match_bisection(big, wilcoxon, design)
+        g = build_step_function(big, design, wilcoxon, side)
         np.testing.assert_array_equal(g.breakpoints, round_sig(f.breakpoints * factor))
         np.testing.assert_array_equal(g.counts, f.counts)
         assert (g.base_count, g.never_count) == (f.base_count, f.never_count)
@@ -110,17 +112,18 @@ class TestStepFunction:
         np.testing.assert_array_equal(np.atleast_1d(g.value(grid)), direct)
 
     @pytest.mark.parametrize("side", ONE_SIDED)
-    def test_wilcoxon_validate_cross_checks_switch_points(self, toy, wilcoxon, side):
+    def test_wilcoxon_switch_points_match_the_bisection_oracle(self, toy, wilcoxon, side):
         data, design = toy
-        checked = build_step_function(data, design, wilcoxon, side, validate=True)
-        plain = build_step_function(data, design, wilcoxon, side)
-        assert _step_digest(checked) == _step_digest(plain)
+        assert_crossings_match_bisection(data, wilcoxon, design)
+        # the whole function, every row bisected without the capability
+        bisected = build_step_function(data, design, dataclasses.replace(wilcoxon, switch_points=None), side)
+        assert _step_digest(build_step_function(data, design, wilcoxon, side)) == _step_digest(bisected)
         # a switch-point hook off by a quarter unit is caught by the oracle
         skewed = dataclasses.replace(
             wilcoxon, switch_points=lambda d, W, m: wilcoxon.switch_points(d, W, m) + 0.25
         )
         with pytest.raises(AssertionError, match="generic bisection"):
-            build_step_function(data, design, skewed, side, validate=True)
+            assert_crossings_match_bisection(data, skewed, design)
 
     def test_non_monotone_statistic_refused(self, toy, studentized):
         data, design = toy
@@ -480,8 +483,9 @@ class TestKernel:
             dataclasses.replace(diff_means, name="diff_means_copy", affine=affine),
         )
         copy = get_statistic("diff_means_copy")
-        fs = build_step_functions(data, design, copy, validate=True)
+        fs = build_step_functions(data, design, copy)
         assert calls == [126]
+        assert_crossings_match_bisection(data, copy, design)
         ref = build_step_functions(data, design, diff_means)
         for side in ONE_SIDED:
             assert _step_digest(fs[side]) == _step_digest(ref[side])
@@ -492,10 +496,10 @@ class TestKernel:
 
         skewed = dataclasses.replace(copy, affine=skewed_affine)
         with pytest.raises(AssertionError, match="generic bisection"):
-            build_step_functions(data, design, skewed, validate=True)
+            assert_crossings_match_bisection(data, skewed, design)
 
     @pytest.mark.parametrize("mode", [ExactMode(), MCMode(k=300, seed=8)])
-    def test_copy_without_affine_bisects_within_validate_tolerance(self, diff_means, monkeypatch, mode):
+    def test_copy_without_affine_bisects_within_oracle_tolerance(self, diff_means, monkeypatch, mode):
         rng = np.random.default_rng(42)
         data, design = random_experiment(rng, n=9, lognormal=True)
         monkeypatch.setitem(
@@ -505,12 +509,13 @@ class TestKernel:
         bisected = get_statistic("diff_means_bisected")
         source = _replicate_source(design, mode)
         t_obs = observed_statistic(diff_means, data)
-        scale = max(1.0, float(np.max(np.abs(data.y_obs))), float(np.ptp(data.y_obs)))
+        scale = outcome_scale(data)
         for closed, generic in zip(crossing_vectors(data, diff_means, source, t_obs, scale),
                                    crossing_vectors(data, bisected, source, t_obs, scale)):
             np.testing.assert_array_equal(np.isinf(closed), np.isinf(generic))
             np.testing.assert_allclose(closed, generic, rtol=0, atol=1e-6 * scale)
-        fs = build_step_functions(data, design, bisected, mode, validate=True)
+        assert_crossings_match_bisection(data, bisected, design, mode)
+        fs = build_step_functions(data, design, bisected, mode)
         ref = build_step_functions(data, design, diff_means, mode)
         for side in ONE_SIDED:
             assert (fs[side].base_count, fs[side].never_count) == (ref[side].base_count, ref[side].never_count)

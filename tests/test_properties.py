@@ -1,7 +1,8 @@
 """Property tests: exact switch points against the generic bisection and direct
-p-values, the interval-level reads of inversion and sup-norm error against
-point evaluation, outputs that do not depend on the replicate block size, and
-enumerated row ranges against the unranker."""
+p-values, crossings that depend on their row alone, the interval-level reads of
+inversion and sup-norm error against point evaluation, outputs that do not
+depend on the replicate block size, enumerated row ranges against the
+unranker, and the paper's exact guarantees on small tied populations."""
 
 import dataclasses
 from math import comb
@@ -21,6 +22,7 @@ from randinf import (
     build_step_function,
     build_step_functions,
     combine_functions,
+    exact_validity_audit,
     get_statistic,
     make_combiner,
     mc_sup_error,
@@ -32,17 +34,17 @@ from randinf import assignment_matrix
 from randinf import randomization as randomization_mod
 from randinf.design import _INT64_SAFE_TOTAL, _indices_to_assignments, _range_to_assignments
 from randinf.combine import _combined_interval
+from randinf.datasets import PotentialTable
 from randinf.inversion import _bisect_crossings
 from randinf.randomization import _replicate_source
 from randinf.statistics import observed_statistic
-from conftest import crossing_vectors
+from conftest import crossing_vectors, outcome_scale
 
 WILCOXON = get_statistic("wilcoxon_rank_sum")
 DIFF_MEANS = get_statistic("diff_means")
-# diff_means without its closed form takes the generic two-pass bisection.
-# Divided by 1 + 100 w_0, rows that treat unit 0 cross far outside the
-# outcome range, so their brackets expand and blocks need different numbers
-# of halvings.
+# diff_means without its closed form takes the generic bisection.  Divided
+# by 1 + 100 w_0, rows that treat unit 0 cross far outside the outcome range,
+# so their brackets expand and need more halvings than the other rows.
 DIFF_MEANS_BISECTED = dataclasses.replace(DIFF_MEANS, name="diff_means_bisected", affine=None)
 ROW_SCALED = dataclasses.replace(
     DIFF_MEANS_BISECTED, name="row_scaled", ei_certified=False,
@@ -84,10 +86,6 @@ def experiments(draw):
     return ObservedData(w, y), design, mode
 
 
-def _scale(data):
-    return max(1.0, float(np.max(np.abs(data.y_obs))), float(np.ptp(data.y_obs)))
-
-
 @PROPERTY_SETTINGS
 @given(experiments())
 def test_switch_point_crossings_equal_generic_bisection(experiment):
@@ -95,10 +93,33 @@ def test_switch_point_crossings_equal_generic_bisection(experiment):
     data, design, mode = experiment
     source = _replicate_source(design, mode)
     t_obs = observed_statistic(WILCOXON, data)
-    scale = _scale(data)
+    scale = outcome_scale(data)
     for strict, exact in zip((False, True), crossing_vectors(data, WILCOXON, source, t_obs, scale)):
-        generic = np.concatenate(list(_bisect_crossings(data, WILCOXON, source, t_obs, strict, scale)))
+        generic = np.concatenate([_bisect_crossings(data, WILCOXON, W.astype(float), t_obs, strict, scale)
+                                  for W in source.blocks()])
         np.testing.assert_array_equal(exact, generic)
+
+
+def test_crossing_depends_on_its_row_alone():
+    # Monte Carlo draws are prefix-stable, so the first m of 40 draws are the
+    # m draws; only a stopping rule shared across rows could move a crossing.
+    # Rows that treat unit 0 widen their brackets, the others do not.  With
+    # one halving count for all rows, 62 of these 78 comparisons differ.
+    rng = np.random.default_rng(12)
+    y = rng.lognormal(size=10)
+    w = np.zeros(10, dtype=np.int8)
+    w[1 + rng.choice(9, size=5, replace=False)] = 1  # unit 0 in control
+    data, design = ObservedData(w, y), CRD(10, 5)
+    t_obs = observed_statistic(ROW_SCALED, data)
+
+    def crossings(k):
+        return crossing_vectors(data, ROW_SCALED, _replicate_source(design, MCMode(k=k, seed=9)),
+                                t_obs, outcome_scale(data))
+
+    full = crossings(40)
+    for m in range(1, 40):
+        for head, whole in zip(crossings(m), full, strict=True):
+            np.testing.assert_array_equal(head, whole[:m])
 
 
 @PROPERTY_SETTINGS
@@ -106,10 +127,10 @@ def test_switch_point_crossings_equal_generic_bisection(experiment):
 def test_step_function_equals_direct_p_value_off_candidates(experiment, side, u):
     data, design, mode = experiment
     y = data.y_obs
-    theta = u * 2 * _scale(data)
+    theta = u * 2 * outcome_scale(data)
     # the rank statistic can only change at (y_j - y_i) / c, c in {1, 2}
     candidates = np.concatenate([(y[None, :] - y[:, None]).ravel() / c for c in (1, 2)])
-    assume(np.min(np.abs(candidates - theta)) > 1e-6 * _scale(data))
+    assume(np.min(np.abs(candidates - theta)) > 1e-6 * outcome_scale(data))
     f = build_step_function(data, design, WILCOXON, side, mode)
     assert f.value(theta) == p_value(data, design, WILCOXON, theta, side, mode)
 
@@ -172,7 +193,7 @@ def test_mc_sup_error_equals_point_and_right_limit_maximum(experiment, stat, see
 def test_row_block_size_does_not_change_outputs(experiment, stat, block, u):
     # every experiment here fits one default block; 8 or 16 rows split it
     data, design, mode = experiment
-    theta = u * 2 * _scale(data)
+    theta = u * 2 * outcome_scale(data)
 
     def outputs():
         fs = build_step_functions(data, design, stat, mode)
@@ -244,3 +265,37 @@ def test_exact_source_blocks_join_to_assignment_matrix(design, block):
         blocks = list(_replicate_source(design, ExactMode()).blocks())
     assert all(b.shape[0] == block for b in blocks[:-1])
     assert np.array_equal(np.concatenate(blocks), assignment_matrix(design))
+
+
+@st.composite
+def tied_populations(draw):
+    """(population, design): integer y0 in 0..3 at a constant effect, under a
+    CRD of 4-12 units or an RBD of 2-3 blocks of 2-5 units."""
+    if draw(st.booleans()):
+        n = draw(st.integers(4, 12))
+        design = CRD(n, draw(st.integers(1, n - 1)))
+    else:
+        sizes = draw(st.lists(st.integers(2, 5), min_size=2, max_size=3))
+        design = RBD(tuple((size, draw(st.integers(1, size - 1))) for size in sizes))
+    n = design.n_units
+    y0 = np.asarray(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+    theta0 = draw(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 1.5]))
+    return PotentialTable(y0, y0 + theta0), design
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(tied_populations())
+def test_exact_audit_holds_the_guarantees_on_tied_populations(case):
+    # dominance (weak sides below the uniform, strict sides above) and
+    # coverage of at least 1 - alpha with zero tolerance, plus the audit's
+    # largest-atom bound
+    population, design = case
+    alphas = (0.05, 0.1, 0.2, 0.5)
+    report = exact_validity_audit(population, design, alphas=alphas)
+    assert report.dominance_ok and report.gamma_bound_ok
+    for kind in (PValueKind.LPLUS, PValueKind.LMINUS):
+        assert report.dominance.dominated_by_uniform(kind, tol=0.0)
+    for kind in (PValueKind.UPLUS, PValueKind.UMINUS):
+        assert report.dominance.dominates_uniform(kind, tol=0.0)
+    for alpha in alphas:
+        assert report.proposed_coverage[alpha] >= 1 - alpha
