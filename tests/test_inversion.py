@@ -519,3 +519,45 @@ class TestKernel:
         ref = build_step_functions(data, design, diff_means, mode)
         for side in ONE_SIDED:
             assert (fs[side].base_count, fs[side].never_count) == (ref[side].base_count, ref[side].never_count)
+
+
+def _golden_diff_means_case(name):
+    """(data, design, mode) of one pinned ``diff_means`` step-function case."""
+    if name == "crd_16_8_exact":
+        design = CRD(16, 8)
+        pop = generate_population(16, 0.5, seed=81)
+        return pop.observe(assignment_matrix(design)[4321]), design, ExactMode()
+    if name == "rbd_10x6_3_mc":  # 20^10 assignments: int64 ranks
+        design = RBD(((6, 3),) * 10)
+        pop = generate_population(60, 1.0, seed=82)
+        return pop.observe(sample_assignments(design, 1, seed=83)[0]), design, MCMode(k=20000, seed=84)
+    assert name == "crd_100_50_mc"  # ~1e29 assignments: object-int ranks
+    design = CRD(100, 50)
+    pop = generate_population(100, -0.5, seed=85)
+    return pop.observe(sample_assignments(design, 1, seed=86)[0]), design, MCMode(k=1000, seed=87)
+
+
+# SHA-256 of (breakpoints, counts, base_count, never_count) of diff_means step
+# functions, recorded while the closed form found the ge and gt crossings as
+# two separately rounded vectors: a change here changes breakpoint bytes.
+GOLDEN_DIFF_MEANS_SHA256 = {
+    ("crd_16_8_exact", "LPLUS"): "59b1b1b4ee8636d8e98206391b695935871b4004c8c95e3902c28fc3cc9d79d7",
+    ("crd_16_8_exact", "UPLUS"): "b2ec947b1bdde9aea0d7cbf7a9c4b52665eb8eb6aa2b0492509c45765e31212b",
+    ("crd_16_8_exact", "LMINUS"): "59b1b1b4ee8636d8e98206391b695935871b4004c8c95e3902c28fc3cc9d79d7",
+    ("crd_16_8_exact", "UMINUS"): "b2ec947b1bdde9aea0d7cbf7a9c4b52665eb8eb6aa2b0492509c45765e31212b",
+    ("rbd_10x6_3_mc", "LPLUS"): "685687ff0e7e583d50b3c3245735c3fe43ee6c75df5bd006f38bf7fef99bd7c3",
+    ("rbd_10x6_3_mc", "UPLUS"): "685687ff0e7e583d50b3c3245735c3fe43ee6c75df5bd006f38bf7fef99bd7c3",
+    ("rbd_10x6_3_mc", "LMINUS"): "685687ff0e7e583d50b3c3245735c3fe43ee6c75df5bd006f38bf7fef99bd7c3",
+    ("rbd_10x6_3_mc", "UMINUS"): "685687ff0e7e583d50b3c3245735c3fe43ee6c75df5bd006f38bf7fef99bd7c3",
+    ("crd_100_50_mc", "LPLUS"): "b01c2f3492b8e2cb368897c3ffdfce372781a0fc761a700ed983a25445c896e8",
+    ("crd_100_50_mc", "UPLUS"): "b01c2f3492b8e2cb368897c3ffdfce372781a0fc761a700ed983a25445c896e8",
+    ("crd_100_50_mc", "LMINUS"): "b01c2f3492b8e2cb368897c3ffdfce372781a0fc761a700ed983a25445c896e8",
+    ("crd_100_50_mc", "UMINUS"): "b01c2f3492b8e2cb368897c3ffdfce372781a0fc761a700ed983a25445c896e8",
+}
+
+
+@pytest.mark.parametrize("case, side", list(GOLDEN_DIFF_MEANS_SHA256))
+def test_diff_means_step_function_golden_bytes(diff_means, case, side):
+    data, design, mode = _golden_diff_means_case(case)
+    f = build_step_functions(data, design, diff_means, mode)[PValueKind[side]]
+    assert _step_digest(f) == GOLDEN_DIFF_MEANS_SHA256[case, side]

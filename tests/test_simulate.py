@@ -276,3 +276,50 @@ def test_one_replicate_matrix_per_experiment_per_rep(replicate_builds):
     )
     run_scenario(cfg)
     assert replicate_builds == [cfg.design2] + [cfg.design1] * 3
+
+
+def _golden_audit_case(name):
+    """(population, design, alphas) of one pinned audit case."""
+    alphas = (0.05, 0.1, 0.2, 0.5)
+    if name.startswith("tied_crd_15_5_perm"):
+        pop = tied_discrete_population()
+        perm = np.random.default_rng(int(name[-1])).permutation(15)
+        return PotentialTable(y0=pop.y0[perm], y1=pop.y1[perm]), CRD(15, 5), alphas
+    if name == "tied_crd_8_4_at_1.5":
+        tied = np.array([0.0, 0, 1, 1, 1, 2, 2, 3])
+        return PotentialTable(y0=tied, y1=tied + 1.5), CRD(8, 4), alphas
+    assert name == "lognormal_rbd_2x4_2_at_-0.75"
+    return generate_population(8, -0.75, seed=5), RBD(((4, 2), (4, 2))), alphas
+
+
+def _audit_digest(report):
+    import hashlib
+
+    h = hashlib.sha256()
+    h.update(np.array([report.theta0, report.gamma_star, report.max_shortfall,
+                       report.dominance_ok, report.gamma_bound_ok]).tobytes())
+    for kind, (levels, cdf) in report.dominance.profiles.items():
+        h.update(kind.name.encode())
+        h.update(np.asarray(levels, dtype=float).tobytes())
+        h.update(np.asarray(cdf, dtype=float).tobytes())
+    for per_alpha in (report.proposed_coverage, report.traditional_coverage,
+                      report.proposed_width_mean, report.traditional_width_mean):
+        h.update(np.array(list(per_alpha.items())).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of every audit report field, recorded while the audit partitioned a
+# replicates x observed breakpoint matrix at every alpha's ranks.
+GOLDEN_AUDIT_SHA256 = {
+    "tied_crd_15_5_perm0": "0c8e995ea8695974e12816132d30becd6af31f58aab871365be4b3cd3eecb8d1",
+    "tied_crd_15_5_perm1": "0a5759320073dc0c3c5f3b1ae6dd4122ea663289ccc0e8a6d43e9e1afbf11764",
+    "tied_crd_15_5_perm2": "8223a83c95a0142e6f6dccbada835918989a58935adb2d71341324ce11acef59",
+    "tied_crd_8_4_at_1.5": "d63063e26a2c89ce25e011fd3705915db397f833642ff73c96098f9f9e81801b",
+    "lognormal_rbd_2x4_2_at_-0.75": "f7bdc7f8bf329f79d8ae119874c7739abf6945f41eb90cded849ddba7468e14f",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_AUDIT_SHA256))
+def test_exact_validity_audit_golden_bytes(case):
+    pop, design, alphas = _golden_audit_case(case)
+    assert _audit_digest(exact_validity_audit(pop, design, alphas=alphas)) == GOLDEN_AUDIT_SHA256[case]
