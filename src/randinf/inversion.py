@@ -11,8 +11,9 @@ by sorted breakpoints with probability weights.
 the replicate rows in ``int8`` blocks (see :mod:`randinf.randomization`), two
 crossing vectors ``ge`` (``T >= T_obs``) and ``gt`` (``T > T_obs``) found
 block by block and rounded as they arrive, and all four one-sided functions
-from them by counting.  How crossings are found is a capability of the
-statistic:
+from them by counting.  An ``affine`` statistic's two vectors have the same
+finite values, so it keeps one, whose breakpoints all four sides share.  How
+crossings are found is a capability of the statistic:
 
 - ``affine`` (``diff_means``): ``T = a + b * theta`` per row, closed form;
 - ``switch_points`` (``wilcoxon_rank_sum``): each row's exact switch point
@@ -270,7 +271,10 @@ def _switch_point_crossings(data, stat, W, t_obs, strict, scale, b_star):
 def _crossings(data, stat, source, t_obs, scale):
     """The ``ge`` and ``gt`` crossings of each block of the source's rows, in row order.
 
-    How they are found is a capability of the statistic.
+    How they are found is a capability of the statistic.  An ``affine``
+    statistic yields the ``ge`` crossings alone: its ``gt`` crossings are the
+    same finite values, and its ``-inf`` rows, tied at every theta, never
+    pass.
     """
     for W in source.blocks():
         W = W.astype(float)
@@ -278,7 +282,7 @@ def _crossings(data, stat, source, t_obs, scale):
             a, b = stat.affine(data, W)
             moving = b > 0  # rows with b = 0 tie T_obs at every theta
             at = np.divide(t_obs - a, b, out=np.zeros_like(a), where=moving)
-            yield np.where(moving, at, -np.inf), np.where(moving, at, np.inf)
+            yield (np.where(moving, at, -np.inf),)
         elif stat.switch_points is not None:
             # smallest half-integers that pass the two tolerance tests
             m = np.array([np.ceil(2 * _threshold(t_obs, False)) / 2,
@@ -301,8 +305,9 @@ def build_step_functions(
 
     ``LPLUS``/``UMINUS`` count the ``ge`` crossings and ``UPLUS``/``LMINUS``
     the ``gt`` crossings; each pair shares its (read-only) breakpoint and
-    count arrays, with base and never masses swapped.  Refuses statistics not
-    certified monotone and right continuous in theta.
+    count arrays, with base and never masses swapped.  For an ``affine``
+    statistic all four sides share one pair of arrays.  Refuses statistics
+    not certified monotone and right continuous in theta.
     """
     if not stat.theta_monotone_rightcontinuous:
         raise NonMonotoneStatisticError(
@@ -316,15 +321,17 @@ def _step_functions(data: ObservedData, stat: StatisticSpec, source) -> dict:
     """:func:`build_step_functions` on the rows of a replicate source.
 
     Each block's finite crossings are rounded as the block arrives, so the
-    rounded ``ge`` and ``gt`` vectors, 8 bytes a row each, are all that spans
-    every row.
+    rounded crossing vectors, 8 bytes a row each, are all that spans every
+    row: ``ge`` and ``gt``, or for an ``affine`` statistic one vector whose
+    breakpoint and count arrays all four sides share.
     """
     t_obs = observed_statistic(stat, data)
     scale = max(1.0, float(np.max(np.abs(data.y_obs))), float(np.ptp(data.y_obs)))
-    rounded = [np.empty(source.size), np.empty(source.size)]  # finite crossings, rounded
-    filled = [0, 0]
-    always = [0, 0]
-    never = [0, 0]
+    vectors = 1 if stat.affine is not None else 2
+    rounded = [np.empty(source.size) for _ in range(vectors)]  # finite crossings, rounded
+    filled = [0] * vectors
+    always = [0] * vectors
+    never = [0] * vectors
     for block in _crossings(data, stat, source, t_obs, scale):
         for i, crossings in enumerate(block):
             always[i] += int(np.sum(crossings == -np.inf))
@@ -333,18 +340,24 @@ def _step_functions(data: ObservedData, stat: StatisticSpec, source) -> dict:
             rounded[i][filled[i]:filled[i] + finite.size] = finite
             filled[i] += finite.size
 
-    fs = {}
-    for i, (rising, falling) in enumerate(((PValueKind.LPLUS, PValueKind.UMINUS),
-                                           (PValueKind.UPLUS, PValueKind.LMINUS))):
+    masses = []
+    for i in range(vectors):
         # handed over, so that atoms frees the vector once it has the values
         breakpoints, counts = atoms(rounded.pop(0)[:filled[i]])
         breakpoints.flags.writeable = counts.flags.writeable = False
+        masses.append((breakpoints, counts, always[i], never[i]))
+    if vectors == 1:  # affine: gt shares ge's atoms, and its tied rows never pass
+        masses.append((*masses[0][:2], 0, always[0] + never[0]))
+
+    fs = {}
+    for (rising, falling), (breakpoints, counts, on, off) in zip(
+            ((PValueKind.LPLUS, PValueKind.UMINUS), (PValueKind.UPLUS, PValueKind.LMINUS)), masses):
         # complements: rows whose crossing event always holds never satisfy
         # the <= / < event, and vice versa
-        for side, base, off in ((rising, always[i], never[i]), (falling, never[i], always[i])):
+        for side, base, rest in ((rising, on, off), (falling, off, on)):
             fs[side] = PValueStepFunction(
                 side=side, breakpoints=breakpoints, counts=counts, base_count=base,
-                never_count=off, denom=source.size, statistic=stat.name, t_obs=t_obs,
+                never_count=rest, denom=source.size, statistic=stat.name, t_obs=t_obs,
                 mode=source.mode,
             )
     return fs

@@ -15,9 +15,11 @@ level.  At the true effect every observed assignment imputes the same table,
 the truth, so one pass of the statistic over the enumeration, ``tau``, serves
 every observed assignment: replicate i's statistic under observed j is the
 line ``tau_i + b_ij (theta - theta0)``, and its breakpoint is
-``theta0 + (tau_j - tau_i) / b_ij``.  The traditional two-crossing interval
-is audited alongside for comparison; it carries no guarantee and undercovers
-on heavily tied data.
+``theta0 + (tau_j - tau_i) / b_ij``.  The breakpoints are built in chunks of
+observed assignments, one contiguous row each, and one row sort per chunk
+serves the endpoint ranks of every level.  The traditional two-crossing
+interval is audited alongside for comparison; it carries no guarantee and
+undercovers on heavily tied data.
 """
 
 from dataclasses import dataclass, replace
@@ -235,7 +237,7 @@ def exact_validity_audit(
     that constant is the audited truth.  Each enumerable assignment is treated
     in turn as the observed one: its four p-values at the truth come from the
     shared randomization distribution, and its proposed and traditional
-    intervals are built from its column of breakpoints.  Reports the p-value
+    intervals are built from its row of breakpoints.  Reports the p-value
     dominance checks, the largest-atom bound on their discrepancy, and exact
     interval coverage per level.
 
@@ -278,31 +280,33 @@ def exact_validity_audit(
 
     alphas = tuple(alphas)
     ranks = [_endpoint_ranks(k, alpha) for alpha in alphas]
-    # each chunk's breakpoints are built once and partitioned at every rank
-    # any alpha reads; the traditional upper rank is always finite
+    # each chunk's breakpoints are built once and sorted for every rank any
+    # alpha reads; the traditional upper rank is always finite
     finite = sorted({int(r) for rs in ranks for r in rs if np.isfinite(r)})
     covered_p = np.zeros((len(alphas), k), dtype=bool)
     covered_t = np.zeros((len(alphas), k), dtype=bool)
     width_p = np.zeros((len(alphas), k))
     width_t = np.zeros((len(alphas), k))
-    chunk = max(1, (1 << 18) // k)  # columns; each k x chunk matrix holds at most 2**18 entries
+    chunk = max(1, (1 << 18) // k)  # rows; each chunk x k matrix holds at most 2**18 entries
     for start in range(0, k, chunk):
-        cols = np.arange(start, min(start + chunk, k))
-        swaps = n1 - W @ W[cols].T  # units treated under i and control under j
+        obs = np.arange(start, min(start + chunk, k))
+        # row j is observed assignment obs[j], column i replicate i
+        swaps = n1 - W[obs] @ W.T  # units treated under i and control under j
         B = swaps / n1 + swaps / n0
         with np.errstate(divide="ignore", invalid="ignore"):
-            BP = theta0 + (tau[cols] - tau[:, None]) / B
+            BP = theta0 + (tau[obs, None] - tau) / B
         BP[B == 0] = np.nan  # the observed assignment itself: base mass
-        # NaNs sort last, one per column; rounding is monotone, so only the
-        # order statistics at the finite ranks are found and rounded
-        BP.partition(finite, axis=0)
-        at = dict(zip(finite, round_sig(BP[finite])))
+        # one contiguous sort per row; NaNs sort last, one per row, and
+        # rounding is monotone, so only the order statistics at the finite
+        # ranks are rounded
+        BP.sort(axis=1)
+        at = dict(zip(finite, round_sig(BP[:, finite]).T))
         for j, rs in enumerate(ranks):
-            lower, upper, upper_t = (at[int(r)] if np.isfinite(r) else np.full(cols.size, r) for r in rs)
-            covered_p[j, cols] = (lower <= theta0) & (theta0 <= upper)
-            covered_t[j, cols] = (lower <= theta0) & (theta0 < upper_t)
-            width_p[j, cols] = upper - lower
-            width_t[j, cols] = upper_t - lower
+            lower, upper, upper_t = (at[int(r)] if np.isfinite(r) else np.full(obs.size, r) for r in rs)
+            covered_p[j, obs] = (lower <= theta0) & (theta0 <= upper)
+            covered_t[j, obs] = (lower <= theta0) & (theta0 < upper_t)
+            width_p[j, obs] = upper - lower
+            width_t[j, obs] = upper_t - lower
 
     def per_alpha(values):
         return {alpha: float(row.mean()) for alpha, row in zip(alphas, values)}

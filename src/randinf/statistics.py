@@ -172,14 +172,17 @@ def _diff_means_affine(data: ObservedData, W: np.ndarray):
 
     The slope counts treatment/control mismatches against the observed
     assignment scaled by arm sizes, so it is >= 0 and vanishes exactly for
-    rows equal to the observed assignment (which stay tied at T_obs).
+    rows equal to the observed assignment (which stay tied at T_obs).  Both
+    mismatch counts follow from the units treated under both, ``W @ w_obs``,
+    as exact integers.
     """
     y = data.y_obs
     w_obs = data.w_obs.astype(float)
     n1 = W.sum(axis=1)
     n0 = W.shape[1] - n1
     a = (W @ y) / n1 - ((1 - W) @ y) / n0
-    b = (W @ (1 - w_obs)) / n1 + ((1 - W) @ w_obs) / n0
+    both = W @ w_obs
+    b = (n1 - both) / n1 + (w_obs.sum() - both) / n0
     return a, b
 
 

@@ -51,11 +51,17 @@ def outcome_scale(data):
 
 
 def crossing_vectors(data, stat, source, t_obs, scale):
-    """The inversion kernel's ``ge`` and ``gt`` crossings of every row, joined from its blocks."""
+    """The inversion kernel's ``ge`` and ``gt`` crossings of every row, joined from its blocks.
+
+    An ``affine`` statistic's kernel yields ``ge`` alone; its ``gt`` is the
+    same with the rows tied at every theta never passing.
+    """
     from randinf.inversion import _crossings
 
-    ge, gt = zip(*_crossings(data, stat, source, t_obs, scale))
-    return np.concatenate(ge), np.concatenate(gt)
+    vectors = [np.concatenate(v) for v in zip(*_crossings(data, stat, source, t_obs, scale))]
+    if len(vectors) == 1:
+        vectors.append(np.where(vectors[0] == -np.inf, np.inf, vectors[0]))
+    return tuple(vectors)
 
 
 def assert_crossings_match_bisection(data, stat, design, mode=None, rows=100):

@@ -444,6 +444,26 @@ class TestKernel:
         for side, f in fs.items():
             assert _step_digest(f) == _step_digest(build_step_function(data, design, get_statistic(name), side, mode))
 
+    @pytest.mark.parametrize("mode", [ExactMode(), MCMode(k=400, seed=5)])
+    def test_affine_sides_share_one_crossing_vector(self, toy, diff_means, mode):
+        # an affine statistic's ge and gt crossings have the same finite
+        # values, so all four sides share one pair of arrays; the rows tied at
+        # every theta are base mass of the weak sides and never pass the
+        # strict ones
+        tied = np.array([0.0, 0, 1, 1, 1, 2, 2, 3])
+        design = RBD(((4, 2), (4, 2)))
+        cases = (toy, (ObservedData(assignment_matrix(design)[5], tied), design))
+        for data, design in cases:
+            fs = build_step_functions(data, design, diff_means, mode)
+            lplus = fs[PValueKind.LPLUS]
+            masses = (lplus.base_count, lplus.never_count)
+            assert mode != ExactMode() or masses[0] > 0
+            for side in ONE_SIDED:
+                assert fs[side].breakpoints is lplus.breakpoints and fs[side].counts is lplus.counts
+            assert (fs[PValueKind.LMINUS].base_count, fs[PValueKind.LMINUS].never_count) == masses
+            for side in (PValueKind.UPLUS, PValueKind.UMINUS):
+                assert (fs[side].base_count, fs[side].never_count) == masses[::-1]
+
     def test_one_replicate_matrix_per_experiment(self, toy, diff_means, replicate_builds):
         data, design = toy
         build_step_functions(data, design, diff_means)

@@ -2,13 +2,15 @@
 p-values, crossings that depend on their row alone, the interval-level reads of
 inversion and sup-norm error against point evaluation, outputs that do not
 depend on the replicate block size, enumerated row ranges against the
-unranker, and the paper's exact guarantees on small tied populations."""
+unranker, and the paper's exact guarantees on small tied populations, where
+the exact audit equals the per-assignment public intervals."""
 
 import dataclasses
 from math import comb
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from randinf import (
     build_step_functions,
     combine_functions,
     exact_validity_audit,
+    generate_population,
     get_statistic,
     make_combiner,
     mc_sup_error,
@@ -35,7 +38,7 @@ from randinf import randomization as randomization_mod
 from randinf.design import _INT64_SAFE_TOTAL, _indices_to_assignments, _range_to_assignments
 from randinf.combine import _combined_interval
 from randinf.datasets import PotentialTable
-from randinf.inversion import _bisect_crossings
+from randinf.inversion import _bisect_crossings, _proposed_interval, _traditional_interval
 from randinf.randomization import _replicate_source
 from randinf.statistics import observed_statistic
 from conftest import crossing_vectors, outcome_scale
@@ -268,17 +271,25 @@ def test_exact_source_blocks_join_to_assignment_matrix(design, block):
 
 
 @st.composite
-def tied_populations(draw):
-    """(population, design): integer y0 in 0..3 at a constant effect, under a
-    CRD of 4-12 units or an RBD of 2-3 blocks of 2-5 units."""
+def small_designs(draw):
+    """A CRD of 4-12 units or an RBD of 2-3 blocks of 2-5 units."""
     if draw(st.booleans()):
         n = draw(st.integers(4, 12))
-        design = CRD(n, draw(st.integers(1, n - 1)))
-    else:
-        sizes = draw(st.lists(st.integers(2, 5), min_size=2, max_size=3))
-        design = RBD(tuple((size, draw(st.integers(1, size - 1))) for size in sizes))
+        return CRD(n, draw(st.integers(1, n - 1)))
+    sizes = draw(st.lists(st.integers(2, 5), min_size=2, max_size=3))
+    return RBD(tuple((size, draw(st.integers(1, size - 1))) for size in sizes))
+
+
+@st.composite
+def tied_populations(draw, lognormal=False):
+    """(population, design): integer y0 in 0..3 (or, with ``lognormal``,
+    sometimes lognormal y0) at a constant effect, under a small design."""
+    design = draw(small_designs())
     n = design.n_units
-    y0 = np.asarray(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+    if lognormal and draw(st.booleans()):
+        y0 = generate_population(n, 0.0, seed=draw(st.integers(0, 2**32 - 1))).y0
+    else:
+        y0 = np.asarray(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
     theta0 = draw(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 1.5]))
     return PotentialTable(y0, y0 + theta0), design
 
@@ -299,3 +310,29 @@ def test_exact_audit_holds_the_guarantees_on_tied_populations(case):
         assert report.dominance.dominates_uniform(kind, tol=0.0)
     for alpha in alphas:
         assert report.proposed_coverage[alpha] >= 1 - alpha
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(tied_populations(lognormal=True))
+def test_exact_audit_equals_per_assignment_intervals(case):
+    # the audit's breakpoint matrix against the public construction: one
+    # kernel build per observed assignment, inverted at every alpha the way
+    # confidence_interval and traditional_interval invert it
+    population, design = case
+    alphas = (0.05, 0.1, 0.2, 0.5)
+    theta0 = float(population.y1[0] - population.y0[0])
+    report = exact_validity_audit(population, design, alphas=alphas)
+    proposed = {alpha: [] for alpha in alphas}
+    traditional = {alpha: [] for alpha in alphas}
+    for w in assignment_matrix(design):
+        fs = build_step_functions(population.observe(w), design, DIFF_MEANS)
+        for alpha in alphas:
+            proposed[alpha].append(_proposed_interval(fs, alpha / 2, alpha / 2))
+            traditional[alpha].append(_traditional_interval(fs[PValueKind.LPLUS], alpha))
+    for alpha in alphas:
+        for coverage, widths, cis in (
+            (report.proposed_coverage, report.proposed_width_mean, proposed[alpha]),
+            (report.traditional_coverage, report.traditional_width_mean, traditional[alpha]),
+        ):
+            assert coverage[alpha] == np.mean([ci.contains(theta0) for ci in cis])
+            assert widths[alpha] == pytest.approx(np.mean([ci.width for ci in cis]), rel=1e-12)

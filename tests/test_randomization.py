@@ -193,16 +193,22 @@ class TestDominanceProfile:
             assert (np.diff(cdf) > 0).all()
 
 
-@pytest.mark.parametrize("block", [None, 1 << 12])
-@pytest.mark.parametrize("call", ["build_step_functions", "randomization_distribution"])
-def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block):
+@pytest.mark.parametrize("call, block, per_row", [
+    *(pytest.param(call, block, 40, id=f"{call}-{block}")
+      for call in ("build_step_functions", "randomization_distribution") for block in (None, 1 << 12)),
+    pytest.param("build_step_functions", 1 << 12, 20, id="build_step_functions-4096-one_vector"),
+])
+def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block, per_row):
     # CRD(20,10) has 184,756 rows; as one float matrix they alone would take
     # 160 bytes a row.  Streamed in blocks, what spans every row is at most
-    # 40 bytes of it: for the kernel, the four breakpoint and count arrays
-    # (32 bytes a row when every crossing is distinct) and one rounded
-    # crossing vector or the atom starts; for the distribution, the rounded
+    # 40 bytes of it: for the kernel, one rounded crossing vector, since
+    # diff_means is affine, and while atoms runs its run starts and the
+    # breakpoint and count arrays all four sides share (about 25 bytes a row
+    # when every crossing is distinct); for the distribution, the rounded
     # values and their atoms.  Four float blocks cover the per-block
-    # temporaries.
+    # temporaries.  The one_vector case holds the kernel to 20 bytes a row
+    # and four 2^12-row blocks (6.3 MB), which a second rounded vector
+    # would exceed.
     import randinf.randomization as rz
 
     if block is not None:
@@ -221,4 +227,4 @@ def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block):
     finally:
         tracemalloc.stop()
     rows = 184_756
-    assert peak < 40 * rows + 4 * rz._ROW_BLOCK * design.n_units * 8
+    assert peak < per_row * rows + 4 * rz._ROW_BLOCK * design.n_units * 8
