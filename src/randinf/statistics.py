@@ -16,10 +16,11 @@ Three statistics ship with the registry:
     the statistic through the variance term, and its p-value curve can be
     non-monotone, so interval inversion refuses it.
 ``wilcoxon_rank_sum``
-    Sum of treatment-arm ranks of the realized outcomes, midranks for ties.
-    EI.  Its exact per-assignment switch points in ``theta`` come from the
-    pairwise differences of treated and control outcomes (the structure
-    behind the Hodges-Lehmann estimator), see :func:`_wilcoxon_switch_points`.
+    Sum of treatment-arm ranks of the realized outcomes, midranks for ties,
+    read from treated/control pair counts (:func:`_wilcoxon_rows`).  EI.  Its
+    exact per-assignment switch points in ``theta`` come from the pairwise
+    differences of treated and control outcomes (the structure behind the
+    Hodges-Lehmann estimator), see :func:`_wilcoxon_switch_points`.
 
 All statistics here are oriented so that large values indicate effects above
 the hypothesized ``theta``.
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "ObservedData",
@@ -142,7 +142,6 @@ class StatisticSpec:
     """
 
     name: str
-    large_favor_plus: bool
     ei_certified: bool
     theta_monotone_rightcontinuous: bool
     realized_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -204,43 +203,59 @@ def _studentized_rows(Y, W):
     return (m1 - m0) / denom
 
 
-def _wilcoxon_rows(Y, W):
-    R = rankdata(Y, axis=1, method="average")
-    return (R * W).sum(axis=1)
-
-
-# Pair entries built at once by the switch-point kernel; bounds its memory.
+# Treated/control pairs built at once by the rank-sum kernels; bounds their memory.
 _PAIR_CHUNK = 1 << 16
+
+
+def _pair_chunks(W: np.ndarray):
+    """Yield ``(rows, ti, ci)``: a slice of the rows of ``W`` with the indices
+    of each row's ``n1`` treated and ``n0`` control units, shapes ``(r, n1)``
+    and ``(r, n0)``, in chunks of at most ``_PAIR_CHUNK`` pairs (or one row).
+    Every row must treat as many units as row 0, as CRD/RBD rows do."""
+    treated = W > 0.5
+    k, n = treated.shape
+    n1 = int(treated[:1].sum())
+    if (treated.sum(axis=1) != n1).any():
+        raise StatisticError("rank-sum rows must all treat the same number of units")
+    n0 = n - n1
+    step = max(1, _PAIR_CHUNK // max(1, n1 * n0))
+    for start in range(0, k, step):
+        t = treated[start:start + step]
+        r = t.shape[0]
+        yield slice(start, start + r), np.nonzero(t)[1].reshape(r, n1), np.nonzero(~t)[1].reshape(r, n0)
+
+
+def _wilcoxon_rows(Y, W):
+    """Rank sum of each row from pair counts: ``n1(n1+1)/2`` plus, over treated
+    ``i`` and control ``j``, 1 if ``y_i > y_j`` and 1/2 if they tie.  The
+    values are exact half-integers, equal to the treated midrank sums."""
+    out = np.empty(W.shape[0])
+    for rows, ti, ci in _pair_chunks(W):
+        n1 = ti.shape[1]
+        yt = np.take_along_axis(Y[rows], ti, axis=1)[:, :, None]
+        yc = np.take_along_axis(Y[rows], ci, axis=1)[:, None, :]
+        out[rows] = n1 * (n1 + 1) / 2 + (yt > yc).sum(axis=(1, 2)) + 0.5 * (yt == yc).sum(axis=(1, 2))
+    return out
 
 
 def _wilcoxon_switch_points(data: ObservedData, W: np.ndarray, m) -> np.ndarray:
     """Exact switch points of ``1{T(theta, w) >= m}`` for the rank sum.
 
     Under the constant-effect null unit ``i`` realizes ``y_i + theta * d_i``
-    with ``d_i = w_i - w_obs_i``.  The rank sum of row ``w`` is
-    ``n1(n1+1)/2`` plus, over treated ``i`` and control ``j``, 1 if unit
-    ``i`` outranks ``j`` and 1/2 if they tie.  With ``c = d_i - d_j`` in
-    {0, 1, 2}, a pair with ``c = 0`` contributes a constant and a pair with
-    ``c > 0`` switches on at ``q = (y_j - y_i) / c``.  Away from the ``q``,
-    ``T = base + #{q < theta}``, so ``T >= m`` exactly when theta exceeds the
-    ``ceil(m - base)``-th smallest ``q`` of the row.  Every CRD/RBD row treats
-    the same number of units; pairs are built in row chunks of at most
-    ``_PAIR_CHUNK`` entries, and each row's ``q`` are sorted once for every
-    threshold in ``m``.
+    with ``d_i = w_i - w_obs_i``.  In the pair count of :func:`_wilcoxon_rows`,
+    with ``c = d_i - d_j`` in {0, 1, 2}, a pair with ``c = 0`` contributes a
+    constant and a pair with ``c > 0`` switches on at ``q = (y_j - y_i) / c``.
+    Away from the ``q``, ``T = base + #{q < theta}``, so ``T >= m`` exactly
+    when theta exceeds the ``ceil(m - base)``-th smallest ``q`` of the row.
+    Each row's ``q`` are sorted once for every threshold in ``m``.
     """
     y = data.y_obs
     w_obs = data.w_obs
-    k, n = W.shape
     m = np.asarray(m, dtype=float)
-    out = np.empty((m.size, k))
-    n1 = int(round(W[0].sum()))
-    n0 = n - n1
-    step = max(1, _PAIR_CHUNK // (n1 * n0))
-    for start in range(0, k, step):
-        treated = W[start:start + step] > 0.5
-        r = treated.shape[0]
-        ti = np.nonzero(treated)[1].reshape(r, n1)
-        ci = np.nonzero(~treated)[1].reshape(r, n0)
+    out = np.empty((m.size, W.shape[0]))
+    for rows, ti, ci in _pair_chunks(W):
+        r, n1 = ti.shape
+        pairs = n1 * ci.shape[1]
         diff = (y[ci][:, None, :] - y[ti][:, :, None]).reshape(r, -1)
         c = ((1 - w_obs[ti])[:, :, None] + w_obs[ci][:, None, :]).reshape(r, -1)
         fixed = c == 0
@@ -249,9 +264,9 @@ def _wilcoxon_switch_points(data: ObservedData, W: np.ndarray, m) -> np.ndarray:
         q = np.divide(diff, c, out=np.full(diff.shape, np.inf), where=~fixed)
         q.sort(axis=1)
         need = np.ceil(m.reshape(-1, 1) - base).astype(np.int64)  # pairs that must be on
-        pick = q[np.arange(r), np.clip(need - 1, 0, n1 * n0 - 1)]
-        out[:, start:start + r] = np.where(need <= 0, -np.inf, np.where(need > n1 * n0, np.inf, pick))
-    return out.reshape(m.shape + (k,))
+        pick = q[np.arange(r), np.clip(need - 1, 0, pairs - 1)]
+        out[:, rows] = np.where(need <= 0, -np.inf, np.where(need > pairs, np.inf, pick))
+    return out.reshape(m.shape + (W.shape[0],))
 
 
 _REGISTRY: dict = {}
@@ -280,7 +295,6 @@ def list_statistics():
 DIFF_MEANS = register_statistic(
     StatisticSpec(
         name="diff_means",
-        large_favor_plus=True,
         ei_certified=True,
         theta_monotone_rightcontinuous=True,
         realized_rows=_diff_means_rows,
@@ -291,7 +305,6 @@ DIFF_MEANS = register_statistic(
 STUDENTIZED = register_statistic(
     StatisticSpec(
         name="studentized",
-        large_favor_plus=True,
         ei_certified=False,
         theta_monotone_rightcontinuous=False,
         realized_rows=_studentized_rows,
@@ -301,7 +314,6 @@ STUDENTIZED = register_statistic(
 WILCOXON = register_statistic(
     StatisticSpec(
         name="wilcoxon_rank_sum",
-        large_favor_plus=True,
         ei_certified=True,
         theta_monotone_rightcontinuous=True,
         realized_rows=_wilcoxon_rows,

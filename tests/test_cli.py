@@ -373,6 +373,22 @@ class TestDeterminismAndSerialization:
         b = subprocess.run(cmd, capture_output=True, check=True).stdout
         assert a == b
 
+    def test_fresh_process_leaves_scipy_signal_and_stats_unimported(self):
+        # randinf reads its special functions from scipy.special alone, so a
+        # CLI call does not pay for importing scipy.signal or scipy.stats
+        script = (
+            "import sys, randinf, randinf.cli\n"
+            "code = randinf.cli.main(['toy', '--json'])\n"
+            "sys.stderr.write(repr(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules)))\n"
+            "sys.exit(code)\n"
+        )
+        a, b = (
+            subprocess.run([sys.executable, "-c", script], capture_output=True, check=True)
+            for _ in range(2)
+        )
+        assert a.stderr == b.stderr == b"[]"
+        assert a.stdout and a.stdout == b.stdout
+
     def test_infinities_serialize_as_strings(self, capsys, tmp_path):
         # two units: the base atom is one half, so both endpoints are infinite
         path = tmp_path / "two.csv"

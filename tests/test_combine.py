@@ -2,6 +2,7 @@
 
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -44,6 +45,21 @@ def laplace_sum_cdf_quadrature(m, x):
     return val
 
 
+def laplace_sum_cdf_series(m, xs):
+    """The closed-form series in 50-digit arithmetic at each of ``xs``, lower tails included."""
+    with mpmath.workdps(50):
+        coef = [
+            mpmath.fsum(mpmath.binomial(m - 1 + j, j) / mpmath.mpf(2) ** (m + j) for j in range(m - k))
+            for k in range(m)
+        ]
+        out = []
+        for x in xs:
+            a = abs(mpmath.mpf(x))
+            tail = mpmath.exp(-a) * mpmath.fsum(a**k / mpmath.factorial(k) * c for k, c in enumerate(coef))
+            out.append(tail if x < 0 else 1 - tail)
+        return out
+
+
 class TestSpecialFunctions:
     def test_normal_quantile_center(self):
         assert normal_quantile(0.5) == 0.0
@@ -84,6 +100,14 @@ class TestSpecialFunctions:
             assert laplace_sum_cdf(m, x) == pytest.approx(
                 laplace_sum_cdf_quadrature(m, x), abs=1e-6
             )
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10, 30])
+    def test_laplace_relative_error_against_series(self, m):
+        # relative, so the far lower tail (down to about 1e-300) is checked too
+        xs = np.concatenate([np.linspace(-700.0, 30.0, 293), [-30.0, -1e-3, 0.0, 1e-3]])
+        for x, g, want in zip(xs, laplace_sum_cdf(m, xs), laplace_sum_cdf_series(m, xs)):
+            assert abs(mpmath.mpf(g) / want - 1) <= 1e-13, (m, x)
+        assert laplace_sum_cdf(m, -np.inf) == 0.0 and laplace_sum_cdf(m, np.inf) == 1.0
 
     def test_laplace_symmetry_and_monotone(self):
         xs = np.linspace(-20, 20, 401)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from randinf import (
     CRD,
@@ -31,16 +32,18 @@ from randinf import (
     mc_sup_error,
     p_value,
     randomization_distribution,
+    sample_assignments,
     total_assignments,
 )
 from randinf import assignment_matrix
 from randinf import randomization as randomization_mod
+from randinf import statistics as statistics_mod
 from randinf.design import _INT64_SAFE_TOTAL, _indices_to_assignments, _range_to_assignments
 from randinf.combine import _combined_interval
 from randinf.datasets import PotentialTable
 from randinf.inversion import _bisect_crossings, _proposed_interval, _traditional_interval
 from randinf.randomization import _replicate_source
-from randinf.statistics import observed_statistic
+from randinf.statistics import _wilcoxon_rows, observed_statistic
 from conftest import crossing_vectors, outcome_scale
 
 WILCOXON = get_statistic("wilcoxon_rank_sum")
@@ -228,6 +231,25 @@ def designs(draw, many_blocks=True):
     count, size = (draw(st.integers(1, 4)), 9) if kind == "rbd" else (draw(st.integers(10, 30)), 5)
     sizes = [draw(st.integers(2, size)) for _ in range(count)]
     return RBD(tuple((k, _treated(draw, k)) for k in sizes))
+
+
+@PROPERTY_SETTINGS
+@given(designs(many_blocks=False), st.sampled_from(["integer", "half-integer", "lognormal"]),
+       st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_rank_sum_from_pair_counts_equals_midrank_sums(design, kind, k, seed):
+    # the pair-count rank sum is exact, so it equals scipy's midrank sums byte
+    # for byte, whether each row is its own chunk or rows share one
+    rng = np.random.default_rng(seed)
+    W = sample_assignments(design, k, seed=seed).astype(float)
+    Y = {
+        "integer": lambda size: rng.integers(-2, 3, size=size).astype(float),
+        "half-integer": lambda size: rng.integers(-4, 5, size=size) / 2,
+        "lognormal": rng.lognormal,
+    }[kind](size=W.shape)
+    want = (rankdata(Y, axis=1) * W).sum(axis=1)
+    assert _wilcoxon_rows(Y, W).tobytes() == want.tobytes()
+    with mock.patch.object(statistics_mod, "_PAIR_CHUNK", 1):
+        assert _wilcoxon_rows(Y, W).tobytes() == want.tobytes()
 
 
 @st.composite

@@ -220,6 +220,16 @@ class TestWilcoxonSwitchPoints:
         np.testing.assert_array_equal(wilcoxon.switch_points(data, W, m), together)
 
 
+    def test_rows_treating_different_counts_are_refused(self, wilcoxon):
+        # pairing by row 0's treated count would mis-pair the other rows
+        data = ObservedData(np.array([1, 1, 0, 0]), np.array([0.3, 2.0, 1.1, 0.7]))
+        W = np.array([[1, 1, 0, 0], [1, 1, 1, 0], [1, 0, 0, 0]], dtype=float)
+        with pytest.raises(StatisticError, match="same number of units"):
+            wilcoxon.switch_points(data, W, 5.0)
+        with pytest.raises(StatisticError, match="same number of units"):
+            evaluate_many(wilcoxon, impute(data, 0.0), W)
+
+
 class TestAffineCapability:
     def test_diff_means_is_affine_in_theta(self, diff_means):
         # T(theta, w) = a + b * theta on every row, b >= 0
