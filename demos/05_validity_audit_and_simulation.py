@@ -1,7 +1,8 @@
 """Exact validity audits and a desk-scale coverage/width simulation.
 
-The audit enumerates every assignment of a small population twice over and
-verifies the distributional guarantees with zero tolerance.  The scenario
+The audit enumerates every assignment of a small population once, reads
+every assignment's p-values at the truth off that one pass, and verifies the
+distributional guarantees with zero tolerance.  The scenario
 runner then checks, at desk scale, that individual and combined intervals hit
 their nominal coverage on fresh seeded populations.
 """

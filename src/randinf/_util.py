@@ -8,8 +8,8 @@ import numpy as np
 SIG_DIGITS = 12
 
 
-def round_sig(x, digits: int = SIG_DIGITS):
-    """Round to `digits` significant digits, elementwise.
+def round_sig(x):
+    """Round to ``SIG_DIGITS`` significant digits, elementwise.
 
     Zeros, infinities, NaNs and magnitudes below 1e-280 pass through unchanged
     (the scale factor for tinier values would overflow a double; such values
@@ -21,7 +21,7 @@ def round_sig(x, digits: int = SIG_DIGITS):
         ax = np.abs(x)
         normal = np.isfinite(x) & (ax > 1e-280)
         mag = np.floor(np.log10(ax, where=normal, out=np.zeros_like(x)))
-        scale = np.power(10.0, digits - 1 - mag, where=normal, out=np.ones_like(x))
+        scale = np.power(10.0, SIG_DIGITS - 1 - mag, where=normal, out=np.ones_like(x))
         out[normal] = np.round(x[normal] * scale[normal]) / scale[normal]
     if np.ndim(x) == 0:
         return float(out)

@@ -281,7 +281,12 @@ def _crossings(data, stat, source, t_obs, scale):
         if stat.affine is not None:
             a, b = stat.affine(data, W)
             moving = b > 0  # rows with b = 0 tie T_obs at every theta
-            at = np.divide(t_obs - a, b, out=np.zeros_like(a), where=moving)
+            gap = t_obs - a
+            at = np.divide(gap, b, out=np.zeros_like(a), where=moving)
+            # rows tied with T_obs at theta = 0 under p_values' rounding cross
+            # at exactly 0; equal roundings are within 1e-11 |T_obs| of it
+            near = np.flatnonzero(np.abs(gap) <= 1e-10 * abs(t_obs))
+            at[near[round_sig(a[near]) == round_sig(t_obs)]] = 0.0
             yield (np.where(moving, at, -np.inf),)
         elif stat.switch_points is not None:
             # smallest half-integers that pass the two tolerance tests
@@ -426,6 +431,8 @@ class ConfidenceInterval:
     (neither one-sided test rejects there), and excluding it would break the
     guaranteed coverage exactly in heavily tied populations.  Traditional
     intervals use the plain half-open membership and carry no guarantee.
+    Membership reads ``theta`` rounded to 12 significant digits, as the step
+    functions inverted into the endpoints read it.
 
     ``mode`` is how the interval was computed: one ``ExactMode`` or
     ``MCMode``, or, for a combined interval whose experiments ran under
@@ -439,13 +446,13 @@ class ConfidenceInterval:
     method: str
     statistic: str
     mode: Mode | tuple
-    closure: str = "[)"
 
     @property
     def width(self) -> float:
         return self.upper - self.lower
 
     def contains(self, theta: float) -> bool:
+        theta = round_sig(theta)
         if self.method == "proposed":
             return bool(self.lower <= theta <= self.upper)
         return bool(self.lower <= theta < self.upper)

@@ -190,17 +190,6 @@ def randomization_distribution(
     return RandomizationDistribution(values=values, counts=counts, denom=source.size, mode=mode)
 
 
-def _tail_counts(dist: RandomizationDistribution, t_obs: float):
-    """Counts of replicates >=, >, <=, < the rounded observed value."""
-    t = round_sig(t_obs)
-    lo = np.searchsorted(dist.values, t, side="left")
-    hi = np.searchsorted(dist.values, t, side="right")
-    total = int(dist.counts.sum())
-    ge = int(dist.counts[lo:].sum())
-    gt = int(dist.counts[hi:].sum())
-    return {"ge": ge, "gt": gt, "le": total - gt, "lt": total - ge}
-
-
 def p_values(
     data: ObservedData,
     design: Design,
@@ -210,14 +199,15 @@ def p_values(
 ) -> dict:
     """All five p-values at ``theta``, computed from one shared distribution."""
     dist = randomization_distribution(data, design, stat, theta, mode)
-    t_obs = observed_statistic(stat, data)
-    c = _tail_counts(dist, t_obs)
-    d = dist.denom
+    t, d = round_sig(observed_statistic(stat, data)), dist.denom
+    # counts of replicates >= and > the rounded observed value
+    ge = int(dist.counts[np.searchsorted(dist.values, t, side="left"):].sum())
+    gt = int(dist.counts[np.searchsorted(dist.values, t, side="right"):].sum())
     out = {
-        PValueKind.LPLUS: c["ge"] / d,
-        PValueKind.UPLUS: c["gt"] / d,
-        PValueKind.LMINUS: c["le"] / d,
-        PValueKind.UMINUS: c["lt"] / d,
+        PValueKind.LPLUS: ge / d,
+        PValueKind.UPLUS: gt / d,
+        PValueKind.LMINUS: (d - gt) / d,
+        PValueKind.UMINUS: (d - ge) / d,
     }
     out[PValueKind.TWO_SIDED_L] = min(
         1.0, 2.0 * min(out[PValueKind.LPLUS], out[PValueKind.LMINUS])
@@ -273,16 +263,17 @@ class DominanceProfile:
         levels, cdf = self.profiles[kind]
         return float(np.max(cdf - levels))
 
-    def dominated_by_uniform(self, kind: PValueKind, tol: float = 1e-12) -> bool:
+    def dominated_by_uniform(self, kind: PValueKind) -> bool:
         """True when P(p <= alpha) <= alpha for every alpha in (0, 1).
 
         Between attainable levels the CDF is flat, so the binding comparisons
-        sit exactly at the attainable levels.
+        sit exactly at the attainable levels.  Levels and CDF are counts over
+        one denominator, so the comparison is exact.
         """
         levels, cdf = self.profiles[kind]
-        return bool(np.all(cdf <= levels + tol))
+        return bool(np.all(cdf <= levels))
 
-    def dominates_uniform(self, kind: PValueKind, tol: float = 1e-12) -> bool:
+    def dominates_uniform(self, kind: PValueKind) -> bool:
         """True when P(p <= alpha) >= alpha for every alpha in (0, 1).
 
         The binding comparisons here are just below the NEXT attainable level
@@ -290,7 +281,29 @@ class DominanceProfile:
         """
         levels, cdf = self.profiles[kind]
         targets = np.append(levels[1:], 1.0)
-        return bool(np.all(cdf >= targets - tol))
+        return bool(np.all(cdf >= targets))
+
+
+def _tails(counts: np.ndarray) -> dict:
+    """By kind, the p-value numerator of a statistic at each atom: the counts >=, >, <= and < it."""
+    ge, le = np.cumsum(counts[::-1])[::-1], np.cumsum(counts)
+    return {PValueKind.LPLUS: ge, PValueKind.UPLUS: ge - counts,
+            PValueKind.LMINUS: le, PValueKind.UMINUS: le - counts}
+
+
+def _profile(counts: np.ndarray) -> DominanceProfile:
+    """The dominance profile when every assignment in turn is observed, from the atom counts.
+
+    Each assignment at atom ``i`` attains p = ``tails[kind][i] / denom``, and
+    ``counts[i]`` assignments do.  The plus tails fall and the minus tails
+    rise strictly in ``i``, so each kind's levels are its tails in order.
+    """
+    denom = int(counts.sum())
+    profiles = {}
+    for kind, tail in _tails(counts).items():
+        step = -1 if kind in (PValueKind.LPLUS, PValueKind.UPLUS) else 1
+        profiles[kind] = (tail[::step] / denom, np.cumsum(counts[::step]) / denom)  # P(p <= level)
+    return DominanceProfile(profiles=profiles, gamma_star=float(counts.max() / denom), denom=denom)
 
 
 def dominance_profile(
@@ -309,26 +322,4 @@ def dominance_profile(
     at its own statistic value.
     """
     dist = randomization_distribution(data, design, stat, theta0, ExactMode(cap))
-    counts, denom = dist.counts, dist.denom
-
-    suffix = np.cumsum(counts[::-1])[::-1]          # counts of T >= values[i]
-    prefix = np.cumsum(counts)                      # counts of T <= values[i]
-    per_kind_counts = {
-        PValueKind.LPLUS: suffix,
-        PValueKind.UPLUS: suffix - counts,
-        PValueKind.LMINUS: prefix,
-        PValueKind.UMINUS: prefix - counts,
-    }
-    profiles = {}
-    for kind, tail in per_kind_counts.items():
-        # assignment with value index i attains p = tail[i]/denom, and there
-        # are counts[i] such assignments
-        order = np.argsort(tail, kind="stable")
-        levels = tail[order] / denom
-        mass = counts[order]
-        uniq, start = np.unique(levels, return_index=True)
-        cum = np.cumsum(mass)
-        ends = np.append(start[1:], levels.size) - 1
-        cdf = cum[ends] / denom  # P(p <= uniq[i])
-        profiles[kind] = (uniq, cdf)
-    return DominanceProfile(profiles=profiles, gamma_star=dist.gamma_star, denom=denom)
+    return _profile(dist.counts)

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from randinf import CRD, ExactMode, ObservedData, get_statistic
+from randinf import CRD, ExactMode, ObservedData, PValueKind, get_statistic, p_values
 from randinf.statistics import observed_statistic
 from randinf.datasets import studentized_nonmonotone_experiment, toy_experiment
 
@@ -83,6 +83,23 @@ def assert_crossings_match_bisection(data, stat, design, mode=None, rows=100):
         ref = _bisect_crossings(data, stat, W.astype(float), t_obs, strict, scale)
         if not np.allclose(kernel, ref, rtol=0.0, atol=atol):
             raise AssertionError("crossings disagree with the generic bisection")
+
+
+def assert_interval_matches_p_values(ci, data, design, stat, theta):
+    """Check that a proposed interval contains ``theta`` exactly when neither one-sided test rejects there.
+
+    The LPLUS and LMINUS p-values at ``theta`` come from ``p_values``, the
+    direct randomization distribution, not from the step functions the
+    interval was inverted from; they must exceed ``ci.alpha1`` and
+    ``ci.alpha2``.
+    """
+    p = p_values(data, design, stat, theta)
+    accepts = p[PValueKind.LPLUS] > ci.alpha1 and p[PValueKind.LMINUS] > ci.alpha2
+    if ci.contains(theta) != accepts:
+        raise AssertionError(
+            f"interval [{ci.lower!r}, {ci.upper!r}] and the tests at {theta!r} disagree: "
+            f"LPLUS {p[PValueKind.LPLUS]}, LMINUS {p[PValueKind.LMINUS]}"
+        )
 
 
 @pytest.fixture

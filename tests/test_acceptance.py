@@ -104,10 +104,10 @@ def test_criterion_5_stochastic_dominance_audit():
     audit = exact_validity_audit(toy_population(), CRD(10, 5), alphas=(0.05,))
     prof = audit.dominance
     for kind in (PValueKind.LPLUS, PValueKind.LMINUS):
-        assert prof.dominated_by_uniform(kind, tol=0.0)
+        assert prof.dominated_by_uniform(kind)
         assert prof.max_shortfall(kind) <= 2 / 252 + 1e-12
     for kind in (PValueKind.UPLUS, PValueKind.UMINUS):
-        assert prof.dominates_uniform(kind, tol=1e-15)
+        assert prof.dominates_uniform(kind)
         assert prof.max_excess(kind) <= 2 / 252 + 1e-12
     assert audit.gamma_star == pytest.approx(2 / 252, abs=0)
     report(5, started, budget=10.0)

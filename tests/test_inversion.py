@@ -21,6 +21,7 @@ from randinf import (
     build_step_functions,
     combined_interval,
     confidence_interval,
+    exact_validity_audit,
     fisher,
     generate_population,
     get_statistic,
@@ -33,6 +34,7 @@ from randinf import (
 )
 from randinf import statistics as statistics_mod
 from randinf._util import round_sig
+from randinf.datasets import PotentialTable
 from randinf.randomization import _replicate_source
 from randinf.statistics import observed_statistic
 from conftest import assert_crossings_match_bisection, crossing_vectors, outcome_scale, random_experiment
@@ -273,6 +275,24 @@ class TestConfidenceInterval:
             ci = confidence_interval(pop.observe(w), design, diff_means, alpha / 2, alpha / 2)
             covered += ci.contains(1.0)
         assert covered / 70 >= 1 - alpha
+
+    def test_decimal_ties_at_zero_cross_at_zero(self, diff_means):
+        # one-decimal outcomes: at w = (1,1,0,1,1) two replicates tie T_obs at
+        # theta = 0 once rounded, as p_values counts them; their closed-form
+        # crossings were -4.44e-17, which left 0 outside [-0.3, -4.44e-17)
+        y = np.array([0.4, 0.3, 0.4, 0.1, 0.4])
+        pop, design = PotentialTable(y, y), CRD(5, 4)
+        data = pop.observe(np.array([1, 1, 0, 1, 1]))
+        ci = confidence_interval(data, design, diff_means, 0.25, 0.25)
+        assert (ci.lower, ci.upper) == (-0.3, 0.0) and ci.contains(0.0)
+        f = build_step_function(data, design, diff_means, PValueKind.LMINUS)
+        assert f.value(0.0) == p_value(data, design, diff_means, 0.0, PValueKind.LMINUS) == 0.6
+        # over every assignment the intervals cover 0 as often as the audit
+        # says, above the guaranteed 0.5
+        covered = [confidence_interval(pop.observe(w), design, diff_means, 0.25, 0.25).contains(0.0)
+                   for w in assignment_matrix(design)]
+        audit = exact_validity_audit(pop, design, alphas=(0.5,))
+        assert np.mean(covered) == audit.proposed_coverage[0.5] == 0.8
 
     def test_monotone_nesting(self, toy, diff_means):
         data, design = toy

@@ -44,7 +44,7 @@ from randinf.datasets import PotentialTable
 from randinf.inversion import _bisect_crossings, _proposed_interval, _traditional_interval
 from randinf.randomization import _replicate_source
 from randinf.statistics import _wilcoxon_rows, observed_statistic
-from conftest import crossing_vectors, outcome_scale
+from conftest import assert_interval_matches_p_values, crossing_vectors, outcome_scale
 
 WILCOXON = get_statistic("wilcoxon_rank_sum")
 DIFF_MEANS = get_statistic("diff_means")
@@ -303,15 +303,20 @@ def small_designs(draw):
 
 
 @st.composite
-def tied_populations(draw, lognormal=False):
-    """(population, design): integer y0 in 0..3 (or, with ``lognormal``,
-    sometimes lognormal y0) at a constant effect, under a small design."""
+def tied_populations(draw, outcomes=("integer",)):
+    """(population, design): y0 of one of the ``outcomes`` kinds at a constant
+    effect, under a small design.  Kinds: ``integer`` y0 in 0..3,
+    ``lognormal`` y0, and ``decimal`` y0 in 0.0..0.5 by tenths, which binary
+    floats do not hold exactly."""
     design = draw(small_designs())
     n = design.n_units
-    if lognormal and draw(st.booleans()):
+    kind = draw(st.sampled_from(outcomes))
+    if kind == "lognormal":
         y0 = generate_population(n, 0.0, seed=draw(st.integers(0, 2**32 - 1))).y0
     else:
-        y0 = np.asarray(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+        top = 5 if kind == "decimal" else 3
+        y0 = np.asarray(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), dtype=float)
+        y0 = y0 / 10 if kind == "decimal" else y0
     theta0 = draw(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 1.5]))
     return PotentialTable(y0, y0 + theta0), design
 
@@ -327,19 +332,20 @@ def test_exact_audit_holds_the_guarantees_on_tied_populations(case):
     report = exact_validity_audit(population, design, alphas=alphas)
     assert report.dominance_ok and report.gamma_bound_ok
     for kind in (PValueKind.LPLUS, PValueKind.LMINUS):
-        assert report.dominance.dominated_by_uniform(kind, tol=0.0)
+        assert report.dominance.dominated_by_uniform(kind)
     for kind in (PValueKind.UPLUS, PValueKind.UMINUS):
-        assert report.dominance.dominates_uniform(kind, tol=0.0)
+        assert report.dominance.dominates_uniform(kind)
     for alpha in alphas:
         assert report.proposed_coverage[alpha] >= 1 - alpha
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)
-@given(tied_populations(lognormal=True))
+@given(tied_populations(outcomes=("lognormal", "decimal")))
 def test_exact_audit_equals_per_assignment_intervals(case):
-    # the audit's breakpoint matrix against the public construction: one
-    # kernel build per observed assignment, inverted at every alpha the way
-    # confidence_interval and traditional_interval invert it
+    # the audit against the public construction: one kernel build per
+    # observed assignment, inverted at every alpha the way
+    # confidence_interval and traditional_interval invert it, and each
+    # proposed interval against the p_values tests at the truth
     population, design = case
     alphas = (0.05, 0.1, 0.2, 0.5)
     theta0 = float(population.y1[0] - population.y0[0])
@@ -347,9 +353,12 @@ def test_exact_audit_equals_per_assignment_intervals(case):
     proposed = {alpha: [] for alpha in alphas}
     traditional = {alpha: [] for alpha in alphas}
     for w in assignment_matrix(design):
-        fs = build_step_functions(population.observe(w), design, DIFF_MEANS)
+        data = population.observe(w)
+        fs = build_step_functions(data, design, DIFF_MEANS)
         for alpha in alphas:
-            proposed[alpha].append(_proposed_interval(fs, alpha / 2, alpha / 2))
+            ci = _proposed_interval(fs, alpha / 2, alpha / 2)
+            assert_interval_matches_p_values(ci, data, design, DIFF_MEANS, theta0)
+            proposed[alpha].append(ci)
             traditional[alpha].append(_traditional_interval(fs[PValueKind.LPLUS], alpha))
     for alpha in alphas:
         for coverage, widths, cis in (

@@ -16,6 +16,7 @@ from randinf import (
     exact_validity_audit,
     generate_population,
     run_scenario,
+    total_assignments,
     traditional_interval,
 )
 from randinf.datasets import PotentialTable, tied_discrete_population, toy_population
@@ -184,6 +185,20 @@ class TestExactValidityAudit:
                 assert report.traditional_coverage[alpha] == np.mean([tr.contains(theta0) for tr in trs])
                 for got, cs in ((report.proposed_width_mean, cis), (report.traditional_width_mean, trs)):
                     assert got[alpha] == pytest.approx(np.mean([c.width for c in cs]), rel=1e-12)
+
+    def test_statistic_evaluated_once_per_assignment(self, diff_means):
+        # one pass over the enumeration serves the profile, coverage and
+        # widths; a copy keeps the name diff_means, so the audit accepts it
+        rows = []
+
+        def counting(Y, W):
+            rows.append(W.shape[0])
+            return diff_means.realized_rows(Y, W)
+
+        stat = dataclasses.replace(diff_means, realized_rows=counting)
+        design = CRD(10, 5)
+        exact_validity_audit(toy_population(), design, stat=stat, alphas=(0.05, 0.1))
+        assert sum(rows) == total_assignments(design) == 252
 
     def test_constant_effect_required(self):
         with pytest.raises(ValueError):
