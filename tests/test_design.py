@@ -260,6 +260,10 @@ GOLDEN_DESIGNS = {
     "rbd_30x6_3": RBD(((6, 3),) * 30),
     "rbd_mixed": RBD(((70, 35), (6, 3)) * 4),
     "rbd_200x6_3": RBD(((6, 3),) * 200),  # index wider than 512 bits
+    # 17 * 2**40 and 17 * 2**63 assignments: about half of the candidates and
+    # of the fallback attempts miss, so some draws retry several times
+    "rbd_17_1_2x40": RBD(((17, 1),) + ((2, 1),) * 40),
+    "rbd_17_1_2x63": RBD(((17, 1),) + ((2, 1),) * 63),
 }
 GOLDEN_SEEDS = {"int": 11, "tuple": (3, 5), "big": (1 << 64) + 12345}
 GOLDEN_SAMPLE_SHA256 = {
@@ -294,6 +298,32 @@ GOLDEN_SAMPLE_SHA256 = {
 def test_sample_golden_bytes(design_name, seed_name):
     draws = sample_assignments(GOLDEN_DESIGNS[design_name], 40, GOLDEN_SEEDS[seed_name])
     assert hashlib.sha256(draws.tobytes()).hexdigest() == GOLDEN_SAMPLE_SHA256[design_name, seed_name]
+
+
+# SHA-256 of sample_assignments(design, k, seed).tobytes() at Monte Carlo
+# sizes (k = 4,794 is the K that required_k plans at epsilon 0.1, delta 0.01),
+# recorded while every draw that missed its candidates built its own generator:
+# a change here is a seed-stream change.
+GOLDEN_SAMPLE_K_SHA256 = {
+    ("rbd_17_1_2x40", 5000, "int"): "bb191ea324b97f2ca89b988d4a2a72c0f8497fde8edeb30e2803123fe06fbcc2",
+    ("rbd_17_1_2x40", 5000, "tuple"): "0da32f84a7140bf3d24948c534c0fd153b535db9dfd2b2f84316c1e6aa5e6a7e",
+    ("rbd_17_1_2x40", 5000, "big"): "d56e5be7260211c8bca99fdcc50e389f090a87c845151b389d6e6306210da99f",
+    ("rbd_17_1_2x63", 200, "int"): "45c077675f3e9396da867c77fc63f7bb6f290b56855f46132e16af4876fbf13c",
+    ("rbd_17_1_2x63", 200, "tuple"): "3d36c66ced65445665e7414467220bea734be010d3daf1037f25a652d19dec51",
+    ("rbd_17_1_2x63", 200, "big"): "5a8a14adc483bcab37e8bbec36fa6055ac4149ff6e74a540293f521c37020634",
+    ("rbd_30x6_3", 4794, "int"): "9fb248b6320ad31717c4c95ac7cc77d9b0aa0220af077afaffc4b811b9ae3d26",
+    ("rbd_30x6_3", 4794, "tuple"): "3fe6b57a69812cddc05c1fcf77590d5b5e1d3cf597519bc555d3cf98b855c294",
+    ("rbd_30x6_3", 4794, "big"): "cc9df733247d12cd14d7724015bc3e1a7a5cc2bb1225e4a0bffba8672fd42ad6",
+    ("rbd_200x6_3", 1000, "int"): "c8700668f492c9a569dc79ec490e3ee51d9d28661e3c672aa8ef7dc9c83c15dd",
+    ("rbd_200x6_3", 1000, "tuple"): "d9777574a14e2971c025ffbb89060ff3be52a7d512fbc051ea78d08e8f291966",
+    ("rbd_200x6_3", 1000, "big"): "df07c76cb8988a2987987c7392dda353e0e48133cb8c08dff295105a252e8cd9",
+}
+
+
+@pytest.mark.parametrize("design_name, k, seed_name", list(GOLDEN_SAMPLE_K_SHA256))
+def test_sample_golden_bytes_at_monte_carlo_sizes(design_name, k, seed_name):
+    draws = sample_assignments(GOLDEN_DESIGNS[design_name], k, GOLDEN_SEEDS[seed_name])
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == GOLDEN_SAMPLE_K_SHA256[design_name, k, seed_name]
 
 
 # SHA-256 of assignment_matrix(design).tobytes() and of the first and last
