@@ -19,19 +19,26 @@ as often as the earlier blocks have assignments, so its columns are filled
 pieces expanded by ``np.repeat``.  :func:`assignment_matrix` and the exact
 replicate source in :mod:`randinf.randomization` both use it.
 
-Sampled rows come from a vectorized colex unranker: global index ``i`` is
-split into block ranks by ``%`` and ``//`` (block 0 fastest), and each block
-rank is unranked by a ``searchsorted`` walk down a binomial table, all rows at
-once.  Indices, block ranks and tables are int64 while they fit in 2**62 and
-exact Python ints (numpy ``object`` arrays) beyond, so a space past 2**62
-whose blocks each fit, such as many small RBD blocks, still unranks every
-block on int64.
+Sampled rows come from global indices.  An index is split once per run of
+consecutive blocks whose joint count fits in 2**62 (object ``%`` and ``//``
+past 2**62), and into block ranks within the run on int64, block 0 fastest.
+A block whose T(k, t) fits the colex table budget is read off that table by
+rank.  Any other block is unranked by a ``searchsorted`` walk down a cached
+binomial table, all rows at once: on exact Python ints (numpy ``object``
+arrays) while a rank may exceed 2**62, on int64 from the step where every
+rank fits.
 
 Sampling is counter based: draw ``j`` of ``sample_assignments(design, k,
 seed)`` depends only on ``(seed, j)``, never on ``k`` or on which other draws
 were made, so results are reproducible regardless of batching or parallelism.
-Each draw unranks a uniformly chosen index, giving exact uniformity over the
-assignment space (no rejection against the space itself).
+Each draw is an exact uniform index, by rejection against the power of two
+above the space size.  Row ``j`` of a counter-based Philox block gives eight
+64-bit words: for a space of at most 2**62 they are eight candidates, the
+first one below the size taken; up to 512 bits they are one candidate, read
+as one integer.  A draw whose candidates all miss, and every draw past 512
+bits, reads the stream of its own PCG64 generator seeded from ``(seed, j)``
+(:func:`_fallback_indices`, which computes those streams for all such draws
+at once).
 """
 
 from bisect import bisect_left, bisect_right
@@ -141,22 +148,40 @@ def total_assignments(design: Design) -> int:
 # is {0, ..., k-1}.  The vectorized unranker maps sampled ranks to rows.
 # ---------------------------------------------------------------------------
 
+# Largest binomial table kept by the unranker's cache, in entries; a bigger
+# one is built for each call.
+_BINOMIAL_ENTRIES = 1 << 15
+
+
+def _binomial_tables(n, k):
+    """C(r, i) for i <= k and r <= n: exact (object) and clipped to 2**62 (int64), read-only."""
+    # exact C(r, i) by the hockey-stick rule C(r, i) = sum of C(s, i - 1) over s < r
+    exact = np.empty((k + 1, n + 1), dtype=object)
+    exact[0] = 1
+    exact[1:, 0] = 0
+    for i in range(1, k + 1):
+        exact[i, 1:] = np.cumsum(exact[i - 1, :-1])
+    clipped = np.minimum(exact, _INT64_SAFE_TOTAL).astype(np.int64)
+    exact.flags.writeable = clipped.flags.writeable = False
+    return exact, clipped
+
+
+# at most 8 tables of at most _BINOMIAL_ENTRIES entries each
+_kept_binomial_tables = lru_cache(maxsize=8)(_binomial_tables)
+
 
 def _unrank_block_vectorized(n, k, m):
     """Colex-unrank an array of ranks into a (len(m), n) 0/1 matrix.
 
     int64 ranks are unranked against binomials clipped to 2**62: ranks of a
     block that fits stay below that, so a clipped entry is never selected.
-    object ranks (Python ints, for blocks past 2**62) use exact binomials.
+    object ranks (Python ints, for blocks past 2**62) use exact binomials
+    until every rank fits: after step ``i`` a rank is below C(c_i, i - 1),
+    so once that is at most 2**62 for the largest c_i the rest is int64.
     """
-    # exact C(r, i) by the hockey-stick rule C(r, i) = sum of C(s, i - 1) over s < r
-    table = np.empty((k + 1, n + 1), dtype=object)
-    table[0] = 1
-    table[1:, 0] = 0
-    for i in range(1, k + 1):
-        table[i, 1:] = np.cumsum(table[i - 1, :-1])
-    if m.dtype != object:
-        table = np.minimum(table, _INT64_SAFE_TOTAL).astype(np.int64)
+    kept = (k + 1) * (n + 1) <= _BINOMIAL_ENTRIES
+    exact, clipped = (_kept_binomial_tables if kept else _binomial_tables)(n, k)
+    table = exact if m.dtype == object else clipped
     rows = np.arange(m.size)
     w = np.zeros((m.size, n), dtype=np.int8)
     for i in range(k, 0, -1):
@@ -165,24 +190,56 @@ def _unrank_block_vectorized(n, k, m):
         c = np.searchsorted(table[i], m, side="right") - 1
         w[rows, c] = 1
         m = m - table[i, c]
+        if table is exact and m.size and comb(int(c.max()), i - 1) <= _INT64_SAFE_TOTAL:
+            m, table = m.astype(np.int64), clipped
     return w
+
+
+def _block_runs(design: Design):
+    """Runs of consecutive blocks whose joint count fits in 2**62, with that count.
+
+    Each run is a list of (start, size, treated, count); a block past 2**62
+    is a run of its own.
+    """
+    runs, run, run_total = [], [], 1
+    for start, k, t in _block_slices(design):
+        b_total = comb(k, t)
+        if run and run_total * b_total > _INT64_SAFE_TOTAL:
+            runs.append((run, run_total))
+            run, run_total = [], 1
+        run.append((start, k, t, b_total))
+        run_total *= b_total
+    runs.append((run, run_total))
+    return runs
 
 
 def _indices_to_assignments(design: Design, idx: np.ndarray) -> np.ndarray:
     """Map global assignment indices to assignment vectors (block 0 fastest).
 
-    ``idx`` is int64, or object (Python ints) for spaces past 2**62.  The
-    indices are split into block ranks with ``%`` and ``//``, and every block
-    whose own space fits is unranked on int64.
+    ``idx`` is int64, or object (Python ints) for spaces past 2**62.  It is
+    split once per run of blocks whose joint count fits in 2**62 (one object
+    ``%`` and ``//`` each), and into block ranks within the run on int64.
+    A block whose T(k, t) fits the colex table budget is read off
+    :func:`_colex_table` by rank; any other is unranked by
+    :func:`_unrank_block_vectorized`.
     """
-    w = np.zeros((idx.size, design.n_units), dtype=np.int8)
+    w = np.empty((idx.size, design.n_units), dtype=np.int8)
     rem = idx
-    for start, k, t in _block_slices(design):
-        b_total = comb(k, t)
-        m, rem = rem % b_total, rem // b_total
-        if b_total <= _INT64_SAFE_TOTAL:
+    runs = _block_runs(design)
+    for g, (run, run_total) in enumerate(runs):
+        m = rem
+        if g < len(runs) - 1:
+            m, rem = rem % run_total, rem // run_total
+        if run_total <= _INT64_SAFE_TOTAL:
             m = m.astype(np.int64, copy=False)
-        w[:, start : start + k] = _unrank_block_vectorized(k, t, m)
+        for b, (start, k, t, b_total) in enumerate(run):
+            ranks = m
+            if b < len(run) - 1:
+                m, ranks = np.divmod(m, b_total)
+            if k * b_total <= _TABLE_BYTES:
+                w[:, start:start + k] = _colex_table(t)[ranks, :k]
+            else:
+                w[:, start:start + k] = _unrank_block_vectorized(k, t, ranks)
     return w
 
 
@@ -344,19 +401,133 @@ def _philox_words(seed, k: int) -> np.ndarray:
     return gen.integers(0, 1 << 64, size=(k, 8), dtype=np.uint64, endpoint=False)
 
 
-def _fallback_index(seed, j: int, total: int) -> int:
-    """Exact uniform index on [0, total) from a per-draw generator."""
+# np.random.SeedSequence's hash constants (uint32 arithmetic) and PCG64's
+# 128-bit LCG multiplier, for replaying a per-draw generator on arrays.
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _uint32_words(n: int) -> list:
+    """The uint32 words SeedSequence makes of a non-negative int, least significant first."""
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _seed_sequence_state(entropy: list) -> list:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for columns of uint32 entropy words.
+
+    ``entropy`` is a list of equal-length uint32 arrays, word by word; the
+    result is four uint64 arrays, one state word each, one entry per row.
+    """
+    hash_const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _SS_MULT_A & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _SS_INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _SS_MULT_B & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return [state[2 * i] | state[2 * i + 1] << np.uint64(32) for i in range(4)]
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, state * multiplier + inc mod 2**128, on uint64 halves."""
+    m_hi, m_lo = np.uint64(_PCG64_MULT >> 64), _PCG64_MULT & ((1 << 64) - 1)
+    b0, b1 = np.uint64(m_lo & 0xFFFFFFFF), np.uint64(m_lo >> 32)
+    # lo * m_lo in full from 32-bit halves; the cross terms wrap into the top half
+    a0, a1 = lo & _LOW32, lo >> np.uint64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> np.uint64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+    new_lo = ((mid << np.uint64(32)) | (p00 & _LOW32)) + inc_lo
+    new_hi = (a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+              + hi * np.uint64(m_lo) + lo * m_hi + inc_hi + (new_lo < inc_lo))
+    return new_hi, new_lo
+
+
+def _fallback_indices(seed, draws: np.ndarray, total: int) -> np.ndarray:
+    """Exact uniform indices on [0, total) for the draw numbers ``draws``, as an object array.
+
+    Draw ``j`` reads the uint32 stream of its own generator,
+    ``np.random.default_rng((key_lo, key_hi, j, 0xFA11BACC))`` with ``key``
+    the folded seed: each attempt takes ``ceil(bits / 32)`` words, the first
+    most significant, keeps the low ``bits`` bits and is taken when below
+    ``total``.  Every draw's SeedSequence and PCG64 stream (XSL-RR output,
+    low 32 bits first) is computed here at once, on arrays, and only the draws
+    still missing are retried.
+    """
     key = fold_seed(seed)
-    rng = np.random.default_rng((key & ((1 << 64) - 1), key >> 64, j, 0xFA11BACC))
+    prefix = _uint32_words(key & ((1 << 64) - 1)) + _uint32_words(key >> 64)
+    draws = np.asarray(draws, dtype=np.uint64)
+    wide = draws >> np.uint64(32) != 0  # j >= 2**32 is two entropy words
+    rows, states = [], []
+    for is_wide in (False, True):
+        part = np.flatnonzero(wide == is_wide)
+        if part.size:
+            j = draws[part]
+            j_words = [j & _LOW32, j >> np.uint64(32)] if is_wide else [j]
+            columns = [np.full(part.size, w, dtype=np.uint32) for w in prefix]
+            columns += [w.astype(np.uint32) for w in j_words]
+            columns.append(np.full(part.size, 0xFA11BACC, dtype=np.uint32))
+            rows.append(part)
+            states.append(_seed_sequence_state(columns))
+    rows = np.concatenate(rows)
+    seed_hi, seed_lo, seq_hi, seq_lo = (np.concatenate(s) for s in zip(*states))
+    # pcg64 seeding: inc = 2 * seq + 1, state = inc; state += seed; one step
+    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+    lo = inc_lo + seed_lo
+    hi, lo = _pcg64_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
+
     bits = total.bit_length()
     words = (bits + 31) // 32
-    while True:
-        draw = 0
-        for piece in rng.integers(0, 1 << 32, size=words, dtype=np.uint64):
-            draw = (draw << 32) | int(piece)
-        draw &= (1 << bits) - 1
-        if draw < total:
-            return draw
+    out = np.empty(draws.size, dtype=object)
+    spare = []  # the high half of the last output, when an attempt ended mid-output
+    while rows.size:
+        pieces = spare
+        while len(pieces) < words:
+            hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+            x = hi ^ lo
+            rot = hi >> np.uint64(58)
+            x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+            pieces = pieces + [x & _LOW32, x >> np.uint64(32)]
+        pieces, spare = pieces[:words], pieces[words:]
+        cand = np.zeros(rows.size, dtype=object)
+        for piece in pieces:
+            cand = (cand << 32) | piece.astype(object)
+        cand &= (1 << bits) - 1
+        hit = cand < total
+        out[rows[hit]] = cand[hit]
+        miss = ~hit
+        rows, hi, lo, inc_hi, inc_lo = rows[miss], hi[miss], lo[miss], inc_hi[miss], inc_lo[miss]
+        spare = [s[miss] for s in spare]
+    return out
 
 
 def _sample_indices(design: Design, k: int, seed) -> np.ndarray:
@@ -367,7 +538,7 @@ def _sample_indices(design: Design, k: int, seed) -> np.ndarray:
     total = total_assignments(design)
     bits = total.bit_length()
     if bits > 512:
-        return np.array([_fallback_index(seed, j, total) for j in range(k)], dtype=object)
+        return _fallback_indices(seed, np.arange(k), total)
     words = _philox_words(seed, k)
     if total <= _INT64_SAFE_TOTAL:
         # eight candidates per draw; the first one below total is taken
@@ -383,8 +554,9 @@ def _sample_indices(design: Design, k: int, seed) -> np.ndarray:
             idx = (idx << 64) | col.astype(object)
         idx &= (1 << bits) - 1
         missed = idx >= total
-    for j in np.nonzero(missed)[0]:
-        idx[j] = _fallback_index(seed, int(j), total)
+    missed = np.flatnonzero(missed)
+    if missed.size:
+        idx[missed] = _fallback_indices(seed, missed, total)
     return idx
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from randinf import CRD, ExactMode, ObservedData, PValueKind, get_statistic, p_values
+from randinf._util import fold_seed
 from randinf.statistics import observed_statistic
 from randinf.datasets import studentized_nonmonotone_experiment, toy_experiment
 
@@ -100,6 +101,26 @@ def assert_interval_matches_p_values(ci, data, design, stat, theta):
             f"interval [{ci.lower!r}, {ci.upper!r}] and the tests at {theta!r} disagree: "
             f"LPLUS {p[PValueKind.LPLUS]}, LMINUS {p[PValueKind.LMINUS]}"
         )
+
+
+def fallback_index(seed, j, total):
+    """Exact uniform index on [0, total) from draw ``j``'s own generator, one draw a call.
+
+    The scalar reference for ``design._fallback_indices``: attempts of
+    ``ceil(bits / 32)`` uint32 words, the first most significant, masked to
+    ``bits`` bits and taken when below ``total``.
+    """
+    key = fold_seed(seed)
+    rng = np.random.default_rng((key & ((1 << 64) - 1), key >> 64, j, 0xFA11BACC))
+    bits = total.bit_length()
+    words = (bits + 31) // 32
+    while True:
+        draw = 0
+        for piece in rng.integers(0, 1 << 32, size=words, dtype=np.uint64):
+            draw = (draw << 32) | int(piece)
+        draw &= (1 << bits) - 1
+        if draw < total:
+            return draw
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -243,6 +244,14 @@ class TestSampling:
         expected = 5000 / len(keys)
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 27.88  # df=9 critical value at the 0.1% level
+
+    def test_no_generator_per_draw(self):
+        # draws whose candidates miss (a third of them in CRD(100, 50), all of
+        # them past 512 bits) are redrawn from their streams on arrays
+        with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as made:
+            sample_assignments(CRD(100, 50), 1000, seed=3)
+            sample_assignments(RBD(((6, 3),) * 200), 50, seed=3)
+        assert made.call_count == 0
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):

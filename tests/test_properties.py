@@ -1,9 +1,10 @@
 """Property tests: exact switch points against the generic bisection and direct
 p-values, crossings that depend on their row alone, the interval-level reads of
 inversion and sup-norm error against point evaluation, outputs that do not
-depend on the replicate block size, enumerated row ranges against the
-unranker, and the paper's exact guarantees on small tied populations, where
-the exact audit equals the per-assignment public intervals."""
+depend on the replicate block size, enumerated and sampled row ranges against
+the per-block unranker, the vectorized fallback draws against one generator a
+draw, and the paper's exact guarantees on small tied populations, where the
+exact audit equals the per-assignment public intervals."""
 
 import dataclasses
 from math import comb
@@ -38,13 +39,24 @@ from randinf import (
 from randinf import assignment_matrix
 from randinf import randomization as randomization_mod
 from randinf import statistics as statistics_mod
-from randinf.design import _INT64_SAFE_TOTAL, _indices_to_assignments, _range_to_assignments
+from randinf.design import (
+    _INT64_SAFE_TOTAL,
+    _fallback_indices,
+    _indices_to_assignments,
+    _range_to_assignments,
+    _unrank_block_vectorized,
+)
 from randinf.combine import _combined_interval
 from randinf.datasets import PotentialTable
 from randinf.inversion import _bisect_crossings, _proposed_interval, _traditional_interval
 from randinf.randomization import _replicate_source
 from randinf.statistics import _wilcoxon_rows, observed_statistic
-from conftest import assert_interval_matches_p_values, crossing_vectors, outcome_scale
+from conftest import (
+    assert_interval_matches_p_values,
+    crossing_vectors,
+    fallback_index,
+    outcome_scale,
+)
 
 WILCOXON = get_statistic("wilcoxon_rank_sum")
 DIFF_MEANS = get_statistic("diff_means")
@@ -273,13 +285,76 @@ def enumeration_ranges(draw):
     return design, lo, hi
 
 
+def unranked_rows(design, idx):
+    """Rows of the global indices ``idx``, every block unranked by the descent alone.
+
+    Block ``b``'s rank is ``(i // stride) % C(k, t)`` in exact Python ints,
+    ``stride`` being the product of the earlier blocks' counts; it is passed
+    to :func:`_unrank_block_vectorized` as int64 when the block fits in 2**62.
+    """
+    rem = np.asarray(idx).astype(object)
+    parts = []
+    for k, t in design.blocks:
+        b_total = comb(k, t)
+        ranks, rem = rem % b_total, rem // b_total
+        if b_total <= _INT64_SAFE_TOTAL:
+            ranks = ranks.astype(np.int64)
+        parts.append(_unrank_block_vectorized(k, t, ranks))
+    return np.concatenate(parts, axis=1)
+
+
 @settings(PROPERTY_SETTINGS, max_examples=300)
 @given(enumeration_ranges())
 def test_range_to_assignments_equals_unranked_rows(case):
     design, lo, hi = case
-    dtype = np.int64 if total_assignments(design) <= _INT64_SAFE_TOTAL else object
-    want = _indices_to_assignments(design, np.arange(lo, hi, dtype=dtype))
+    want = unranked_rows(design, np.arange(lo, hi, dtype=object))
     assert np.array_equal(_range_to_assignments(design, lo, hi), want)
+
+
+@st.composite
+def sampled_indices(draw):
+    """(design, idx): indices into a random design or one whose runs mix object and int64 ranks.
+
+    ``idx`` is int64 or object when the space fits in 2**62, object past it.
+    """
+    design = draw(designs() | st.sampled_from([
+        RBD(((70, 35), (6, 3)) * 4),  # runs of one object block and of one small block
+        RBD(((6, 3),) * 30),  # runs of 14, 14 and 2 blocks
+        RBD(((17, 1),) + ((2, 1),) * 63),
+        CRD(100, 50),
+        CRD(66, 33),
+        CRD(64, 32),
+    ]))
+    total = total_assignments(design)
+    index = st.sampled_from([0, total - 1]) | st.integers(0, total - 1)
+    idx = draw(st.lists(index, min_size=1, max_size=50))
+    fits = total <= _INT64_SAFE_TOTAL
+    return design, np.array(idx, dtype=np.int64 if fits and draw(st.booleans()) else object)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(sampled_indices())
+def test_indices_to_assignments_equals_per_block_unranker(case):
+    design, idx = case
+    assert np.array_equal(_indices_to_assignments(design, idx), unranked_rows(design, idx))
+
+
+@st.composite
+def fallback_totals(draw):
+    """A space size of 2-2,000 bits: any, or 2**b + 1."""
+    bits = draw(st.integers(2, 2000))
+    return draw(st.just((1 << (bits - 1)) + 1) | st.integers((1 << (bits - 1)) + 1, 1 << bits))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**63) | st.tuples(st.integers(0, 2**32), st.integers(0, 2**32))
+       | st.integers(2**64, 2**128 - 1),
+       st.lists(st.integers(0, 40) | st.integers(2**32 - 3, 2**32 + 3) | st.integers(0, 2**40),
+                min_size=1, max_size=20),
+       fallback_totals())
+def test_vectorized_fallback_equals_one_generator_a_draw(seed, draws, total):
+    got = _fallback_indices(seed, np.array(draws), total)
+    assert list(got) == [fallback_index(seed, j, total) for j in draws]
 
 
 @PROPERTY_SETTINGS
