@@ -6,7 +6,7 @@ p-value functions across independent experiments, and Monte Carlo
 sample-size planning.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .combine import (
     CombinedPValueFunction,

@@ -341,6 +341,24 @@ def cmd_mc_threshold(args):
             print(f"{e:>10g} {k:>12d}")
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what each optional or required scenario key must hold in the JSON config
+_SCENARIO_KEYS = {
+    **dict.fromkeys(("b1", "k1", "b2", "k2", "reps", "k_cap", "master_seed"), ("an integer", _is_int)),
+    **dict.fromkeys(("true_theta", "alpha"), ("a number", _is_number)),
+    "statistic": ("a string", lambda value: isinstance(value, str)),
+    "combiners": ("a list of names",
+                  lambda value: isinstance(value, list) and all(isinstance(c, str) for c in value)),
+}
+
+
 def cmd_simulate(args):
     try:
         with open(args.config) as fh:
@@ -349,6 +367,9 @@ def cmd_simulate(args):
         raise InputError(f"cannot read {args.config}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"{args.config}: the scenario must be a JSON object")
+    for key, (what, valid) in _SCENARIO_KEYS.items():
+        if key in raw and not valid(raw[key]):
+            raise InputError(f"{args.config}: {key!r} must be {what}, got {raw[key]!r}")
     cfg = ScenarioConfig(
         design1=balanced_design(raw["b1"], raw["k1"]),
         design2=balanced_design(raw["b2"], raw["k2"]),

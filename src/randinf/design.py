@@ -29,16 +29,15 @@ arrays) while a rank may exceed 2**62, on int64 from the step where every
 rank fits.
 
 Sampling is counter based: draw ``j`` of ``sample_assignments(design, k,
-seed)`` depends only on ``(seed, j)``, never on ``k`` or on which other draws
-were made, so results are reproducible regardless of batching or parallelism.
-Each draw is an exact uniform index, by rejection against the power of two
-above the space size.  Row ``j`` of a counter-based Philox block gives eight
-64-bit words: for a space of at most 2**62 they are eight candidates, the
-first one below the size taken; up to 512 bits they are one candidate, read
-as one integer.  A draw whose candidates all miss, and every draw past 512
-bits, reads the stream of its own PCG64 generator seeded from ``(seed, j)``
-(:func:`_fallback_indices`, which computes those streams for all such draws
-at once).
+seed)`` depends only on ``(seed, j)``, so the first draws are the same for
+every ``k``.  Each draw is an exact uniform index, by rejection against the
+power of two above the space size, on rows of Philox words: eight words, or
+``ceil(bits / 64)`` past 512 bits.  Up to 2**62 the eight words are eight
+candidates, the first one below the size taken; otherwise the row's last
+``ceil(bits / 64)`` words are one candidate.  Attempt 0 reads row ``j`` of the
+stream keyed by the folded seed; attempt ``a`` gives the draws still missing,
+in order, the rows of the stream keyed by ``fold_seed((key_lo, key_hi, a))``.
+This is the seed stream of version 0.2.0.
 """
 
 from bisect import bisect_left, bisect_right
@@ -178,7 +177,11 @@ def _unrank_block_vectorized(n, k, m):
     object ranks (Python ints, for blocks past 2**62) use exact binomials
     until every rank fits: after step ``i`` a rank is below C(c_i, i - 1),
     so once that is at most 2**62 for the largest c_i the rest is int64.
+    A block that treats most of its units is the complement of the set of
+    ``n - k`` at colex rank ``C(n, k) - 1 - m``, which takes fewer steps.
     """
+    if 2 * k > n:
+        return 1 - _unrank_block_vectorized(n, n - k, (comb(n, k) - 1) - m)
     kept = (k + 1) * (n + 1) <= _BINOMIAL_ENTRIES
     exact, clipped = (_kept_binomial_tables if kept else _binomial_tables)(n, k)
     table = exact if m.dtype == object else clipped
@@ -394,169 +397,40 @@ def assignment_matrix(design: Design, cap: int = DEFAULT_ENUMERATION_CAP) -> np.
     return _range_to_assignments(design, 0, _enumerable_total(design, cap))
 
 
-def _philox_words(seed, k: int) -> np.ndarray:
-    """(k, 8) uint64 block of counter-based random words; row j is f(seed, j)."""
-    key = fold_seed(seed)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.integers(0, 1 << 64, size=(k, 8), dtype=np.uint64, endpoint=False)
-
-
-# np.random.SeedSequence's hash constants (uint32 arithmetic) and PCG64's
-# 128-bit LCG multiplier, for replaying a per-draw generator on arrays.
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
-def _uint32_words(n: int) -> list:
-    """The uint32 words SeedSequence makes of a non-negative int, least significant first."""
-    words = [n & 0xFFFFFFFF]
-    while n >> 32:
-        n >>= 32
-        words.append(n & 0xFFFFFFFF)
-    return words
-
-
-def _seed_sequence_state(entropy: list) -> list:
-    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for columns of uint32 entropy words.
-
-    ``entropy`` is a list of equal-length uint32 arrays, word by word; the
-    result is four uint64 arrays, one state word each, one entry per row.
-    """
-    hash_const = _SS_INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _SS_MULT_A & 0xFFFFFFFF
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        value = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
-        return value ^ (value >> np.uint32(16))
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = _SS_INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = hash_const * _SS_MULT_B & 0xFFFFFFFF
-        value = value * np.uint32(hash_const)
-        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    return [state[2 * i] | state[2 * i + 1] << np.uint64(32) for i in range(4)]
-
-
-def _pcg64_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 LCG step, state * multiplier + inc mod 2**128, on uint64 halves."""
-    m_hi, m_lo = np.uint64(_PCG64_MULT >> 64), _PCG64_MULT & ((1 << 64) - 1)
-    b0, b1 = np.uint64(m_lo & 0xFFFFFFFF), np.uint64(m_lo >> 32)
-    # lo * m_lo in full from 32-bit halves; the cross terms wrap into the top half
-    a0, a1 = lo & _LOW32, lo >> np.uint64(32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> np.uint64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
-    new_lo = ((mid << np.uint64(32)) | (p00 & _LOW32)) + inc_lo
-    new_hi = (a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
-              + hi * np.uint64(m_lo) + lo * m_hi + inc_hi + (new_lo < inc_lo))
-    return new_hi, new_lo
-
-
-def _fallback_indices(seed, draws: np.ndarray, total: int) -> np.ndarray:
-    """Exact uniform indices on [0, total) for the draw numbers ``draws``, as an object array.
-
-    Draw ``j`` reads the uint32 stream of its own generator,
-    ``np.random.default_rng((key_lo, key_hi, j, 0xFA11BACC))`` with ``key``
-    the folded seed: each attempt takes ``ceil(bits / 32)`` words, the first
-    most significant, keeps the low ``bits`` bits and is taken when below
-    ``total``.  Every draw's SeedSequence and PCG64 stream (XSL-RR output,
-    low 32 bits first) is computed here at once, on arrays, and only the draws
-    still missing are retried.
-    """
-    key = fold_seed(seed)
-    prefix = _uint32_words(key & ((1 << 64) - 1)) + _uint32_words(key >> 64)
-    draws = np.asarray(draws, dtype=np.uint64)
-    wide = draws >> np.uint64(32) != 0  # j >= 2**32 is two entropy words
-    rows, states = [], []
-    for is_wide in (False, True):
-        part = np.flatnonzero(wide == is_wide)
-        if part.size:
-            j = draws[part]
-            j_words = [j & _LOW32, j >> np.uint64(32)] if is_wide else [j]
-            columns = [np.full(part.size, w, dtype=np.uint32) for w in prefix]
-            columns += [w.astype(np.uint32) for w in j_words]
-            columns.append(np.full(part.size, 0xFA11BACC, dtype=np.uint32))
-            rows.append(part)
-            states.append(_seed_sequence_state(columns))
-    rows = np.concatenate(rows)
-    seed_hi, seed_lo, seq_hi, seq_lo = (np.concatenate(s) for s in zip(*states))
-    # pcg64 seeding: inc = 2 * seq + 1, state = inc; state += seed; one step
-    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
-    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
-    lo = inc_lo + seed_lo
-    hi, lo = _pcg64_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
-
-    bits = total.bit_length()
-    words = (bits + 31) // 32
-    out = np.empty(draws.size, dtype=object)
-    spare = []  # the high half of the last output, when an attempt ended mid-output
-    while rows.size:
-        pieces = spare
-        while len(pieces) < words:
-            hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-            x = hi ^ lo
-            rot = hi >> np.uint64(58)
-            x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-            pieces = pieces + [x & _LOW32, x >> np.uint64(32)]
-        pieces, spare = pieces[:words], pieces[words:]
-        cand = np.zeros(rows.size, dtype=object)
-        for piece in pieces:
-            cand = (cand << 32) | piece.astype(object)
-        cand &= (1 << bits) - 1
-        hit = cand < total
-        out[rows[hit]] = cand[hit]
-        miss = ~hit
-        rows, hi, lo, inc_hi, inc_lo = rows[miss], hi[miss], lo[miss], inc_hi[miss], inc_lo[miss]
-        spare = [s[miss] for s in spare]
-    return out
-
-
 def _sample_indices(design: Design, k: int, seed) -> np.ndarray:
     """k iid uniform assignment indices; entry j depends only on (seed, j).
 
     int64 for spaces of at most 2**62 assignments, object (Python ints) past it.
+    A retry's row depends on the draws missing before j, hence on (seed, j).
     """
     total = total_assignments(design)
     bits = total.bit_length()
-    if bits > 512:
-        return _fallback_indices(seed, np.arange(k), total)
-    words = _philox_words(seed, k)
-    if total <= _INT64_SAFE_TOTAL:
-        # eight candidates per draw; the first one below total is taken
-        cand = (words & np.uint64((1 << bits) - 1)).astype(np.int64)
-        ok = cand < total
-        idx = cand[np.arange(k), np.argmax(ok, axis=1)]
-        missed = ~ok.any(axis=1)
-    else:
-        # one candidate per draw: the low `bits` bits of the row's eight words
-        # read as one 512-bit integer, word 0 most significant
-        idx = np.zeros(k, dtype=object)
-        for col in words[:, 8 - (bits + 63) // 64 :].T:
-            idx = (idx << 64) | col.astype(object)
-        idx &= (1 << bits) - 1
-        missed = idx >= total
-    missed = np.flatnonzero(missed)
-    if missed.size:
-        idx[missed] = _fallback_indices(seed, missed, total)
+    words = (bits + 63) // 64  # of a candidate, the first most significant
+    top = np.uint64((1 << (bits - 64 * (words - 1))) - 1)  # bits kept of its first word
+    width = max(8, words)  # of a row
+    key = fold_seed(seed)
+    fits = total <= _INT64_SAFE_TOTAL
+    idx = np.empty(k, dtype=np.int64 if fits else object)
+    missing, attempt = np.arange(k), 0
+    while missing.size:
+        stream = key if attempt == 0 else fold_seed((key & ((1 << 64) - 1), key >> 64, attempt))
+        rows = np.random.Philox(key=stream).random_raw(missing.size * width).reshape(-1, width)
+        if fits:
+            # eight candidates per row; the first one below total is taken
+            cand = (rows & top).astype(np.int64)
+            ok = cand < total
+            got = cand[np.arange(missing.size), np.argmax(ok, axis=1)]
+            hit = ok.any(axis=1)
+        else:
+            # one candidate per row: its last `words` words read as one integer
+            cand = rows[:, width - words:]
+            cand[:, 0] &= top
+            raw, step = cand.astype(">u8").tobytes(), 8 * words
+            got = np.array([int.from_bytes(raw[i:i + step], "big") for i in range(0, len(raw), step)],
+                           dtype=object)
+            hit = got < total
+        idx[missing[hit]] = got[hit]
+        missing, attempt = missing[~hit], attempt + 1
     return idx
 
 
@@ -564,11 +438,12 @@ def sample_assignments(design: Design, k: int, seed) -> np.ndarray:
     """Draw ``k`` iid uniform assignments with replacement, as a (k, n) matrix.
 
     Fully reproducible: draw ``j`` is a pure function of ``(seed, j)``, so the
-    result is byte-identical however the draws are batched or parallelized.
-    Each draw is a uniform index into the space, unranked into the row of
-    :func:`assignment_matrix` at that index.  Indices are int64 while the space
-    has at most 2**62 assignments and exact Python ints past it; even then a
-    block whose own space fits is unranked on int64.
+    first ``m`` draws are the same for every ``k >= m``.  Each draw is a
+    uniform index into the space, drawn from Philox streams of the folded seed
+    (see the module docstring), and unranked into the row of
+    :func:`assignment_matrix` at that index.  Indices are int64 while the
+    space has at most 2**62 assignments and exact Python ints past it; even
+    then a block whose own space fits is unranked on int64.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")

@@ -103,24 +103,51 @@ def assert_interval_matches_p_values(ci, data, design, stat, theta):
         )
 
 
-def fallback_index(seed, j, total):
-    """Exact uniform index on [0, total) from draw ``j``'s own generator, one draw a call.
-
-    The scalar reference for ``design._fallback_indices``: attempts of
-    ``ceil(bits / 32)`` uint32 words, the first most significant, masked to
-    ``bits`` bits and taken when below ``total``.
-    """
+def attempt_key(seed, attempt):
+    """The Philox key of a sampling attempt: the folded seed, then its fold with the attempt."""
     key = fold_seed(seed)
-    rng = np.random.default_rng((key & ((1 << 64) - 1), key >> 64, j, 0xFA11BACC))
+    return key if attempt == 0 else fold_seed((key & ((1 << 64) - 1), key >> 64, attempt))
+
+
+def replay_indices(seed, k, total):
+    """Exact uniform indices on [0, total) for draws 0..k-1, one draw and one attempt at a time.
+
+    The scalar reference for ``design._sample_indices``.  A row holds eight
+    64-bit words, or ``ceil(bits / 64)`` when that is more; the words of a
+    candidate are read most significant first and masked to ``bits`` bits.
+    Up to 62 bits each of a row's eight words is a candidate, the first one
+    below ``total`` taken; past it the row's last ``ceil(bits / 64)`` words
+    are one.  Each draw takes the next unread row of attempt 0's stream, and
+    after a miss the next unread row of the following attempt's stream.
+    """
     bits = total.bit_length()
-    words = (bits + 31) // 32
-    while True:
-        draw = 0
-        for piece in rng.integers(0, 1 << 32, size=words, dtype=np.uint64):
-            draw = (draw << 32) | int(piece)
-        draw &= (1 << bits) - 1
-        if draw < total:
-            return draw
+    words = (bits + 63) // 64
+    width = max(8, words)
+    rows_read = []  # of each attempt's stream, by the draws before
+    out = []
+    for _ in range(k):
+        attempt, index = 0, None
+        while index is None:
+            if attempt == len(rows_read):
+                rows_read.append(0)
+            start = rows_read[attempt] * width  # in words; Philox yields four per counter step
+            rows_read[attempt] += 1
+            gen = np.random.Philox(key=attempt_key(seed, attempt))
+            gen.advance(start // 4)
+            row = [int(x) for x in gen.random_raw(start % 4 + width)[start % 4:]]
+            if bits <= 62:
+                candidates = row
+            else:
+                candidates = [0]
+                for word in row[width - words:]:
+                    candidates[0] = (candidates[0] << 64) | word
+            for cand in candidates:
+                if cand & ((1 << bits) - 1) < total:
+                    index = cand & ((1 << bits) - 1)
+                    break
+            attempt += 1
+        out.append(index)
+    return out
 
 
 @pytest.fixture

@@ -5,10 +5,12 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randinf
 from randinf.cli import main, parse_design, read_experiment
 from randinf.datasets import data_path
 from randinf.design import CRD, RBD
@@ -296,10 +298,18 @@ class TestExitCodes:
         ["simulate", "{tmp}/missing.json"],
         ["simulate", "{tmp}/invalid.json"],
         ["simulate", "{tmp}/list.json"],
+        ["simulate", "{tmp}/reps_string.json"],
+        ["simulate", "{tmp}/b1_float.json"],
+        ["simulate", "{tmp}/alpha_null.json"],
+        ["simulate", "{tmp}/combiners_string.json"],
     ])
     def test_malformed_list_or_config_is_2(self, capsys, tmp_path, args):
         (tmp_path / "invalid.json").write_text('{"b1": 1,')
         (tmp_path / "list.json").write_text("[1, 8, 1, 8]")
+        scenario = {"b1": 1, "k1": 8, "b2": 1, "k2": 8, "reps": 1, "k_cap": 100}
+        for name, key, value in (("reps_string", "reps", "2"), ("b1_float", "b1", 1.5),
+                                 ("alpha_null", "alpha", None), ("combiners_string", "combiners", "fisher")):
+            (tmp_path / f"{name}.json").write_text(json.dumps({**scenario, key: value}))
         code, out, err = run_cli([a.format(tmp=tmp_path) for a in args], capsys)
         assert code == 2 and out == "" and err.startswith("error: ")
 
@@ -388,6 +398,16 @@ class TestDeterminismAndSerialization:
         )
         assert a.stderr == b.stderr == b"[]"
         assert a.stdout and a.stdout == b.stdout
+
+    def test_version_matches_pyproject(self, capsys):
+        # the version names the Monte Carlo seed stream, so the two must agree
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+            declared = tomllib.load(fh)["project"]["version"]
+        assert randinf.__version__ == declared
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out == f"randinf {declared}\n"
 
     def test_infinities_serialize_as_strings(self, capsys, tmp_path):
         # two units: the base atom is one half, so both endpoints are infinite

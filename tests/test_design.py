@@ -29,6 +29,7 @@ from randinf.design import (
     _range_to_assignments,
     _unrank_block_vectorized,
 )
+from conftest import attempt_key
 
 
 class TestConstruction:
@@ -157,16 +158,7 @@ class TestEnumeration:
             finally:
                 tracemalloc.stop()
             assert peak - rows.nbytes < 2 << 20
-            if t == n - 2:
-                # the unranker's binomial table for CRD(1500, 1498) holds
-                # 2.2M big integers and takes half a minute to build; the
-                # complement of the set of colex rank r in CRD(n, 2) has rank
-                # total - 1 - r here (checked against the unranker directly
-                # for n <= 40 in test_properties.py)
-                ranks = np.arange(total - 1 - lo, total - 1 - lo - 1024, -1)
-                want = 1 - _indices_to_assignments(CRD(n, 2), ranks)
-            else:
-                want = _indices_to_assignments(design, np.arange(lo, lo + 1024))
+            want = _indices_to_assignments(design, np.arange(lo, lo + 1024))
             np.testing.assert_array_equal(rows, want)
 
 
@@ -188,6 +180,21 @@ class TestUnranker:
         rows = _unrank_block_vectorized(n, t, np.array(ranks, dtype=object))
         assert (rows.sum(axis=1) == t).all()
         assert [_colex_rank(np.nonzero(r)[0]) for r in rows] == ranks
+
+    @pytest.mark.parametrize("n, t", [(400, 398), (40, 30), (70, 40), (300, 260)])
+    def test_majority_treated_blocks_invert_the_rank(self, n, t):
+        # too large for the colex table, so sampling unranks these blocks, by
+        # their complements; int64 ranks while the block fits in 2**62
+        total = comb(n, t)
+        assert n * total > design_mod._TABLE_BYTES
+        rng = np.random.default_rng(n + t)
+        ranks = [0, 1, total // 2, total - 2, total - 1]
+        ranks += [int(x) * total // (1 << 62) for x in rng.integers(0, 1 << 62, size=20)]
+        dtypes = (object, np.int64) if total <= design_mod._INT64_SAFE_TOTAL else (object,)
+        for dtype in dtypes:
+            rows = _unrank_block_vectorized(n, t, np.array(ranks, dtype=dtype))
+            assert rows.dtype == np.int8 and (rows.sum(axis=1) == t).all()
+            assert [_colex_rank(np.nonzero(r)[0]) for r in rows] == ranks
 
 
 class TestSampling:
@@ -246,12 +253,17 @@ class TestSampling:
         assert chi2 < 27.88  # df=9 critical value at the 0.1% level
 
     def test_no_generator_per_draw(self):
-        # draws whose candidates miss (a third of them in CRD(100, 50), all of
-        # them past 512 bits) are redrawn from their streams on arrays
-        with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as made:
-            sample_assignments(CRD(100, 50), 1000, seed=3)
-            sample_assignments(RBD(((6, 3),) * 200), 50, seed=3)
-        assert made.call_count == 0
+        # draws that miss attempt 0 (a third of them in CRD(100, 50), and about
+        # half of them in RBD 200x(6, 3), past 512 bits) are retried together:
+        # one Philox stream an attempt, never a generator a draw
+        for design, k in ((CRD(100, 50), 1000), (RBD(((6, 3),) * 200), 50)):
+            with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as made, \
+                    mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as philox:
+                sample_assignments(design, k, seed=3)
+            assert made.call_count == 0
+            keys = [call.kwargs["key"] for call in philox.call_args_list]
+            assert 1 < len(keys) < 30
+            assert keys == [attempt_key(3, a) for a in range(len(keys))]
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):

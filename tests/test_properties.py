@@ -2,8 +2,8 @@
 p-values, crossings that depend on their row alone, the interval-level reads of
 inversion and sup-norm error against point evaluation, outputs that do not
 depend on the replicate block size, enumerated and sampled row ranges against
-the per-block unranker, the vectorized fallback draws against one generator a
-draw, and the paper's exact guarantees on small tied populations, where the
+the per-block unranker, sampled indices against a scalar replay of their
+Philox streams, prefix-stable draws, and the paper's exact guarantees on small tied populations, where the
 exact audit equals the per-assignment public intervals."""
 
 import dataclasses
@@ -41,9 +41,9 @@ from randinf import randomization as randomization_mod
 from randinf import statistics as statistics_mod
 from randinf.design import (
     _INT64_SAFE_TOTAL,
-    _fallback_indices,
     _indices_to_assignments,
     _range_to_assignments,
+    _sample_indices,
     _unrank_block_vectorized,
 )
 from randinf.combine import _combined_interval
@@ -54,8 +54,8 @@ from randinf.statistics import _wilcoxon_rows, observed_statistic
 from conftest import (
     assert_interval_matches_p_values,
     crossing_vectors,
-    fallback_index,
     outcome_scale,
+    replay_indices,
 )
 
 WILCOXON = get_statistic("wilcoxon_rank_sum")
@@ -340,21 +340,31 @@ def test_indices_to_assignments_equals_per_block_unranker(case):
 
 
 @st.composite
-def fallback_totals(draw):
+def sample_totals(draw):
     """A space size of 2-2,000 bits: any, or 2**b + 1."""
     bits = draw(st.integers(2, 2000))
     return draw(st.just((1 << (bits - 1)) + 1) | st.integers((1 << (bits - 1)) + 1, 1 << bits))
 
 
+SEEDS = (st.integers(0, 2**63) | st.tuples(st.integers(0, 2**32), st.integers(0, 2**32))
+         | st.integers(2**64, 2**128 - 1))
+
+
 @PROPERTY_SETTINGS
-@given(st.integers(0, 2**63) | st.tuples(st.integers(0, 2**32), st.integers(0, 2**32))
-       | st.integers(2**64, 2**128 - 1),
-       st.lists(st.integers(0, 40) | st.integers(2**32 - 3, 2**32 + 3) | st.integers(0, 2**40),
-                min_size=1, max_size=20),
-       fallback_totals())
-def test_vectorized_fallback_equals_one_generator_a_draw(seed, draws, total):
-    got = _fallback_indices(seed, np.array(draws), total)
-    assert list(got) == [fallback_index(seed, j, total) for j in draws]
+@given(SEEDS, st.integers(1, 40), sample_totals())
+def test_sample_indices_equal_scalar_replay(seed, k, total):
+    # CRD(total, 1) has exactly `total` assignments
+    assert list(_sample_indices(CRD(total, 1), k, seed)) == replay_indices(seed, k, total)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(st.sampled_from([RBD(((17, 1),) + ((2, 1),) * 63), RBD(((6, 3),) * 200)]),
+       SEEDS, st.integers(1, 300), st.integers(1, 300))
+def test_sampled_draws_are_prefix_stable(design, seed, k, m):
+    # about half of the draws of the first design miss attempt 0, and the
+    # second is past 512 bits
+    m = min(k, m)
+    assert np.array_equal(sample_assignments(design, k, seed)[:m], sample_assignments(design, m, seed))
 
 
 @PROPERTY_SETTINGS
