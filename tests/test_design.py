@@ -270,8 +270,9 @@ class TestSampling:
             sample_assignments(CRD(4, 2), 0, seed=1)
 
 
-# SHA-256 of sample_assignments(design, 40, seed).tobytes(), recorded before the
-# sampler was vectorized: a change here is a seed-stream change.
+# SHA-256 of sample_assignments(design, 40, seed).tobytes(), recorded at seed
+# stream 0.2.0 (crd_64_32's also before the sampler was vectorized): a change
+# here is a seed-stream change.
 GOLDEN_DESIGNS = {
     "crd_100_50": CRD(100, 50),
     "crd_200_100": CRD(200, 100),
@@ -281,37 +282,37 @@ GOLDEN_DESIGNS = {
     "rbd_30x6_3": RBD(((6, 3),) * 30),
     "rbd_mixed": RBD(((70, 35), (6, 3)) * 4),
     "rbd_200x6_3": RBD(((6, 3),) * 200),  # index wider than 512 bits
-    # 17 * 2**40 and 17 * 2**63 assignments: about half of the candidates and
-    # of the fallback attempts miss, so some draws retry several times
+    # 17 * 2**40 and 17 * 2**63 assignments: about half of the candidates
+    # miss, so some draws retry several times
     "rbd_17_1_2x40": RBD(((17, 1),) + ((2, 1),) * 40),
     "rbd_17_1_2x63": RBD(((17, 1),) + ((2, 1),) * 63),
 }
 GOLDEN_SEEDS = {"int": 11, "tuple": (3, 5), "big": (1 << 64) + 12345}
 GOLDEN_SAMPLE_SHA256 = {
-    ("crd_100_50", "int"): "cdf4703a5da1c236c42d273b06b15ace127725cd08ca1f05aef3ab333bdd54a8",
-    ("crd_100_50", "tuple"): "a06d536de50ccdf22c89834645cbd8698ed1ec51fabfb08dea4998f81d703d16",
-    ("crd_100_50", "big"): "e7e6e76d78ffbb2801a59ea833b1f8dc3ff787bc8c78644488ac40c04ae6d100",
-    ("crd_200_100", "int"): "d963d991e615ad75483d6e3e2f85d04507e849916619694e7e5031e253d44727",
-    ("crd_200_100", "tuple"): "caff3cbb9b63473eebf5eb7f664d7d0efc2aac031b2305f45923b4f3b107be8a",
-    ("crd_200_100", "big"): "20313d9fa3df4a36017e1e29602dbc35b34b254d382043eab55ae2eda9cf49da",
-    ("crd_135_72", "int"): "3290a0a9adaac0b17e920b6a43fcb4f17704ab84e557a159ba7162c6ebf132e5",
-    ("crd_135_72", "tuple"): "c12f634d36cdd7461efcb776c490230d1da97c1b093c7159a0959a366974fa54",
-    ("crd_135_72", "big"): "339d6bcd3301e88fc1175b03a493bffb698cdd002c1f52a6c794db593a90b85a",
-    ("crd_66_33", "int"): "223bc2db2c532ab6d7d1aeb8267b3c04159e49d31942d117e427b877d430e13d",
-    ("crd_66_33", "tuple"): "2e8e0c5ba4dc1de9514980887b0b3cb80a3bb1c19d3b907cbb49871cb0435a2d",
-    ("crd_66_33", "big"): "57ebe8d583efa24ca31ebe21355fc48f70e8873e6285b84e4ea671ac73179713",
+    ("crd_100_50", "int"): "b49db94a17961927fe9842bbded56ab50a4d6229cd3ee36e1e76acd490809568",
+    ("crd_100_50", "tuple"): "8da0e3c3f3ad22f65674dba9c2bd417f491626d23fdce30ced93df615c6a4539",
+    ("crd_100_50", "big"): "8911937df04f7b2540cb3b26e8acac0ec344fc53cea7f3f06a01c8053a95009f",
+    ("crd_200_100", "int"): "18446ada77bd24d56280976d9678eb7df41610ef58c1bc471dedfe8084f32fe7",
+    ("crd_200_100", "tuple"): "d0d12c6b5b1100e37ac2a037885f49ee25de49cd1ea19b32d51aa3ada89027b5",
+    ("crd_200_100", "big"): "084edeb205ed8e4eda686a3673f26dbf1ba4fb305bed88e7810e5f7ed65777ec",
+    ("crd_135_72", "int"): "07cf0c692956b9cb13b163654249cdd3d0cb8735e030b9adc3c35f7180fb7574",
+    ("crd_135_72", "tuple"): "b912eee0fb5851dcbf79267a8543133a8ba3e353e5ec4cb452eebb30c74c4bb0",
+    ("crd_135_72", "big"): "7b7e99422a89d7375a72d9bb10d644b06b00fc3e6b729cd3386ef7524661f982",
+    ("crd_66_33", "int"): "3e590044f0b004e696f45ecb3e21e607c793cefaa8e7a78c1d9c4c46c6e4ff9e",
+    ("crd_66_33", "tuple"): "e571fdeb6c30dee8f4f8f5f10c923caddefd37c00ce8a9e27e294fb2f7ea672a",
+    ("crd_66_33", "big"): "68c5106c7b4390ff25702bd1006749438b0e0d4f6afda0b993aec999238432d8",
     ("crd_64_32", "int"): "a1abf4042d1e2c1798fab4de9485b83a5955be3051f40691255bbd311764cd2b",
     ("crd_64_32", "tuple"): "96eeecf6e4bd64a8bf66b9550be27ee48d239ef817dfa32bf127dcaa5cfce976",
     ("crd_64_32", "big"): "e3a6803db55e9ed095935739e46657382d298fe39fa18581823017a93d12e8cc",
-    ("rbd_30x6_3", "int"): "101c363d6ed24b337937318073d09ee59cb2069654fb0d03ce5e7c3c1445b746",
-    ("rbd_30x6_3", "tuple"): "89bfb7cafec4cda0ed658cac1312508de736b76b2290bb55c9a1cdeb611a31df",
-    ("rbd_30x6_3", "big"): "437dc1d88c0d2934ac0630c8b1f2d2f1c317fc7d451b0883850cab5874b9da88",
-    ("rbd_mixed", "int"): "6f223eba8889054881b60ad9f32060fcf3017666116dc2f1325815cf4e5c8e29",
-    ("rbd_mixed", "tuple"): "f6688be3377cce4be18e403dbc0ce1e259f4309f205351560bdceeeb60efda53",
-    ("rbd_mixed", "big"): "5d0db14d15044634ec609a604ee9986943dd030ca24f301e3ac493c4eec9b36c",
-    ("rbd_200x6_3", "int"): "6439f28fa00a5afde1626b6929db2cbc1f8cfec10aa53da83c741950fb1f0f5d",
-    ("rbd_200x6_3", "tuple"): "364e97ccddc1ffd4e4739425935b9d6d4ef5a59aa2b2f3ee124e63b7a9ac5faf",
-    ("rbd_200x6_3", "big"): "f5cc6860937e08ce7ff30080f7f86cc0462e0516e9bb20994f062cd889540fc1",
+    ("rbd_30x6_3", "int"): "28fe516690e9988fe8cad8a2df7ddb96549e627cfd0afbf90e5952c15f2ec3c3",
+    ("rbd_30x6_3", "tuple"): "8d0bcb912821b02ba0e4febe9bfb8f5e3b2d83d5d97acc7e323f4119828b3045",
+    ("rbd_30x6_3", "big"): "b7974a3f02dc66ba41f6b5aec86668cb9bddd9fd7ed2481eb787650250ed3c3e",
+    ("rbd_mixed", "int"): "b5a21f28102065fd8f2c368d629417fd0e111f101634509d338165de9d5ff68c",
+    ("rbd_mixed", "tuple"): "c0867f0511b5aefe06baad74056552cc6fa6852607962dc6683cec20cf67dabb",
+    ("rbd_mixed", "big"): "64d853513ba31d26d8ac6626917143c005c347e6f0e328eb30f2a6f0e3e71141",
+    ("rbd_200x6_3", "int"): "5f442dd9059079ad26842139f9c8ed38e480535a4822742a986dc5521b6499f9",
+    ("rbd_200x6_3", "tuple"): "068413f51908324129d7a6bc54d42e0e65f5957e7100f86c754092e64e2194b6",
+    ("rbd_200x6_3", "big"): "484c626104fee5b2ac754327e7ebaf68948acc1a2cb4d3be2e1c1ba046f0f4e0",
 }
 
 
@@ -323,21 +324,20 @@ def test_sample_golden_bytes(design_name, seed_name):
 
 # SHA-256 of sample_assignments(design, k, seed).tobytes() at Monte Carlo
 # sizes (k = 4,794 is the K that required_k plans at epsilon 0.1, delta 0.01),
-# recorded while every draw that missed its candidates built its own generator:
-# a change here is a seed-stream change.
+# recorded at seed stream 0.2.0: a change here is a seed-stream change.
 GOLDEN_SAMPLE_K_SHA256 = {
-    ("rbd_17_1_2x40", 5000, "int"): "bb191ea324b97f2ca89b988d4a2a72c0f8497fde8edeb30e2803123fe06fbcc2",
-    ("rbd_17_1_2x40", 5000, "tuple"): "0da32f84a7140bf3d24948c534c0fd153b535db9dfd2b2f84316c1e6aa5e6a7e",
-    ("rbd_17_1_2x40", 5000, "big"): "d56e5be7260211c8bca99fdcc50e389f090a87c845151b389d6e6306210da99f",
-    ("rbd_17_1_2x63", 200, "int"): "45c077675f3e9396da867c77fc63f7bb6f290b56855f46132e16af4876fbf13c",
-    ("rbd_17_1_2x63", 200, "tuple"): "3d36c66ced65445665e7414467220bea734be010d3daf1037f25a652d19dec51",
-    ("rbd_17_1_2x63", 200, "big"): "5a8a14adc483bcab37e8bbec36fa6055ac4149ff6e74a540293f521c37020634",
-    ("rbd_30x6_3", 4794, "int"): "9fb248b6320ad31717c4c95ac7cc77d9b0aa0220af077afaffc4b811b9ae3d26",
-    ("rbd_30x6_3", 4794, "tuple"): "3fe6b57a69812cddc05c1fcf77590d5b5e1d3cf597519bc555d3cf98b855c294",
-    ("rbd_30x6_3", 4794, "big"): "cc9df733247d12cd14d7724015bc3e1a7a5cc2bb1225e4a0bffba8672fd42ad6",
-    ("rbd_200x6_3", 1000, "int"): "c8700668f492c9a569dc79ec490e3ee51d9d28661e3c672aa8ef7dc9c83c15dd",
-    ("rbd_200x6_3", 1000, "tuple"): "d9777574a14e2971c025ffbb89060ff3be52a7d512fbc051ea78d08e8f291966",
-    ("rbd_200x6_3", 1000, "big"): "df07c76cb8988a2987987c7392dda353e0e48133cb8c08dff295105a252e8cd9",
+    ("rbd_17_1_2x40", 5000, "int"): "61b6cee4731eaab6a2ff447081d21ffdbc374aaca6d963f2479623a45d119d6a",
+    ("rbd_17_1_2x40", 5000, "tuple"): "f84c67bed5672c7776fcd69360eca56ce897a5bb63493923b68413c4aebd6f94",
+    ("rbd_17_1_2x40", 5000, "big"): "356c21a178149f7bf71b780fe60056e4c2d67762792faa0301ecd680e7b5a9ef",
+    ("rbd_17_1_2x63", 200, "int"): "1a7b382185f64dd05e6da8afa303bf078a4948b59becfa338208f6b6223af9be",
+    ("rbd_17_1_2x63", 200, "tuple"): "5dda15ecf559586125bee747df947153e2c6006253c37d79c658f846667c021e",
+    ("rbd_17_1_2x63", 200, "big"): "6e60e80f04259e3121d9a1d5cfced175fc5e69bf315c11e3b3624a4610bbc301",
+    ("rbd_30x6_3", 4794, "int"): "1986a2b9e4e477e133722311325b772dfd523e6f8c244cdda87b3aac2f89984f",
+    ("rbd_30x6_3", 4794, "tuple"): "e7b780cbdfd8e1e936247dade75ee5f045ef5e17e22471a5ca3c299338699c69",
+    ("rbd_30x6_3", 4794, "big"): "2dc85095f7a3ac8afecb0356331331f7430e5e44f592134293eb05cca4ecd0e4",
+    ("rbd_200x6_3", 1000, "int"): "f834651985703486fbb091c6f666d3fb99c38c95c285891763960d3b161f719e",
+    ("rbd_200x6_3", 1000, "tuple"): "9c3e4d967e99d279bd6ae617aa3b6aef1a52986fb099d1ff87e65f86f4e169fd",
+    ("rbd_200x6_3", 1000, "big"): "df373e708e39d286b5baaa1a17659e50a17628b659f6c25e7bd15e50399993bc",
 }
 
 

@@ -225,9 +225,9 @@ _GOLDEN_SCENARIOS = {
 
 # SHA-256 of every arm's (coverage, width_mean, width_sd) float64 bytes in
 # arm order, recorded while every side of every experiment was built from its
-# own replicate matrix.
+# own replicate matrix (dm_1x16_mc_2x8_exact re-recorded at seed stream 0.2.0).
 GOLDEN_SCENARIO_SHA256 = {
-    "dm_1x16_mc_2x8_exact": "3e388563138a6abde57184e022d9a08d19d55ce57d60f188f2f1cba8a6e1749f",
+    "dm_1x16_mc_2x8_exact": "2d58a1372d4286fc90b5fcfa8a0aa23e799538e312d8fa5fd44706f49e13142d",
     "dm_1x16_mc_both": "de000b698087b71e5f8ec5c7776c0809e9ec8683abd2a8ad280d2ca4557ae5a8",
     "wilcoxon_2x8_exact_1x16_mc": "dff9dcb4d6582800dcb078274bb5827de96a9959ed7f4ae2d3de3d8d521dd2b1",
 }
