@@ -135,16 +135,10 @@ def replay_indices(seed, k, total):
             gen = np.random.Philox(key=attempt_key(seed, attempt))
             gen.advance(start // 4)
             row = [int(x) for x in gen.random_raw(start % 4 + width)[start % 4:]]
-            if bits <= 62:
-                candidates = row
-            else:
-                candidates = [0]
-                for word in row[width - words:]:
-                    candidates[0] = (candidates[0] << 64) | word
-            for cand in candidates:
-                if cand & ((1 << bits) - 1) < total:
-                    index = cand & ((1 << bits) - 1)
-                    break
+            if bits > 62:
+                row = [sum(word << (64 * i) for i, word in enumerate(reversed(row[width - words:])))]
+            hits = [c & ((1 << bits) - 1) for c in row if c & ((1 << bits) - 1) < total]
+            index = hits[0] if hits else None
             attempt += 1
         out.append(index)
     return out

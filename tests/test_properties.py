@@ -3,8 +3,9 @@ p-values, crossings that depend on their row alone, the interval-level reads of
 inversion and sup-norm error against point evaluation, outputs that do not
 depend on the replicate block size, enumerated and sampled row ranges against
 the per-block unranker, sampled indices against a scalar replay of their
-Philox streams, prefix-stable draws, and the paper's exact guarantees on small tied populations, where the
-exact audit equals the per-assignment public intervals."""
+Philox streams, prefix-stable draws, and the paper's exact guarantees on small
+tied populations, where the exact audit equals the per-assignment public
+intervals."""
 
 import dataclasses
 from math import comb
