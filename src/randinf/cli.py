@@ -370,17 +370,20 @@ def cmd_simulate(args):
     for key, (what, valid) in _SCENARIO_KEYS.items():
         if key in raw and not valid(raw[key]):
             raise InputError(f"{args.config}: {key!r} must be {what}, got {raw[key]!r}")
-    cfg = ScenarioConfig(
-        design1=balanced_design(raw["b1"], raw["k1"]),
-        design2=balanced_design(raw["b2"], raw["k2"]),
-        true_theta=raw.get("true_theta", 0.0),
-        reps=raw.get("reps", 500),
-        k_cap=raw.get("k_cap", 5000),
-        alpha=raw.get("alpha", 0.05),
-        combiners=tuple(raw.get("combiners", ["fisher", "de"])),
-        statistic=raw.get("statistic", "diff_means"),
-        master_seed=raw.get("master_seed", 0),
-    )
+    try:
+        cfg = ScenarioConfig(
+            design1=balanced_design(raw["b1"], raw["k1"]),
+            design2=balanced_design(raw["b2"], raw["k2"]),
+            true_theta=raw.get("true_theta", 0.0),
+            reps=raw.get("reps", 500),
+            k_cap=raw.get("k_cap", 5000),
+            alpha=raw.get("alpha", 0.05),
+            combiners=tuple(raw.get("combiners", ["fisher", "de"])),
+            statistic=raw.get("statistic", "diff_means"),
+            master_seed=raw.get("master_seed", 0),
+        )
+    except ValueError as exc:  # a value of the right type out of range
+        raise InputError(f"{args.config}: {exc}") from exc
     result = run_scenario(cfg)
     if args.json:
         payload = {

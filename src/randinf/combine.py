@@ -40,7 +40,6 @@ from .inversion import (
     ConfidenceInterval,
     PValueStepFunction,
     _cut,
-    _levels_on,
     _require_invertible,
     build_step_functions,
 )
@@ -178,7 +177,13 @@ def double_exponential(weights: Optional[Sequence[float]] = None) -> CombinerSpe
 
 
 def custom_combiner(f0_quantile, reference_cdf, weights=None) -> CombinerSpec:
-    """User-supplied quantile transform and reference CDF."""
+    """User-supplied quantile transform and reference CDF.
+
+    The combined value ``reference_cdf(sum_i w_i f0_quantile(p_i), m)`` must
+    be non-decreasing in each p-value, as the built-in recipes are: the
+    combined function is then monotone in theta, which inverting it into an
+    interval relies on.
+    """
     if f0_quantile is None or reference_cdf is None:
         raise ValueError("a custom combiner needs both f0_quantile and a reference CDF")
     return CombinerSpec(
@@ -283,6 +288,9 @@ class CombinedPValueFunction:
 
     A step function on the union of component breakpoints: between consecutive
     union breakpoints every component is constant, so the combination is too.
+    It is monotone in theta like its components, which is what lets
+    :func:`combined_interval` find each endpoint by a monotone search over the
+    union intervals instead of combining on every one of them.
     """
 
     components: tuple
@@ -329,10 +337,10 @@ def combined_interval(
     estimand.  The lower endpoint inverts the combined lower-plus function at
     ``alpha/2``; the upper endpoint inverts the combined lower-minus function,
     built as one minus the combination of the strict upper-plus components, at
-    ``alpha/2``.  Both are computed exactly: each combined function is read
-    once per theta interval of the union breakpoint grid, and each endpoint is
-    where the first interval past its level starts.  Coverage is at least
-    ``1 - alpha``.
+    ``alpha/2``.  Both are computed exactly: each endpoint is where the first
+    theta interval of the union breakpoint grid past its level starts, found
+    by a monotone search that combines on about ``sqrt(G)`` of the ``G + 1``
+    union intervals.  Coverage is at least ``1 - alpha``.
 
     ``modes`` optionally gives one mode per experiment (for example different
     Monte Carlo seeds); otherwise ``mode`` applies to all.  The interval's
@@ -352,21 +360,39 @@ def combined_interval(
 
 
 def _combined_interval(fss: Sequence[dict], combiner: CombinerSpec, alpha: float) -> ConfidenceInterval:
-    """Combined interval from each experiment's step functions (LPLUS and UPLUS)."""
+    """Combined interval from each experiment's step functions (LPLUS and UPLUS).
+
+    The union grid is built from the distinct breakpoint arrays (an ``affine``
+    statistic's sides share one).  Each endpoint is a :func:`_cut` search over
+    the union intervals: each component's levels are computed once, and the
+    combiner runs only on the intervals the search probes.
+    """
     fs_lplus = [fs[PValueKind.LPLUS] for fs in fss]
     fs_uplus = [fs[PValueKind.UPLUS] for fs in fss]
     modes = [f.mode for f in fs_lplus]
     mode = modes[0] if len(set(modes)) == 1 else tuple(modes)
-    grid = np.unique(np.concatenate([f.breakpoints for f in fs_lplus + fs_uplus]))
+    distinct = {id(f.breakpoints): f.breakpoints for f in fs_lplus + fs_uplus}
+    grid = np.unique(np.concatenate(list(distinct.values())))
     if grid.size == 0:
         raise ValueError("no breakpoints: the combined function is constant")
 
+    starts = np.concatenate(([-np.inf], grid))  # where each union interval starts
+
+    def combined(fs):
+        """The combined function on union intervals ``j``: each component read where ``j`` starts."""
+        levels = [f._levels() for f in fs]
+        return lambda j: _combine_matrix(np.vstack([
+            level[np.searchsorted(f.breakpoints, starts[j], side="right")] for f, level in zip(fs, levels)
+        ]), combiner)
+
     half = alpha / 2
     # lower: sup{theta: combined LPLUS <= alpha/2}; upper: inf{theta: combined
-    # LMINUS <= alpha/2}, with LMINUS = 1 - combined UPLUS
-    lplus = _combine_matrix(np.vstack([_levels_on(f, grid) for f in fs_lplus]), combiner)
-    lminus = 1.0 - _combine_matrix(np.vstack([_levels_on(f, grid) for f in fs_uplus]), combiner)
+    # LMINUS <= alpha/2}, with LMINUS = 1 - combined UPLUS.  Both tests are
+    # monotone in j, because the combiner is non-decreasing in each p-value.
+    lplus, uplus = combined(fs_lplus), combined(fs_uplus)
     return ConfidenceInterval(
-        lower=_cut(grid, lplus > half), upper=_cut(grid, lminus <= half), alpha1=half, alpha2=half,
+        lower=_cut(grid, lambda j: lplus(j) > half),
+        upper=_cut(grid, lambda j: 1.0 - uplus(j) <= half),
+        alpha1=half, alpha2=half,
         method="proposed", statistic=fs_lplus[0].statistic, mode=mode,
     )

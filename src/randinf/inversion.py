@@ -52,6 +52,7 @@ interval is reported with the conventional half-open closure.  For continuous
 outcome data the distinction occurs with probability zero.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -386,13 +387,25 @@ def _levels_on(f: PValueStepFunction, grid: np.ndarray) -> np.ndarray:
     return f._levels()[np.concatenate(([0], np.searchsorted(f.breakpoints, grid, side="right")))]
 
 
-def _cut(grid: np.ndarray, hit: np.ndarray) -> float:
+def _cut(grid: np.ndarray, hit) -> float:
     """Where the first theta interval whose level is a ``hit`` starts: -inf, a grid point or +inf.
 
-    ``hit`` has one entry per interval the sorted ``grid`` cuts, ``grid.size + 1``.
+    The sorted ``grid`` cuts ``grid.size + 1`` intervals, indexed from 0.
+    ``hit`` tests an integer array of interval indices and must be monotone in
+    the index: False up to the first hit, True from it on.  The search keeps
+    the gap between the last interval known to miss and the first known to
+    hit; each round tests about ``sqrt(grid.size + 1)`` evenly spaced indices
+    inside it, so two rounds find the first hit.
     """
-    j = int(np.argmax(hit)) if hit.any() else hit.size
-    return float(np.concatenate(([-np.inf], grid, [np.inf]))[j])
+    n = grid.size + 1
+    per_round = math.isqrt(n) + 1
+    lo, hi = -1, n  # hi == n: no hit found yet
+    while hi - lo > 1:
+        step = -(-(hi - lo) // per_round)
+        probes = np.arange(lo + step, hi, step)
+        first = int(np.argmax(np.append(hit(probes), True)))  # probes.size: no probe hits
+        lo, hi = np.concatenate(([lo], probes, [hi]))[[first, first + 1]]
+    return float(np.concatenate(([-np.inf], grid, [np.inf]))[hi])
 
 
 def invert_lower(f: PValueStepFunction, alpha1: float) -> float:
@@ -408,7 +421,8 @@ def invert_lower(f: PValueStepFunction, alpha1: float) -> float:
     if not 0 < alpha1 < 1:
         raise ValueError("alpha1 must lie in (0, 1)")
     # the intervals with p <= alpha1 come first; their union ends at the cut
-    return _cut(f.breakpoints, f._levels() > alpha1)
+    levels = f._levels()
+    return _cut(f.breakpoints, lambda j: levels[j] > alpha1)
 
 
 def invert_upper(f: PValueStepFunction, alpha2: float) -> float:
@@ -418,7 +432,8 @@ def invert_upper(f: PValueStepFunction, alpha2: float) -> float:
     if not 0 < alpha2 < 1:
         raise ValueError("alpha2 must lie in (0, 1)")
     # the intervals with p > alpha2 come first; the rest starts at the cut
-    return _cut(f.breakpoints, f._levels() <= alpha2)
+    levels = f._levels()
+    return _cut(f.breakpoints, lambda j: levels[j] <= alpha2)
 
 
 @dataclass(frozen=True)
@@ -497,8 +512,8 @@ def _traditional_interval(f: PValueStepFunction, alpha: float, theta_grid=None) 
         # a coarse grid is read at its points only; nothing below its first point
         grid = np.sort(np.asarray(theta_grid, dtype=float))
         levels = np.concatenate(([0.0], f.value(grid)))
-    lower = _cut(grid, levels > half)
-    upper = _cut(grid, levels >= 1 - half)
+    lower = _cut(grid, lambda j: levels[j] > half)
+    upper = _cut(grid, lambda j: levels[j] >= 1 - half)
     return ConfidenceInterval(
         lower=lower, upper=upper, alpha1=half, alpha2=half,
         method="traditional", statistic=f.statistic, mode=f.mode,

@@ -313,6 +313,13 @@ class TestExitCodes:
         code, out, err = run_cli([a.format(tmp=tmp_path) for a in args], capsys)
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("key, value", [("reps", 0), ("k1", 7), ("alpha", 1.5), ("b1", 0)])
+    def test_out_of_range_config_is_2(self, capsys, tmp_path, key, value):
+        scenario = {"b1": 1, "k1": 8, "b2": 1, "k2": 8, "reps": 1, "k_cap": 100, key: value}
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        code, out, err = run_cli(["simulate", str(tmp_path / "scenario.json")], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
 
 class TestShippedSchemas:
     @staticmethod

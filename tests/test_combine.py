@@ -1,6 +1,7 @@
 """Combination recipes, reference CDFs, and combined intervals."""
 
 import itertools
+from math import isqrt
 
 import mpmath
 import numpy as np
@@ -9,11 +10,13 @@ from scipy import integrate, stats
 
 from randinf import (
     CRD,
+    RBD,
     ExactMode,
     MCMode,
     PValueKind,
     assignment_matrix,
     build_step_function,
+    build_step_functions,
     chisq_upper,
     combine_functions,
     combine_values,
@@ -28,6 +31,7 @@ from randinf import (
     make_combiner,
     normal_cdf,
     normal_quantile,
+    sample_assignments,
     stouffer,
 )
 from randinf.combine import _combine_matrix
@@ -302,6 +306,40 @@ class TestCombinedInterval:
         # a cached sample gives the same interval as a fresh one
         assert (first.lower, first.upper) == (again.lower, again.upper)
         assert len(builds) == 2
+
+    def test_combiner_runs_on_about_sqrt_of_the_union_intervals(self, diff_means, monkeypatch):
+        from randinf import combine
+
+        # a simulate-sized pair: CRD(16, 8) by 5000 Monte Carlo draws and
+        # RBD 2x(8, 4) exactly, 4900 rows, about 9k union breakpoints
+        fss = []
+        pair = ((CRD(16, 8), MCMode(k=5000, seed=1)), (RBD(((8, 4),) * 2), ExactMode()))
+        for e, (design, mode) in enumerate(pair):
+            pop = generate_population(design.n_units, 0.5, seed=e)
+            data = pop.observe(sample_assignments(design, 1, seed=e)[0])
+            fss.append(build_step_functions(data, design, diff_means, mode))
+        g = np.unique(np.concatenate([f.breakpoints for fs in fss for f in fs.values()])).size
+        assert g > 5000
+
+        columns, per_side = [], []
+        combine_matrix, cut = combine._combine_matrix, combine._cut
+
+        def counting_combine(P, combiner):
+            columns.append(P.shape[1])
+            return combine_matrix(P, combiner)
+
+        def counting_cut(grid, hit):
+            start = len(columns)
+            out = cut(grid, hit)
+            per_side.append(sum(columns[start:]))
+            return out
+
+        monkeypatch.setattr(combine, "_combine_matrix", counting_combine)
+        monkeypatch.setattr(combine, "_cut", counting_cut)
+        combine._combined_interval(fss, fisher(), 0.05)
+        # the combiner runs only on the intervals each endpoint search probes
+        assert len(per_side) == 2 and sum(per_side) == sum(columns)
+        assert max(per_side) <= 4 * (isqrt(g + 1) + 2)
 
     def test_mode_records_per_experiment_modes(self, toy, diff_means):
         data, design = toy

@@ -1,6 +1,7 @@
 """Property tests: exact switch points against the generic bisection and direct
-p-values, crossings that depend on their row alone, the interval-level reads of
-inversion and sup-norm error against point evaluation, outputs that do not
+p-values, crossings that depend on their row alone, the endpoint search against
+a scan, the interval-level reads of inversion (weighted and custom combiners
+too) and sup-norm error against point evaluation, outputs that do not
 depend on the replicate block size, enumerated and sampled row ranges against
 the per-block unranker, sampled indices against a scalar replay of their
 Philox streams, prefix-stable draws, and the paper's exact guarantees on small
@@ -8,7 +9,7 @@ tied populations, where the exact audit equals the per-assignment public
 intervals."""
 
 import dataclasses
-from math import comb
+from math import comb, isqrt
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,7 @@ from randinf import (
     build_step_function,
     build_step_functions,
     combine_functions,
+    custom_combiner,
     exact_validity_audit,
     generate_population,
     get_statistic,
@@ -49,7 +51,7 @@ from randinf.design import (
 )
 from randinf.combine import _combined_interval
 from randinf.datasets import PotentialTable
-from randinf.inversion import _bisect_crossings, _proposed_interval, _traditional_interval
+from randinf.inversion import _bisect_crossings, _cut, _proposed_interval, _traditional_interval
 from randinf.randomization import _replicate_source
 from randinf.statistics import _wilcoxon_rows, observed_statistic
 from conftest import (
@@ -167,13 +169,27 @@ def _first_start(grid, theta, hit):
 
 
 @PROPERTY_SETTINGS
-@given(st.lists(experiments(), min_size=1, max_size=3),
-       st.sampled_from([DIFF_MEANS, WILCOXON]),
-       st.sampled_from(["fisher", "de", "stouffer"]),
-       st.sampled_from([0.05, 0.2, 0.5, 0.9]))
-def test_combined_interval_equals_point_evaluation(exps, stat, name, alpha):
-    fss = [build_step_functions(data, design, stat, mode) for data, design, mode in exps]
-    combiner = make_combiner(name)
+@given(st.integers(0, 5000).flatmap(
+    lambda g: st.tuples(st.just(g), st.one_of(st.sampled_from([0, g, g + 1]), st.integers(0, g + 1)))))
+def test_cut_search_equals_scan(size_first):
+    # first == g + 1 is all miss, 0 all hit, g a hit only at the last interval
+    g, first = size_first
+    grid = np.cumsum(np.full(g, 0.25)) - 3.0
+    hit = np.arange(g + 1) >= first
+    probed = []
+
+    def recorded_hit(j):
+        probed.append(j)
+        return hit[j]
+
+    scan = int(np.argmax(hit)) if hit.any() else hit.size
+    assert _cut(grid, recorded_hit) == np.concatenate(([-np.inf], grid, [np.inf]))[scan]
+    probes = np.concatenate(probed)
+    assert probes.min() >= 0 and probes.max() <= g
+    assert probes.size <= 2 * isqrt(g + 1)
+
+
+def _assert_combined_interval_equals_point_evaluation(fss, combiner, alpha):
     c_lplus = combine_functions([fs[PValueKind.LPLUS] for fs in fss], combiner)
     c_uplus = combine_functions([fs[PValueKind.UPLUS] for fs in fss], combiner)
     grid = _union_grid([c_lplus, c_uplus])
@@ -187,6 +203,30 @@ def test_combined_interval_equals_point_evaluation(exps, stat, name, alpha):
     ci = _combined_interval(fss, combiner, alpha)
     assert ci.lower == _first_start(grid, theta, c_lplus.value(theta) > half)
     assert ci.upper == _first_start(grid, theta, 1.0 - c_uplus.value(theta) <= half)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(experiments(), min_size=1, max_size=3),
+       st.sampled_from([DIFF_MEANS, WILCOXON]),
+       st.sampled_from(["fisher", "de", "stouffer"]),
+       st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+def test_combined_interval_equals_point_evaluation(exps, stat, name, alpha):
+    fss = [build_step_functions(data, design, stat, mode) for data, design, mode in exps]
+    _assert_combined_interval_equals_point_evaluation(fss, make_combiner(name), alpha)
+
+
+# a logit transform with a logistic reference: non-decreasing in each p-value
+LOGIT = custom_combiner(lambda u: np.log(u) - np.log1p(-u), lambda g, m: 1.0 / (1.0 + np.exp(-g / m)))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(experiments(), min_size=2, max_size=2),
+       st.sampled_from([DIFF_MEANS, WILCOXON]),
+       st.sampled_from([make_combiner("fisher", (3, 1)), make_combiner("de", (1, 2.5)), LOGIT]),
+       st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+def test_weighted_and_custom_combined_interval_equals_point_evaluation(exps, stat, combiner, alpha):
+    fss = [build_step_functions(data, design, stat, mode) for data, design, mode in exps]
+    _assert_combined_interval_equals_point_evaluation(fss, combiner, alpha)
 
 
 @PROPERTY_SETTINGS
