@@ -163,7 +163,6 @@ def read_experiment(path, design: Design) -> ObservedData:
             raise InputError(
                 f"{path}: {int(w_arr.sum())} treated units but design declares {design.n_treated}"
             )
-        block_ids = None
     else:
         order = {}
         block_ids = np.array([order.setdefault(b, len(order)) for b in blocks])
@@ -182,7 +181,7 @@ def read_experiment(path, design: Design) -> ObservedData:
             if not np.all(np.nonzero(sel)[0] == np.arange(start, start + size)):
                 raise InputError(f"{path}: block {idx} rows must be contiguous and ordered")
             start += size
-    return ObservedData(w_obs=w_arr, y_obs=np.array(y), blocks=block_ids)
+    return ObservedData(w_obs=w_arr, y_obs=np.array(y))
 
 
 def _mode_from_args(args) -> ExactMode | MCMode:

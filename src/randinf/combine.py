@@ -9,7 +9,10 @@ lower (resp. upper) p-value functions is again a valid lower (resp. upper)
 p-value function, which is what makes combined intervals inherit the coverage
 guarantee.
 
-Built-in recipes:
+Every recipe, built-in or custom, is one :class:`CombinerSpec` holding two
+callables: the transform ``F0qf`` and ``combine(q, w)``, which maps the
+transformed (M, n) matrix and the weights to the n combined values, that is
+``G`` applied to the weighted sums.  Built-in recipes:
 
 ``stouffer``
     Normal quantiles; ``G`` is a normal CDF.  Weights are handled in closed
@@ -128,17 +131,18 @@ def laplace_sum_cdf(m: int, x):
 
 @dataclass(frozen=True)
 class CombinerSpec:
-    """A (quantile transform, weights, reference CDF) recipe.
+    """A combination recipe: (quantile transform, combine) and the weights.
 
-    ``f0_quantile`` maps a clipped p-value to the reference scale;
-    ``reference_cdf(x, m)`` is the CDF of the weighted sum of ``m`` transformed
-    uniforms.  ``weights`` of None means unit weights.
+    ``f0_quantile`` maps clipped p-values to the reference scale;
+    ``combine(q, w)`` maps the transformed (M, n) matrix ``q`` and the
+    resolved weights ``w`` to the n combined values.  ``method`` is a label
+    only.  ``weights`` of None means unit weights.
     """
 
     method: str
+    f0_quantile: Callable
+    combine: Callable
     weights: Optional[tuple] = None
-    f0_quantile: Optional[Callable] = None
-    reference_cdf: Optional[Callable] = None
 
     def __post_init__(self):
         if self.weights is not None:
@@ -157,7 +161,7 @@ class CombinerSpec:
 
 def stouffer(weights: Optional[Sequence[float]] = None) -> CombinerSpec:
     """Normal-quantile combiner; weights handled in closed form."""
-    return CombinerSpec(method="stouffer", weights=None if weights is None else tuple(weights))
+    return CombinerSpec("stouffer", ndtri, _stouffer, weights)
 
 
 def fisher(weights: Optional[Sequence[float]] = None) -> CombinerSpec:
@@ -166,14 +170,12 @@ def fisher(weights: Optional[Sequence[float]] = None) -> CombinerSpec:
     Non-unit weights invalidate the chi-square reference, so they are routed
     to a seeded Monte Carlo reference CDF.
     """
-    return CombinerSpec(method="fisher", weights=None if weights is None else tuple(weights))
+    return CombinerSpec("fisher", np.log, _fisher, weights)
 
 
 def double_exponential(weights: Optional[Sequence[float]] = None) -> CombinerSpec:
     """Laplace-quantile combiner; sharpens both tails, robust for unequal sizes."""
-    return CombinerSpec(
-        method="double_exponential", weights=None if weights is None else tuple(weights)
-    )
+    return CombinerSpec("double_exponential", _laplace_quantile, _double_exponential, weights)
 
 
 def custom_combiner(f0_quantile, reference_cdf, weights=None) -> CombinerSpec:
@@ -186,12 +188,7 @@ def custom_combiner(f0_quantile, reference_cdf, weights=None) -> CombinerSpec:
     """
     if f0_quantile is None or reference_cdf is None:
         raise ValueError("a custom combiner needs both f0_quantile and a reference CDF")
-    return CombinerSpec(
-        method="custom",
-        weights=None if weights is None else tuple(weights),
-        f0_quantile=f0_quantile,
-        reference_cdf=reference_cdf,
-    )
+    return CombinerSpec("custom", f0_quantile, lambda q, w: reference_cdf(w @ q, w.size), weights)
 
 
 _CLI_NAMES = {
@@ -244,30 +241,32 @@ def _mc_reference_values(f0_quantile, weights: np.ndarray, g) -> np.ndarray:
     return np.searchsorted(sample, g, side="right") / sample.size
 
 
+# the built-in ``combine`` callables.  Unit-weight Fisher and double
+# exponential sum with np.sum, every other recipe with w @ q; BLAS can round
+# the two differently for M >= 6, so no recipe switches between them
+
+
+def _stouffer(q, w):
+    return ndtr((w @ q) / np.sqrt(np.sum(w * w)))
+
+
+def _fisher(q, w):
+    if np.allclose(w, 1.0):
+        return chisq_upper(2 * w.size, -2.0 * np.sum(q, axis=0))
+    return _mc_reference_values(np.log, w, w @ q)
+
+
+def _double_exponential(q, w):
+    if np.allclose(w, 1.0):
+        return laplace_sum_cdf(w.size, np.sum(q, axis=0))
+    return _mc_reference_values(_laplace_quantile, w, w @ q)
+
+
 def _combine_matrix(P: np.ndarray, combiner: CombinerSpec) -> np.ndarray:
     """Combine each column of the (M, n) matrix of p-values."""
     P = np.clip(np.asarray(P, dtype=float), P_CLIP, 1 - P_CLIP)
-    m = P.shape[0]
-    w = combiner.resolved_weights(m)
-    unit = np.allclose(w, 1.0)
-
-    if combiner.method == "stouffer":
-        z = (w @ ndtri(P)) / np.sqrt(np.sum(w * w))
-        return ndtr(z)
-    if combiner.method == "fisher":
-        if unit:
-            return chisq_upper(2 * m, -2.0 * np.sum(np.log(P), axis=0))
-        return _mc_reference_values(np.log, w, w @ np.log(P))
-    if combiner.method == "double_exponential":
-        if unit:
-            return np.asarray(laplace_sum_cdf(m, np.sum(_laplace_quantile(P), axis=0)))
-        return _mc_reference_values(_laplace_quantile, w, w @ _laplace_quantile(P))
-    if combiner.method == "custom":
-        if combiner.reference_cdf is None:
-            raise ValueError("custom combiner lacks a reference CDF evaluator")
-        g = w @ combiner.f0_quantile(P)
-        return np.asarray(combiner.reference_cdf(g, m))
-    raise ValueError(f"unknown combiner method {combiner.method!r}")
+    w = combiner.resolved_weights(P.shape[0])
+    return np.asarray(combiner.combine(combiner.f0_quantile(P), w))
 
 
 def combine_values(ps: Sequence[float], combiner: CombinerSpec) -> float:
@@ -303,11 +302,6 @@ class CombinedPValueFunction:
 
     def value(self, theta):
         P = np.vstack([np.atleast_1d(f.value(theta)) for f in self.components])
-        out = _combine_matrix(P, self.combiner)
-        return float(out[0]) if np.ndim(theta) == 0 else out
-
-    def value_from_right(self, theta):
-        P = np.vstack([np.atleast_1d(f.value_from_right(theta)) for f in self.components])
         out = _combine_matrix(P, self.combiner)
         return float(out[0]) if np.ndim(theta) == 0 else out
 

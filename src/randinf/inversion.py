@@ -147,14 +147,6 @@ class PValueStepFunction:
             active = np.concatenate((np.cumsum(self.counts[::-1])[::-1], [0]))
         return (self.base_count + active) / self.denom
 
-    def limit_low(self) -> float:
-        """Value as theta -> -inf."""
-        return self.value(-np.inf)
-
-    def limit_high(self) -> float:
-        """Value as theta -> +inf."""
-        return self.value(np.inf)
-
 
 def _threshold(t_obs, strict):
     """Value a replicate must reach (or pass, if strict): T_obs moved by half the tie tolerance."""
@@ -380,11 +372,6 @@ def build_step_function(
     if side == PValueKind.TWO_SIDED_L:
         raise ValueError("build one-sided functions; two-sided values combine LPLUS and LMINUS")
     return build_step_functions(data, design, stat, mode)[side]
-
-
-def _levels_on(f: PValueStepFunction, grid: np.ndarray) -> np.ndarray:
-    """f's values on the grid.size + 1 theta intervals a sorted superset of its breakpoints cuts."""
-    return f._levels()[np.concatenate(([0], np.searchsorted(f.breakpoints, grid, side="right")))]
 
 
 def _cut(grid: np.ndarray, hit) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Design, total_assignments
-from .inversion import PValueStepFunction, _levels_on
+from .inversion import PValueStepFunction
 
 __all__ = [
     "McPlan",
@@ -83,8 +83,11 @@ def mc_sup_error(estimated: PValueStepFunction, exact: PValueStepFunction) -> fl
     Both are constant on each theta interval the union of their breakpoints
     cuts, and a value at a union breakpoint is the level of the interval on
     one side of it, so the supremum is the largest difference of levels.
+    Each level is read as the right limit where its interval starts: at
+    ``-inf`` or at a union breakpoint.
     """
     if estimated.side != exact.side:
         raise ValueError("functions must share a side")
     grid = np.unique(np.concatenate([estimated.breakpoints, exact.breakpoints]))
-    return float(np.max(np.abs(_levels_on(estimated, grid) - _levels_on(exact, grid))))
+    starts = np.concatenate(([-np.inf], grid))
+    return float(np.max(np.abs(estimated.value_from_right(starts) - exact.value_from_right(starts))))

@@ -32,7 +32,6 @@ only per-row results of 8 bytes a row.  Rows and their order are those of
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -160,15 +159,6 @@ class RandomizationDistribution:
     @property
     def gamma_star(self) -> float:
         return float(self.counts.max() / self.denom)
-
-    def prob_fractions(self):
-        """Exact rational atom probabilities."""
-        return [Fraction(int(c), self.denom) for c in self.counts]
-
-    def tail_ge(self, t: float) -> float:
-        """P(T >= t) with ``t`` rounded like the support."""
-        i = np.searchsorted(self.values, round_sig(t), side="left")
-        return float(self.counts[i:].sum() / self.denom)
 
 
 def randomization_distribution(

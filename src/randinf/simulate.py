@@ -62,6 +62,10 @@ __all__ = [
 ]
 
 
+# the exact audit enumerates at most this many assignments
+_AUDIT_CAP = 200_000
+
+
 def balanced_design(n_blocks: int, block_size: int) -> Design:
     """``n_blocks`` blocks of an even ``block_size``, half treated in each."""
     if block_size < 2 or block_size % 2:
@@ -134,6 +138,14 @@ def _rep_seed(master: int, rep: int, experiment: int, purpose: int) -> int:
     return int(state[0])
 
 
+def _width_sd(widths: np.ndarray) -> float:
+    """Sample standard deviation of an arm's widths: 0 for one rep, and ``inf``
+    when an interval is unbounded, as the mean then is."""
+    if widths.size < 2:
+        return 0.0
+    return np.inf if np.isinf(widths).any() else float(widths.std(ddof=1))
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Run every repetition of a scenario and aggregate coverage and width.
 
@@ -181,7 +193,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         name: ArmSummary(
             coverage=float(covered[name].mean()),
             width_mean=float(widths[name].mean()),
-            width_sd=float(widths[name].std(ddof=1)) if config.reps > 1 else 0.0,
+            width_sd=_width_sd(widths[name]),
         )
         for name in arm_names
     }
@@ -229,15 +241,14 @@ def exact_validity_audit(
     design: Design,
     stat: Optional[StatisticSpec] = None,
     alphas: Sequence[float] = (0.05,),
-    cap: int = 200_000,
 ) -> AuditReport:
     """Enumerate a small population and verify the exact guarantees.
 
     The population must satisfy a constant-effect null (``y1 - y0`` constant);
-    that constant is the audited truth.  Each enumerable assignment is treated
-    in turn as the observed one.  Reports the p-value dominance checks, the
-    largest-atom bound on their discrepancy, and exact interval coverage and
-    mean width per level.
+    that constant is the audited truth.  Each assignment, of at most 200,000,
+    is treated in turn as the observed one.  Reports the p-value dominance
+    checks, the largest-atom bound on their discrepancy, and exact interval
+    coverage and mean width per level.
 
     Coverage is read from each observed assignment's LPLUS and LMINUS at the
     truth, integer tail counts of its atom in one pass of the statistic,
@@ -260,7 +271,7 @@ def exact_validity_audit(
         raise ValueError("the audit population must have a constant effect")
     theta0 = float(effects[0])
 
-    W = assignment_matrix(design, cap=cap).astype(float)
+    W = assignment_matrix(design, cap=_AUDIT_CAP).astype(float)
     k, n = W.shape
     n1 = float(W[0].sum())
     n0 = n - n1

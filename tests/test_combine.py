@@ -1,5 +1,6 @@
 """Combination recipes, reference CDFs, and combined intervals."""
 
+import dataclasses
 import itertools
 from math import isqrt
 
@@ -7,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import ndtr, ndtri
 
 from randinf import (
     CRD,
@@ -34,6 +36,7 @@ from randinf import (
     sample_assignments,
     stouffer,
 )
+from randinf import combine
 from randinf.combine import _combine_matrix
 from randinf.simulate import generate_population
 
@@ -62,6 +65,34 @@ def laplace_sum_cdf_series(m, xs):
             tail = mpmath.exp(-a) * mpmath.fsum(a**k / mpmath.factorial(k) * c for k, c in enumerate(coef))
             out.append(tail if x < 0 else 1 - tail)
         return out
+
+
+def logit(u):
+    return np.log(u) - np.log1p(-u)
+
+
+def logistic_reference(g, m):
+    return 1.0 / (1.0 + np.exp(-g / m))
+
+
+def combine_written_out(P, method, weights=None):
+    """Each recipe's arithmetic written out per method: clip, transform, sum, reference CDF."""
+    P = np.clip(np.asarray(P, dtype=float), 1e-12, 1 - 1e-12)
+    m = P.shape[0]
+    w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
+    unit = np.allclose(w, 1.0)
+    if method == "stouffer":
+        return ndtr((w @ ndtri(P)) / np.sqrt(np.sum(w * w)))
+    if method == "fisher":
+        if unit:
+            return chisq_upper(2 * m, -2.0 * np.sum(np.log(P), axis=0))
+        return combine._mc_reference_values(np.log, w, w @ np.log(P))
+    if method == "double_exponential":
+        lq = np.where(P <= 0.5, np.log(2.0 * P), -np.log(2.0 * (1.0 - P)))
+        if unit:
+            return np.asarray(laplace_sum_cdf(m, np.sum(lq, axis=0)))
+        return combine._mc_reference_values(combine._laplace_quantile, w, w @ lq)
+    return np.asarray(logistic_reference(w @ logit(P), m))
 
 
 class TestSpecialFunctions:
@@ -197,6 +228,29 @@ class TestCombineValues:
         assert combine_values([0.1, 0.2], comb) == pytest.approx(
             combine_values([0.1, 0.2], fisher()), abs=1e-12
         )
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_recipes_match_their_formulas_bit_for_bit(self, m):
+        # np.ones(m) @ X and np.sum(X, axis=0) can differ in the last bit
+        # for m >= 6, so each recipe keeps its own summation form
+        rng = np.random.default_rng(m)
+        P = np.column_stack([rng.uniform(size=(m, 40)), np.zeros(m), np.ones(m), np.full(m, 0.5)])
+        P[:, :3] = np.eye(m, 3)  # zeros and ones mixed within a column
+        weights = [None] + ([tuple(rng.uniform(0.5, 3.0, size=m))] if m in (2, 3, 4) else [])
+        for w in weights:
+            for name, spec in (("stouffer", stouffer(w)), ("fisher", fisher(w)),
+                               ("double_exponential", double_exponential(w)),
+                               ("custom", custom_combiner(logit, logistic_reference, w))):
+                want = combine_written_out(P, name, w)
+                np.testing.assert_array_equal(_combine_matrix(P, spec), want, err_msg=f"{name} {w}")
+                for j in (0, 1, 40, 41):
+                    assert combine_values(P[:, j], spec) == combine_written_out(P[:, [j]], name, w)[0]
+
+    def test_method_is_only_a_label(self):
+        P = np.random.default_rng(8).uniform(size=(2, 30))
+        renamed = dataclasses.replace(fisher((2, 1)), method="renamed")
+        np.testing.assert_array_equal(_combine_matrix(P, renamed), _combine_matrix(P, fisher((2, 1))))
+        assert combine_values([0.1, 0.3], renamed) == combine_values([0.1, 0.3], fisher((2, 1)))
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):

@@ -145,11 +145,11 @@ class TestStepFunction:
     def test_limits(self, toy, diff_means):
         data, design = toy
         f = build_step_function(data, design, diff_means, PValueKind.LPLUS)
-        assert f.limit_low() == 1 / 252
-        assert f.limit_high() == 1.0
+        assert f.value(-np.inf) == 1 / 252
+        assert f.value(np.inf) == 1.0
         g = build_step_function(data, design, diff_means, PValueKind.LMINUS)
-        assert g.limit_low() == 1.0
-        assert g.limit_high() == 1 / 252
+        assert g.value(-np.inf) == 1.0
+        assert g.value(np.inf) == 1 / 252
 
     def test_mc_mode_step_function(self, toy, diff_means):
         data, design = toy
