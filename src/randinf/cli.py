@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .combine import _combined_interval, make_combiner
+from .combine import combine_functions, make_combiner
 from .datasets import toy_experiment
 from .design import CRD, DEFAULT_ENUMERATION_CAP, RBD, Design, EnumerationCapError
 from .inversion import (
@@ -184,6 +184,16 @@ def read_experiment(path, design: Design) -> ObservedData:
     return ObservedData(w_obs=w_arr, y_obs=np.array(y))
 
 
+def _checked(validate, *values):
+    """``validate(*values)``: its ValueError, bar a refused statistic, is an input error."""
+    try:
+        return validate(*values)
+    except NonMonotoneStatisticError:
+        raise
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
 def _mode_from_args(args) -> ExactMode | MCMode:
     if args.mode == "exact":
         return ExactMode(cap=args.cap)
@@ -191,23 +201,22 @@ def _mode_from_args(args) -> ExactMode | MCMode:
     if k is None:
         if args.epsilon is None:
             raise InputError("mc mode needs --k or --epsilon (with optional --delta)")
-        k = required_k(args.epsilon, args.delta)
+        k = _checked(required_k, args.epsilon, args.delta)
     if args.seed is None:
         raise InputError("mc mode needs --seed for reproducibility")
-    return MCMode(k=k, seed=args.seed)
+    return _checked(MCMode, k, args.seed)
 
 
-def _add_common(p, with_mode=True):
+def _add_common(p):
     p.add_argument("--statistic", default="diff_means", help="registered statistic name")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    if with_mode:
-        p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-        p.add_argument("--k", type=int, default=None, help="Monte Carlo draws")
-        p.add_argument("--epsilon", type=float, default=None, help="sup-norm error target")
-        p.add_argument("--delta", type=float, default=0.01, help="probability budget for epsilon")
-        p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
-        p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                       help="exact-mode enumeration cap")
+    p.add_argument("--mode", choices=("exact", "mc"), default="exact")
+    p.add_argument("--k", type=int, default=None, help="Monte Carlo draws")
+    p.add_argument("--epsilon", type=float, default=None, help="sup-norm error target")
+    p.add_argument("--delta", type=float, default=0.01, help="probability budget for epsilon")
+    p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                   help="exact-mode enumeration cap")
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +225,8 @@ def _add_common(p, with_mode=True):
 
 
 def cmd_test(args):
+    if not math.isfinite(args.theta):
+        raise InputError("--theta must be finite")
     design = parse_design(args.design)
     data = read_experiment(args.file, design)
     stat = get_statistic(args.statistic)
@@ -268,11 +279,14 @@ def cmd_pcurve(args):
 
 
 def _floats(text: str, flag: str) -> list:
-    """A comma-separated list of numbers; anything else is an input error."""
+    """A comma-separated list of finite numbers; anything else is an input error."""
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
+        if all(math.isfinite(v) for v in values):
+            return values
     except ValueError:
-        raise InputError(f"{flag} needs comma-separated numbers, got {text!r}") from None
+        pass
+    raise InputError(f"{flag} needs comma-separated finite numbers, got {text!r}")
 
 
 def _parse_grid(args):
@@ -295,7 +309,7 @@ def cmd_invert(args):
     mode = _mode_from_args(args)
     alpha1 = args.alpha1 if args.alpha1 is not None else args.alpha / 2
     alpha2 = args.alpha2 if args.alpha2 is not None else args.alpha / 2
-    _require_invertible(stat, alpha1, alpha2)
+    _checked(_require_invertible, stat, alpha1, alpha2)
     fs = build_step_functions(data, design, stat, mode)
     out = {"proposed": _interval_dict(_proposed_interval(fs, alpha1, alpha2))}
     if args.traditional:
@@ -312,17 +326,18 @@ def cmd_combine(args):
     experiments = [(read_experiment(f, d), d) for f, d in zip(args.files, designs)]
     stat = get_statistic(args.statistic)
     mode = _mode_from_args(args)
-    combiner = make_combiner(args.combiner, _floats(args.weights, "--weights") if args.weights else None)
-    _require_invertible(stat, args.alpha)
+    weights = _floats(args.weights, "--weights") if args.weights else None
+    combiner = _checked(make_combiner, args.combiner, weights)
+    _checked(combiner.resolved_weights, len(args.files))
+    _checked(_require_invertible, stat, args.alpha)
+    half = args.alpha / 2
     fss = [build_step_functions(data, design, stat, mode) for data, design in experiments]
-    combined = _combined_interval(fss, combiner, args.alpha)
-    per_exp = [_proposed_interval(fs, args.alpha / 2, args.alpha / 2) for fs in fss]
     out = {
-        "combined": _interval_dict(combined),
+        "combined": _interval_dict(_proposed_interval(combine_functions(fss, combiner), half, half)),
         "combiner": args.combiner,
         "experiments": [
-            dict(_interval_dict(ci), file=path, n_units=design.n_units)
-            for ci, path, design in zip(per_exp, args.files, designs)
+            dict(_interval_dict(_proposed_interval(fs, half, half)), file=path, n_units=design.n_units)
+            for fs, path, design in zip(fss, args.files, designs)
         ],
     }
     _dump(out, args.json)
@@ -330,7 +345,7 @@ def cmd_combine(args):
 
 def cmd_mc_threshold(args):
     eps = _floats(args.epsilons, "--epsilons")
-    rows = threshold_table(eps, args.delta)
+    rows = _checked(threshold_table, eps, args.delta)
     if args.json:
         _dump({"delta": _num(args.delta),
                "rows": [{"epsilon": _num(e), "k_threshold": k} for e, k in rows]}, True)

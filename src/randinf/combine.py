@@ -6,8 +6,10 @@ function ``F0qf`` and non-negative weights, together with the reference CDF
 ``G`` of ``g(U_1, ..., U_M)`` for iid Uniform[0,1] inputs.  Applying ``G``
 after ``g`` recalibrates the fused value to [0, 1]; the combination of valid
 lower (resp. upper) p-value functions is again a valid lower (resp. upper)
-p-value function, which is what makes combined intervals inherit the coverage
-guarantee.
+p-value function.  :func:`combine_functions` fuses M experiments' sides into
+four combined sides on one union grid (LMINUS = 1 - UPLUS, UMINUS = 1 - LPLUS),
+and :func:`combined_interval` inverts them with the routine that inverts one
+experiment's, so combined intervals inherit the coverage guarantee.
 
 Every recipe, built-in or custom, is one :class:`CombinerSpec` holding two
 callables: the transform ``F0qf`` and ``combine(q, w)``, which maps the
@@ -41,8 +43,7 @@ from scipy.special import gammaincc, ndtr, ndtri
 
 from .inversion import (
     ConfidenceInterval,
-    PValueStepFunction,
-    _cut,
+    _proposed_interval,
     _require_invertible,
     build_step_functions,
 )
@@ -148,8 +149,8 @@ class CombinerSpec:
         if self.weights is not None:
             w = tuple(float(x) for x in self.weights)
             object.__setattr__(self, "weights", w)
-            if any(x < 0 for x in w) or not any(w):
-                raise ValueError("weights must be non-negative with at least one nonzero")
+            if not all(math.isfinite(x) and x >= 0 for x in w) or not any(w):
+                raise ValueError("weights must be finite and non-negative with at least one nonzero")
 
     def resolved_weights(self, m: int) -> np.ndarray:
         if self.weights is None:
@@ -243,7 +244,8 @@ def _mc_reference_values(f0_quantile, weights: np.ndarray, g) -> np.ndarray:
 
 # the built-in ``combine`` callables.  Unit-weight Fisher and double
 # exponential sum with np.sum, every other recipe with w @ q; BLAS can round
-# the two differently for M >= 6, so no recipe switches between them
+# the two differently for M >= 6, so no recipe switches between them.  Unit
+# weights pass np.allclose's test, written out: its call costs a small combine
 
 
 def _stouffer(q, w):
@@ -251,13 +253,13 @@ def _stouffer(q, w):
 
 
 def _fisher(q, w):
-    if np.allclose(w, 1.0):
+    if (np.abs(w - 1.0) <= 1e-8 + 1e-5).all():
         return chisq_upper(2 * w.size, -2.0 * np.sum(q, axis=0))
     return _mc_reference_values(np.log, w, w @ q)
 
 
 def _double_exponential(q, w):
-    if np.allclose(w, 1.0):
+    if (np.abs(w - 1.0) <= 1e-8 + 1e-5).all():
         return laplace_sum_cdf(w.size, np.sum(q, axis=0))
     return _mc_reference_values(_laplace_quantile, w, w @ q)
 
@@ -281,40 +283,65 @@ def combine_values(ps: Sequence[float], combiner: CombinerSpec) -> float:
     return float(_combine_matrix(P, combiner)[0])
 
 
+_RISING = {PValueKind.LPLUS: PValueKind.LPLUS, PValueKind.UPLUS: PValueKind.UPLUS,
+           PValueKind.LMINUS: PValueKind.UPLUS, PValueKind.UMINUS: PValueKind.LPLUS}
+
+
 @dataclass(frozen=True)
 class CombinedPValueFunction:
-    """Coordinatewise-monotone fusion of same-side step functions.
+    """One side of the fusion of M experiments' p-value functions.
 
-    A step function on the union of component breakpoints: between consecutive
-    union breakpoints every component is constant, so the combination is too.
-    It is monotone in theta like its components, which is what lets
-    :func:`combined_interval` find each endpoint by a monotone search over the
-    union intervals instead of combining on every one of them.
+    ``components`` are the experiments' functions of the rising side
+    ``_RISING[side]``; a falling side is one minus their combination.  A step
+    function on ``breakpoints``, the union grid, monotone like its components.
+    ``mode`` is the experiments' common mode, else the tuple of their modes.
     """
 
     components: tuple
     combiner: CombinerSpec
     side: PValueKind
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return np.unique(np.concatenate([f.breakpoints for f in self.components]))
+    breakpoints: np.ndarray
+    statistic: str
+    mode: Mode | tuple
 
     def value(self, theta):
         P = np.vstack([np.atleast_1d(f.value(theta)) for f in self.components])
         out = _combine_matrix(P, self.combiner)
+        out = out if self.side == _RISING[self.side] else 1.0 - out
         return float(out[0]) if np.ndim(theta) == 0 else out
 
+    def _level_reader(self):
+        """Reads union intervals ``j``: each component's levels, computed once, read where ``j`` starts."""
+        starts = np.concatenate(([-np.inf], self.breakpoints))
+        levels = [f._levels() for f in self.components]
+        falling = self.side != _RISING[self.side]
 
-def combine_functions(fs: Sequence[PValueStepFunction], combiner: CombinerSpec) -> CombinedPValueFunction:
-    """Fuse same-side p-value functions into one evaluable function of theta."""
-    fs = tuple(fs)
-    if not fs:
-        raise ValueError("need at least one p-value function")
-    sides = {f.side for f in fs}
-    if len(sides) > 1:
-        raise ValueError(f"all components must share a side, got {sorted(s.value for s in sides)}")
-    return CombinedPValueFunction(components=fs, combiner=combiner, side=fs[0].side)
+        def read(j):
+            out = _combine_matrix(np.vstack([
+                level[np.searchsorted(f.breakpoints, starts[j], side="right")]
+                for f, level in zip(self.components, levels)
+            ]), self.combiner)
+            return 1.0 - out if falling else out
+
+        return read
+
+
+def combine_functions(fss: Sequence[dict], combiner: CombinerSpec) -> dict:
+    """The four combined sides of M experiments, from each one's :func:`build_step_functions` sides.
+
+    LMINUS is one minus combined UPLUS and UMINUS one minus combined LPLUS.
+    All four share one grid, the union of the distinct breakpoint arrays.
+    """
+    if not fss:
+        raise ValueError("need at least one experiment")
+    distinct = {id(f.breakpoints): f.breakpoints for fs in fss for f in fs.values()}
+    grid = np.unique(np.concatenate(list(distinct.values())))
+    grid.flags.writeable = False
+    modes = [fs[PValueKind.LPLUS].mode for fs in fss]
+    mode = modes[0] if len(set(modes)) == 1 else tuple(modes)
+    return {side: CombinedPValueFunction(tuple(fs[rising] for fs in fss), combiner, side, grid,
+                                         fss[0][PValueKind.LPLUS].statistic, mode)
+            for side, rising in _RISING.items()}
 
 
 def combined_interval(
@@ -328,13 +355,10 @@ def combined_interval(
     """Interval for the common effect from M independent experiments.
 
     ``experiments`` is a sequence of ``(data, design)`` pairs sharing the
-    estimand.  The lower endpoint inverts the combined lower-plus function at
-    ``alpha/2``; the upper endpoint inverts the combined lower-minus function,
-    built as one minus the combination of the strict upper-plus components, at
-    ``alpha/2``.  Both are computed exactly: each endpoint is where the first
-    theta interval of the union breakpoint grid past its level starts, found
-    by a monotone search that combines on about ``sqrt(G)`` of the ``G + 1``
-    union intervals.  Coverage is at least ``1 - alpha``.
+    estimand.  The sides of :func:`combine_functions` are inverted as one
+    experiment's are, combined LPLUS and LMINUS at ``alpha/2`` each, by a
+    monotone search that combines on about ``sqrt(G)`` of the ``G + 1`` union
+    intervals.  Coverage is at least ``1 - alpha``.
 
     ``modes`` optionally gives one mode per experiment (for example different
     Monte Carlo seeds); otherwise ``mode`` applies to all.  The interval's
@@ -342,51 +366,10 @@ def combined_interval(
     share it, else the tuple of per-experiment modes.
     """
     _require_invertible(stat, alpha)
-    if not experiments:
-        raise ValueError("need at least one experiment")
     if modes is None:
         modes = [mode] * len(experiments)
     fss = [
         build_step_functions(data, design, stat, m)
         for (data, design), m in zip(experiments, modes)
     ]
-    return _combined_interval(fss, combiner, alpha)
-
-
-def _combined_interval(fss: Sequence[dict], combiner: CombinerSpec, alpha: float) -> ConfidenceInterval:
-    """Combined interval from each experiment's step functions (LPLUS and UPLUS).
-
-    The union grid is built from the distinct breakpoint arrays (an ``affine``
-    statistic's sides share one).  Each endpoint is a :func:`_cut` search over
-    the union intervals: each component's levels are computed once, and the
-    combiner runs only on the intervals the search probes.
-    """
-    fs_lplus = [fs[PValueKind.LPLUS] for fs in fss]
-    fs_uplus = [fs[PValueKind.UPLUS] for fs in fss]
-    modes = [f.mode for f in fs_lplus]
-    mode = modes[0] if len(set(modes)) == 1 else tuple(modes)
-    distinct = {id(f.breakpoints): f.breakpoints for f in fs_lplus + fs_uplus}
-    grid = np.unique(np.concatenate(list(distinct.values())))
-    if grid.size == 0:
-        raise ValueError("no breakpoints: the combined function is constant")
-
-    starts = np.concatenate(([-np.inf], grid))  # where each union interval starts
-
-    def combined(fs):
-        """The combined function on union intervals ``j``: each component read where ``j`` starts."""
-        levels = [f._levels() for f in fs]
-        return lambda j: _combine_matrix(np.vstack([
-            level[np.searchsorted(f.breakpoints, starts[j], side="right")] for f, level in zip(fs, levels)
-        ]), combiner)
-
-    half = alpha / 2
-    # lower: sup{theta: combined LPLUS <= alpha/2}; upper: inf{theta: combined
-    # LMINUS <= alpha/2}, with LMINUS = 1 - combined UPLUS.  Both tests are
-    # monotone in j, because the combiner is non-decreasing in each p-value.
-    lplus, uplus = combined(fs_lplus), combined(fs_uplus)
-    return ConfidenceInterval(
-        lower=_cut(grid, lambda j: lplus(j) > half),
-        upper=_cut(grid, lambda j: 1.0 - uplus(j) <= half),
-        alpha1=half, alpha2=half,
-        method="proposed", statistic=fs_lplus[0].statistic, mode=mode,
-    )
+    return _proposed_interval(combine_functions(fss, combiner), alpha / 2, alpha / 2)

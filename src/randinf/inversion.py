@@ -112,7 +112,6 @@ class PValueStepFunction:
     never_count: int
     denom: int
     statistic: str
-    t_obs: float
     mode: Mode
 
     def __post_init__(self):
@@ -146,6 +145,10 @@ class PValueStepFunction:
         else:  # mass not yet switched off
             active = np.concatenate((np.cumsum(self.counts[::-1])[::-1], [0]))
         return (self.base_count + active) / self.denom
+
+    def _level_reader(self):
+        """Reads the levels of intervals ``j``, computed once per reader, not kept on the function."""
+        return self._levels().__getitem__
 
 
 def _threshold(t_obs, strict):
@@ -355,8 +358,7 @@ def _step_functions(data: ObservedData, stat: StatisticSpec, source) -> dict:
         for side, base, rest in ((rising, on, off), (falling, off, on)):
             fs[side] = PValueStepFunction(
                 side=side, breakpoints=breakpoints, counts=counts, base_count=base,
-                never_count=rest, denom=source.size, statistic=stat.name, t_obs=t_obs,
-                mode=source.mode,
+                never_count=rest, denom=source.size, statistic=stat.name, mode=source.mode,
             )
     return fs
 
@@ -395,32 +397,32 @@ def _cut(grid: np.ndarray, hit) -> float:
     return float(np.concatenate(([-np.inf], grid, [np.inf]))[hi])
 
 
-def invert_lower(f: PValueStepFunction, alpha1: float) -> float:
-    """sup{theta : p(theta) <= alpha1} for a LPLUS function.
+def invert_lower(f, alpha1: float) -> float:
+    """sup{theta : p(theta) <= alpha1} for a LPLUS function, one experiment's or combined.
 
     Returns ``-inf`` when even the base mass exceeds ``alpha1`` (no theta
     attains so small a p-value) and ``+inf`` when the function never rises
-    above ``alpha1``.  Levels are compared with the p-values
-    :meth:`PValueStepFunction.value` returns, ``count / denom`` floats.
+    above ``alpha1``.  Levels are compared with the p-values ``f.value``
+    returns, for one experiment ``count / denom`` floats.
     """
     if f.side != PValueKind.LPLUS:
         raise ValueError("lower inversion needs a LPLUS function")
     if not 0 < alpha1 < 1:
         raise ValueError("alpha1 must lie in (0, 1)")
     # the intervals with p <= alpha1 come first; their union ends at the cut
-    levels = f._levels()
-    return _cut(f.breakpoints, lambda j: levels[j] > alpha1)
+    read = f._level_reader()
+    return _cut(f.breakpoints, lambda j: read(j) > alpha1)
 
 
-def invert_upper(f: PValueStepFunction, alpha2: float) -> float:
+def invert_upper(f, alpha2: float) -> float:
     """inf{theta : p(theta) <= alpha2} for a LMINUS function (mirror of lower)."""
     if f.side != PValueKind.LMINUS:
         raise ValueError("upper inversion needs a LMINUS function")
     if not 0 < alpha2 < 1:
         raise ValueError("alpha2 must lie in (0, 1)")
     # the intervals with p > alpha2 come first; the rest starts at the cut
-    levels = f._levels()
-    return _cut(f.breakpoints, lambda j: levels[j] <= alpha2)
+    read = f._level_reader()
+    return _cut(f.breakpoints, lambda j: read(j) <= alpha2)
 
 
 @dataclass(frozen=True)
@@ -475,7 +477,7 @@ def _require_invertible(stat: StatisticSpec, alpha1: float, alpha2: float | None
 
 
 def _proposed_interval(fs: dict, alpha1: float, alpha2: float) -> ConfidenceInterval:
-    """Guaranteed interval from one experiment's step functions (LPLUS and LMINUS)."""
+    """Guaranteed interval from the sides of one experiment or of a ``combine_functions`` fusion."""
     f = fs[PValueKind.LPLUS]
     lower = invert_lower(f, alpha1)
     upper = invert_upper(fs[PValueKind.LMINUS], alpha2)

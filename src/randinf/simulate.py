@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._util import atoms, round_sig
-from .combine import _combined_interval, make_combiner
+from .combine import combine_functions, make_combiner
 from .datasets import PotentialTable
 from .design import CRD, RBD, Design, assignment_matrix, sample_assignments, total_assignments
 from .inversion import (
@@ -185,7 +185,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             covered[name][rep] = ci.contains(config.true_theta)
             widths[name][rep] = ci.width
         for comb_name in config.combiners:
-            ci = _combined_interval(fss, make_combiner(comb_name), config.alpha)
+            ci = _proposed_interval(combine_functions(fss, make_combiner(comb_name)), half, half)
             covered[comb_name][rep] = ci.contains(config.true_theta)
             widths[comb_name][rep] = ci.width
 
@@ -230,7 +230,7 @@ def _endpoint_ranks(k: int, alpha: float):
     ranks = np.arange(k - 1.0)
     f = PValueStepFunction(
         side=PValueKind.LPLUS, breakpoints=ranks, counts=np.ones(k - 1, dtype=np.int64),
-        base_count=1, never_count=0, denom=k, statistic="rank", t_obs=0.0, mode=ExactMode(),
+        base_count=1, never_count=0, denom=k, statistic="rank", mode=ExactMode(),
     )
     g = replace(f, side=PValueKind.LMINUS)
     return invert_lower(f, alpha / 2), invert_upper(g, alpha / 2), _traditional_interval(f, alpha).upper

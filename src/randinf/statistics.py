@@ -91,7 +91,6 @@ class ImputedOutcomes:
 
     y1: np.ndarray
     y0: np.ndarray
-    theta: float
 
 
 def impute(data: ObservedData, theta: float) -> ImputedOutcomes:
@@ -108,7 +107,7 @@ def impute(data: ObservedData, theta: float) -> ImputedOutcomes:
     y = data.y_obs
     y1 = np.where(w == 1, y, y + theta)
     y0 = np.where(w == 1, y - theta, y)
-    return ImputedOutcomes(y1=y1, y0=y0, theta=float(theta))
+    return ImputedOutcomes(y1=y1, y0=y0)
 
 
 @dataclass(frozen=True)
@@ -336,7 +335,7 @@ def evaluate(stat: StatisticSpec, imputed: ImputedOutcomes, w: np.ndarray) -> fl
 
 def observed_statistic(stat: StatisticSpec, data: ObservedData) -> float:
     """T computed on the observed data (independent of any hypothesized theta)."""
-    table = ImputedOutcomes(y1=data.y_obs, y0=data.y_obs, theta=0.0)
+    table = ImputedOutcomes(y1=data.y_obs, y0=data.y_obs)
     return evaluate(stat, table, data.w_obs)
 
 
@@ -388,7 +387,7 @@ def ei_probe(stat: StatisticSpec, data: ObservedData, design, trials: int, seed)
             y1[i] += delta
         else:
             y0[i] -= delta
-        perturbed = evaluate_many(stat, ImputedOutcomes(y1, y0, 0.0), W)
+        perturbed = evaluate_many(stat, ImputedOutcomes(y1, y0), W)
         change = perturbed - base
         bad = np.nonzero(change < -tol)[0]
         if bad.size:

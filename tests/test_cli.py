@@ -301,6 +301,13 @@ class TestExitCodes:
         ["simulate", "{tmp}/b1_float.json"],
         ["simulate", "{tmp}/alpha_null.json"],
         ["simulate", "{tmp}/combiners_string.json"],
+        ["combine", TOY_CSV, TOY_CSV, "--designs", "crd:10,5;crd:10,5", "--weights", "nan,1"],
+        ["combine", TOY_CSV, TOY_CSV, "--designs", "crd:10,5;crd:10,5", "--weights", "inf,1"],
+        ["combine", TOY_CSV, TOY_CSV, "--designs", "crd:10,5;crd:10,5", "--weights=-1,1"],
+        ["combine", TOY_CSV, TOY_CSV, "--designs", "crd:10,5;crd:10,5", "--weights", "0,0"],
+        ["combine", TOY_CSV, TOY_CSV, "--designs", "crd:10,5;crd:10,5", "--weights", "1,2,3"],
+        ["pcurve", TOY_CSV, "--design", "crd:10,5", "--grid", "0,nan"],
+        ["mc-threshold", "--epsilons", "0"],
     ])
     def test_malformed_list_or_config_is_2(self, capsys, tmp_path, args):
         (tmp_path / "invalid.json").write_text('{"b1": 1,')
@@ -311,6 +318,37 @@ class TestExitCodes:
             (tmp_path / f"{name}.json").write_text(json.dumps({**scenario, key: value}))
         code, out, err = run_cli([a.format(tmp=tmp_path) for a in args], capsys)
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["invert", TOY_CSV, "--design", "crd:10,5", "--alpha", "1.5"],
+        ["invert", TOY_CSV, "--design", "crd:10,5", "--alpha1", "0.6", "--alpha2", "0.6"],
+        ["invert", TOY_CSV, "--design", "crd:10,5", "--statistic", "studentized", "--alpha", "nan"],
+        ["combine", TOY_CSV, TOY_CSV, "--designs", "crd:10,5;crd:10,5", "--alpha", "0"],
+        ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--mode", "mc", "--k", "0", "--seed", "1"],
+        ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--mode", "mc", "--epsilon", "2",
+         "--seed", "1"],
+        ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--mode", "mc", "--epsilon", "0.1",
+         "--delta", "1.5", "--seed", "1"],
+        ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "nan"],
+        ["mc-threshold", "--delta", "0"],
+    ])
+    def test_out_of_range_argument_is_2(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_combine_without_breakpoints_is_unbounded(self, capsys, tmp_path):
+        # one Monte Carlo draw of a two-unit design leaves no breakpoint, so
+        # the combined interval is the whole line, as the single one is
+        path = tmp_path / "two.csv"
+        path.write_text("unit_id,w,y\na,1,1.5\nb,0,0.5\n")
+        mc = ["--mode", "mc", "--k", "1", "--seed", "1", "--json"]
+        code, out, _ = run_cli(["combine", str(path), str(path), "--designs", "crd:2,1;crd:2,1", *mc], capsys)
+        assert code == 0
+        combined = json.loads(out)["combined"]
+        assert [combined["lower"], combined["upper"]] == ["-inf", "inf"]
+        _, out, _ = run_cli(["invert", str(path), "--design", "crd:2,1", *mc], capsys)
+        proposed = json.loads(out)["proposed"]
+        assert [proposed["lower"], proposed["upper"]] == ["-inf", "inf"]
 
     @pytest.mark.parametrize("key, value", [("reps", 0), ("k1", 7), ("alpha", 1.5), ("b1", 0)])
     def test_out_of_range_config_is_2(self, capsys, tmp_path, key, value):

@@ -17,7 +17,6 @@ from randinf import (
     MCMode,
     PValueKind,
     assignment_matrix,
-    build_step_function,
     build_step_functions,
     chisq_upper,
     combine_functions,
@@ -38,6 +37,7 @@ from randinf import (
 )
 from randinf import combine
 from randinf.combine import _combine_matrix
+from randinf.inversion import _proposed_interval
 from randinf.simulate import generate_population
 
 
@@ -256,6 +256,12 @@ class TestCombineValues:
         with pytest.raises(ValueError):
             stouffer([0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        for make in (stouffer, fisher, double_exponential):
+            with pytest.raises(ValueError, match="finite"):
+                make([bad, 1.0])
+
     def test_make_combiner_names(self):
         assert make_combiner("de").method == "double_exponential"
         with pytest.raises(ValueError):
@@ -265,35 +271,28 @@ class TestCombineValues:
 class TestCombineFunctions:
     def test_single_component_identity(self, toy, diff_means):
         data, design = toy
-        f = build_step_function(data, design, diff_means, PValueKind.LPLUS)
-        c = combine_functions([f], fisher())
+        fs = build_step_functions(data, design, diff_means)
+        c = combine_functions([fs], fisher())[PValueKind.LPLUS]
         grid = np.linspace(-3, 3, 50)
-        np.testing.assert_allclose(c.value(grid), np.atleast_1d(f.value(grid)), atol=1e-12)
-
-    def test_side_mismatch_rejected(self, toy, diff_means):
-        data, design = toy
-        f = build_step_function(data, design, diff_means, PValueKind.LPLUS)
-        g = build_step_function(data, design, diff_means, PValueKind.LMINUS)
-        with pytest.raises(ValueError):
-            combine_functions([f, g], fisher())
+        np.testing.assert_allclose(c.value(grid), np.atleast_1d(fs[PValueKind.LPLUS].value(grid)), atol=1e-12)
 
     def test_two_identical_experiments_sharpen_left_tail(self, toy, diff_means):
         data, design = toy
-        f = build_step_function(data, design, diff_means, PValueKind.LPLUS)
-        c = combine_functions([f, f], fisher())
+        fs = build_step_functions(data, design, diff_means)
+        c = combine_functions([fs, fs], fisher())[PValueKind.LPLUS]
         theta_left = -2.0
-        single = f.value(theta_left)
+        single = fs[PValueKind.LPLUS].value(theta_left)
         assert single < 0.28
         assert c.value(theta_left) < single
 
     def test_union_breakpoints(self, diff_means):
-        rng = np.random.default_rng(3)
         pop1 = generate_population(6, 0.0, seed=1)
         pop2 = generate_population(6, 0.0, seed=2)
         design = CRD(6, 3)
-        f1 = build_step_function(pop1.observe(np.array([1, 1, 1, 0, 0, 0])), design, diff_means, PValueKind.LPLUS)
-        f2 = build_step_function(pop2.observe(np.array([0, 1, 0, 1, 1, 0])), design, diff_means, PValueKind.LPLUS)
-        c = combine_functions([f1, f2], stouffer())
+        fs1 = build_step_functions(pop1.observe(np.array([1, 1, 1, 0, 0, 0])), design, diff_means)
+        fs2 = build_step_functions(pop2.observe(np.array([0, 1, 0, 1, 1, 0])), design, diff_means)
+        f1, f2 = fs1[PValueKind.LPLUS], fs2[PValueKind.LPLUS]
+        c = combine_functions([fs1, fs2], stouffer())[PValueKind.LPLUS]
         assert set(c.breakpoints) == set(f1.breakpoints) | set(f2.breakpoints)
         # piecewise constant between union breakpoints
         bps = np.sort(c.breakpoints)
@@ -305,15 +304,34 @@ class TestCombineFunctions:
         # two-sided combined value doubles the smaller of the combined lower
         # functions, with the minus side built from the strict plus complement
         data, design = toy
-        fl = build_step_function(data, design, diff_means, PValueKind.LPLUS)
-        fu = build_step_function(data, design, diff_means, PValueKind.UPLUS)
-        cl = combine_functions([fl, fl], fisher())
-        cu = combine_functions([fu, fu], fisher())
+        fs = build_step_functions(data, design, diff_means)
+        combined = combine_functions([fs, fs], fisher())
+        cl, cu = combined[PValueKind.LPLUS], combined[PValueKind.UPLUS]
         for theta in (-1.0, 0.5, 1.0, 2.0):
             lplus = cl.value(theta)
             lminus = 1.0 - cu.value(theta)
             two_sided = min(1.0, 2 * min(lplus, lminus))
             assert 0.0 <= two_sided <= 1.0
+
+    @pytest.mark.parametrize("stat_name", ["diff_means", "wilcoxon_rank_sum"])
+    def test_falling_sides_complement_rising_sides_on_one_grid(self, stat_name):
+        from randinf import get_statistic
+
+        stat = get_statistic(stat_name)
+        fss = []
+        for seed, design in ((1, CRD(8, 4)), (2, RBD(((4, 2), (5, 2))))):
+            data = generate_population(design.n_units, 0.5, seed=seed).observe(
+                sample_assignments(design, 1, seed=seed)[0])
+            fss.append(build_step_functions(data, design, stat))
+        combined = combine_functions(fss, stouffer())
+        grid = combined[PValueKind.LPLUS].breakpoints
+        assert all(c.breakpoints is grid for c in combined.values())
+        assert set(grid) == {b for fs in fss for f in fs.values() for b in f.breakpoints}
+        # every breakpoint, and a point inside every interval they cut
+        theta = np.concatenate((grid, 0.5 * (grid[:-1] + grid[1:]), [grid[0] - 1.0, grid[-1] + 1.0]))
+        for falling, rising in ((PValueKind.LMINUS, PValueKind.UPLUS), (PValueKind.UMINUS, PValueKind.LPLUS)):
+            np.testing.assert_array_equal(combined[falling].value(theta), 1.0 - combined[rising].value(theta))
+            assert combined[falling].value(float(grid[0])) == 1.0 - combined[rising].value(float(grid[0]))
 
 
 class TestCombinedInterval:
@@ -362,7 +380,7 @@ class TestCombinedInterval:
         assert len(builds) == 2
 
     def test_combiner_runs_on_about_sqrt_of_the_union_intervals(self, diff_means, monkeypatch):
-        from randinf import combine
+        from randinf import combine, inversion
 
         # a simulate-sized pair: CRD(16, 8) by 5000 Monte Carlo draws and
         # RBD 2x(8, 4) exactly, 4900 rows, about 9k union breakpoints
@@ -376,7 +394,7 @@ class TestCombinedInterval:
         assert g > 5000
 
         columns, per_side = [], []
-        combine_matrix, cut = combine._combine_matrix, combine._cut
+        combine_matrix, cut = combine._combine_matrix, inversion._cut
 
         def counting_combine(P, combiner):
             columns.append(P.shape[1])
@@ -389,11 +407,21 @@ class TestCombinedInterval:
             return out
 
         monkeypatch.setattr(combine, "_combine_matrix", counting_combine)
-        monkeypatch.setattr(combine, "_cut", counting_cut)
-        combine._combined_interval(fss, fisher(), 0.05)
+        monkeypatch.setattr(inversion, "_cut", counting_cut)
+        _proposed_interval(combine_functions(fss, fisher()), 0.025, 0.025)
         # the combiner runs only on the intervals each endpoint search probes
         assert len(per_side) == 2 and sum(per_side) == sum(columns)
         assert max(per_side) <= 4 * (isqrt(g + 1) + 2)
+
+    def test_equals_proposed_interval_of_combined_functions(self, toy, diff_means):
+        pop = generate_population(12, 1.0, seed=3)
+        second = (pop.observe(sample_assignments(CRD(12, 6), 1, seed=3)[0]), CRD(12, 6))
+        modes = [ExactMode(), MCMode(k=300, seed=4)]
+        fss = [build_step_functions(d, g, diff_means, m) for (d, g), m in zip([toy, second], modes)]
+        for combiner in (fisher(), stouffer((1.0, 2.0)), make_combiner("de")):
+            for alpha in (0.05, 0.5):
+                ci = combined_interval([toy, second], diff_means, combiner, alpha, modes=modes)
+                assert ci == _proposed_interval(combine_functions(fss, combiner), alpha / 2, alpha / 2)
 
     def test_mode_records_per_experiment_modes(self, toy, diff_means):
         data, design = toy

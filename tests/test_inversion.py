@@ -203,7 +203,7 @@ class TestInversionAtBaseLevel:
         k = self.K
         return PValueStepFunction(
             side=side, breakpoints=np.arange(k - 1.0), counts=np.ones(k - 1, dtype=np.int64),
-            base_count=1, never_count=0, denom=k, statistic="rank", t_obs=0.0, mode=ExactMode(),
+            base_count=1, never_count=0, denom=k, statistic="rank", mode=ExactMode(),
         )
 
     def test_lower(self):

@@ -49,7 +49,6 @@ from randinf.design import (
     _sample_indices,
     _unrank_block_vectorized,
 )
-from randinf.combine import _combined_interval
 from randinf.datasets import PotentialTable
 from randinf.inversion import _bisect_crossings, _cut, _proposed_interval, _traditional_interval
 from randinf.randomization import _replicate_source
@@ -190,15 +189,15 @@ def test_cut_search_equals_scan(size_first):
 
 
 def _assert_combined_interval_equals_point_evaluation(fss, combiner, alpha):
-    c_lplus = combine_functions([fs[PValueKind.LPLUS] for fs in fss], combiner)
-    c_uplus = combine_functions([fs[PValueKind.UPLUS] for fs in fss], combiner)
+    combined = combine_functions(fss, combiner)
+    c_lplus, c_uplus = combined[PValueKind.LPLUS], combined[PValueKind.UPLUS]
     grid = _union_grid([c_lplus, c_uplus])
     assume(grid.size > 0)
     # one test point per theta interval and one at each grid point, in order
     mids = np.append(0.5 * (grid[:-1] + grid[1:]), grid[-1] + 1.0)
     theta = np.concatenate(([grid[0] - 1.0], np.column_stack((grid, mids)).ravel()))
     half = alpha / 2
-    ci = _combined_interval(fss, combiner, alpha)
+    ci = _proposed_interval(combined, half, half)
     assert ci.lower == _first_start(grid, theta, c_lplus.value(theta) > half)
     assert ci.upper == _first_start(grid, theta, 1.0 - c_uplus.value(theta) <= half)
 
