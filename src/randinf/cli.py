@@ -196,7 +196,7 @@ def _checked(validate, *values):
 
 def _mode_from_args(args) -> ExactMode | MCMode:
     if args.mode == "exact":
-        return ExactMode(cap=args.cap)
+        return _checked(ExactMode, args.cap)
     k = args.k
     if k is None:
         if args.epsilon is None:

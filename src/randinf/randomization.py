@@ -67,6 +67,10 @@ class ExactMode:
 
     cap: int = DEFAULT_ENUMERATION_CAP
 
+    def __post_init__(self):
+        if self.cap < 1:
+            raise ValueError("enumeration cap must be >= 1")
+
 
 @dataclass(frozen=True)
 class MCMode:

@@ -20,7 +20,8 @@ Three statistics ship with the registry:
     read from treated/control pair counts (:func:`_wilcoxon_rows`).  EI.  Its
     exact per-assignment switch points in ``theta`` come from the pairwise
     differences of treated and control outcomes (the structure behind the
-    Hodges-Lehmann estimator), see :func:`_wilcoxon_switch_points`.
+    Hodges-Lehmann estimator), read from one n×n table of pair values per
+    call, see :func:`_wilcoxon_switch_points`.
 
 All statistics here are oriented so that large values indicate effects above
 the hypothesized ``theta``.
@@ -195,7 +196,8 @@ def _studentized_rows(Y, W):
     return (m1 - m0) / denom
 
 
-# Treated/control pairs built at once by the rank-sum kernels; bounds their memory.
+# Treated/control pairs built at once by the rank-sum kernels: bounds their
+# memory, for the switch points the gathered q and their flat indices.
 _PAIR_CHUNK = 1 << 16
 
 
@@ -239,22 +241,38 @@ def _wilcoxon_switch_points(data: ObservedData, W: np.ndarray, m) -> np.ndarray:
     constant and a pair with ``c > 0`` switches on at ``q = (y_j - y_i) / c``.
     Away from the ``q``, ``T = base + #{q < theta}``, so ``T >= m`` exactly
     when theta exceeds the ``ceil(m - base)``-th smallest ``q`` of the row.
-    Each row's ``q`` are sorted once for every threshold in ``m``.
+
+    Neither ``q`` nor a fixed pair's win depends on the row, only on the
+    pair and ``w_obs``.  So each call builds one n×n pair table ``Q``
+    (``+inf`` where ``c = 0``; 8·n² bytes: 29 KB at n = 60, 32 MB at
+    n = 2,000), and each row's ``q`` are gathered from it by flat index.
+    The fixed pairs are the observed-treated ``i`` and observed-control
+    ``j`` that the row keeps in place; their wins
+    ``B = [y_j < y_i] + 1/2 [y_j = y_i]`` (at most n1_obs·n0_obs doubles)
+    give a chunk's ``base`` in one matrix product, exact because every
+    partial sum is a small half-integer.  Each row's ``q`` are sorted once
+    for every threshold in ``m``.
     """
     y = data.y_obs
     w_obs = data.w_obs
     m = np.asarray(m, dtype=float)
+    n = y.size
+    treated, control = np.flatnonzero(w_obs == 1), np.flatnonzero(w_obs == 0)
+    fixed = np.ix_(treated, control)  # the pairs with c = 0
+    Q = y[None, :] - y[:, None]  # y_j - y_i: the pairs with c = 1 as they stand
+    B = Q[fixed]
+    B = (B < 0) + 0.5 * (B == 0)
+    Q[np.ix_(control, treated)] /= 2  # c = 2
+    Q[fixed] = np.inf
+    Q = Q.ravel()
     out = np.empty((m.size, W.shape[0]))
     for rows, ti, ci in _pair_chunks(W):
         r, n1 = ti.shape
         pairs = n1 * ci.shape[1]
-        diff = (y[ci][:, None, :] - y[ti][:, :, None]).reshape(r, -1)
-        c = ((1 - w_obs[ti])[:, :, None] + w_obs[ci][:, None, :]).reshape(r, -1)
-        fixed = c == 0
-        wins = (fixed & (diff < 0)).sum(axis=1) + 0.5 * (fixed & (diff == 0)).sum(axis=1)
-        base = n1 * (n1 + 1) / 2 + wins
-        q = np.divide(diff, c, out=np.full(diff.shape, np.inf), where=~fixed)
+        q = Q[(ti * n)[:, :, None] + ci[:, None, :]].reshape(r, pairs)
         q.sort(axis=1)
+        Wr = W[rows]
+        base = n1 * (n1 + 1) / 2 + np.einsum("ij,ij->i", Wr[:, treated], (1 - Wr[:, control]) @ B.T)
         need = np.ceil(m.reshape(-1, 1) - base).astype(np.int64)  # pairs that must be on
         pick = q[np.arange(r), np.clip(need - 1, 0, pairs - 1)]
         out[:, rows] = np.where(need <= 0, -np.inf, np.where(need > pairs, np.inf, pick))

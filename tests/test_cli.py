@@ -331,6 +331,8 @@ class TestExitCodes:
          "--delta", "1.5", "--seed", "1"],
         ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "nan"],
         ["mc-threshold", "--delta", "0"],
+        ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--cap", "0"],
+        ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--cap", "-1"],
     ])
     def test_out_of_range_argument_is_2(self, capsys, args):
         code, out, err = run_cli(args, capsys)

@@ -143,6 +143,11 @@ class TestEnumeration:
             assignment_matrix(CRD(24, 12))  # 2,704,156 rows
         assert randomization_mod.ExactMode().cap == design_mod.DEFAULT_ENUMERATION_CAP
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_refused(self, cap):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            randomization_mod.ExactMode(cap)
+
     @pytest.mark.parametrize("n, t", [(1500, 2), (1500, 1498), (20000, 1)])
     def test_wide_ranges_equal_unranked_rows_in_bounded_memory(self, n, t):
         # 2^10-row ranges at the start, middle and end of each order; beyond

@@ -300,6 +300,63 @@ def test_rank_sum_from_pair_counts_equals_midrank_sums(design, kind, k, seed):
         assert _wilcoxon_rows(Y, W).tobytes() == want.tobytes()
 
 
+def switch_points_per_row(data, W, m):
+    """Rank-sum switch points rebuilt from every row's own treated/control pairs.
+
+    Each row pairs treated ``i`` with control ``j``: ``c = (1 - w_obs_i) + w_obs_j``,
+    a pair with ``c = 0`` adds its win to ``base`` and the others switch at
+    ``q = (y_j - y_i) / c``; the ``ceil(m - base)``-th smallest ``q`` is the
+    switch point, ``-inf`` when no pair is needed and ``+inf`` past the last.
+    """
+    y, w_obs = data.y_obs, data.w_obs
+    treated = W > 0.5
+    k, n = W.shape
+    n1 = int(treated[0].sum())
+    ti = np.nonzero(treated)[1].reshape(k, n1)
+    ci = np.nonzero(~treated)[1].reshape(k, n - n1)
+    diff = (y[ci][:, None, :] - y[ti][:, :, None]).reshape(k, -1)
+    c = ((1 - w_obs[ti])[:, :, None] + w_obs[ci][:, None, :]).reshape(k, -1)
+    fixed = c == 0
+    wins = (fixed & (diff < 0)).sum(axis=1) + 0.5 * (fixed & (diff == 0)).sum(axis=1)
+    base = n1 * (n1 + 1) / 2 + wins
+    q = np.divide(diff, c, out=np.full(diff.shape, np.inf), where=~fixed)
+    q.sort(axis=1)
+    pairs = q.shape[1]
+    need = np.ceil(m.reshape(-1, 1) - base).astype(np.int64)
+    pick = q[np.arange(k), np.clip(need - 1, 0, pairs - 1)]
+    return np.where(need <= 0, -np.inf, np.where(need > pairs, np.inf, pick)).reshape(m.shape + (k,))
+
+
+@PROPERTY_SETTINGS
+@given(designs(), st.sampled_from(["integer", "half-integer", "negative", "lognormal"]),
+       st.integers(1, 300), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, 2**20), min_size=1, max_size=4))
+def test_switch_points_equal_per_row_pairs(design, kind, k, seed, picks):
+    # the pair table gives every row the bytes its own pairs give, the
+    # observed row (all of its pairs fixed) included, for thresholds from
+    # below every row's base (-inf) to past every row's maximum (+inf)
+    rng = np.random.default_rng(seed)
+    n = design.n_units
+    y = {
+        "integer": lambda: rng.integers(-2, 3, size=n).astype(float),
+        "half-integer": lambda: rng.integers(-4, 5, size=n) / 2,
+        "negative": lambda: -rng.lognormal(size=n),
+        "lognormal": lambda: rng.lognormal(size=n),
+    }[kind]()
+    w_obs = sample_assignments(design, 1, seed=seed + 1)[0]
+    data = ObservedData(w_obs, y)
+    W = sample_assignments(design, k, seed=seed).astype(float)
+    W = np.insert(W, rng.integers(0, k + 1), w_obs, axis=0)
+    n1 = int(w_obs.sum())
+    low, pairs = n1 * (n1 + 1) / 2, n1 * (n - n1)
+    m = np.array([low - 1, *(low + p % (2 * pairs + 1) / 2 for p in picks), low + pairs + 1])
+    want = switch_points_per_row(data, W, m)
+    assert (want[0] == -np.inf).all() and (want[-1] == np.inf).all()
+    assert statistics_mod._wilcoxon_switch_points(data, W, m).tobytes() == want.tobytes()
+    with mock.patch.object(statistics_mod, "_PAIR_CHUNK", 1):
+        assert statistics_mod._wilcoxon_switch_points(data, W, m).tobytes() == want.tobytes()
+
+
 @st.composite
 def enumeration_ranges(draw):
     """(design, lo, hi): a row range around any row, a replicate-block edge or an RBD wrap point.

@@ -219,6 +219,74 @@ class TestWilcoxonSwitchPoints:
         monkeypatch.setattr(statistics_mod, "_PAIR_CHUNK", 1)
         np.testing.assert_array_equal(wilcoxon.switch_points(data, W, m), together)
 
+    @staticmethod
+    def _assert_switches(wilcoxon, data, W, m):
+        # on integer outcomes every q is a multiple of 1/2: T(theta) >= m a
+        # quarter above each finite b* and fails a quarter below it; -inf rows
+        # pass at theta = -1e6 and +inf rows fail at 1e6
+        D = W - data.w_obs
+
+        def rank_sums(theta):
+            return (rankdata(data.y_obs + theta[:, None] * D, axis=1) * W).sum(axis=1)
+
+        b = wilcoxon.switch_points(data, W, m)
+        for mi, bi in zip(m, b):
+            finite = np.isfinite(bi)
+            t = np.where(finite, bi, 0.0)
+            assert (rank_sums(t + 0.25)[finite] >= mi).all()
+            assert (rank_sums(t - 0.25)[finite] < mi).all()
+            assert (rank_sums(np.full(bi.size, -1e6))[bi == -np.inf] >= mi).all()
+            assert (rank_sums(np.full(bi.size, 1e6))[bi == np.inf] < mi).all()
+        return b
+
+    @staticmethod
+    def _thresholds(n1, n0):
+        # every half-integer from below the smallest rank sum to past the largest
+        low = n1 * (n1 + 1) / 2
+        return np.arange(low - 1, low + n1 * n0 + 1.5, 0.5)
+
+    def test_one_row_per_chunk_past_the_pair_bound(self, wilcoxon):
+        # CRD(600,300) has 90,000 pairs a row, more than _PAIR_CHUNK
+        design = CRD(600, 300)
+        rng = np.random.default_rng(14)
+        data = ObservedData(sample_assignments(design, 1, seed=5)[0], rng.integers(-5, 6, 600))
+        W = sample_assignments(design, 3, seed=6).astype(float)
+        assert [rows.stop - rows.start for rows, _, _ in statistics_mod._pair_chunks(W)] == [1, 1, 1]
+        low = 300 * 301 / 2
+        m = low + np.array([-1.0, 0.0, 20000.5, 45000.0, 70000.5, 90000.0, 90001.0])
+        b = self._assert_switches(wilcoxon, data, W, m)
+        assert (b[0] == -np.inf).all() and (b[-1] == np.inf).all() and np.isfinite(b[3]).all()
+
+    @pytest.mark.parametrize("n1", [1, 29])
+    def test_very_unbalanced_designs(self, wilcoxon, n1):
+        design = CRD(30, n1)
+        rng = np.random.default_rng(15)
+        data = ObservedData(sample_assignments(design, 1, seed=7)[0], rng.integers(-3, 4, 30))
+        W = sample_assignments(design, 200, seed=8).astype(float)
+        b = self._assert_switches(wilcoxon, data, W, self._thresholds(n1, 30 - n1))
+        assert np.isfinite(b).any()
+
+    def test_observed_row_keeps_every_pair_fixed(self, wilcoxon):
+        # under the observed assignment every treated/control pair is fixed,
+        # so T is T_obs at every theta and b* is -inf up to T_obs, +inf past it
+        rng = np.random.default_rng(16)
+        data, design = random_experiment(rng, n=9, n_treated=4)
+        W = np.vstack([assignment_matrix(design), data.w_obs]).astype(float)
+        m = self._thresholds(4, 5)
+        b = wilcoxon.switch_points(data, W, m)
+        t_obs = observed_statistic(wilcoxon, data)
+        np.testing.assert_array_equal(b[:, -1], np.where(m <= t_obs, -np.inf, np.inf))
+        np.testing.assert_array_equal(b[:, :-1], wilcoxon.switch_points(data, W[:-1], m))
+
+    def test_ties_in_every_pair_class(self, wilcoxon):
+        # units 0-2 (treated) tie, units 4-5 (control) tie, and unit 6
+        # (control) ties units 0-2: over the enumeration tied pairs fall in all
+        # four (w_obs_i, w_obs_j) classes, fixed (1, 0) and switching at q = 0
+        data = ObservedData(np.array([1, 1, 1, 1, 0, 0, 0, 0]), np.array([1.0, 1, 1, 2, 0, 0, 1, 3]))
+        W = assignment_matrix(CRD(8, 4)).astype(float)
+        b = self._assert_switches(wilcoxon, data, W, self._thresholds(4, 4))
+        assert (b == 0.0).any()
+
 
     def test_rows_treating_different_counts_are_refused(self, wilcoxon):
         # pairing by row 0's treated count would mis-pair the other rows
