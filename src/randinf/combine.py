@@ -311,14 +311,14 @@ class CombinedPValueFunction:
         return float(out[0]) if np.ndim(theta) == 0 else out
 
     def _level_reader(self):
-        """Reads union intervals ``j``: each component's levels, computed once, read where ``j`` starts."""
+        """Reads union intervals ``j``: each component's level where ``j`` starts, combined."""
         starts = np.concatenate(([-np.inf], self.breakpoints))
-        levels = [f._levels() for f in self.components]
+        levels = [f._level_reader() for f in self.components]
         falling = self.side != _RISING[self.side]
 
         def read(j):
             out = _combine_matrix(np.vstack([
-                level[np.searchsorted(f.breakpoints, starts[j], side="right")]
+                level(np.searchsorted(f.breakpoints, starts[j], side="right"))
                 for f, level in zip(self.components, levels)
             ]), self.combiner)
             return 1.0 - out if falling else out

@@ -135,20 +135,20 @@ class PValueStepFunction:
 
     def _at(self, theta, search):
         idx = np.searchsorted(self.breakpoints, round_sig(np.asarray(theta, dtype=float)), side=search)
-        out = self._levels()[idx]
+        out = self._level_reader()(idx)
         return float(out) if np.ndim(theta) == 0 else out
 
-    def _levels(self):
-        """Values on the breakpoints.size + 1 theta intervals the breakpoints cut, in order."""
-        if self.side in (PValueKind.LPLUS, PValueKind.UPLUS):  # mass switched on below theta
-            active = np.concatenate(([0], np.cumsum(self.counts)))
-        else:  # mass not yet switched off
-            active = np.concatenate((np.cumsum(self.counts[::-1])[::-1], [0]))
-        return (self.base_count + active) / self.denom
-
     def _level_reader(self):
-        """Reads the levels of intervals ``j``, computed once per reader, not kept on the function."""
-        return self._levels().__getitem__
+        """Reads the levels of intervals ``j``, of the breakpoints.size + 1 the breakpoints cut.
+
+        One integer cumsum per reader, not kept on the function; only the
+        levels read are divided.
+        """
+        below = np.cumsum(np.concatenate(([0], self.counts)))  # mass switching below interval j
+        if self.side in (PValueKind.LPLUS, PValueKind.UPLUS):  # mass switched on below theta
+            return lambda j: (self.base_count + below[j]) / self.denom
+        top = self.base_count + int(below[-1])  # mass not yet switched off
+        return lambda j: (top - below[j]) / self.denom
 
 
 def _threshold(t_obs, strict):
@@ -158,7 +158,7 @@ def _threshold(t_obs, strict):
 
 
 def _row_tests(data, stat, W, t_obs, strict):
-    """For rows of the float block ``W`` at per-row theta: the statistic, and whether it reaches T_obs."""
+    """For rows of the block ``W`` at per-row theta: the statistic, and whether it reaches T_obs."""
     threshold = _threshold(t_obs, strict)
     y = data.y_obs
     w_obs = data.w_obs.astype(float)
@@ -236,7 +236,7 @@ def _bisect_crossings(data, stat, W, t_obs, strict, scale):
 
 
 def _switch_point_crossings(data, stat, W, t_obs, strict, scale, b_star):
-    """One float block's crossings from its rows' exact switch points ``b_star``.
+    """One int8 block's crossings from its rows' exact switch points ``b_star``.
 
     Rows with ``b* = +-inf`` are classified directly.  Every finite ``b*`` lies
     within the outcome range, inside the initial bracket of
@@ -267,13 +267,12 @@ def _switch_point_crossings(data, stat, W, t_obs, strict, scale, b_star):
 def _crossings(data, stat, source, t_obs, scale):
     """The ``ge`` and ``gt`` crossings of each block of the source's rows, in row order.
 
-    How they are found is a capability of the statistic.  An ``affine``
-    statistic yields the ``ge`` crossings alone: its ``gt`` crossings are the
-    same finite values, and its ``-inf`` rows, tied at every theta, never
-    pass.
+    How they are found is a capability of the statistic, which reads the
+    ``int8`` block itself.  An ``affine`` statistic yields the ``ge``
+    crossings alone: its ``gt`` crossings are the same finite values, and its
+    ``-inf`` rows, tied at every theta, never pass.
     """
     for W in source.blocks():
-        W = W.astype(float)
         if stat.affine is not None:
             a, b = stat.affine(data, W)
             moving = b > 0  # rows with b = 0 tie T_obs at every theta
@@ -292,6 +291,7 @@ def _crossings(data, stat, source, t_obs, scale):
             yield (_switch_point_crossings(data, stat, W, t_obs, False, scale, b_ge),
                    _switch_point_crossings(data, stat, W, t_obs, True, scale, b_gt))
         else:
+            W = W.astype(float)  # every bisection step reads the whole block
             yield (_bisect_crossings(data, stat, W, t_obs, False, scale),
                    _bisect_crossings(data, stat, W, t_obs, True, scale))
 
@@ -496,13 +496,13 @@ def _traditional_interval(f: PValueStepFunction, alpha: float, theta_grid=None) 
     """Two-crossing interval from one LPLUS function, at alpha/2 and 1 - alpha/2."""
     half = alpha / 2
     if theta_grid is None:
-        grid, levels = f.breakpoints, f._levels()
+        grid, read = f.breakpoints, f._level_reader()
     else:
         # a coarse grid is read at its points only; nothing below its first point
         grid = np.sort(np.asarray(theta_grid, dtype=float))
-        levels = np.concatenate(([0.0], f.value(grid)))
-    lower = _cut(grid, lambda j: levels[j] > half)
-    upper = _cut(grid, lambda j: levels[j] >= 1 - half)
+        read = np.concatenate(([0.0], f.value(grid))).__getitem__
+    lower = _cut(grid, lambda j: read(j) > half)
+    upper = _cut(grid, lambda j: read(j) >= 1 - half)
     return ConfidenceInterval(
         lower=lower, upper=upper, alpha1=half, alpha2=half,
         method="traditional", statistic=f.statistic, mode=f.mode,

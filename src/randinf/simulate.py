@@ -303,14 +303,18 @@ def exact_validity_audit(
     width_p = np.zeros((len(alphas), k))
     width_t = np.zeros((len(alphas), k))
     chunk = max(1, (1 << 18) // k)  # rows; each chunk x k matrix holds at most 2**18 entries
+    buffer = np.empty((min(chunk, k), k))
     for start in range(0, k, chunk):
         obs = np.arange(start, min(start + chunk, k))
         # row j is observed assignment obs[j], column i replicate i
         swaps = n1 - W[obs] @ W.T  # units treated under i and control under j
         B = swaps / n1 + swaps / n0
+        # B = 0 only at the observed assignment itself (every row treats n1
+        # units), where 0 / 0 leaves NaN: its base mass
+        BP = np.subtract(tau[obs, None], tau, out=buffer[:obs.size])
         with np.errstate(divide="ignore", invalid="ignore"):
-            BP = theta0 + (tau[obs, None] - tau) / B
-        BP[B == 0] = np.nan  # the observed assignment itself: base mass
+            np.divide(BP, B, out=BP)
+        BP += theta0
         # one contiguous sort per row; NaNs sort last, one per row, and
         # rounding is monotone, so only the order statistics at the finite
         # ranks are rounded

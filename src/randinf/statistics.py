@@ -3,7 +3,14 @@
 A constant-effect null pins every unit's treatment effect to one value
 ``theta``, which lets the full potential-outcome table be reconstructed from
 the observed half: :func:`impute`.  Statistics are evaluated on the dataset
-realized by applying an assignment vector to that imputed table.
+realized by applying an assignment vector to that imputed table: a statistic
+reads the treated potentials where the assignment treats and the control
+potentials elsewhere (:class:`StatisticSpec`).
+
+Assignment rows arrive as ``int8`` blocks.  The float work walks a block in
+tiles of at most ``_TILE_ENTRIES`` entries (:func:`_by_tile`), so the float
+copies of the rows and their temporaries stay cache sized whatever the
+block size.
 
 Three statistics ship with the registry:
 
@@ -20,8 +27,8 @@ Three statistics ship with the registry:
     read from treated/control pair counts (:func:`_wilcoxon_rows`).  EI.  Its
     exact per-assignment switch points in ``theta`` come from the pairwise
     differences of treated and control outcomes (the structure behind the
-    Hodges-Lehmann estimator), read from one n×n table of pair values per
-    call, see :func:`_wilcoxon_switch_points`.
+    Hodges-Lehmann estimator), read from one table of pair values per call,
+    see :func:`_wilcoxon_switch_points`.
 
 All statistics here are oriented so that large values indicate effects above
 the hypothesized ``theta``.
@@ -115,13 +122,18 @@ def impute(data: ObservedData, theta: float) -> ImputedOutcomes:
 class StatisticSpec:
     """A registered test statistic and its certification flags.
 
-    ``realized_rows(Y, W)`` computes the statistic for every row of the
-    realized-outcome matrix ``Y`` with assignment rows ``W``, vectorized.
+    ``rows(y1, y0, W)`` computes the statistic for every row of the float
+    assignment rows ``W`` (shape (k, n)), vectorized: unit ``i`` of row ``r``
+    realizes ``y1[r, i]`` where ``W[r, i] = 1`` and ``y0[r, i]`` where it is
+    0.  Each of ``y1`` and ``y0`` is a vector of n shared by every row or a
+    matrix of ``W``'s shape, and is read only where its arm is assigned.  It
+    is called on one tile of rows at a time (:func:`_by_tile`).
     ``ei_certified`` statistics are non-decreasing in the treated potentials
     and non-increasing in the control potentials, which guarantees
     ``theta_monotone_rightcontinuous`` for the map theta -> T(imputed, w).
 
-    Optional capabilities replace inversion's generic bisection.
+    Optional capabilities replace inversion's generic bisection.  Both
+    receive a read-only ``int8`` block of assignment rows.
     ``affine(data, W)`` returns per-row ``(a, b)``, ``b >= 0``, with
     ``T(theta, w) = a + b * theta`` and ``b = 0`` only on rows that tie the
     observed value: switch points are closed form.
@@ -137,7 +149,7 @@ class StatisticSpec:
     name: str
     ei_certified: bool
     theta_monotone_rightcontinuous: bool
-    realized_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    rows: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     affine: Optional[Callable[..., tuple]] = None
     switch_points: Optional[Callable[..., np.ndarray]] = None
 
@@ -148,15 +160,47 @@ class StatisticSpec:
             )
 
 
+# Entries of an assignment block converted to float at a time.  Tiles are a
+# multiple of 8 rows (at least 8), so BLAS row dot products over a tile round
+# exactly as over the whole block, and results do not depend on the size.
+_TILE_ENTRIES = 1 << 15
+
+
+def _by_tile(fn, W, *outcomes):
+    """``fn(*outcomes, tile)`` on float tiles of the rows of ``W``, results joined in row order.
+
+    A tile has at most ``_TILE_ENTRIES`` entries, or 8 rows when a row is
+    longer.  Each outcome matrix (2-D) is cut into the tile's rows; a vector
+    serves every row.  ``fn`` returns a per-row vector or a tuple of them,
+    none a view of the tile: the tiles of one call share one buffer.
+    """
+    k, n = W.shape
+    step = max(8, _TILE_ENTRIES // max(n, 1) // 8 * 8)
+    buffer = np.empty((min(step, k), n))
+    parts = []
+    for start in range(0, max(k, 1), step):
+        tile = buffer[:min(step, k - start)]
+        np.copyto(tile, W[start:start + step])
+        parts.append(fn(*(y[start:start + step] if y.ndim == 2 else y for y in outcomes), tile))
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
+
+
 def _arm_sizes(W):
-    n1 = W.sum(axis=1)
-    n0 = W.shape[1] - n1
-    return n1.astype(float), n0.astype(float)
+    n1 = W @ np.ones(W.shape[1])  # exact integers
+    return n1, W.shape[1] - n1
 
 
-def _diff_means_rows(Y, W):
+def _diff_means_rows(y1, y0, W):
+    # a 0/1 factor picks a value or a zero, so these are the sums of the
+    # realized treated and control outcomes
     n1, n0 = _arm_sizes(W)
-    return (Y * W).sum(axis=1) / n1 - (Y * (1 - W)).sum(axis=1) / n0
+    picked = W * y1
+    treated = picked.sum(axis=1)
+    np.subtract(1, W, out=picked)
+    picked *= y0
+    return treated / n1 - picked.sum(axis=1) / n0
 
 
 def _diff_means_affine(data: ObservedData, W: np.ndarray):
@@ -170,22 +214,29 @@ def _diff_means_affine(data: ObservedData, W: np.ndarray):
     """
     y = data.y_obs
     w_obs = data.w_obs.astype(float)
-    n1 = W @ np.ones(W.shape[1])
-    n0 = W.shape[1] - n1
-    a = (W @ y) / n1 - ((1 - W) @ y) / n0
-    both = W @ w_obs
-    b = (n1 - both) / n1 + (w_obs.sum() - both) / n0
-    return a, b
+    ones = np.ones(y.size)
+
+    def tile(W):
+        n1 = W @ ones
+        n0 = W.shape[1] - n1
+        both = W @ w_obs
+        treated = W @ y
+        control = np.subtract(1, W, out=W) @ y  # the tile is scratch, refilled for the next
+        a = treated / n1 - control / n0
+        b = (n1 - both) / n1 + (w_obs.sum() - both) / n0
+        return a, b
+
+    return _by_tile(tile, W)
 
 
-def _studentized_rows(Y, W):
+def _studentized_rows(y1, y0, W):
     n1, n0 = _arm_sizes(W)
     if (n1 < 2).any() or (n0 < 2).any():
         raise StatisticError("studentized statistic requires both arms of size >= 2")
-    m1 = (Y * W).sum(axis=1) / n1
-    m0 = (Y * (1 - W)).sum(axis=1) / n0
-    ss1 = (Y * Y * W).sum(axis=1) - n1 * m1 * m1
-    ss0 = (Y * Y * (1 - W)).sum(axis=1) - n0 * m0 * m0
+    m1 = (W * y1).sum(axis=1) / n1
+    m0 = ((1 - W) * y0).sum(axis=1) / n0
+    ss1 = ((y1 * y1) * W).sum(axis=1) - n1 * m1 * m1
+    ss0 = ((y0 * y0) * (1 - W)).sum(axis=1) - n0 * m0 * m0
     v1 = np.maximum(ss1, 0.0) / (n1 - 1)
     v0 = np.maximum(ss0, 0.0) / (n0 - 1)
     denom = np.sqrt(v1 / n1 + v0 / n0)
@@ -219,10 +270,12 @@ def _pair_chunks(W: np.ndarray):
         yield slice(start, start + r), np.nonzero(t)[1].reshape(r, n1), np.nonzero(~t)[1].reshape(r, n0)
 
 
-def _wilcoxon_rows(Y, W):
+def _wilcoxon_rows(y1, y0, W):
     """Rank sum of each row from pair counts: ``n1(n1+1)/2`` plus, over treated
-    ``i`` and control ``j``, 1 if ``y_i > y_j`` and 1/2 if they tie.  The
-    values are exact half-integers, equal to the treated midrank sums."""
+    ``i`` and control ``j``, 1 if ``y_i > y_j`` and 1/2 if they tie, on the
+    realized outcomes.  The values are exact half-integers, equal to the
+    treated midrank sums."""
+    Y = np.where(W == 1, y1, y0)
     out = np.empty(W.shape[0])
     for rows, ti, ci in _pair_chunks(W):
         n1 = ti.shape[1]
@@ -243,9 +296,12 @@ def _wilcoxon_switch_points(data: ObservedData, W: np.ndarray, m) -> np.ndarray:
     when theta exceeds the ``ceil(m - base)``-th smallest ``q`` of the row.
 
     Neither ``q`` nor a fixed pair's win depends on the row, only on the
-    pair and ``w_obs``.  So each call builds one n×n pair table ``Q``
-    (``+inf`` where ``c = 0``; 8·n² bytes: 29 KB at n = 60, 32 MB at
-    n = 2,000), and each row's ``q`` are gathered from it by flat index.
+    pair and ``w_obs``.  So each call builds one pair table ``Q`` (``+inf``
+    where ``c = 0``) with a row for each unit ``i`` that some row of ``W``
+    treats, the ``i`` of every pair read, and each row's ``q`` are gathered
+    from it by flat index.  It takes 8·|U|·n bytes for |U| such units, at
+    most 8·n² (29 KB at n = 60; at n = 2,000, 6.4 MB for 200 rows treating
+    two units each, 32 MB once every unit is treated somewhere).
     The fixed pairs are the observed-treated ``i`` and observed-control
     ``j`` that the row keeps in place; their wins
     ``B = [y_j < y_i] + 1/2 [y_j = y_i]`` (at most n1_obs·n0_obs doubles)
@@ -258,18 +314,20 @@ def _wilcoxon_switch_points(data: ObservedData, W: np.ndarray, m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     n = y.size
     treated, control = np.flatnonzero(w_obs == 1), np.flatnonzero(w_obs == 0)
-    fixed = np.ix_(treated, control)  # the pairs with c = 0
-    Q = y[None, :] - y[:, None]  # y_j - y_i: the pairs with c = 1 as they stand
-    B = Q[fixed]
+    units = np.flatnonzero(W.any(axis=0))  # the i of the pairs read
+    start = np.zeros(n, dtype=np.int64)  # where unit i's row of Q starts
+    start[units] = np.arange(units.size) * n
+    B = y[None, control] - y[treated, None]  # the pairs with c = 0
     B = (B < 0) + 0.5 * (B == 0)
-    Q[np.ix_(control, treated)] /= 2  # c = 2
-    Q[fixed] = np.inf
+    Q = y[None, :] - y[units, None]  # y_j - y_i: the pairs with c = 1 as they stand
+    Q[np.ix_(w_obs[units] == 0, w_obs == 1)] /= 2  # c = 2
+    Q[np.ix_(w_obs[units] == 1, w_obs == 0)] = np.inf  # c = 0
     Q = Q.ravel()
     out = np.empty((m.size, W.shape[0]))
     for rows, ti, ci in _pair_chunks(W):
         r, n1 = ti.shape
         pairs = n1 * ci.shape[1]
-        q = Q[(ti * n)[:, :, None] + ci[:, None, :]].reshape(r, pairs)
+        q = Q[start[ti][:, :, None] + ci[:, None, :]].reshape(r, pairs)
         q.sort(axis=1)
         Wr = W[rows]
         base = n1 * (n1 + 1) / 2 + np.einsum("ij,ij->i", Wr[:, treated], (1 - Wr[:, control]) @ B.T)
@@ -307,7 +365,7 @@ DIFF_MEANS = register_statistic(
         name="diff_means",
         ei_certified=True,
         theta_monotone_rightcontinuous=True,
-        realized_rows=_diff_means_rows,
+        rows=_diff_means_rows,
         affine=_diff_means_affine,
     )
 )
@@ -317,7 +375,7 @@ STUDENTIZED = register_statistic(
         name="studentized",
         ei_certified=False,
         theta_monotone_rightcontinuous=False,
-        realized_rows=_studentized_rows,
+        rows=_studentized_rows,
     )
 )
 
@@ -326,7 +384,7 @@ WILCOXON = register_statistic(
         name="wilcoxon_rank_sum",
         ei_certified=True,
         theta_monotone_rightcontinuous=True,
-        realized_rows=_wilcoxon_rows,
+        rows=_wilcoxon_rows,
         switch_points=_wilcoxon_switch_points,
     )
 )
@@ -334,16 +392,16 @@ WILCOXON = register_statistic(
 
 def evaluate_realized(stat: StatisticSpec, Y: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Statistic values for realized-outcome rows ``Y`` under assignment rows ``W``."""
-    return stat.realized_rows(np.asarray(Y, dtype=float), np.asarray(W, dtype=float))
+    Y = np.asarray(Y, dtype=float)
+    return _by_tile(stat.rows, np.asarray(W), Y, Y)
 
 
 def evaluate_many(stat: StatisticSpec, imputed: ImputedOutcomes, W: np.ndarray) -> np.ndarray:
-    """Statistic values for every assignment row of ``W`` (shape (k, n))."""
-    W = np.asarray(W, dtype=float)
+    """Statistic values for every assignment row of ``W`` (shape (k, n)), ``int8`` or float."""
+    W = np.asarray(W)
     if W.ndim == 1:
         W = W[None, :]
-    Y = np.where(W == 1, imputed.y1, imputed.y0)
-    return stat.realized_rows(Y, W)
+    return _by_tile(stat.rows, W, imputed.y1, imputed.y0)
 
 
 def evaluate(stat: StatisticSpec, imputed: ImputedOutcomes, w: np.ndarray) -> float:
@@ -392,7 +450,6 @@ def ei_probe(stat: StatisticSpec, data: ObservedData, design, trials: int, seed)
         W = design_mod.assignment_matrix(design)
     else:
         W = design_mod.sample_assignments(design, 64, seed=seed)
-    W = W.astype(float)
     base = evaluate_many(stat, table, W)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(base))))
     for trial in range(trials):

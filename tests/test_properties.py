@@ -68,7 +68,7 @@ DIFF_MEANS = get_statistic("diff_means")
 DIFF_MEANS_BISECTED = dataclasses.replace(DIFF_MEANS, name="diff_means_bisected", affine=None)
 ROW_SCALED = dataclasses.replace(
     DIFF_MEANS_BISECTED, name="row_scaled", ei_certified=False,
-    realized_rows=lambda Y, W: DIFF_MEANS.realized_rows(Y, W) / (1 + 100 * W[:, 0]),
+    rows=lambda y1, y0, W: DIFF_MEANS.rows(y1, y0, W) / (1 + 100 * W[:, 0]),
 )
 SIDES = (PValueKind.LPLUS, PValueKind.UPLUS, PValueKind.LMINUS, PValueKind.UMINUS)
 PROPERTY_SETTINGS = settings(
@@ -245,7 +245,8 @@ def test_mc_sup_error_equals_maximum_over_interior_points(experiment, stat, seed
 @given(experiments(), st.sampled_from([DIFF_MEANS, WILCOXON, DIFF_MEANS_BISECTED, ROW_SCALED]),
        st.sampled_from([8, 16]), st.floats(-1.0, 1.0))
 def test_row_block_size_does_not_change_outputs(experiment, stat, block, u):
-    # every experiment here fits one default block; 8 or 16 rows split it
+    # every experiment here fits one default block and tile; 8 or 16 rows
+    # split it into blocks, and each block into 8-row float tiles
     data, design, mode = experiment
     theta = u * 2 * outcome_scale(data)
 
@@ -257,7 +258,8 @@ def test_row_block_size_does_not_change_outputs(experiment, stat, block, u):
                 + [dist.values, dist.counts])
 
     one_block = outputs()
-    with mock.patch.object(randomization_mod, "_ROW_BLOCK", block):
+    with (mock.patch.object(randomization_mod, "_ROW_BLOCK", block),
+          mock.patch.object(statistics_mod, "_TILE_ENTRIES", 1)):
         blocked = outputs()
     for a, b in zip(one_block, blocked, strict=True):
         assert np.array_equal(a, b)
@@ -295,9 +297,9 @@ def test_rank_sum_from_pair_counts_equals_midrank_sums(design, kind, k, seed):
         "lognormal": rng.lognormal,
     }[kind](size=W.shape)
     want = (rankdata(Y, axis=1) * W).sum(axis=1)
-    assert _wilcoxon_rows(Y, W).tobytes() == want.tobytes()
+    assert _wilcoxon_rows(Y, Y, W).tobytes() == want.tobytes()
     with mock.patch.object(statistics_mod, "_PAIR_CHUNK", 1):
-        assert _wilcoxon_rows(Y, W).tobytes() == want.tobytes()
+        assert _wilcoxon_rows(Y, Y, W).tobytes() == want.tobytes()
 
 
 def switch_points_per_row(data, W, m):

@@ -12,6 +12,7 @@ from randinf import (
     ObservedData,
     PValueKind,
     build_step_functions,
+    confidence_interval,
     dominance_profile,
     generate_population,
     p_value,
@@ -204,11 +205,13 @@ def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block, pe
     # diff_means is affine, and while atoms runs its run starts and the
     # breakpoint and count arrays all four sides share (about 25 bytes a row
     # when every crossing is distinct); for the distribution, the rounded
-    # values and their atoms.  Four float blocks cover the per-block
-    # temporaries.  The one_vector case holds the kernel to 20 bytes a row
-    # and four 2^12-row blocks (6.3 MB), which a second rounded vector
-    # would exceed.
+    # values and their atoms.  The per-block temporaries are the int8 block
+    # and a few int8-sized passes over it, plus float tiles: no float copy
+    # of a whole block, which alone is 5.2 MB at 2^15 rows.  The one_vector
+    # case holds the kernel to 20 bytes a row, four 2^12-row int8 blocks and
+    # eight float tiles (6.1 MB), which a second rounded vector would exceed.
     import randinf.randomization as rz
+    import randinf.statistics as st
 
     if block is not None:
         monkeypatch.setattr(rz, "_ROW_BLOCK", block)
@@ -226,4 +229,25 @@ def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block, pe
     finally:
         tracemalloc.stop()
     rows = 184_756
-    assert peak < per_row * rows + 4 * rz._ROW_BLOCK * design.n_units * 8
+    assert peak < per_row * rows + 4 * rz._ROW_BLOCK * design.n_units + 8 * st._TILE_ENTRIES * 8
+
+
+@pytest.mark.parametrize("k", [200, 8192])
+def test_rank_sum_interval_memory_on_a_wide_design(wilcoxon, k):
+    # CRD(2000,2) rows read 3,996 of the 4M pairs.  A pair table over every
+    # unit takes 32 MB, but only units some row treats get a table row,
+    # about 400 at k = 200; held to half that table.  At k = 8,192 every
+    # unit is treated somewhere: the full table plus int8-sized passes over
+    # the block (97.5 MB in all) stay below the 131 MB a float copy of the
+    # block alone would take.
+    n = 2000
+    design = CRD(n, 2)
+    data = generate_population(n, 1.0, seed=0).observe(sample_assignments(design, 1, seed=1)[0])
+    confidence_interval(data, design, wilcoxon, 0.05, 0.05, MCMode(k=8, seed=3))  # lazily built tables
+    tracemalloc.start()
+    try:
+        confidence_interval(data, design, wilcoxon, 0.05, 0.05, MCMode(k=k, seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 * n * n if k == 200 else 8 * n * n + 4 * k * n)

@@ -191,11 +191,11 @@ class TestExactValidityAudit:
         # widths; a copy keeps the name diff_means, so the audit accepts it
         rows = []
 
-        def counting(Y, W):
+        def counting(y1, y0, W):
             rows.append(W.shape[0])
-            return diff_means.realized_rows(Y, W)
+            return diff_means.rows(y1, y0, W)
 
-        stat = dataclasses.replace(diff_means, realized_rows=counting)
+        stat = dataclasses.replace(diff_means, rows=counting)
         design = CRD(10, 5)
         exact_validity_audit(toy_population(), design, stat=stat, alphas=(0.05, 0.1))
         assert sum(rows) == total_assignments(design) == 252
