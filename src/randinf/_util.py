@@ -16,13 +16,19 @@ def round_sig(x):
     never arise from real outcome data).
     """
     x = np.asarray(x, dtype=float)
-    out = x.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ax = np.abs(x)
-        normal = np.isfinite(x) & (ax > 1e-280)
-        mag = np.floor(np.log10(ax, where=normal, out=np.zeros_like(x)))
-        scale = np.power(10.0, SIG_DIGITS - 1 - mag, where=normal, out=np.ones_like(x))
-        out[normal] = np.round(x[normal] * scale[normal]) / scale[normal]
+    scale = np.abs(x, out=np.empty_like(x))
+    normal = (scale > 1e-280) & (scale < np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the scale and the rounding over the whole array, in two buffers;
+        # entries that are not normal come out as junk and are put back
+        np.log10(scale, out=scale)
+        np.floor(scale, out=scale)
+        np.subtract(SIG_DIGITS - 1, scale, out=scale)
+        np.power(10.0, scale, out=scale)
+        out = np.multiply(x, scale, out=np.empty_like(x))
+        np.round(out, out=out)
+        np.divide(out, scale, out=out)
+    np.copyto(out, x, where=~normal)
     if np.ndim(x) == 0:
         return float(out)
     return out

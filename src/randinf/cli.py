@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -464,7 +465,6 @@ def build_parser():
     p.add_argument("--design", required=True)
     p.add_argument("--theta", type=float, required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("pcurve", help="dump a p-value curve: grid values or exact breakpoints")
     p.add_argument("file")
@@ -475,7 +475,6 @@ def build_parser():
     p.add_argument("--grid-range", default=None, help="LO,HI,COUNT")
     p.add_argument("--exact-breakpoints", action="store_true")
     _add_common(p)
-    p.set_defaults(func=cmd_pcurve)
 
     p = sub.add_parser("invert", help="guaranteed-coverage interval for the constant effect")
     p.add_argument("file")
@@ -488,7 +487,6 @@ def build_parser():
     p.add_argument("--grid", default=None,
                    help="theta grid for the traditional comparison interval")
     _add_common(p)
-    p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("combine", help="fuse experiments into one combined interval")
     p.add_argument("files", nargs="+")
@@ -498,31 +496,35 @@ def build_parser():
     p.add_argument("--weights", default=None, help="comma-separated non-negative weights")
     p.add_argument("--alpha", type=float, default=0.05)
     _add_common(p)
-    p.set_defaults(func=cmd_combine)
 
     p = sub.add_parser("mc-threshold", help="Monte Carlo sample sizes for accuracy targets")
     p.add_argument("--epsilons", default="0.1,0.05,0.02,0.01,0.005,0.002,0.001")
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_mc_threshold)
 
     p = sub.add_parser("simulate", help="run a two-experiment coverage/width scenario")
     p.add_argument("config", help="JSON scenario file (b1,k1,b2,k2,reps,...)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("toy", help="the ten-unit worked example end to end")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_toy)
 
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser():
+    """The argument parser, built once per process and shared by every ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a wrapper put on a ``cmd_*`` function after
+    # the parser was built is the one called
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        args.func(args)
+        command(args)
     except (InputError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -21,23 +21,28 @@ replicate source in :mod:`randinf.randomization` both use it.
 
 Sampled rows come from global indices.  An index is split once per run of
 consecutive blocks whose joint count fits in 2**62 (object ``%`` and ``//``
-past 2**62), and into block ranks within the run on int64, block 0 fastest.
-A block whose T(k, t) fits the colex table budget is read off that table by
-rank.  Any other block is unranked by a ``searchsorted`` walk down a cached
-binomial table, all rows at once: on exact Python ints (numpy ``object``
-arrays) while a rank may exceed 2**62, on int64 from the step where every
-rank fits.
+past 2**62), and into group ranks within the run on int64, block 0 fastest.
+A group is a stretch of consecutive blocks of a run, merged while their
+units times their joint count fit the table budget.  Its product table
+holds all of its assignments in enumeration order, so rank ``m`` is row
+``m``, and its rows are one gather from that table (cached, read-only).  A
+block too large for a table of its own is unranked by a ``searchsorted``
+walk down a cached binomial table, all rows at once: on exact Python ints
+(numpy ``object`` arrays) while a rank may exceed 2**62, on int64 from the
+step where every rank fits.
 
 Sampling is counter based: draw ``j`` of ``sample_assignments(design, k,
 seed)`` depends only on ``(seed, j)``, so the first draws are the same for
 every ``k``.  Each draw is an exact uniform index, by rejection against the
 power of two above the space size, on rows of Philox words: eight words, or
 ``ceil(bits / 64)`` past 512 bits.  Up to 2**62 the eight words are eight
-candidates, the first one below the size taken; otherwise the row's last
-``ceil(bits / 64)`` words are one candidate.  Attempt 0 reads row ``j`` of the
-stream keyed by the folded seed; attempt ``a`` gives the draws still missing,
-in order, the rows of the stream keyed by ``fold_seed((key_lo, key_hi, a))``.
-This is the seed stream of version 0.2.0.
+candidates, the first one below the size taken: every row is decided on its
+first word, and only rows whose first word misses read the other seven.
+Otherwise the row's last ``ceil(bits / 64)`` words are one candidate, the
+first word most significant.  Attempt 0 reads row ``j`` of the stream keyed
+by the folded seed; attempt ``a`` gives the draws still missing, in order,
+the rows of the stream keyed by ``fold_seed((key_lo, key_hi, a))``.  This is
+the seed stream of version 0.2.0.
 """
 
 from bisect import bisect_left, bisect_right
@@ -72,8 +77,8 @@ _INT64_SAFE_TOTAL = 1 << 62
 # passes its own cap.
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
-# Largest colex table kept, in bytes (rows x units, int8); a longer piece of
-# the enumeration order is split at its top unit first.
+# Largest colex or product table kept, in bytes (rows x units, int8); a
+# longer piece of the enumeration order is split at its top unit first.
 _TABLE_BYTES = 1 << 18
 
 
@@ -199,21 +204,37 @@ def _unrank_block_vectorized(n, k, m):
 
 
 def _block_runs(design: Design):
-    """Runs of consecutive blocks whose joint count fits in 2**62, with that count.
+    """Runs of consecutive blocks whose joint count fits in 2**62, cut into groups.
 
-    Each run is a list of (start, size, treated, count); a block past 2**62
-    is a run of its own.
+    Each run is (groups, count); a block past 2**62 is a run of its own.  A
+    group is (start, blocks, count): consecutive blocks merged while their
+    units times their joint count fit ``_TABLE_BYTES``, so that their rows
+    are read off one :func:`_product_table`.  A block too large for a table
+    of its own is a group of one.
     """
-    runs, run, run_total = [], [], 1
+    runs, groups, run_total = [], [], 1
     for start, k, t in _block_slices(design):
         b_total = comb(k, t)
-        if run and run_total * b_total > _INT64_SAFE_TOTAL:
-            runs.append((run, run_total))
-            run, run_total = [], 1
-        run.append((start, k, t, b_total))
+        if groups and run_total * b_total > _INT64_SAFE_TOTAL:
+            runs.append((groups, run_total))
+            groups, run_total = [], 1
+        if groups and (start + k - groups[-1][0]) * groups[-1][2] * b_total <= _TABLE_BYTES:
+            g_start, blocks, g_total = groups.pop()
+            groups.append((g_start, blocks + ((k, t),), g_total * b_total))
+        else:
+            groups.append((start, ((k, t),), b_total))
         run_total *= b_total
-    runs.append((run, run_total))
+    runs.append((groups, run_total))
     return runs
+
+
+@lru_cache(maxsize=16)  # at most 16 * _TABLE_BYTES
+def _product_table(blocks):
+    """All assignments of ``RBD(blocks)`` in enumeration order, read-only."""
+    design = RBD(blocks)
+    table = _range_to_assignments(design, 0, total_assignments(design))
+    table.flags.writeable = False
+    return table
 
 
 def _indices_to_assignments(design: Design, idx: np.ndarray) -> np.ndarray:
@@ -221,27 +242,29 @@ def _indices_to_assignments(design: Design, idx: np.ndarray) -> np.ndarray:
 
     ``idx`` is int64, or object (Python ints) for spaces past 2**62.  It is
     split once per run of blocks whose joint count fits in 2**62 (one object
-    ``%`` and ``//`` each), and into block ranks within the run on int64.
-    A block whose T(k, t) fits the colex table budget is read off
-    :func:`_colex_table` by rank; any other is unranked by
-    :func:`_unrank_block_vectorized`.
+    ``%`` and ``//`` each), and into group ranks within the run on int64
+    (:func:`_block_runs`).  A group's rows are gathered from its
+    :func:`_product_table` by rank; a block too large for a table is
+    unranked by :func:`_unrank_block_vectorized`.
     """
     w = np.empty((idx.size, design.n_units), dtype=np.int8)
     rem = idx
     runs = _block_runs(design)
-    for g, (run, run_total) in enumerate(runs):
+    for r, (groups, run_total) in enumerate(runs):
         m = rem
-        if g < len(runs) - 1:
+        if r < len(runs) - 1:
             m, rem = rem % run_total, rem // run_total
         if run_total <= _INT64_SAFE_TOTAL:
             m = m.astype(np.int64, copy=False)
-        for b, (start, k, t, b_total) in enumerate(run):
+        for g, (start, blocks, g_total) in enumerate(groups):
             ranks = m
-            if b < len(run) - 1:
-                m, ranks = np.divmod(m, b_total)
-            if k * b_total <= _TABLE_BYTES:
-                w[:, start:start + k] = _colex_table(t)[ranks, :k]
+            if g < len(groups) - 1:
+                m, ranks = np.divmod(m, g_total)
+            units = sum(k for k, _ in blocks)
+            if units * g_total <= _TABLE_BYTES:
+                w[:, start:start + units] = np.take(_product_table(blocks), ranks, axis=0)
             else:
+                (k, t), = blocks
                 w[:, start:start + k] = _unrank_block_vectorized(k, t, ranks)
     return w
 
@@ -416,20 +439,25 @@ def _sample_indices(design: Design, k: int, seed) -> np.ndarray:
         stream = key if attempt == 0 else fold_seed((key & ((1 << 64) - 1), key >> 64, attempt))
         rows = np.random.Philox(key=stream).random_raw(missing.size * width).reshape(-1, width)
         if fits:
-            # eight candidates per row; the first one below total is taken
-            cand = (rows & top).astype(np.int64)
-            ok = cand < total
-            got = cand[np.arange(missing.size), np.argmax(ok, axis=1)]
-            hit = ok.any(axis=1)
+            # eight candidates per row; the first one below total is taken,
+            # and only rows whose first candidate misses read the other seven
+            got = (rows[:, 0] & top).astype(np.int64)
+            hit = got < total
+            miss = np.flatnonzero(~hit)
+            if miss.size:
+                cand = (rows[miss, 1:] & top).astype(np.int64)
+                ok = cand < total
+                got[miss] = cand[np.arange(miss.size), np.argmax(ok, axis=1)]
+                hit[miss] = ok.any(axis=1)
         else:
             # one candidate per row: its last `words` words read as one integer
             cand = rows[:, width - words:]
             cand[:, 0] &= top
-            raw, step = cand.astype(">u8").tobytes(), 8 * words
-            got = np.array([int.from_bytes(raw[i:i + step], "big") for i in range(0, len(raw), step)],
-                           dtype=object)
+            got = cand[:, 0].astype(object)
+            for j in range(1, words):
+                got = (got << 64) | cand[:, j].astype(object)
             hit = got < total
-        idx[missing[hit]] = got[hit]
+        idx[missing] = got  # a miss is written over by a later attempt
         missing, attempt = missing[~hit], attempt + 1
     return idx
 
@@ -443,7 +471,7 @@ def sample_assignments(design: Design, k: int, seed) -> np.ndarray:
     (see the module docstring), and unranked into the row of
     :func:`assignment_matrix` at that index.  Indices are int64 while the
     space has at most 2**62 assignments and exact Python ints past it; even
-    then a block whose own space fits is unranked on int64.
+    then a run of blocks whose joint space fits is read on int64.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")

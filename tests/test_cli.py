@@ -457,6 +457,24 @@ class TestDeterminismAndSerialization:
         assert a.stderr == b.stderr == b"[]"
         assert a.stdout and a.stdout == b.stdout
 
+    def test_main_calls_after_an_exit_2_match_a_fresh_process(self, capsys):
+        # one parser serves every main call of a process: calls that exit 2,
+        # from argparse and from an input error, leave the next call's bytes
+        # as a fresh process prints them
+        argv = ["invert", TOY_CSV, "--design", "crd:10,5", "--mode", "mc", "--k", "300",
+                "--seed", "4", "--statistic", "wilcoxon_rank_sum", "--json"]
+        fresh = subprocess.run([sys.executable, "-m", "randinf.cli", *argv],
+                               capture_output=True, check=True).stdout
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["invert", TOY_CSV, "--mode", "mc", "--k", "oops"])
+        assert exc.value.code == 2
+        assert main(["invert", TOY_CSV, "--design", "crd:10", "--json"]) == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert first.encode() == capsys.readouterr().out.encode() == fresh
+
     def test_version_matches_pyproject(self, capsys):
         # the version names the Monte Carlo seed stream, so the two must agree
         tomllib = pytest.importorskip("tomllib")  # Python 3.11+

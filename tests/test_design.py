@@ -24,8 +24,10 @@ from randinf import cli as cli_mod
 from randinf import design as design_mod
 from randinf import randomization as randomization_mod
 from randinf.design import (
+    _block_runs,
     _colex_table,
     _indices_to_assignments,
+    _product_table,
     _range_to_assignments,
     _unrank_block_vectorized,
 )
@@ -200,6 +202,49 @@ class TestUnranker:
             rows = _unrank_block_vectorized(n, t, np.array(ranks, dtype=dtype))
             assert rows.dtype == np.int8 and (rows.sum(axis=1) == t).all()
             assert [_colex_rank(np.nonzero(r)[0]) for r in rows] == ranks
+
+
+class TestProductTables:
+    # groups of 3, 3, 3 and 1 blocks; of 2 and 1; one that fills the table
+    # budget exactly (32 units x 8^3 x 4^2 = 2^18 bytes), then one more; a
+    # block too large for a table between small ones; three int64 runs
+    GROUPED = {
+        RBD(((6, 3),) * 10): [3, 3, 3, 1],
+        RBD(((8, 4),) * 3): [2, 1],
+        RBD(((8, 1),) * 3 + ((4, 1),) * 2 + ((2, 1),)): [5, 1],
+        RBD(((6, 3), (6, 3), (20, 10), (6, 3), (6, 3))): [2, 1, 2],
+        RBD(((6, 3),) * 30): [3, 3, 3, 3, 2, 3, 3, 3, 3, 2, 2],
+        CRD(16, 8): [1],
+    }
+
+    def test_groups_cover_the_blocks_in_order(self):
+        for design, sizes in self.GROUPED.items():
+            groups = [g for run_groups, _ in _block_runs(design) for g in run_groups]
+            assert [len(blocks) for _, blocks, _ in groups] == sizes
+            assert [b for _, blocks, _ in groups for b in blocks] == list(design.blocks)
+            units = 0
+            for start, blocks, count in groups:
+                assert start == units and count == total_assignments(RBD(blocks))
+                units += sum(k for k, _ in blocks)
+
+    def test_cached_tables_are_read_only_bounded_and_enumerated(self):
+        _product_table.cache_clear()
+        tables = set()
+        for design in self.GROUPED:
+            _indices_to_assignments(design, np.arange(5))
+            for run_groups, _ in _block_runs(design):
+                for _, blocks, count in run_groups:
+                    if sum(k for k, _ in blocks) * count <= design_mod._TABLE_BYTES:
+                        tables.add(blocks)
+        info = _product_table.cache_info()
+        assert info.maxsize == 16 and info.currsize == len(tables) <= 16
+        full = ((8, 1),) * 3 + ((4, 1),) * 2
+        assert full in tables and _product_table(full).nbytes == design_mod._TABLE_BYTES
+        for blocks in tables:
+            table = _product_table(blocks)
+            assert not table.flags.writeable and table.nbytes <= design_mod._TABLE_BYTES
+            total = total_assignments(RBD(blocks))
+            np.testing.assert_array_equal(table, _range_to_assignments(RBD(blocks), 0, total))
 
 
 class TestSampling:

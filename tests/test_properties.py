@@ -4,8 +4,9 @@ a scan, the interval-level reads of inversion (weighted and custom combiners
 too) and sup-norm error against point evaluation, outputs that do not
 depend on the replicate block size, enumerated and sampled row ranges against
 the per-block unranker, sampled indices against a scalar replay of their
-Philox streams, prefix-stable draws, and the paper's exact guarantees on small
-tied populations, where the exact audit equals the per-assignment public
+Philox streams, prefix-stable draws, ``round_sig`` against a reference that
+rounds by boolean gathers, and the paper's exact guarantees on small tied
+populations, where the exact audit equals the per-assignment public
 intervals."""
 
 import dataclasses
@@ -49,6 +50,7 @@ from randinf.design import (
     _sample_indices,
     _unrank_block_vectorized,
 )
+from randinf._util import SIG_DIGITS, round_sig
 from randinf.datasets import PotentialTable
 from randinf.inversion import _bisect_crossings, _cut, _proposed_interval, _traditional_interval
 from randinf.randomization import _replicate_source
@@ -408,13 +410,18 @@ def test_range_to_assignments_equals_unranked_rows(case):
 
 @st.composite
 def sampled_indices(draw):
-    """(design, idx): indices into a random design or one whose runs mix object and int64 ranks.
+    """(design, idx): indices into a random design, one whose runs mix object and
+    int64 ranks, or one whose blocks form product-table groups of each kind.
 
     ``idx`` is int64 or object when the space fits in 2**62, object past it.
     """
     design = draw(designs() | st.sampled_from([
         RBD(((70, 35), (6, 3)) * 4),  # runs of one object block and of one small block
         RBD(((6, 3),) * 30),  # runs of 14, 14 and 2 blocks
+        RBD(((6, 3),) * 10),  # groups of 3, 3, 3 and 1 blocks
+        RBD(((8, 4),) * 3),  # groups of 2 and 1 blocks
+        RBD(((8, 1),) * 3 + ((4, 1),) * 2 + ((2, 1),)),  # a group of exactly _TABLE_BYTES, then one
+        RBD(((6, 3), (6, 3), (20, 10), (6, 3), (6, 3))),  # a block too large for a table between groups
         RBD(((17, 1),) + ((2, 1),) * 63),
         CRD(100, 50),
         CRD(66, 33),
@@ -470,6 +477,50 @@ def test_exact_source_blocks_join_to_assignment_matrix(design, block):
         blocks = list(_replicate_source(design, ExactMode()).blocks())
     assert all(b.shape[0] == block for b in blocks[:-1])
     assert np.array_equal(np.concatenate(blocks), assignment_matrix(design))
+
+
+def round_sig_by_gathers(x):
+    """The reference for ``round_sig``: the scale and the rounding on the
+    normal entries alone, picked out by boolean gathers."""
+    x = np.asarray(x, dtype=float)
+    out = x.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ax = np.abs(x)
+        normal = np.isfinite(x) & (ax > 1e-280)
+        mag = np.floor(np.log10(ax, where=normal, out=np.zeros_like(x)))
+        scale = np.power(10.0, SIG_DIGITS - 1 - mag, where=normal, out=np.ones_like(x))
+        out[normal] = np.round(x[normal] * scale[normal]) / scale[normal]
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def test_round_sig_equals_gathers_on_powers_of_ten_and_edge_values():
+    # every power of ten and its two float neighbours, signed zeros,
+    # infinities, NaN, values at and below 1e-280, the largest doubles, and
+    # a log-uniform sweep over 1e-270 .. 1e300
+    tens = 10.0 ** np.arange(-323, 309)
+    rng = np.random.default_rng(20)
+    sweep = 10.0 ** rng.uniform(-270, 300, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    edges = np.concatenate([
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), -tens,
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-280, np.nextafter(1e-280, 1), 5e-324,
+         np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny],
+    ])
+    x = np.concatenate([edges, sweep])
+    assert round_sig(x).tobytes() == round_sig_by_gathers(x).tobytes()
+    for value in edges.tolist():  # the 0-d path returns a float
+        got, want = round_sig(value), round_sig_by_gathers(value)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40)
+       | st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+def test_round_sig_equals_gathers(values):
+    x = np.array(values, dtype=float)
+    assert round_sig(x).tobytes() == round_sig_by_gathers(x).tobytes()
+    assert round_sig(x.reshape(-1, 1)).shape == x.reshape(-1, 1).shape
 
 
 @st.composite
