@@ -1,7 +1,9 @@
 """Command-line interface: CSV ingestion, subcommands, JSON/CSV output.
 
 Exit codes: 0 success, 2 input or validation error, 3 computation error,
-4 method-precondition error (for example inverting a non-monotone statistic).
+4 method-precondition error (for example inverting a non-monotone statistic),
+141 stdout closed by its reader (128 + SIGPIPE, as for ``randinf ... | head -1``;
+nothing is printed).
 Numbers are serialized with 12 significant digits and infinities as the
 strings "inf" / "-inf".  Identical inputs and seeds produce byte-identical
 output.
@@ -11,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from functools import lru_cache
 
@@ -39,6 +42,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_COMPUTE = 3
 EXIT_PRECONDITION = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class InputError(ValueError):
@@ -525,6 +529,14 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone; what is still buffered goes to devnull,
+        # so the interpreter's flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (InputError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

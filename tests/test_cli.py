@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -457,6 +458,20 @@ class TestDeterminismAndSerialization:
         assert a.stderr == b.stderr == b"[]"
         assert a.stdout and a.stdout == b.stdout
 
+    def test_closed_stdout_exits_141_quietly(self):
+        # the reader of the pipe is gone before the first byte is written, as
+        # after ``randinf toy --json | head -1``: no error line, no traceback
+        # at interpreter exit, and a shell's status for a tool stopped by SIGPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "randinf.cli", "toy", "--json"],
+                                  stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
+
     def test_main_calls_after_an_exit_2_match_a_fresh_process(self, capsys):
         # one parser serves every main call of a process: calls that exit 2,
         # from argparse and from an input error, leave the next call's bytes
@@ -582,17 +597,108 @@ GOLDEN_CLI_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("case", list(_GOLDEN_CLI_CASES))
-def test_cli_interval_golden_bytes(case, capsys, tmp_path):
-    import hashlib
-
+def _golden_argv(case, tmp_path):
+    """The full argv of a golden case, its input files written under ``tmp_path``."""
     argv, design_texts = _GOLDEN_CLI_CASES[case]
     files = [
         _write_experiment(tmp_path / f"e{i}.csv", _GOLDEN_DESIGNS[text], 100 + i, 200 + i)
         for i, text in enumerate(design_texts)
     ]
-    code, out, err = run_cli([argv[0], *files, *argv[1:]], capsys)
-    assert code == 0, err
+    return [argv[0], *files, *argv[1:]], files
+
+
+def _golden_digest(out, files):
+    import hashlib
+
     for i, path in enumerate(files):  # combine echoes its input paths
         out = out.replace(json.dumps(path), f'"{{f{i}}}"')
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CLI_SHA256[case]
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN_CLI_CASES))
+def test_cli_interval_golden_bytes(case, capsys, tmp_path):
+    argv, files = _golden_argv(case, tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert _golden_digest(out, files) == GOLDEN_CLI_SHA256[case]
+
+
+# a fresh process runs ``main`` on its arguments, if any, and reports on stderr
+# the scipy modules loaded by then
+_SCIPY_PROBE = (
+    "import sys, randinf, randinf.cli\n"
+    "code = randinf.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "sys.stderr.write(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    "sys.exit(code)\n"
+)
+
+
+def _probe_scipy(argv):
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.decode(), proc.stderr.decode().split()
+
+
+def _fill_argv(argv, tmp_path):
+    """``argv`` with "{e0}".."{e2}" the golden-case experiment files and "{cfg}"
+    a DE-only scenario, written under ``tmp_path``."""
+    _, files = _golden_argv("combine_exact_dm_fisher", tmp_path)
+    cfg = tmp_path / "de.json"
+    cfg.write_text(json.dumps({"b1": 1, "k1": 8, "b2": 1, "k2": 8, "reps": 2, "k_cap": 100,
+                               "master_seed": 3, "combiners": ["de"]}))
+    return [a.format(e0=files[0], e1=files[1], e2=files[2], cfg=cfg) for a in argv]
+
+
+_COMBINE3 = ["combine", "{e0}", "{e1}", "{e2}", "--designs", "crd:12,6;crd:10,5;rbd:4/2,4/2",
+             "--json", "--combiner"]
+_REQUESTS = {
+    "import": [],
+    "toy": ["toy", "--json"],
+    "test": ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0.5", "--json"],
+    "invert": ["invert", TOY_CSV, "--design", "crd:10,5", "--traditional", "--json"],
+    "invert_mc": ["invert", TOY_CSV, "--design", "crd:10,5", "--mode", "mc", "--k", "300",
+                  "--seed", "4", "--traditional", "--json"],
+    "pcurve": ["pcurve", TOY_CSV, "--design", "crd:10,5", "--exact-breakpoints"],
+    "mc_threshold": ["mc-threshold", "--json"],
+    "combine_stouffer": [*_COMBINE3, "stouffer"],
+    "combine_fisher": [*_COMBINE3, "fisher"],
+    "combine_de": [*_COMBINE3, "de"],
+    "combine_weighted_fisher": [*_COMBINE3, "fisher", "--weights", "1,2,3"],
+    "simulate_de": ["simulate", "{cfg}", "--json"],
+}
+# the requests that evaluate a normal CDF, normal quantile or chi-square tail
+_NEED_SCIPY = ("combine_stouffer", "combine_fisher")
+
+
+@pytest.mark.parametrize("name", [n for n in _REQUESTS if n not in _NEED_SCIPY])
+def test_fresh_process_without_normal_or_chisq_values_imports_no_scipy(name, tmp_path):
+    # scipy.special is imported on the first normal or chi-square value; a
+    # request that computes none loads no scipy module at all
+    _, loaded = _probe_scipy(_fill_argv(_REQUESTS[name], tmp_path))
+    assert loaded == []
+
+
+@pytest.mark.parametrize("case", ["combine_mc_dm_stouffer", "combine_exact_dm_fisher"])
+def test_fresh_process_imports_scipy_special_for_stouffer_and_unit_fisher(case, tmp_path):
+    argv, files = _golden_argv(case, tmp_path)
+    out, loaded = _probe_scipy(argv)
+    assert "scipy.special" in loaded
+    assert _golden_digest(out, files) == GOLDEN_CLI_SHA256[case]
+
+
+def test_cli_bytes_match_a_fresh_process_in_either_order(capsys, tmp_path):
+    # each request alone in a fresh process, where the combiners import the
+    # special functions they use, then all of them in one process, forwards and
+    # backwards: every combine call but the first follows a different combiner,
+    # and the bytes stay those of the fresh process
+    names = ["combine_stouffer", "combine_fisher", "combine_de", "toy", "test", "invert_mc",
+             "pcurve"]
+    argvs = {name: _fill_argv(_REQUESTS[name], tmp_path) for name in names}
+    fresh = {
+        name: subprocess.run([sys.executable, "-m", "randinf.cli", *argv],
+                             capture_output=True, check=True).stdout
+        for name, argv in argvs.items()
+    }
+    for name in names + names[::-1]:
+        assert main(argvs[name]) == 0
+        assert capsys.readouterr().out.encode() == fresh[name], name

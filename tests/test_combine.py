@@ -104,7 +104,8 @@ class TestSpecialFunctions:
         np.testing.assert_allclose(normal_cdf(normal_quantile(ps)), ps, atol=1e-12)
 
     def test_normal_quantile_domain(self):
-        for bad in (0.0, 1.0, -0.2):
+        # NaN fails every comparison, so a test for values outside (0, 1) lets it through
+        for bad in (0.0, 1.0, -0.2, np.nan, np.array([0.2, np.nan, 0.7])):
             with pytest.raises(ValueError):
                 normal_quantile(bad)
 
