@@ -25,7 +25,6 @@ from .combine import (
     stouffer,
 )
 from .datasets import (
-    PotentialTable,
     studentized_nonmonotone_experiment,
     tied_discrete_population,
     toy_experiment,
@@ -81,8 +80,8 @@ from .simulate import (
 from .statistics import (
     DegenerateDenominatorError,
     EIProbeResult,
-    ImputedOutcomes,
     ObservedData,
+    PotentialTable,
     StatisticError,
     StatisticSpec,
     ei_probe,

@@ -229,13 +229,17 @@ def _add_common(p):
 # ---------------------------------------------------------------------------
 
 
+def _experiment(args):
+    """One experiment's inputs: its design, data, statistic and mode."""
+    design = parse_design(args.design)
+    data = read_experiment(args.file, design)
+    return design, data, get_statistic(args.statistic), _mode_from_args(args)
+
+
 def cmd_test(args):
     if not math.isfinite(args.theta):
         raise InputError("--theta must be finite")
-    design = parse_design(args.design)
-    data = read_experiment(args.file, design)
-    stat = get_statistic(args.statistic)
-    mode = _mode_from_args(args)
+    design, data, stat, mode = _experiment(args)
     pv = p_values(data, design, stat, args.theta, mode)
     out = {
         "theta": _num(args.theta),
@@ -252,10 +256,7 @@ def cmd_test(args):
 
 
 def cmd_pcurve(args):
-    design = parse_design(args.design)
-    data = read_experiment(args.file, design)
-    stat = get_statistic(args.statistic)
-    mode = _mode_from_args(args)
+    design, data, stat, mode = _experiment(args)
     kind = PValueKind(args.side)
     if args.exact_breakpoints:
         f = build_step_function(data, design, stat, kind, mode)
@@ -308,10 +309,7 @@ def _parse_grid(args):
 
 
 def cmd_invert(args):
-    design = parse_design(args.design)
-    data = read_experiment(args.file, design)
-    stat = get_statistic(args.statistic)
-    mode = _mode_from_args(args)
+    design, data, stat, mode = _experiment(args)
     alpha1 = args.alpha1 if args.alpha1 is not None else args.alpha / 2
     alpha2 = args.alpha2 if args.alpha2 is not None else args.alpha / 2
     _checked(_require_invertible, stat, alpha1, alpha2)
@@ -376,6 +374,9 @@ _SCENARIO_KEYS = {
     "combiners": ("a list of names",
                   lambda value: isinstance(value, list) and all(isinstance(c, str) for c in value)),
 }
+# the keys that set the ScenarioConfig field of their name; a key left out
+# keeps the field's default
+_SCENARIO_FIELDS = [key for key in _SCENARIO_KEYS if key not in ("b1", "k1", "b2", "k2")]
 
 
 def cmd_simulate(args):
@@ -393,13 +394,7 @@ def cmd_simulate(args):
         cfg = ScenarioConfig(
             design1=balanced_design(raw["b1"], raw["k1"]),
             design2=balanced_design(raw["b2"], raw["k2"]),
-            true_theta=raw.get("true_theta", 0.0),
-            reps=raw.get("reps", 500),
-            k_cap=raw.get("k_cap", 5000),
-            alpha=raw.get("alpha", 0.05),
-            combiners=tuple(raw.get("combiners", ["fisher", "de"])),
-            statistic=raw.get("statistic", "diff_means"),
-            master_seed=raw.get("master_seed", 0),
+            **{key: raw[key] for key in _SCENARIO_FIELDS if key in raw},
         )
     except ValueError as exc:  # a value of the right type out of range
         raise InputError(f"{args.config}: {exc}") from exc

@@ -48,6 +48,7 @@ import numpy as np
 from .inversion import (
     ConfidenceInterval,
     _proposed_interval,
+    _SteppedSide,
     _require_invertible,
     build_step_functions,
 )
@@ -262,8 +263,12 @@ def _mc_reference_values(f0_quantile, weights: np.ndarray, g) -> np.ndarray:
 
 # the built-in ``combine`` callables.  Unit-weight Fisher and double
 # exponential sum with np.sum, every other recipe with w @ q; BLAS can round
-# the two differently for M >= 6, so no recipe switches between them.  Unit
-# weights pass np.allclose's test, written out: its call costs a small combine
+# the two differently for M >= 6, so no recipe switches between them.
+
+
+def _unit(w) -> bool:
+    """Whether the weights pass ``np.allclose(w, 1)``, written out: its call costs a small combine."""
+    return bool((np.abs(w - 1.0) <= 1e-8 + 1e-5).all())
 
 
 def _stouffer(q, w):
@@ -271,13 +276,13 @@ def _stouffer(q, w):
 
 
 def _fisher(q, w):
-    if (np.abs(w - 1.0) <= 1e-8 + 1e-5).all():
+    if _unit(w):
         return chisq_upper(2 * w.size, -2.0 * np.sum(q, axis=0))
     return _mc_reference_values(np.log, w, w @ q)
 
 
 def _double_exponential(q, w):
-    if (np.abs(w - 1.0) <= 1e-8 + 1e-5).all():
+    if _unit(w):
         return laplace_sum_cdf(w.size, np.sum(q, axis=0))
     return _mc_reference_values(_laplace_quantile, w, w @ q)
 
@@ -292,11 +297,12 @@ def _combine_matrix(P: np.ndarray, combiner: CombinerSpec) -> np.ndarray:
 def combine_values(ps: Sequence[float], combiner: CombinerSpec) -> float:
     """Combine M p-values from independent tests of the same null into one.
 
-    Inputs are clipped into [1e-12, 1 - 1e-12] before the quantile transform.
+    Inputs outside [0, 1], NaN included, are refused; the rest are clipped
+    into [1e-12, 1 - 1e-12] before the quantile transform.
     With a single input every built-in method is the identity.
     """
     P = np.asarray(ps, dtype=float).reshape(-1, 1)
-    if np.any((P < 0) | (P > 1)):
+    if not np.all((P >= 0) & (P <= 1)):
         raise ValueError("p-values must lie in [0, 1]")
     return float(_combine_matrix(P, combiner)[0])
 
@@ -306,7 +312,7 @@ _RISING = {PValueKind.LPLUS: PValueKind.LPLUS, PValueKind.UPLUS: PValueKind.UPLU
 
 
 @dataclass(frozen=True)
-class CombinedPValueFunction:
+class CombinedPValueFunction(_SteppedSide):
     """One side of the fusion of M experiments' p-value functions.
 
     ``components`` are the experiments' functions of the rising side
@@ -321,12 +327,6 @@ class CombinedPValueFunction:
     breakpoints: np.ndarray
     statistic: str
     mode: Mode | tuple
-
-    def value(self, theta):
-        P = np.vstack([np.atleast_1d(f.value(theta)) for f in self.components])
-        out = _combine_matrix(P, self.combiner)
-        out = out if self.side == _RISING[self.side] else 1.0 - out
-        return float(out[0]) if np.ndim(theta) == 0 else out
 
     def _level_reader(self):
         """Reads union intervals ``j``: each component's level where ``j`` starts, combined."""

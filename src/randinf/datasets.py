@@ -1,12 +1,15 @@
-"""Bundled example datasets and small populations used by tests and demos."""
+"""Bundled example datasets and small populations used by tests and demos.
 
-from dataclasses import dataclass
+The populations are :class:`randinf.statistics.PotentialTable`s, the table
+type that imputation also returns; it is importable from here too.
+"""
+
 from importlib import resources
 
 import numpy as np
 
 from .design import CRD
-from .statistics import ObservedData
+from .statistics import ObservedData, PotentialTable
 
 __all__ = [
     "PotentialTable",
@@ -16,32 +19,6 @@ __all__ = [
     "tied_discrete_population",
     "data_path",
 ]
-
-
-@dataclass(frozen=True)
-class PotentialTable:
-    """A full potential-outcome table: control and treated values per unit."""
-
-    y0: np.ndarray
-    y1: np.ndarray
-
-    def __post_init__(self):
-        y0 = np.asarray(self.y0, dtype=float)
-        y1 = np.asarray(self.y1, dtype=float)
-        object.__setattr__(self, "y0", y0)
-        object.__setattr__(self, "y1", y1)
-        if y0.shape != y1.shape or y0.ndim != 1:
-            raise ValueError("y0 and y1 must be equal-length vectors")
-
-    @property
-    def n_units(self) -> int:
-        return self.y0.size
-
-    def observe(self, w: np.ndarray) -> ObservedData:
-        """Realize the data an experimenter would see under assignment ``w``."""
-        w = np.asarray(w)
-        y_obs = np.where(w == 1, self.y1, self.y0)
-        return ObservedData(w_obs=w.astype(np.int8), y_obs=y_obs)
 
 
 # ten units, balanced CRD; control potentials lognormal-ish, unit effect 1

@@ -93,8 +93,33 @@ class LevelTooHighError(ValueError):
     """Requested tail levels leave no interval (lower would exceed upper)."""
 
 
+class _SteppedSide:
+    """A one-sided p-value function of theta, read on its sorted ``breakpoints``.
+
+    ``_level_reader()`` maps indices ``j`` of the ``breakpoints.size + 1``
+    intervals the breakpoints cut to their levels; every read at theta goes
+    through it, whether the function is one experiment's or a combination.
+    """
+
+    def value(self, theta):
+        """Evaluate at ``theta`` (scalar or array), exact step semantics; NaN is refused."""
+        return self._at(theta, "right" if self.side in (PValueKind.LPLUS, PValueKind.UMINUS) else "left")
+
+    def value_from_right(self, theta):
+        """Right limit at ``theta``: the value just above it."""
+        return self._at(theta, "right")
+
+    def _at(self, theta, search):
+        theta = np.asarray(theta, dtype=float)
+        if np.isnan(theta).any():  # searchsorted would sort it above every breakpoint
+            raise ValueError("theta must not be NaN")
+        idx = np.searchsorted(self.breakpoints, round_sig(theta), side=search)
+        out = self._level_reader()(idx)
+        return out.item() if theta.ndim == 0 else out
+
+
 @dataclass(frozen=True)
-class PValueStepFunction:
+class PValueStepFunction(_SteppedSide):
     """A one-sided p-value function of theta in breakpoint form.
 
     ``breakpoints`` are finite, strictly increasing, rounded to 12 significant
@@ -124,19 +149,6 @@ class PValueStepFunction:
     def base(self) -> float:
         """Mass active at theta = -inf (LPLUS) resp. +inf (LMINUS)."""
         return self.base_count / self.denom
-
-    def value(self, theta):
-        """Evaluate at ``theta`` (scalar or array), exact step semantics."""
-        return self._at(theta, "right" if self.side in (PValueKind.LPLUS, PValueKind.UMINUS) else "left")
-
-    def value_from_right(self, theta):
-        """Right limit at ``theta``: the value just above it."""
-        return self._at(theta, "right")
-
-    def _at(self, theta, search):
-        idx = np.searchsorted(self.breakpoints, round_sig(np.asarray(theta, dtype=float)), side=search)
-        out = self._level_reader()(idx)
-        return float(out) if np.ndim(theta) == 0 else out
 
     def _level_reader(self):
         """Reads the levels of intervals ``j``, of the breakpoints.size + 1 the breakpoints cut.

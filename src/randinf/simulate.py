@@ -28,7 +28,6 @@ import numpy as np
 
 from ._util import atoms, round_sig
 from .combine import combine_functions, make_combiner
-from .datasets import PotentialTable
 from .design import CRD, RBD, Design, assignment_matrix, sample_assignments, total_assignments
 from .inversion import (
     PValueStepFunction,
@@ -48,7 +47,7 @@ from .randomization import (
     _replicate_source,
     _tails,
 )
-from .statistics import StatisticSpec, evaluate_many, get_statistic, impute
+from .statistics import PotentialTable, StatisticSpec, evaluate_many, get_statistic, impute
 
 __all__ = [
     "ScenarioConfig",
@@ -105,6 +104,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.k_cap < 1:
+            raise ValueError("k_cap must be >= 1")
+        if not np.isfinite(self.true_theta):
+            raise ValueError("true_theta must be finite")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
         object.__setattr__(self, "combiners", tuple(self.combiners))

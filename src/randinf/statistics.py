@@ -2,10 +2,12 @@
 
 A constant-effect null pins every unit's treatment effect to one value
 ``theta``, which lets the full potential-outcome table be reconstructed from
-the observed half: :func:`impute`.  Statistics are evaluated on the dataset
-realized by applying an assignment vector to that imputed table: a statistic
-reads the treated potentials where the assignment treats and the control
-potentials elsewhere (:class:`StatisticSpec`).
+the observed half: :func:`impute`.  The imputed table and a population's
+true table are one type, :class:`PotentialTable`, whose ``observe`` realizes
+the :class:`ObservedData` of an assignment.  Statistics are evaluated on the
+dataset realized by applying an assignment vector to that imputed table: a
+statistic reads the treated potentials where the assignment treats and the
+control potentials elsewhere (:class:`StatisticSpec`).
 
 Assignment rows arrive as ``int8`` blocks.  The float work walks a block in
 tiles of at most ``_TILE_ENTRIES`` entries (:func:`_by_tile`), so the float
@@ -41,7 +43,7 @@ import numpy as np
 
 __all__ = [
     "ObservedData",
-    "ImputedOutcomes",
+    "PotentialTable",
     "StatisticSpec",
     "StatisticError",
     "DegenerateDenominatorError",
@@ -94,14 +96,32 @@ class ObservedData:
 
 
 @dataclass(frozen=True)
-class ImputedOutcomes:
-    """Full potential-outcome table consistent with a constant effect ``theta``."""
+class PotentialTable:
+    """A full potential-outcome table: control and treated values per unit."""
 
-    y1: np.ndarray
     y0: np.ndarray
+    y1: np.ndarray
+
+    def __post_init__(self):
+        y0 = np.asarray(self.y0, dtype=float)
+        y1 = np.asarray(self.y1, dtype=float)
+        object.__setattr__(self, "y0", y0)
+        object.__setattr__(self, "y1", y1)
+        if y0.shape != y1.shape or y0.ndim != 1:
+            raise ValueError("y0 and y1 must be equal-length vectors")
+
+    @property
+    def n_units(self) -> int:
+        return self.y0.size
+
+    def observe(self, w: np.ndarray) -> ObservedData:
+        """Realize the data an experimenter would see under assignment ``w``."""
+        w = np.asarray(w)
+        y_obs = np.where(w == 1, self.y1, self.y0)
+        return ObservedData(w_obs=w.astype(np.int8), y_obs=y_obs)
 
 
-def impute(data: ObservedData, theta: float) -> ImputedOutcomes:
+def impute(data: ObservedData, theta: float) -> PotentialTable:
     """Fill in the missing potential outcomes under a constant effect ``theta``.
 
     Treated units keep their observed value as ``y1`` and get ``y_obs - theta``
@@ -115,7 +135,7 @@ def impute(data: ObservedData, theta: float) -> ImputedOutcomes:
     y = data.y_obs
     y1 = np.where(w == 1, y, y + theta)
     y0 = np.where(w == 1, y - theta, y)
-    return ImputedOutcomes(y1=y1, y0=y0)
+    return PotentialTable(y0=y0, y1=y1)
 
 
 @dataclass(frozen=True)
@@ -396,7 +416,7 @@ def evaluate_realized(stat: StatisticSpec, Y: np.ndarray, W: np.ndarray) -> np.n
     return _by_tile(stat.rows, np.asarray(W), Y, Y)
 
 
-def evaluate_many(stat: StatisticSpec, imputed: ImputedOutcomes, W: np.ndarray) -> np.ndarray:
+def evaluate_many(stat: StatisticSpec, imputed: PotentialTable, W: np.ndarray) -> np.ndarray:
     """Statistic values for every assignment row of ``W`` (shape (k, n)), ``int8`` or float."""
     W = np.asarray(W)
     if W.ndim == 1:
@@ -404,14 +424,14 @@ def evaluate_many(stat: StatisticSpec, imputed: ImputedOutcomes, W: np.ndarray) 
     return _by_tile(stat.rows, W, imputed.y1, imputed.y0)
 
 
-def evaluate(stat: StatisticSpec, imputed: ImputedOutcomes, w: np.ndarray) -> float:
+def evaluate(stat: StatisticSpec, imputed: PotentialTable, w: np.ndarray) -> float:
     """Statistic value on the dataset realized by applying ``w`` to the table."""
     return float(evaluate_many(stat, imputed, np.asarray(w, dtype=float)[None, :])[0])
 
 
 def observed_statistic(stat: StatisticSpec, data: ObservedData) -> float:
     """T computed on the observed data (independent of any hypothesized theta)."""
-    table = ImputedOutcomes(y1=data.y_obs, y0=data.y_obs)
+    table = PotentialTable(y0=data.y_obs, y1=data.y_obs)
     return evaluate(stat, table, data.w_obs)
 
 
@@ -462,7 +482,7 @@ def ei_probe(stat: StatisticSpec, data: ObservedData, design, trials: int, seed)
             y1[i] += delta
         else:
             y0[i] -= delta
-        perturbed = evaluate_many(stat, ImputedOutcomes(y1, y0), W)
+        perturbed = evaluate_many(stat, PotentialTable(y0=y0, y1=y1), W)
         change = perturbed - base
         bad = np.nonzero(change < -tol)[0]
         if bad.size:

@@ -353,7 +353,8 @@ class TestExitCodes:
         proposed = json.loads(out)["proposed"]
         assert [proposed["lower"], proposed["upper"]] == ["-inf", "inf"]
 
-    @pytest.mark.parametrize("key, value", [("reps", 0), ("k1", 7), ("alpha", 1.5), ("b1", 0)])
+    @pytest.mark.parametrize("key, value", [("reps", 0), ("k1", 7), ("alpha", 1.5), ("b1", 0),
+                                            ("k_cap", 0), ("k_cap", -3), ("true_theta", float("nan"))])
     def test_out_of_range_config_is_2(self, capsys, tmp_path, key, value):
         scenario = {"b1": 1, "k1": 8, "b2": 1, "k2": 8, "reps": 1, "k_cap": 100, key: value}
         (tmp_path / "scenario.json").write_text(json.dumps(scenario))

@@ -220,6 +220,12 @@ class TestCombineValues:
         for combiner in (stouffer(), fisher(), double_exponential()):
             assert 0.0 <= combine_values([0.0, 1.0], combiner) <= 1.0
 
+    @pytest.mark.parametrize("ps", [np.nan, [np.nan, 0.2], [0.2, -0.1], [1.5, 0.2]])
+    def test_p_values_outside_unit_interval_refused(self, ps):
+        # NaN fails every comparison, so it is refused as not inside [0, 1]
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            combine_values(ps, fisher())
+
     def test_custom_combiner_requires_cdf(self):
         with pytest.raises(ValueError):
             custom_combiner(np.log, None)
@@ -313,6 +319,18 @@ class TestCombineFunctions:
             lminus = 1.0 - cu.value(theta)
             two_sided = min(1.0, 2 * min(lplus, lminus))
             assert 0.0 <= two_sided <= 1.0
+
+    @pytest.mark.parametrize("side", [PValueKind.LPLUS, PValueKind.LMINUS])
+    @pytest.mark.parametrize("theta", [np.nan, [0.5, np.nan]])
+    def test_nan_theta_refused_by_single_and_combined_functions(self, toy, diff_means, side, theta):
+        # searchsorted sorts NaN above every breakpoint, which would read a level
+        data, design = toy
+        fs = build_step_functions(data, design, diff_means)
+        for f in (fs[side], combine_functions([fs, fs], fisher())[side]):
+            for read in (f.value, f.value_from_right):
+                with pytest.raises(ValueError, match="NaN"):
+                    read(theta)
+            assert np.isfinite(f.value(np.array([-np.inf, np.inf]))).all()  # the infinities stay valid
 
     @pytest.mark.parametrize("stat_name", ["diff_means", "wilcoxon_rank_sum"])
     def test_falling_sides_complement_rising_sides_on_one_grid(self, stat_name):

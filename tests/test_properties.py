@@ -1,7 +1,8 @@
 """Property tests: exact switch points against the generic bisection and direct
 p-values, crossings that depend on their row alone, the endpoint search against
 a scan, the interval-level reads of inversion (weighted and custom combiners
-too) and sup-norm error against point evaluation, outputs that do not
+too), the union-grid reads of combined functions against their components'
+values, and sup-norm error against point evaluation, outputs that do not
 depend on the replicate block size, enumerated and sampled row ranges against
 the per-block unranker, sampled indices against a scalar replay of their
 Philox streams, prefix-stable draws, ``round_sig`` against a reference that
@@ -51,6 +52,7 @@ from randinf.design import (
     _unrank_block_vectorized,
 )
 from randinf._util import SIG_DIGITS, round_sig
+from randinf.combine import _combine_matrix
 from randinf.datasets import PotentialTable
 from randinf.inversion import _bisect_crossings, _cut, _proposed_interval, _traditional_interval
 from randinf.randomization import _replicate_source
@@ -190,6 +192,17 @@ def test_cut_search_equals_scan(size_first):
     assert probes.size <= 2 * isqrt(g + 1)
 
 
+def combined_value_from_components(c, theta):
+    """A combined side at ``theta``: every component read at ``theta``, then combined.
+
+    The reference for the union-grid reads of ``CombinedPValueFunction``; a
+    falling side is one minus the combination of its rising components.
+    """
+    out = _combine_matrix(np.vstack([np.atleast_1d(f.value(theta)) for f in c.components]), c.combiner)
+    out = out if c.side in (PValueKind.LPLUS, PValueKind.UPLUS) else 1.0 - out
+    return float(out[0]) if np.ndim(theta) == 0 else out
+
+
 def _assert_combined_interval_equals_point_evaluation(fss, combiner, alpha):
     combined = combine_functions(fss, combiner)
     c_lplus, c_uplus = combined[PValueKind.LPLUS], combined[PValueKind.UPLUS]
@@ -200,8 +213,27 @@ def _assert_combined_interval_equals_point_evaluation(fss, combiner, alpha):
     theta = np.concatenate(([grid[0] - 1.0], np.column_stack((grid, mids)).ravel()))
     half = alpha / 2
     ci = _proposed_interval(combined, half, half)
-    assert ci.lower == _first_start(grid, theta, c_lplus.value(theta) > half)
-    assert ci.upper == _first_start(grid, theta, 1.0 - c_uplus.value(theta) <= half)
+    assert ci.lower == _first_start(grid, theta, combined_value_from_components(c_lplus, theta) > half)
+    assert ci.upper == _first_start(grid, theta, 1.0 - combined_value_from_components(c_uplus, theta) <= half)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(experiments(), min_size=1, max_size=3),
+       st.sampled_from([DIFF_MEANS, WILCOXON]),
+       st.sampled_from(["fisher", "de", "stouffer"]),
+       st.booleans())
+def test_combined_value_equals_combination_of_component_values(exps, stat, name, weighted):
+    fss = [build_step_functions(data, design, stat, mode) for data, design, mode in exps]
+    combiner = make_combiner(name, (3.0, 1.0, 2.5)[:len(fss)] if weighted else None)
+    for c in combine_functions(fss, combiner).values():
+        grid = c.breakpoints
+        # at and next to every breakpoint, between them, outside them and at +-inf
+        theta = np.concatenate((grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                                grid * (1 - 1e-13), grid * (1 + 1e-13), 0.5 * (grid[:-1] + grid[1:]),
+                                grid[:1] - 1.0, grid[-1:] + 1.0, [0.0, -np.inf, np.inf]))
+        np.testing.assert_array_equal(c.value(theta), combined_value_from_components(c, theta))
+        for t in theta[::7]:
+            assert c.value(float(t)) == combined_value_from_components(c, float(t))
 
 
 @PROPERTY_SETTINGS

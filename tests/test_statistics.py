@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+import randinf
 from randinf import (
     CRD,
     RBD,
     DegenerateDenominatorError,
     ObservedData,
+    PotentialTable,
     StatisticError,
     assignment_matrix,
     ei_probe,
@@ -38,6 +40,11 @@ class TestObservedData:
 
 
 class TestImpute:
+    def test_returns_the_one_potential_table_type(self, toy):
+        data, _ = toy
+        assert type(impute(data, 0.5)) is PotentialTable
+        assert randinf.datasets.PotentialTable is randinf.statistics.PotentialTable is PotentialTable
+
     def test_toy_treated_row_at_zero(self, toy):
         data, _ = toy
         table = impute(data, 0.0)
