@@ -392,8 +392,8 @@ class TestTraditional:
         assert trad.upper - trad.lower <= prop.upper - prop.lower + 1e-12
 
 
-def _golden_wilcoxon_case(name):
-    """(data, design, mode) of one pinned Wilcoxon step-function case."""
+def _golden_case(name):
+    """(data, design, mode) of one pinned step-function case."""
     if name == "rbd_10x6_3_mc":
         design = RBD(((6, 3),) * 10)
         pop = generate_population(60, 1.0, seed=71)
@@ -448,9 +448,38 @@ GOLDEN_WILCOXON_SHA256 = {
 
 @pytest.mark.parametrize("case, side", list(GOLDEN_WILCOXON_SHA256))
 def test_wilcoxon_step_function_golden_bytes(wilcoxon, case, side):
-    data, design, mode = _golden_wilcoxon_case(case)
+    data, design, mode = _golden_case(case)
     f = build_step_function(data, design, wilcoxon, PValueKind[side], mode)
     assert _step_digest(f) == GOLDEN_WILCOXON_SHA256[case, side]
+
+
+# SHA-256 of the four sides of diff_means without its closed form, every
+# crossing found by the generic bisection.  The generic rank sum needs no
+# table of its own: it is pinned to the switch-point bytes above, and its
+# strict sides in crd_14_7_exact have 84 rows whose rank sums saturate, so
+# that they never switch.
+GOLDEN_GENERIC_DIFF_MEANS_SHA256 = {
+    ("crd_14_7_exact", "LPLUS"): "4bbead093038a59e7af0dc0a3b5e6f9e8701782a2f8d304e683b6b563857a85d",
+    ("crd_14_7_exact", "UMINUS"): "488c591aa24e3c2fbb356b3dfa23c27a1c6b873de6eac75216c018ee731d2421",
+    ("crd_14_7_exact", "UPLUS"): "cc23415ceb0cd1168e4f5097725af8c9c650d797e9ded4667efd45ba60884b37",
+    ("crd_14_7_exact", "LMINUS"): "5e3f4497ec008bcf0b8a09e58106a4aa9361c4ecf08b6f87fd48354f7f210087",
+    ("rbd_10x6_3_mc", "LPLUS"): "b52b29c592bcd0f357703a1b8d47047315bb0b324d89b50fdaeb251fbf13dfcf",
+    ("rbd_10x6_3_mc", "UMINUS"): "b52b29c592bcd0f357703a1b8d47047315bb0b324d89b50fdaeb251fbf13dfcf",
+    ("rbd_10x6_3_mc", "UPLUS"): "43121098f317d51404e8438f639648220a0a45b20a1a990376f408488b06c24b",
+    ("rbd_10x6_3_mc", "LMINUS"): "43121098f317d51404e8438f639648220a0a45b20a1a990376f408488b06c24b",
+}
+
+
+@pytest.mark.parametrize("name, golden", [("diff_means", GOLDEN_GENERIC_DIFF_MEANS_SHA256),
+                                          ("wilcoxon_rank_sum", GOLDEN_WILCOXON_SHA256)])
+@pytest.mark.parametrize("case", ["crd_14_7_exact", "rbd_10x6_3_mc"])
+def test_generic_step_functions_golden_bytes(name, golden, case):
+    stat = dataclasses.replace(get_statistic(name), affine=None, switch_points=None)
+    data, design, mode = _golden_case(case)
+    fs = build_step_functions(data, design, stat, mode)
+    assert {side.name: _step_digest(f) for side, f in fs.items()} == {
+        side.name: golden[case, side.name] for side in ONE_SIDED
+    }
 
 
 class TestKernel:
