@@ -64,8 +64,8 @@ def _num(x):
     return float(f"{x:.12g}")
 
 
-def _dump(obj, as_json: bool, out=None):
-    out = out or sys.stdout
+def _dump(obj, as_json: bool):
+    out = sys.stdout
     if as_json:
         json.dump(obj, out, indent=2)
         out.write("\n")
@@ -544,7 +544,7 @@ def main(argv=None) -> int:
     except (NonMonotoneStatisticError, LevelTooHighError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (StatisticError, EnumerationCapError, ValueError, OSError) as exc:
+    except (StatisticError, EnumerationCapError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     return EXIT_OK

@@ -61,12 +61,7 @@ import numpy as np
 from ._util import atoms, round_sig
 from .design import Design
 from .randomization import ExactMode, Mode, PValueKind, _replicate_source
-from .statistics import (
-    ObservedData,
-    StatisticSpec,
-    evaluate_realized,
-    observed_statistic,
-)
+from .statistics import ObservedData, StatisticSpec, _by_tile, observed_statistic
 
 __all__ = [
     "PValueStepFunction",
@@ -180,22 +175,27 @@ def _threshold(t_obs, strict):
 
 
 def _row_tests(data, stat, W, t_obs, strict):
-    """For rows of the block ``W`` at per-row theta: the statistic, and whether it reaches T_obs."""
+    """The statistic of rows of the block ``W`` at per-row theta, and whether values reach T_obs.
+
+    ``t_at(theta_rows, rows)`` hands ``stat.rows`` each row's imputed arms at
+    its own theta, ``y + theta * (1 - w_obs)`` treated and ``y - theta * w_obs``
+    control, built a float tile at a time; ``passes(values)`` is the test.
+    """
     threshold = _threshold(t_obs, strict)
     y = data.y_obs
     w_obs = data.w_obs.astype(float)
+    untreated = 1 - w_obs
+
+    def tile(theta, Wt):  # theta: a column, one entry for each row of the tile
+        return stat.rows(y + theta * untreated, y - theta * w_obs, Wt)
 
     def t_at(theta_rows, rows=slice(None)):
-        # realized outcomes under row w at theta: y + theta * d
-        Wr = W[rows]
-        D = Wr * (1 - w_obs) - (1 - Wr) * w_obs
-        return evaluate_realized(stat, y + theta_rows[:, None] * D, Wr)
+        return _by_tile(tile, W[rows], theta_rows[:, None])
 
-    def on(theta_rows, rows=slice(None)):
-        vals = t_at(theta_rows, rows)
-        return (vals > threshold) if strict else (vals >= threshold)
+    def passes(values):
+        return (values > threshold) if strict else (values >= threshold)
 
-    return t_at, on
+    return t_at, passes
 
 
 def _bisect(on, b_lo, b_hi, moving, always, tol):
@@ -219,42 +219,40 @@ def _bisect(on, b_lo, b_hi, moving, always, tol):
 
 
 def _bisect_crossings(data, stat, W, t_obs, strict, scale):
-    """One float block's per-row switch points of 1{T(theta, w) >= T_obs} (or > for strict).
+    """One int8 block's per-row switch points of 1{T(theta, w) >= T_obs} (or > for strict).
 
     Brackets expand geometrically from the outcome scale; a side whose
     statistic stops changing across a doubling has saturated (rank statistics
     freeze once theta clears the outcome range), which classifies the row as
-    never switching (+inf) or always on (-inf).  :func:`_bisect` then halves
+    never switching (+inf) or always on (-inf).  Each bound's statistic is
+    read once and carried to the next doubling.  :func:`_bisect` then halves
     every moving row's bracket until it is within the tolerance.
     """
     tol = 1e-9 * max(1.0, scale)  # theta units: bisection width
     t_tol = 1e-9 * max(1.0, abs(t_obs))  # statistic units: tie tolerance
     reach = 2.0 * max(1.0, scale)
-    t_at, on = _row_tests(data, stat, W, t_obs, strict)
+    t_at, passes = _row_tests(data, stat, W, t_obs, strict)
     lo = np.full(W.shape[0], -reach)
     hi = np.full(W.shape[0], reach)
+    t_lo, t_hi = t_at(lo), t_at(hi)
     never = np.zeros(W.shape[0], dtype=bool)
     always = np.zeros(W.shape[0], dtype=bool)
     for _ in range(200):
-        on_hi = on(hi)
-        on_lo = on(lo)
-        grow_hi = ~on_hi & ~never & ~always
-        grow_lo = on_lo & ~always & ~never
+        grow_hi = ~passes(t_hi) & ~never & ~always
+        grow_lo = passes(t_lo) & ~always & ~never
         if not grow_hi.any() and not grow_lo.any():
             break
         if grow_hi.any():
-            old = t_at(hi)
             hi = np.where(grow_hi, hi * 2, hi)
-            frozen = grow_hi & (np.abs(t_at(hi) - old) <= t_tol / 4) & ~on(hi)
-            never |= frozen
+            old, t_hi = t_hi, t_at(hi)
+            never |= grow_hi & (np.abs(t_hi - old) <= t_tol / 4) & ~passes(t_hi)
         if grow_lo.any():
-            old = t_at(lo)
             lo = np.where(grow_lo, lo * 2, lo)
-            frozen = grow_lo & (np.abs(t_at(lo) - old) <= t_tol / 4) & on(lo)
-            always |= frozen
+            old, t_lo = t_lo, t_at(lo)
+            always |= grow_lo & (np.abs(t_lo - old) <= t_tol / 4) & passes(t_lo)
     else:
         raise BracketingError("no bracket for some assignment after 200 doublings")
-    return _bisect(on, lo, hi, ~never & ~always, always, tol)
+    return _bisect(lambda theta: passes(t_at(theta)), lo, hi, ~never & ~always, always, tol)
 
 
 def _switch_point_crossings(data, stat, W, t_obs, strict, scale, b_star):
@@ -271,13 +269,13 @@ def _switch_point_crossings(data, stat, W, t_obs, strict, scale, b_star):
     """
     tol = 1e-9 * max(1.0, scale)
     near_tol = 1e-12 * max(1.0, scale)
-    _, passes = _row_tests(data, stat, W, t_obs, strict)
+    t_at, passes = _row_tests(data, stat, W, t_obs, strict)
 
     def on(theta_rows):
         is_on = theta_rows > b_star
         near = np.flatnonzero(np.abs(theta_rows - b_star) <= near_tol)
         if near.size:
-            is_on[near] = passes(theta_rows[near], near)
+            is_on[near] = passes(t_at(theta_rows[near], near))
         return is_on
 
     always = b_star == -np.inf
@@ -313,7 +311,6 @@ def _crossings(data, stat, source, t_obs, scale, strict=(False, True)):
             yield tuple(_switch_point_crossings(data, stat, W, t_obs, s, scale, b)
                         for s, b in zip(strict, stat.switch_points(data, W, m)))
         else:
-            W = W.astype(float)  # every bisection step reads the whole block
             yield tuple(_bisect_crossings(data, stat, W, t_obs, s, scale) for s in strict)
 
 

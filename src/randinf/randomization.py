@@ -28,8 +28,7 @@ writes them in ``int8`` blocks of at most ``_ROW_BLOCK`` rows, and every
 consumer (here and in :mod:`randinf.inversion`) works block by block, keeping
 only per-row results of 8 bytes a row.  Within a block the float work runs
 on tiles of 2^15 entries or 8 rows (:mod:`randinf.statistics`), so no float
-copy of a whole block is made, except by the generic bisection of
-:mod:`randinf.inversion`.  Rows and their order are those of
+copy of a whole block is made.  Rows and their order are those of
 ``assignment_matrix`` (exact) or ``sample_assignments`` (Monte Carlo).
 """
 

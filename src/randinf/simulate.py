@@ -66,6 +66,9 @@ _AUDIT_CAP = 200_000
 # a scenario design holds at most this many units: the harness studies small
 # samples, and a mistyped block count is refused before any block is built
 _MAX_UNITS = 10_000
+# a scenario runs at most this many reps: each keeps one coverage flag and
+# one width per arm, allocated before the first rep runs
+_MAX_REPS = 1_000_000
 
 
 def balanced_design(n_blocks: int, block_size: int) -> Design:
@@ -111,8 +114,8 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        if not 1 <= self.reps <= _MAX_REPS:
+            raise ValueError(f"reps must lie in [1, {_MAX_REPS}]")
         if self.k_cap < 1:
             raise ValueError("k_cap must be >= 1")
         if not np.isfinite(self.true_theta):

@@ -51,7 +51,6 @@ __all__ = [
     "impute",
     "evaluate",
     "evaluate_many",
-    "evaluate_realized",
     "get_statistic",
     "register_statistic",
     "list_statistics",
@@ -407,12 +406,6 @@ WILCOXON = register_statistic(
         switch_points=_wilcoxon_switch_points,
     )
 )
-
-
-def evaluate_realized(stat: StatisticSpec, Y: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Statistic values for realized-outcome rows ``Y`` under assignment rows ``W``."""
-    Y = np.asarray(Y, dtype=float)
-    return _by_tile(stat.rows, np.asarray(W), Y, Y)
 
 
 def evaluate_many(stat: StatisticSpec, imputed: PotentialTable, W: np.ndarray) -> np.ndarray:

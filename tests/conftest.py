@@ -81,7 +81,7 @@ def assert_crossings_match_bisection(data, stat, design, mode=None, rows=100):
     head = SimpleNamespace(blocks=lambda: iter([W]))
     atol = 1e-6 * scale if stat.affine is not None else 0.0
     for strict, kernel in zip((False, True), crossing_vectors(data, stat, head, t_obs, scale)):
-        ref = _bisect_crossings(data, stat, W.astype(float), t_obs, strict, scale)
+        ref = _bisect_crossings(data, stat, W, t_obs, strict, scale)
         if not np.allclose(kernel, ref, rtol=0.0, atol=atol):
             raise AssertionError("crossings disagree with the generic bisection")
 

@@ -266,6 +266,16 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["pcurve", TOY_CSV, "--design", "crd:10,5", "--grid-range", "0,1,1e18"],
+        ["invert", TOY_CSV, "--design", "crd:10,5", "--mode", "mc", "--k", str(10 ** 18), "--seed", "1"],
+    ])
+    def test_allocation_failure_is_3(self, capsys, argv):
+        # 1e18 doubles or int64 are exabytes, which numpy fails to allocate
+        # before touching any memory
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == "" and err.startswith("error: Unable to allocate")
+
     def test_non_ei_inversion_is_4(self, capsys):
         code, _, err = run_cli(
             ["invert", TOY_CSV, "--design", "crd:10,5", "--statistic", "studentized"], capsys
@@ -359,7 +369,10 @@ class TestExitCodes:
                                             # a double overflows; the designs would exceed _MAX_UNITS
                                             ("true_theta", 10 ** 400),
                                             ("b1", 10 ** 400), ("k2", 2 * 10 ** 400),
-                                            ("b2", _MAX_UNITS // 8 + 1)])
+                                            ("b2", _MAX_UNITS // 8 + 1),
+                                            # rep arrays would take a terabyte, or
+                                            # numpy refuses their dimension
+                                            ("reps", 10 ** 12), ("reps", 10 ** 400)])
     def test_out_of_range_config_is_2(self, capsys, tmp_path, key, value):
         scenario = {"b1": 1, "k1": 8, "b2": 1, "k2": 8, "reps": 1, "k_cap": 100, key: value}
         (tmp_path / "scenario.json").write_text(json.dumps(scenario))

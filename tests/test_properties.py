@@ -120,7 +120,7 @@ def test_switch_point_crossings_equal_generic_bisection(experiment):
     t_obs = observed_statistic(WILCOXON, data)
     scale = outcome_scale(data)
     for strict, exact in zip((False, True), crossing_vectors(data, WILCOXON, source, t_obs, scale)):
-        generic = np.concatenate([_bisect_crossings(data, WILCOXON, W.astype(float), t_obs, strict, scale)
+        generic = np.concatenate([_bisect_crossings(data, WILCOXON, W, t_obs, strict, scale)
                                   for W in source.blocks()])
         np.testing.assert_array_equal(exact, generic)
 

@@ -1,5 +1,6 @@
 """Randomization distributions, the five p-value kinds, dominance profiles."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -197,6 +198,7 @@ class TestDominanceProfile:
     *(pytest.param(call, block, 40, id=f"{call}-{block}")
       for call in ("build_step_functions", "randomization_distribution") for block in (None, 1 << 12)),
     pytest.param("build_step_functions", 1 << 12, 20, id="build_step_functions-4096-one_vector"),
+    pytest.param("generic_bisection", None, 40, id="build_step_functions-generic_bisection"),
 ])
 def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block, per_row):
     # CRD(20,10) has 184,756 rows; as one float matrix they alone would take
@@ -210,6 +212,9 @@ def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block, pe
     # of a whole block, which alone is 5.2 MB at 2^15 rows.  The one_vector
     # case holds the kernel to 20 bytes a row, four 2^12-row int8 blocks and
     # eight float tiles (6.1 MB), which a second rounded vector would exceed.
+    # The generic_bisection case builds diff_means without its closed form:
+    # the bisection reads the block in float tiles too, and its per-row
+    # brackets, thetas and values are a few block-sized vectors.
     import randinf.randomization as rz
     import randinf.statistics as st
 
@@ -217,11 +222,15 @@ def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block, pe
         monkeypatch.setattr(rz, "_ROW_BLOCK", block)
     design = CRD(20, 10)
     data = generate_population(20, 1.0, seed=0).observe(sample_assignments(design, 1, seed=1)[0])
-    run = {
+    runs = {
         "build_step_functions": lambda: build_step_functions(data, design, diff_means),
+        "generic_bisection": lambda: build_step_functions(data, design, dataclasses.replace(diff_means, affine=None)),
         "randomization_distribution": lambda: randomization_distribution(data, design, diff_means, 0.5),
-    }[call]
-    run()  # lazily built tables and caches are not what is measured
+    }
+    # lazily built tables and caches are not what is measured; the closed
+    # form builds the same ones as the slower generic bisection
+    runs["build_step_functions" if call == "generic_bisection" else call]()
+    run = runs[call]
     tracemalloc.start()
     try:
         run()
