@@ -659,13 +659,16 @@ def _probe_scipy(argv):
 
 
 def _fill_argv(argv, tmp_path):
-    """``argv`` with "{e0}".."{e2}" the golden-case experiment files and "{cfg}"
-    a DE-only scenario, written under ``tmp_path``."""
+    """``argv`` with "{e0}".."{e2}" the golden-case experiment files, "{cfg}" a
+    DE-only scenario and "{cfg_default}" one with the default combiners
+    (fisher, de), written under ``tmp_path``."""
     _, files = _golden_argv("combine_exact_dm_fisher", tmp_path)
-    cfg = tmp_path / "de.json"
-    cfg.write_text(json.dumps({"b1": 1, "k1": 8, "b2": 1, "k2": 8, "reps": 2, "k_cap": 100,
-                               "master_seed": 3, "combiners": ["de"]}))
-    return [a.format(e0=files[0], e1=files[1], e2=files[2], cfg=cfg) for a in argv]
+    scenario = {"b1": 1, "k1": 8, "b2": 1, "k2": 8, "reps": 2, "k_cap": 100, "master_seed": 3}
+    cfg, cfg_default = tmp_path / "de.json", tmp_path / "default.json"
+    cfg.write_text(json.dumps({**scenario, "combiners": ["de"]}))
+    cfg_default.write_text(json.dumps(scenario))
+    return [a.format(e0=files[0], e1=files[1], e2=files[2], cfg=cfg, cfg_default=cfg_default)
+            for a in argv]
 
 
 _COMBINE3 = ["combine", "{e0}", "{e1}", "{e2}", "--designs", "crd:12,6;crd:10,5;rbd:4/2,4/2",
@@ -684,25 +687,33 @@ _REQUESTS = {
     "combine_de": [*_COMBINE3, "de"],
     "combine_weighted_fisher": [*_COMBINE3, "fisher", "--weights", "1,2,3"],
     "simulate_de": ["simulate", "{cfg}", "--json"],
+    "simulate_default": ["simulate", "{cfg_default}", "--json"],
 }
-# the requests that evaluate a normal CDF, normal quantile or chi-square tail
-_NEED_SCIPY = ("combine_stouffer", "combine_fisher")
+# the requests that evaluate a normal CDF or normal quantile
+_NEED_SCIPY = ("combine_stouffer",)
 
 
 @pytest.mark.parametrize("name", [n for n in _REQUESTS if n not in _NEED_SCIPY])
-def test_fresh_process_without_normal_or_chisq_values_imports_no_scipy(name, tmp_path):
-    # scipy.special is imported on the first normal or chi-square value; a
-    # request that computes none loads no scipy module at all
+def test_fresh_process_without_normal_values_imports_no_scipy(name, tmp_path):
+    # scipy.special is imported on the first normal value; a request that
+    # computes none, unit-weight Fisher's chi-square tails included, loads no
+    # scipy module at all
     _, loaded = _probe_scipy(_fill_argv(_REQUESTS[name], tmp_path))
     assert loaded == []
 
 
-@pytest.mark.parametrize("case", ["combine_mc_dm_stouffer", "combine_exact_dm_fisher"])
-def test_fresh_process_imports_scipy_special_for_stouffer_and_unit_fisher(case, tmp_path):
-    argv, files = _golden_argv(case, tmp_path)
+def test_fresh_process_unit_fisher_imports_no_scipy_and_keeps_its_bytes(tmp_path):
+    argv, files = _golden_argv("combine_exact_dm_fisher", tmp_path)
+    out, loaded = _probe_scipy(argv)
+    assert loaded == []
+    assert _golden_digest(out, files) == GOLDEN_CLI_SHA256["combine_exact_dm_fisher"]
+
+
+def test_fresh_process_imports_scipy_special_for_stouffer(tmp_path):
+    argv, files = _golden_argv("combine_mc_dm_stouffer", tmp_path)
     out, loaded = _probe_scipy(argv)
     assert "scipy.special" in loaded
-    assert _golden_digest(out, files) == GOLDEN_CLI_SHA256[case]
+    assert _golden_digest(out, files) == GOLDEN_CLI_SHA256["combine_mc_dm_stouffer"]
 
 
 def test_cli_bytes_match_a_fresh_process_in_either_order(capsys, tmp_path):

@@ -116,9 +116,35 @@ class TestSpecialFunctions:
         assert chisq_upper(4, x) == pytest.approx(0.098241, abs=1e-5)
 
     def test_chisq_upper_df_validation(self):
-        for bad in (3, 0, -2):
+        for bad in (3, 3.0, 0, -2):
             with pytest.raises(ValueError):
                 chisq_upper(bad, 1.0)
+
+    def test_chisq_upper_edges(self):
+        # as scipy's gammaincc: NaN below 0 and for NaN, 1 at 0, 0 at infinity;
+        # the suite turns a numpy warning (0 * inf, say) into a failure
+        np.testing.assert_array_equal(
+            chisq_upper(4, np.array([-1.0, -np.inf, 0.0, np.inf, np.nan, 1e300])),
+            [np.nan, np.nan, 1.0, 0.0, np.nan, 0.0])
+        for df in (2, 6, 2000):
+            assert chisq_upper(df, 0.0) == 1.0 and chisq_upper(df, np.inf) == 0.0
+            assert np.isnan(chisq_upper(df, -1e-300)) and np.isnan(chisq_upper(df, np.nan))
+        # an integral float df is accepted, and a scalar x gives a scalar
+        assert chisq_upper(4.0, 7.824046) == chisq_upper(4, 7.824046)
+        assert isinstance(chisq_upper(4, 7.824046), float)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10, 26, 40, 64])
+    def test_chisq_upper_relative_error_against_mpmath(self, m):
+        # x up to 2 * 27.64 m, Fisher's reach with P_CLIP; relative, so the far
+        # tail is checked down to 1e-290, where a plain e^-t start of the
+        # recurrence goes subnormal (m = 40 and 64)
+        xs = np.linspace(0.0, 2 * 27.64 * m, 301)
+        with mpmath.workdps(50):
+            for x, g in zip(xs, chisq_upper(2 * m, xs)):
+                want = mpmath.gammainc(m, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+                if want >= 1e-290:
+                    bound = 1e-14 if want >= 1e-12 else 1e-12
+                    assert abs(mpmath.mpf(g) / want - 1) <= bound, (m, x)
 
     def test_laplace_m1(self):
         assert laplace_sum_cdf(1, 0.0) == 0.5
