@@ -15,10 +15,13 @@ level.  At the true effect every observed assignment imputes the same table,
 so one pass of the statistic over the enumeration gives every observed
 assignment's p-values at the truth, and with them the dominance profile and
 the coverage: an interval covers the truth exactly when its tests accept
-there.  A breakpoint matrix, built in chunks of observed assignments with one
-row sort per chunk, serves the widths only.  The traditional two-crossing
-interval is audited alongside for comparison; it carries no guarantee and
-undercovers on heavily tied data.
+there.  The widths need each observed assignment's sorted breakpoints, but
+observed assignments that treat the same number of units of each class of
+exchangeable units (equal block and outcomes) have the same ones: the
+breakpoint matrix, sorted row by row in chunks, holds one row per such
+composition class, which on tied data is far fewer than the assignments.
+The traditional two-crossing interval is audited alongside for comparison;
+it carries no guarantee and undercovers on heavily tied data.
 """
 
 from dataclasses import dataclass, replace
@@ -217,7 +220,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Exact distributional checks for one small population and design."""
+    """Exact distributional checks for one small population and design.
+
+    ``assignments`` is the number k of enumerated assignments, each audited
+    as the observed one; ``width_classes`` the number of observed
+    assignments whose breakpoints were built, one per composition class.
+    """
 
     design: Design
     theta0: float
@@ -230,6 +238,8 @@ class AuditReport:
     traditional_coverage: dict
     proposed_width_mean: dict
     traditional_width_mean: dict
+    assignments: int
+    width_classes: int
 
     def coverage_ok(self, alpha: float) -> bool:
         return self.proposed_coverage[alpha] >= 1 - alpha
@@ -249,6 +259,42 @@ def _endpoint_ranks(k: int, alpha: float):
     )
     g = replace(f, side=PValueKind.LMINUS)
     return invert_lower(f, alpha / 2), invert_upper(g, alpha / 2), _traditional_interval(f, alpha).upper
+
+
+def _width_classes(design: Design, table: PotentialTable, W: np.ndarray, tau: np.ndarray):
+    """(rep, inverse): one representative observed assignment per composition
+    class and each assignment's class, ``W[rep][inverse]`` equal in
+    composition to ``W``.
+
+    Units share a class when they have equal block and imputed potential
+    outcomes in ``table``; a row's composition is its count of treated units
+    in each class.  The classes are used only when ``tau`` is exactly
+    constant on each of them; otherwise, and when every unit class is a
+    singleton, every row is its own class.
+    """
+    k, n = W.shape
+    block = np.repeat(np.arange(len(design.blocks)), [size for size, _ in design.blocks])
+    _, unit_class, sizes = np.unique(
+        np.column_stack((block, table.y0, table.y1)), axis=0, return_inverse=True, return_counts=True
+    )
+    unit_class = unit_class.reshape(n)  # numpy 2.0.0 returns it as a column
+    if sizes.size == n:
+        return np.arange(k), np.arange(k)
+    # one exact mixed-radix key per row: the counts in radix size + 1 each,
+    # relabelled densely (fewer than k labels) before a digit could overflow
+    key = np.zeros(k, dtype=np.int64)
+    span = 1
+    for c, size in enumerate(sizes.tolist()):
+        if span > (1 << 62) // (size + 1):
+            _, key = np.unique(key, return_inverse=True)
+            span = k
+        key *= size + 1
+        key += W[:, unit_class == c].sum(axis=1, dtype=np.int64)
+        span *= size + 1
+    _, rep, inverse = np.unique(key, return_index=True, return_inverse=True)
+    if not np.array_equal(tau, tau[rep][inverse]):
+        return np.arange(k), np.arange(k)
+    return rep, inverse
 
 
 def exact_validity_audit(
@@ -277,17 +323,46 @@ def exact_validity_audit(
     64-bit words, and ``b_ij`` one read of a table of its ``n1 + 1``
     values.  Each row of a chunk is sorted before ``theta0`` is added, and
     only the picked order statistics are shifted and rounded; both steps
-    are monotone, so they pick the same doubles.  Other statistics are
-    refused: their widths need a call per observed assignment, which costs
-    far more (2-vCPU x86_64, best of five: one ``stat.affine`` call each
-    0.43 s on the tied CRD(15,5), against 0.060 s for the whole audit; one
-    kernel build each 0.23 s on a lognormal CRD(12,6), against 0.010 s).
+    are monotone, so they pick the same doubles.
+
+    Rows are built for one observed assignment per composition class only.
+    Units share a class when they have equal block and imputed outcomes, and
+    a row's composition is its count of treated units in each class.  If
+    ``tau`` is exactly constant on every composition class, the classes are
+    exact: a permutation of units within classes maps design rows onto
+    design rows and keeps every overlap, hence every ``b_ij``, and every
+    ``tau_i``; so rows j and sigma(j) have bit-identical breakpoint
+    multisets and order statistics.  Otherwise (decimal outcomes, whose sums
+    round by unit order) every row is its own class.  Each width mean still
+    sums all k widths in enumeration order, so the report is the same to the
+    last bit; ``width_classes`` counts the rows built.  Untied data, whose
+    unit classes are singletons, skip the grouping.  On the tied CRD(15,5),
+    3003 assignments in 18 classes, the audit takes 4 ms, and 30 ms on a
+    tied RBD 3x(6,3) (343 classes of 8000), against 90 and 550 ms with one
+    row per assignment; a lognormal CRD(12,6) takes 16 ms either way
+    (2-vCPU x86_64, fresh processes, best of five).
+
+    Other statistics are refused: their widths need a call per observed
+    assignment, which costs far more (same host: one ``stat.affine`` call
+    each, 0.85 s in all on the tied CRD(15,5); one kernel build each,
+    0.42 s on the lognormal CRD(12,6); best of three).
     """
     stat = stat or get_statistic("diff_means")
     if stat.name != "diff_means":
         raise NotImplementedError("the vectorized audit supports diff_means only")
+    alphas = tuple(alphas)
+    if not all(0 < alpha < 1 for alpha in alphas):
+        raise ValueError("alpha must lie in (0, 1)")
+    if population.n_units != design.n_units:
+        raise ValueError(
+            f"the population has {population.n_units} units, the design {design.n_units}"
+        )
+    y = np.concatenate((population.y0, population.y1))
+    if not np.isfinite(y).all():
+        raise ValueError("the audit population must have finite potential outcomes")
     effects = population.y1 - population.y0
-    if np.ptp(effects) > 1e-12:
+    # the tolerance follows the outcome scale, as the kernel's does
+    if np.ptp(effects) > 1e-12 * max(1.0, float(np.abs(y).max()), float(np.ptp(y))):
         raise ValueError("the audit population must have a constant effect")
     theta0 = float(effects[0])
 
@@ -298,7 +373,8 @@ def exact_validity_audit(
     data = population.observe(W[0])
     # at the truth every observed assignment imputes this same table, so
     # replicate i's statistic under observed j is tau_i + B_ij * (theta - theta0)
-    tau = evaluate_many(stat, impute(data, theta0), W)
+    table = impute(data, theta0)
+    tau = evaluate_many(stat, table, W)
     # the observed assignments at atom i share its p-values at the truth
     _, counts, _ = atoms(round_sig(tau))
     prof = _profile(counts)
@@ -308,7 +384,6 @@ def exact_validity_audit(
     excess = max(map(prof.max_excess, strict))
     gamma_bound_ok = max(shortfall, excess) <= prof.gamma_star + 1e-12
 
-    alphas = tuple(alphas)
     lplus, lminus = (_tails(counts)[kind] / k for kind in weak)
 
     def coverage(covers):
@@ -320,8 +395,11 @@ def exact_validity_audit(
     # each chunk's breakpoints are built once and sorted for every rank any
     # alpha reads; the traditional upper rank is always finite
     finite = sorted({int(r) for rs in ranks for r in rs if np.isfinite(r)})
-    width_p = np.zeros((len(alphas), k))
-    width_t = np.zeros((len(alphas), k))
+    # observed assignments of one composition class have equal widths: only
+    # one representative's breakpoints are built
+    rep, inverse = _width_classes(design, table, W, tau)
+    width_p = np.zeros((len(alphas), rep.size))
+    width_t = np.zeros((len(alphas), rep.size))
     # the units treated under both i and j: the popcount of the rows' 64-bit
     # words ANDed, summed over the words in a type that holds n1
     packed = np.packbits(W, axis=1, bitorder="little")
@@ -333,13 +411,13 @@ def exact_validity_audit(
     swaps = n1 - np.arange(n1 + 1.0)
     slope = swaps / n1 + swaps / n0
     chunk = max(1, (1 << 18) // k)  # rows; each chunk x k matrix holds at most 2**18 entries
-    rows = min(chunk, k)
+    rows = min(chunk, rep.size)
     both = np.empty((rows, k), dtype=np.uint64)
     overlap = np.empty((rows, k), dtype=np.min_scalar_type(n1))
     B = np.empty((rows, k))
     buffer = np.empty((rows, k))
-    for start in range(0, k, chunk):
-        obs = np.arange(start, min(start + chunk, k))
+    for start in range(0, rep.size, chunk):
+        obs = rep[start:start + chunk]
         m = obs.size
         # row j is observed assignment obs[j], column i replicate i
         ov = overlap[:m]
@@ -360,11 +438,12 @@ def exact_validity_audit(
         at = dict(zip(finite, round_sig(BP[:, finite] + theta0).T))
         for j, rs in enumerate(ranks):
             lower, upper, upper_t = (at[int(r)] if np.isfinite(r) else np.full(m, r) for r in rs)
-            width_p[j, obs] = upper - lower
-            width_t[j, obs] = upper_t - lower
+            width_p[j, start:start + m] = upper - lower
+            width_t[j, start:start + m] = upper_t - lower
 
     def per_alpha(values):
-        return {alpha: float(row.mean()) for alpha, row in zip(alphas, values)}
+        # every observed assignment's width, in enumeration order
+        return {alpha: float(row[inverse].mean()) for alpha, row in zip(alphas, values)}
 
     return AuditReport(
         design=design,
@@ -378,4 +457,6 @@ def exact_validity_audit(
         traditional_coverage=coverage(lambda half: (lplus > half) & (lplus < 1 - half)),
         proposed_width_mean=per_alpha(width_p),
         traditional_width_mean=per_alpha(width_t),
+        assignments=k,
+        width_classes=rep.size,
     )

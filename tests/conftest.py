@@ -1,3 +1,4 @@
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,6 +102,21 @@ def assert_interval_matches_p_values(ci, data, design, stat, theta):
             f"interval [{ci.lower!r}, {ci.upper!r}] and the tests at {theta!r} disagree: "
             f"LPLUS {p[PValueKind.LPLUS]}, LMINUS {p[PValueKind.LMINUS]}"
         )
+
+
+def audit_digest(report):
+    """SHA-256 of the audit report's results: truth, dominance, coverage, widths."""
+    h = hashlib.sha256()
+    h.update(np.array([report.theta0, report.gamma_star, report.max_shortfall,
+                       report.dominance_ok, report.gamma_bound_ok]).tobytes())
+    for kind, (levels, cdf) in report.dominance.profiles.items():
+        h.update(kind.name.encode())
+        h.update(np.asarray(levels, dtype=float).tobytes())
+        h.update(np.asarray(cdf, dtype=float).tobytes())
+    for per_alpha in (report.proposed_coverage, report.traditional_coverage,
+                      report.proposed_width_mean, report.traditional_width_mean):
+        h.update(np.array(list(per_alpha.items())).tobytes())
+    return h.hexdigest()
 
 
 def attempt_key(seed, attempt):

@@ -8,8 +8,9 @@ the per-block unranker, sampled indices against a scalar replay of their
 Philox streams, prefix-stable draws, ``round_sig`` against references that
 round by boolean gathers and by ``np.power`` on every element, the paper's
 exact guarantees on small tied populations, where the exact audit equals the
-per-assignment public intervals, and the audit's widths against chunks of
-float overlaps, past one 64-bit word and past 255 treated units too."""
+per-assignment public intervals, the audit against itself with one breakpoint
+row per observed assignment, and the audit's widths against chunks of float
+overlaps, past one 64-bit word and past 255 treated units too."""
 
 import dataclasses
 from math import comb, isqrt
@@ -17,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -44,6 +45,7 @@ from randinf import (
 )
 from randinf import assignment_matrix
 from randinf import randomization as randomization_mod
+from randinf import simulate as simulate_mod
 from randinf import statistics as statistics_mod
 from randinf.design import (
     _INT64_SAFE_TOTAL,
@@ -60,6 +62,7 @@ from randinf.randomization import _replicate_source
 from randinf.statistics import _wilcoxon_rows, observed_statistic
 from conftest import (
     assert_interval_matches_p_values,
+    audit_digest,
     crossing_vectors,
     outcome_scale,
     replay_indices,
@@ -723,6 +726,25 @@ def audit_cases(draw):
         y0 = rng.integers(0, 3, n) if kind == "tied" else rng.integers(0, 300, n) / 100
     theta0 = draw(st.sampled_from([-2.0, -0.25, 0.0, 0.1, 1.5]))
     return PotentialTable(y0 + 0.0, y0 + theta0), design
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(audit_cases())
+@example((PotentialTable(np.array([0.1, 0.2, 0.0, 0.3, 0.1, 0.1, 0.2, 0.3]),
+                         np.array([0.1, 0.2, 0.0, 0.3, 0.1, 0.1, 0.2, 0.3])), CRD(8, 2)))
+def test_exact_audit_equals_audit_without_width_classes(case):
+    # one breakpoint row per composition class against one per observed
+    # assignment.  In the example, summation order moves diff_means by an
+    # ulp between assignments of one composition, so the classes must fall
+    # back to single rows there
+    population, design = case
+    alphas = (0.05, 0.2, 0.5, 0.9)
+    report = exact_validity_audit(population, design, alphas=alphas)
+    k = report.assignments
+    with mock.patch.object(simulate_mod, "_width_classes", lambda *args: (np.arange(k), np.arange(k))):
+        single = exact_validity_audit(population, design, alphas=alphas)
+    assert single.width_classes == k == total_assignments(design)
+    assert audit_digest(report) == audit_digest(single)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)

@@ -20,8 +20,10 @@ from randinf import (
     traditional_interval,
 )
 from randinf.datasets import PotentialTable, tied_discrete_population, toy_population
-from randinf.simulate import _MAX_UNITS, AuditReport
+from randinf import simulate as simulate_mod
+from randinf.simulate import _MAX_UNITS, AuditReport, _width_classes
 from randinf.randomization import PValueKind
+from conftest import audit_digest
 
 
 class TestGeneratePopulation:
@@ -217,6 +219,46 @@ class TestExactValidityAudit:
         report = exact_validity_audit(pop, RBD(((4, 2), (4, 2))), alphas=(0.10,))
         assert report.dominance_ok and report.coverage_ok(0.10)
 
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the audit enumerated a refused input")
+
+        monkeypatch.setattr(simulate_mod, "assignment_matrix", refuse)
+
+    @pytest.mark.parametrize("alphas", [(1.5,), (1.0,), (0.0,), (0.05, -0.1), (float("nan"),)])
+    def test_alpha_outside_unit_interval_refused(self, alphas, no_enumeration):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            exact_validity_audit(generate_population(8, 1.0, seed=2), CRD(8, 4), alphas=alphas)
+
+    @pytest.mark.parametrize("arm, value", [("y0", np.inf), ("y1", -np.inf), ("y1", np.nan)])
+    def test_non_finite_outcomes_refused(self, arm, value, no_enumeration):
+        pop = generate_population(8, 1.0, seed=2)
+        outcomes = {"y0": pop.y0.copy(), "y1": pop.y1.copy()}
+        outcomes[arm][3] = value
+        with pytest.raises(ValueError, match="finite"):
+            exact_validity_audit(PotentialTable(**outcomes), CRD(8, 4))
+
+    def test_population_size_must_match_design(self, no_enumeration):
+        with pytest.raises(ValueError, match="9 units.* 8"):
+            exact_validity_audit(generate_population(9, 1.0, seed=2), CRD(8, 4))
+
+    def test_constant_effect_tolerance_follows_outcome_scale(self):
+        # dollar-scale outcomes: the effect spread of y0 + 1e6 is about 1e-10
+        pop = generate_population(10, 1.0, seed=2)
+        y0 = pop.y0 * 1e6
+        scaled = PotentialTable(y0=y0, y1=y0 + 1e6)
+        assert np.ptp(scaled.y1 - scaled.y0) > 1e-12
+        alphas = (0.05, 0.2)
+        report = exact_validity_audit(pop, CRD(10, 5), alphas=alphas)
+        big = exact_validity_audit(scaled, CRD(10, 5), alphas=alphas)
+        assert big.proposed_coverage == report.proposed_coverage
+        assert big.traditional_coverage == report.traditional_coverage
+        for got, want in ((big.proposed_width_mean, report.proposed_width_mean),
+                          (big.traditional_width_mean, report.traditional_width_mean)):
+            for alpha in alphas:
+                assert got[alpha] == pytest.approx(1e6 * want[alpha], rel=1e-12, abs=0)
+
 
 _GOLDEN_SCENARIOS = {
     # CRD(16,8) has 12870 assignments: Monte Carlo with k_cap draws;
@@ -313,22 +355,6 @@ def _golden_audit_case(name):
     return generate_population(8, -0.75, seed=5), RBD(((4, 2), (4, 2))), alphas
 
 
-def _audit_digest(report):
-    import hashlib
-
-    h = hashlib.sha256()
-    h.update(np.array([report.theta0, report.gamma_star, report.max_shortfall,
-                       report.dominance_ok, report.gamma_bound_ok]).tobytes())
-    for kind, (levels, cdf) in report.dominance.profiles.items():
-        h.update(kind.name.encode())
-        h.update(np.asarray(levels, dtype=float).tobytes())
-        h.update(np.asarray(cdf, dtype=float).tobytes())
-    for per_alpha in (report.proposed_coverage, report.traditional_coverage,
-                      report.proposed_width_mean, report.traditional_width_mean):
-        h.update(np.array(list(per_alpha.items())).tobytes())
-    return h.hexdigest()
-
-
 # SHA-256 of every audit report field, recorded while the audit partitioned a
 # replicates x observed breakpoint matrix at every alpha's ranks.
 GOLDEN_AUDIT_SHA256 = {
@@ -343,4 +369,34 @@ GOLDEN_AUDIT_SHA256 = {
 @pytest.mark.parametrize("case", list(GOLDEN_AUDIT_SHA256))
 def test_exact_validity_audit_golden_bytes(case):
     pop, design, alphas = _golden_audit_case(case)
-    assert _audit_digest(exact_validity_audit(pop, design, alphas=alphas)) == GOLDEN_AUDIT_SHA256[case]
+    assert audit_digest(exact_validity_audit(pop, design, alphas=alphas)) == GOLDEN_AUDIT_SHA256[case]
+
+
+@pytest.mark.parametrize("case", [f"tied_crd_15_5_perm{i}" for i in range(3)])
+def test_tied_audit_builds_one_row_per_composition(case):
+    # 6, 6 and 3 tied units: 18 ways to treat 5 of them
+    pop, design, alphas = _golden_audit_case(case)
+    report = exact_validity_audit(pop, design, alphas=alphas)
+    assert (report.assignments, report.width_classes) == (3003, 18)
+
+
+def test_untied_audit_builds_every_row():
+    report = exact_validity_audit(generate_population(12, 0.5, seed=3), CRD(12, 6))
+    assert report.assignments == report.width_classes == 924
+
+
+@pytest.mark.parametrize("design, y", [
+    # 52 singleton and 9 paired units: the composition key passes 2**62
+    # unless it is relabelled
+    (CRD(70, 3), np.r_[np.arange(61.0), np.arange(9.0)]),
+    # equal outcomes in different blocks are different classes
+    (RBD(((4, 2), (4, 2), (3, 1))), np.array([0.0, 0, 1, 1, 0, 0, 1, 1, 0, 1, 1])),
+])
+def test_width_classes_are_the_compositions(design, y):
+    W = assignment_matrix(design)
+    rep, inverse = _width_classes(design, PotentialTable(y, y), W, np.zeros(len(W)))
+    block = np.repeat(np.arange(len(design.blocks)), [size for size, _ in design.blocks])
+    _, unit_class = np.unique(np.column_stack((block, y)), axis=0, return_inverse=True)
+    counts = np.stack([W[:, unit_class == c].sum(axis=1) for c in range(unit_class.max() + 1)], axis=1)
+    np.testing.assert_array_equal(counts[rep][inverse], counts)
+    assert rep.size == len(np.unique(counts, axis=0))
