@@ -1,4 +1,4 @@
-"""Shared numeric helpers: significant-digit rounding, seed folding, atoms of a sample."""
+"""Shared numeric helpers: significant-digit rounding, integer check, seed folding, atoms of a sample."""
 
 import numpy as np
 
@@ -42,6 +42,11 @@ def round_sig(x):
     if np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not a count or a seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def fold_seed(seed) -> int:

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .combine import combine_functions, make_combiner
 from .datasets import toy_experiment
-from .design import CRD, DEFAULT_ENUMERATION_CAP, RBD, Design, EnumerationCapError
+from .design import CRD, DEFAULT_ENUMERATION_CAP, RBD, Design, EnumerationCapError, _require_assignment
 from .inversion import (
     ConfidenceInterval,
     LevelTooHighError,
@@ -145,7 +146,7 @@ def read_experiment(path, design: Design) -> ObservedData:
                 w.append(int(row["w"]))
                 try:
                     val = float(row["y"])
-                except ValueError:
+                except (TypeError, ValueError):  # a short row leaves y None
                     raise InputError(f"{path}:{lineno}: bad outcome {row['y']!r}") from None
                 if not math.isfinite(val):
                     raise InputError(f"{path}:{lineno}: outcome must be finite")
@@ -159,33 +160,25 @@ def read_experiment(path, design: Design) -> ObservedData:
         raise InputError(f"{path}: blocked design declared but no block column")
     if isinstance(design, CRD) and has_block:
         raise InputError(f"{path}: block column present but design is not blocked")
-    if len(w) != design.n_units:
-        raise InputError(f"{path}: {len(w)} rows but design has {design.n_units} units")
-
-    w_arr = np.array(w, dtype=np.int8)
-    if isinstance(design, CRD):
-        if int(w_arr.sum()) != design.n_treated:
-            raise InputError(
-                f"{path}: {int(w_arr.sum())} treated units but design declares {design.n_treated}"
-            )
-    else:
+    if has_block:
         order = {}
         block_ids = np.array([order.setdefault(b, len(order)) for b in blocks])
         sizes = np.bincount(block_ids)
         if len(sizes) != len(design.blocks):
             raise InputError(f"{path}: {len(sizes)} blocks in file, {len(design.blocks)} declared")
         start = 0
-        for idx, (size, treated) in enumerate(design.blocks):
+        for idx, (size, _) in enumerate(design.blocks):
             sel = block_ids == idx
             if int(sel.sum()) != size:
                 raise InputError(f"{path}: block {idx} has {int(sel.sum())} units, declared {size}")
-            if int(w_arr[sel].sum()) != treated:
-                raise InputError(
-                    f"{path}: block {idx} has {int(w_arr[sel].sum())} treated, declared {treated}"
-                )
             if not np.all(np.nonzero(sel)[0] == np.arange(start, start + size)):
                 raise InputError(f"{path}: block {idx} rows must be contiguous and ordered")
             start += size
+    w_arr = np.array(w, dtype=np.int8)
+    try:
+        _require_assignment(design, w_arr)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
     return ObservedData(w_obs=w_arr, y_obs=np.array(y))
 
 
@@ -207,8 +200,6 @@ def _mode_from_args(args) -> ExactMode | MCMode:
         if args.epsilon is None:
             raise InputError("mc mode needs --k or --epsilon (with optional --delta)")
         k = _checked(required_k, args.epsilon, args.delta)
-    if args.seed is None:
-        raise InputError("mc mode needs --seed for reproducibility")
     return _checked(MCMode, k, args.seed)
 
 
@@ -358,31 +349,9 @@ def cmd_mc_threshold(args):
             print(f"{e:>10g} {k:>12d}")
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        float(value)  # a JSON integer of 309 digits or more overflows a double
-    except OverflowError:
-        return False
-    return True
-
-
-# what each optional or required scenario key must hold in the JSON config
-_SCENARIO_KEYS = {
-    **dict.fromkeys(("b1", "k1", "b2", "k2", "reps", "k_cap", "master_seed"), ("an integer", _is_int)),
-    **dict.fromkeys(("true_theta", "alpha"), ("a number a double holds", _is_number)),
-    "statistic": ("a string", lambda value: isinstance(value, str)),
-    "combiners": ("a list of names",
-                  lambda value: isinstance(value, list) and all(isinstance(c, str) for c in value)),
-}
-# the keys that set the ScenarioConfig field of their name; a key left out
-# keeps the field's default
-_SCENARIO_FIELDS = [key for key in _SCENARIO_KEYS if key not in ("b1", "k1", "b2", "k2")]
+# the ScenarioConfig fields a scenario file may set by name; the designs
+# come from b1, k1, b2 and k2, and a key left out keeps the field's default
+_SCENARIO_FIELDS = [f.name for f in fields(ScenarioConfig) if f.name not in ("design1", "design2")]
 
 
 def cmd_simulate(args):
@@ -393,16 +362,13 @@ def cmd_simulate(args):
         raise InputError(f"cannot read {args.config}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"{args.config}: the scenario must be a JSON object")
-    for key, (what, valid) in _SCENARIO_KEYS.items():
-        if key in raw and not valid(raw[key]):
-            raise InputError(f"{args.config}: {key!r} must be {what}, got {raw[key]!r}")
     try:
         cfg = ScenarioConfig(
             design1=balanced_design(raw["b1"], raw["k1"]),
             design2=balanced_design(raw["b2"], raw["k2"]),
             **{key: raw[key] for key in _SCENARIO_FIELDS if key in raw},
         )
-    except ValueError as exc:  # a value of the right type out of range
+    except ValueError as exc:
         raise InputError(f"{args.config}: {exc}") from exc
     result = run_scenario(cfg)
     if args.json:

@@ -259,10 +259,9 @@ _CLI_NAMES = {
 
 
 def make_combiner(name: str, weights=None) -> CombinerSpec:
-    try:
-        return _CLI_NAMES[name](weights)
-    except KeyError:
-        raise ValueError(f"unknown combiner {name!r}; choose from {sorted(_CLI_NAMES)}") from None
+    if not isinstance(name, str) or name not in _CLI_NAMES:
+        raise ValueError(f"unknown combiner {name!r}; choose from {sorted(_CLI_NAMES)}")
+    return _CLI_NAMES[name](weights)
 
 
 def _laplace_quantile(u):
@@ -341,6 +340,8 @@ def combine_values(ps: Sequence[float], combiner: CombinerSpec) -> float:
     With a single input every built-in method is the identity.
     """
     P = np.asarray(ps, dtype=float).reshape(-1, 1)
+    if P.size == 0:
+        raise ValueError("need at least one p-value")
     if not np.all((P >= 0) & (P <= 1)):
         raise ValueError("p-values must lie in [0, 1]")
     return float(_combine_matrix(P, combiner)[0])
@@ -418,13 +419,16 @@ def combined_interval(
     intervals.  Coverage is at least ``1 - alpha``.
 
     ``modes`` optionally gives one mode per experiment (for example different
-    Monte Carlo seeds); otherwise ``mode`` applies to all.  The interval's
+    Monte Carlo seeds), and must be as long as ``experiments``; otherwise
+    ``mode`` applies to all.  The interval's
     ``mode`` records the mode that ran: the common one when all experiments
     share it, else the tuple of per-experiment modes.
     """
     _require_invertible(stat, alpha)
     if modes is None:
         modes = [mode] * len(experiments)
+    if len(modes) != len(experiments):
+        raise ValueError(f"need one mode per experiment, got {len(modes)} for {len(experiments)}")
     fss = [
         build_step_functions(data, design, stat, m)
         for (data, design), m in zip(experiments, modes)

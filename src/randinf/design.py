@@ -54,7 +54,7 @@ from typing import Union
 
 import numpy as np
 
-from ._util import fold_seed
+from ._util import fold_seed, is_integer
 
 __all__ = [
     "CRD",
@@ -94,9 +94,9 @@ class CRD:
     n_treated: int
 
     def __post_init__(self):
-        if not (0 < self.n_treated < self.n_units):
+        if not (is_integer(self.n_units) and is_integer(self.n_treated) and 0 < self.n_treated < self.n_units):
             raise ValueError(
-                f"CRD requires 0 < n_treated < n_units, got ({self.n_units}, {self.n_treated})"
+                f"CRD requires integers 0 < n_treated < n_units, got ({self.n_units!r}, {self.n_treated!r})"
             )
 
     @property
@@ -111,13 +111,13 @@ class RBD:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple((int(k), int(t)) for k, t in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+        blocks = tuple(self.blocks)
         if not blocks:
             raise ValueError("RBD requires at least one block")
         for k, t in blocks:
-            if not (0 < t < k):
-                raise ValueError(f"block requires 0 < treated < size, got ({k}, {t})")
+            if not (is_integer(k) and is_integer(t) and 0 < t < k):
+                raise ValueError(f"block requires integers 0 < treated < size, got ({k!r}, {t!r})")
+        object.__setattr__(self, "blocks", tuple((int(k), int(t)) for k, t in blocks))
 
     @property
     def n_units(self):
@@ -471,18 +471,44 @@ def sample_assignments(design: Design, k: int, seed) -> np.ndarray:
     (see the module docstring), and unranked into the row of
     :func:`assignment_matrix` at that index.  Indices are int64 while the
     space has at most 2**62 assignments and exact Python ints past it; even
-    then a run of blocks whose joint space fits is read on int64.
+    then a run of blocks whose joint space fits is read on int64.  ``k`` is
+    an integer >= 1, and ``seed`` an integer or a tuple of integers.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _require_draws(k, seed)
     return _indices_to_assignments(design, _sample_indices(design, k, seed))
 
 
-def _satisfies(design: Design, w: np.ndarray) -> bool:
-    for start, k, t in _block_slices(design):
-        if int(w[start : start + k].sum()) != t:
-            return False
-    return True
+def _require_draws(k, seed) -> None:
+    """Refuse, with ``ValueError``, a draw count ``k`` that is not an integer >= 1
+    and a seed that is neither an integer nor a tuple of integers."""
+    if not (is_integer(k) and k >= 1):
+        raise ValueError(f"Monte Carlo sample size k must be an integer >= 1, got {k!r}")
+    if not all(map(is_integer, seed if isinstance(seed, tuple) else (seed,))):
+        raise ValueError(f"Monte Carlo draws need an integer seed for reproducibility, got {seed!r}")
+
+
+def _miscount(design: Design, w) -> str:
+    """Why the design cannot draw ``w``: a block's treated count, or "" when it can.
+
+    A ``w`` of another length, or with entries other than 0 and 1, is no
+    assignment vector of the design at all and raises ``ValueError``.
+    """
+    w = np.asarray(w)
+    if w.shape != (design.n_units,):
+        raise ValueError(f"assignment has length {w.size}, design has {design.n_units} units")
+    if not np.isin(w, (0, 1)).all():
+        raise ValueError("assignment entries must be 0 or 1")
+    for b, (start, k, t) in enumerate(_block_slices(design)):
+        treated = int(w[start:start + k].sum())
+        if treated != t:
+            return f"{treated} treated units in block {b}, design declares {t}"
+    return ""
+
+
+def _require_assignment(design: Design, w) -> None:
+    """Refuse, with ``ValueError``, an observed assignment the design cannot draw."""
+    if miscount := _miscount(design, w):
+        raise ValueError(miscount)
 
 
 def assignment_probability(design: Design, w) -> float:
@@ -491,10 +517,11 @@ def assignment_probability(design: Design, w) -> float:
 
 
 def assignment_probability_exact(design: Design, w) -> Fraction:
-    """Exact rational assignment probability (for enumeration-based checks)."""
-    w = np.asarray(w)
-    if w.shape != (design.n_units,):
-        raise ValueError(f"assignment has length {w.size}, design has {design.n_units} units")
-    if not _satisfies(design, w):
+    """Exact rational assignment probability (for enumeration-based checks).
+
+    A 0/1 vector of the design's length has probability 0 when a block's
+    treated count differs from the design's; any other vector is refused.
+    """
+    if _miscount(design, w):
         return Fraction(0)
     return Fraction(1, total_assignments(design))

@@ -59,7 +59,7 @@ from typing import Optional
 import numpy as np
 
 from ._util import atoms, round_sig
-from .design import Design
+from .design import Design, _require_assignment
 from .randomization import ExactMode, Mode, PValueKind, _replicate_source
 from .statistics import ObservedData, StatisticSpec, _by_tile, observed_statistic
 
@@ -326,9 +326,11 @@ def build_step_functions(
     the ``gt`` crossings; each pair shares its (read-only) breakpoint and
     count arrays, with base and never masses swapped.  For an ``affine``
     statistic all four sides share one pair of arrays.  Refuses statistics
-    not certified monotone and right continuous in theta.
+    not certified monotone and right continuous in theta, and observed data
+    whose assignment the design cannot draw.
     """
     _require_monotone(stat)
+    _require_assignment(design, data.w_obs)
     return _step_functions(data, stat, _replicate_source(design, mode))
 
 
@@ -406,6 +408,7 @@ def build_step_function(
     if side == PValueKind.TWO_SIDED_L:
         raise ValueError("build one-sided functions; two-sided values combine LPLUS and LMINUS")
     _require_monotone(stat)
+    _require_assignment(design, data.w_obs)
     strict = side in (PValueKind.UPLUS, PValueKind.LMINUS)
     return _step_functions(data, stat, _replicate_source(design, mode), (strict,))[side]
 
@@ -535,6 +538,8 @@ def _traditional_interval(f: PValueStepFunction, alpha: float, theta_grid=None) 
     else:
         # a coarse grid is read at its points only; nothing below its first point
         grid = np.sort(np.asarray(theta_grid, dtype=float))
+        if grid.size == 0:
+            raise ValueError("theta_grid must hold at least one point")
         read = np.concatenate(([0.0], f.value(grid))).__getitem__
     lower = _cut(grid, lambda j: read(j) > half)
     upper = _cut(grid, lambda j: read(j) >= 1 - half)

@@ -41,12 +41,16 @@ def required_k(epsilon: float, delta: float) -> int:
 
     The ceiling is taken after a 1e-9 relative guard so a threshold that is an
     exactly representable integer does not round up by one on some platforms.
+    Targets so small that the threshold overflows a double are refused.
     """
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    exact = 8.0 * math.log(4.0 / delta) / (epsilon * epsilon)
+    square = epsilon * epsilon
+    exact = 8.0 * math.log(4.0 / delta) / square if square else math.inf
+    if not math.isfinite(exact):
+        raise ValueError(f"8 ln(4/delta) / epsilon^2 is not finite at epsilon={epsilon!r}, delta={delta!r}")
     return int(math.ceil(exact - 1e-9 * max(1.0, abs(exact))))
 
 

@@ -45,6 +45,8 @@ from .design import (
     _enumerable_total,
     _indices_to_assignments,
     _range_to_assignments,
+    _require_assignment,
+    _require_draws,
     _sample_indices,
 )
 from .statistics import ObservedData, StatisticSpec, evaluate_many, impute, observed_statistic
@@ -76,14 +78,16 @@ class ExactMode:
 
 @dataclass(frozen=True)
 class MCMode:
-    """Monte Carlo over ``k`` seeded uniform draws with replacement."""
+    """Monte Carlo over ``k`` seeded uniform draws with replacement.
+
+    ``seed`` is an integer or a tuple of integers.
+    """
 
     k: int
-    seed: int
+    seed: int | tuple
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("Monte Carlo sample size k must be >= 1")
+        _require_draws(self.k, self.seed)
 
 
 Mode = Union[ExactMode, MCMode]
@@ -174,7 +178,12 @@ def randomization_distribution(
     theta: float,
     mode: Mode = ExactMode(),
 ) -> RandomizationDistribution:
-    """Distribution of the statistic over assignments under the null at ``theta``."""
+    """Distribution of the statistic over assignments under the null at ``theta``.
+
+    Refuses, with ``ValueError``, observed data whose assignment the design
+    cannot draw.
+    """
+    _require_assignment(design, data.w_obs)
     source = _replicate_source(design, mode)
     table = impute(data, theta)
     t_rep = np.empty(source.size)

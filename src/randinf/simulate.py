@@ -24,12 +24,14 @@ The traditional two-crossing interval is audited alongside for comparison;
 it carries no guarantee and undercovers on heavily tied data.
 """
 
+import numbers
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import atoms, round_sig
+from ._util import atoms, is_integer, round_sig
 from .combine import combine_functions, make_combiner
 from .design import CRD, RBD, Design, assignment_matrix, sample_assignments, total_assignments
 from .inversion import (
@@ -50,7 +52,7 @@ from .randomization import (
     _replicate_source,
     _tails,
 )
-from .statistics import PotentialTable, StatisticSpec, evaluate_many, get_statistic, impute
+from .statistics import PotentialTable, StatisticSpec, evaluate_many, get_statistic, impute, list_statistics
 
 __all__ = [
     "ScenarioConfig",
@@ -78,10 +80,10 @@ def balanced_design(n_blocks: int, block_size: int) -> Design:
     """``n_blocks`` blocks of an even ``block_size``, half treated in each.
 
     At most 10,000 units in all; a larger design raises ``ValueError``
-    before any block is built.
+    before any block is built, as do arguments that are not integers.
     """
-    if block_size < 2 or block_size % 2:
-        raise ValueError("block_size must be a positive even integer")
+    if not (is_integer(n_blocks) and is_integer(block_size)) or block_size < 2 or block_size % 2:
+        raise ValueError(f"need integer n_blocks and even block_size >= 2, got ({n_blocks!r}, {block_size!r})")
     if n_blocks * block_size > _MAX_UNITS:
         raise ValueError(f"a scenario design holds at most {_MAX_UNITS} units")
     if n_blocks == 1:
@@ -102,9 +104,20 @@ def generate_population(n: int, true_theta: float, seed) -> PotentialTable:
     return PotentialTable(y0=y0, y1=y0 + true_theta)
 
 
+def _is_real(value) -> bool:
+    """True for a real number, Python, numpy or ``fractions``; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation scenario: two experiments, shared effect, seeded reps."""
+    """One simulation scenario: two experiments, shared effect, seeded reps.
+
+    Checks its own fields: ``reps``, ``k_cap`` and ``master_seed`` are
+    integers in range, ``true_theta`` and ``alpha`` real numbers a double holds,
+    ``combiners`` a sequence of names :func:`make_combiner` knows and
+    ``statistic`` a registered name; anything else raises ``ValueError``.
+    """
 
     design1: Design
     design2: Design
@@ -117,14 +130,22 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.reps <= _MAX_REPS:
-            raise ValueError(f"reps must lie in [1, {_MAX_REPS}]")
-        if self.k_cap < 1:
-            raise ValueError("k_cap must be >= 1")
-        if not np.isfinite(self.true_theta):
-            raise ValueError("true_theta must be finite")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
+        if not (is_integer(self.reps) and 1 <= self.reps <= _MAX_REPS):
+            raise ValueError(f"reps must be an integer in [1, {_MAX_REPS}], got {self.reps!r}")
+        if not (is_integer(self.k_cap) and self.k_cap >= 1):
+            raise ValueError(f"k_cap must be an integer >= 1, got {self.k_cap!r}")
+        if not (is_integer(self.master_seed) and self.master_seed >= 0):
+            raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
+        if not (_is_real(self.true_theta) and abs(self.true_theta) <= sys.float_info.max):
+            raise ValueError(f"true_theta must be a finite number a double holds, got {self.true_theta!r}")
+        if not (_is_real(self.alpha) and 0 < self.alpha < 1):
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        if isinstance(self.combiners, str) or not isinstance(self.combiners, Sequence):
+            raise ValueError(f"combiners must be a sequence of names, got {self.combiners!r}")
+        for name in self.combiners:
+            make_combiner(name)
+        if self.statistic not in list_statistics():
+            raise ValueError(f"unknown statistic {self.statistic!r}; registered: {list_statistics()}")
         object.__setattr__(self, "combiners", tuple(self.combiners))
 
 

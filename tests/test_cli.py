@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, schemas, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,10 +13,11 @@ import numpy as np
 import pytest
 
 import randinf
+from randinf import cli as cli_mod
 from randinf.cli import main, parse_design, read_experiment
 from randinf.datasets import data_path
 from randinf.design import CRD, RBD
-from randinf.simulate import _MAX_UNITS
+from randinf.simulate import _MAX_UNITS, ScenarioConfig, run_scenario
 
 TOY_CSV = str(data_path("toy_experiment.csv"))
 NONMONO_CSV = str(data_path("studentized_nonmonotone.csv"))
@@ -320,6 +322,26 @@ class TestExitCodes:
         ["combine", TOY_CSV, TOY_CSV, "--designs", "crd:10,5;crd:10,5", "--weights", "1,2,3"],
         ["pcurve", TOY_CSV, "--design", "crd:10,5", "--grid", "0,nan"],
         ["mc-threshold", "--epsilons", "0"],
+        # 8 ln(4/delta) / epsilon^2 is not a finite double
+        ["mc-threshold", "--epsilons", "1e-300"],
+        ["mc-threshold", "--epsilons", "1e-160"],
+        ["mc-threshold", "--epsilons", "1e-3", "--delta", "1e-320"],
+        ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--mode", "mc", "--epsilon", "1e-300",
+         "--seed", "1"],
+        ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--mode", "mc", "--seed", "1"],
+        ["pcurve", TOY_CSV, "--design", "crd:10,5"],
+        ["combine", TOY_CSV, TOY_CSV, "--designs", "crd:10,5"],
+        # files the design cannot have drawn, or that are no experiment file at all
+        ["test", TOY_CSV, "--design", "crd:10,4", "--theta", "0"],
+        ["test", TOY_CSV, "--design", "crd:12,6", "--theta", "0"],
+        ["test", TOY_CSV, "--design", "rbd:5/3,5/2", "--theta", "0"],
+        ["test", "{tmp}/missing.csv", "--design", "crd:2,1", "--theta", "0"],
+        *(["test", f"{{tmp}}/{name}.csv", "--design", "crd:2,1", "--theta", "0"]
+          for name in ("empty", "no_y", "bad_y", "inf_y", "short_row")),
+        ["test", "{tmp}/blocked.csv", "--design", "rbd:2/1,2/1,2/1", "--theta", "0"],
+        ["test", "{tmp}/blocked.csv", "--design", "rbd:3/1,2/1", "--theta", "0"],
+        ["test", "{tmp}/miscounted_block.csv", "--design", "rbd:3/1,2/1", "--theta", "0"],
+        ["test", "{tmp}/split_block.csv", "--design", "rbd:2/1,2/1", "--theta", "0"],
     ])
     def test_malformed_list_or_config_is_2(self, capsys, tmp_path, args):
         (tmp_path / "invalid.json").write_text('{"b1": 1,')
@@ -328,6 +350,13 @@ class TestExitCodes:
         for name, key, value in (("reps_string", "reps", "2"), ("b1_float", "b1", 1.5),
                                  ("alpha_null", "alpha", None), ("combiners_string", "combiners", "fisher")):
             (tmp_path / f"{name}.json").write_text(json.dumps({**scenario, key: value}))
+        for name, text in (("empty", ""), ("no_y", "unit_id,w\na,1\nb,0\n"),
+                           ("bad_y", "unit_id,w,y\na,1,x\nb,0,2\n"), ("inf_y", "unit_id,w,y\na,1,inf\nb,0,2\n"),
+                           ("short_row", "unit_id,w,y\na,1\nb,0,2\n"),
+                           ("blocked", "unit_id,w,y,block\na,1,1,x\nb,0,2,x\nc,1,3,y\nd,0,4,y\n"),
+                           ("miscounted_block", "unit_id,w,y,block\na,1,1,x\nb,1,2,x\nc,0,3,x\nd,1,4,y\ne,0,5,y\n"),
+                           ("split_block", "unit_id,w,y,block\na,1,1,x\nb,0,2,y\nc,0,3,x\nd,1,4,y\n")):
+            (tmp_path / f"{name}.csv").write_text(text)
         code, out, err = run_cli([a.format(tmp=tmp_path) for a in args], capsys)
         assert code == 2 and out == "" and err.startswith("error: ")
 
@@ -372,12 +401,30 @@ class TestExitCodes:
                                             ("b2", _MAX_UNITS // 8 + 1),
                                             # rep arrays would take a terabyte, or
                                             # numpy refuses their dimension
-                                            ("reps", 10 ** 12), ("reps", 10 ** 400)])
+                                            ("reps", 10 ** 12), ("reps", 10 ** 400),
+                                            # of a type ScenarioConfig refuses
+                                            ("reps", True), ("reps", 2.5), ("k_cap", 2.5), ("alpha", "0.05"),
+                                            ("master_seed", 1.5), ("master_seed", -1),
+                                            ("combiners", ["fisherz"]), ("statistic", "median")])
     def test_out_of_range_config_is_2(self, capsys, tmp_path, key, value):
         scenario = {"b1": 1, "k1": 8, "b2": 1, "k2": 8, "reps": 1, "k_cap": 100, key: value}
         (tmp_path / "scenario.json").write_text(json.dumps(scenario))
         code, out, err = run_cli(["simulate", str(tmp_path / "scenario.json")], capsys)
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_scenario_file_sets_every_config_field(self, capsys, tmp_path, monkeypatch):
+        values = {"true_theta": 0.5, "reps": 2, "k_cap": 50, "alpha": 0.2, "combiners": ["stouffer"],
+                  "statistic": "wilcoxon_rank_sum", "master_seed": 9}
+        assert set(values) == {f.name for f in dataclasses.fields(ScenarioConfig)} - {"design1", "design2"}
+        configs = []
+        monkeypatch.setattr(cli_mod, "run_scenario", lambda cfg: configs.append(cfg) or run_scenario(cfg))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"b1": 1, "k1": 6, "b2": 2, "k2": 4, **values}))
+        code, out, _ = run_cli(["simulate", str(path), "--json"], capsys)
+        (cfg,) = configs
+        assert code == 0 and set(json.loads(out)["arms"]) == {"exp1", "exp2", "stouffer"}
+        assert (cfg.design1, cfg.design2) == (CRD(6, 3), RBD(((4, 2), (4, 2))))
+        assert {name: getattr(cfg, name) for name in values} == {**values, "combiners": ("stouffer",)}
 
 
 class TestShippedSchemas:

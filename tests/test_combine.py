@@ -246,6 +246,12 @@ class TestCombineValues:
         for combiner in (stouffer(), fisher(), double_exponential()):
             assert 0.0 <= combine_values([0.0, 1.0], combiner) <= 1.0
 
+    @pytest.mark.parametrize("combiner", [fisher(), stouffer(), double_exponential()],
+                             ids=["fisher", "stouffer", "de"])
+    def test_no_p_values_refused(self, combiner):
+        with pytest.raises(ValueError, match="at least one p-value"):
+            combine_values([], combiner)
+
     @pytest.mark.parametrize("ps", [np.nan, [np.nan, 0.2], [0.2, -0.1], [1.5, 0.2]])
     def test_p_values_outside_unit_interval_refused(self, ps):
         # NaN fails every comparison, so it is refused as not inside [0, 1]
@@ -481,6 +487,16 @@ class TestCombinedInterval:
         assert ci.mode == mc1
         ci = combined_interval(pair, diff_means, fisher(), 0.05, mode=mc2)
         assert ci.mode == mc2
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_mode_per_experiment_required(self, toy, diff_means, count):
+        # zip would drop the second experiment, or ignore a third mode
+        with pytest.raises(ValueError, match="one mode per experiment"):
+            combined_interval([toy] * 2, diff_means, fisher(), 0.05, modes=[ExactMode()] * count)
+
+    def test_no_experiments_refused(self):
+        with pytest.raises(ValueError, match="at least one experiment"):
+            combine_functions([], fisher())
 
     def test_non_ei_statistic_refused(self, toy, studentized):
         data, design = toy

@@ -1,0 +1,120 @@
+"""Each input rule is checked by the type that owns it, in the library itself."""
+
+import numpy as np
+import pytest
+
+from randinf import (
+    CRD,
+    RBD,
+    MCMode,
+    ObservedData,
+    PValueKind,
+    ScenarioConfig,
+    assignment_probability,
+    assignment_probability_exact,
+    balanced_design,
+    build_step_function,
+    build_step_functions,
+    combined_interval,
+    confidence_interval,
+    dominance_profile,
+    fisher,
+    p_value,
+    p_values,
+    randomization_distribution,
+    sample_assignments,
+    traditional_interval,
+)
+
+# designs the toy data's assignment (5 of 10 treated, no blocks) is not one of
+FOREIGN_DESIGNS = [CRD(10, 4), RBD(((5, 3), (5, 2))), CRD(12, 6)]
+
+ENTRY_POINTS = {
+    "randomization_distribution": lambda data, design, stat: randomization_distribution(data, design, stat, 0.0),
+    "p_values": lambda data, design, stat: p_values(data, design, stat, 0.0),
+    "p_value": lambda data, design, stat: p_value(data, design, stat, 0.0, PValueKind.LPLUS),
+    "dominance_profile": lambda data, design, stat: dominance_profile(data, design, stat, 0.0),
+    "build_step_functions": lambda data, design, stat: build_step_functions(data, design, stat),
+    "build_step_function": lambda data, design, stat: build_step_function(data, design, stat, PValueKind.LPLUS),
+    "confidence_interval": lambda data, design, stat: confidence_interval(data, design, stat, 0.025, 0.025),
+    "traditional_interval": lambda data, design, stat: traditional_interval(data, design, stat, 0.05),
+    "combined_interval": lambda data, design, stat: combined_interval([(data, design)], stat, fisher(), 0.05),
+}
+
+
+@pytest.mark.parametrize("design", FOREIGN_DESIGNS, ids=str)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_inference_refuses_an_assignment_the_design_cannot_draw(toy, diff_means, entry, design):
+    data, _ = toy
+    with pytest.raises(ValueError, match="treated units in block|design has 12 units"):
+        ENTRY_POINTS[entry](data, design, diff_means)
+
+
+def test_blocked_miscount_names_the_block(diff_means):
+    data = ObservedData(w_obs=np.array([1, 1, 0, 0, 1, 1, 1, 0]), y_obs=np.arange(8.0))
+    with pytest.raises(ValueError, match="3 treated units in block 1, design declares 2"):
+        build_step_functions(data, RBD(((4, 2), (4, 2))), diff_means)
+
+
+@pytest.mark.parametrize("w", [[2, 1, 1, 1, 0, 0, 0, 0, 0, 0], [0.5] * 10, [1, 0, 1]])
+def test_assignment_probability_refuses_non_assignments(w):
+    for probability in (assignment_probability, assignment_probability_exact):
+        with pytest.raises(ValueError):
+            probability(CRD(10, 5), w)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CRD(10.5, 5),
+    lambda: CRD(10, 5.0),
+    lambda: CRD(10, True),
+    lambda: CRD("10", 5),
+    lambda: RBD(((6.7, 3.2),)),
+    lambda: RBD(((6, 3), (4, 2.0))),
+    lambda: balanced_design(1.5, 8),
+    lambda: balanced_design(2, 8.0),
+], ids=["crd_float_units", "crd_float_treated", "crd_bool", "crd_string", "rbd_floats",
+        "rbd_one_float", "balanced_float_blocks", "balanced_float_size"])
+def test_design_sizes_must_be_integers(make):
+    with pytest.raises(ValueError, match="integer"):
+        make()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    assert CRD(np.int64(10), np.int32(5)) == CRD(10, 5)
+    assert RBD(((np.int64(6), np.int64(3)),)).blocks == ((6, 3),)
+    assert type(RBD(((np.int64(6), np.int64(3)),)).blocks[0][0]) is int
+    assert balanced_design(np.int64(2), np.int64(8)) == RBD(((8, 4), (8, 4)))
+
+
+@pytest.mark.parametrize("k, seed", [(2.5, 0), (0, 0), (True, 0), (10, None), (10, 1.5), (10, "1"),
+                                     (10, (1, 2.5)), (10, [1, 2])])
+def test_draws_refuse_non_integer_counts_and_seeds(k, seed):
+    for draws in (lambda: MCMode(k=k, seed=seed), lambda: sample_assignments(CRD(10, 5), k, seed)):
+        with pytest.raises(ValueError, match="k must be an integer|need an integer seed"):
+            draws()
+
+
+def test_mc_mode_accepts_integer_and_tuple_seeds():
+    assert MCMode(k=np.int64(10), seed=np.uint64(3)).k == 10
+    assert MCMode(k=10, seed=(1, -2, np.int64(3))).seed == (1, -2, 3)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("reps", True), ("reps", 2.5), ("reps", "2"), ("k_cap", 2.5), ("k_cap", np.float64(100)),
+    ("master_seed", 1.5), ("master_seed", -1), ("master_seed", False),
+    ("alpha", "0.05"), ("alpha", None), ("alpha", True),
+    ("true_theta", 10 ** 400), ("true_theta", float("inf")), ("true_theta", "0"),
+    ("combiners", "fisher"), ("combiners", ["fisherz"]), ("combiners", [1]), ("combiners", 3),
+    ("statistic", "median"), ("statistic", ["diff_means"]),
+])
+def test_scenario_config_checks_its_own_field_types(field, value):
+    design = CRD(8, 4)
+    with pytest.raises(ValueError, match=field if field != "combiners" else "combiner"):
+        ScenarioConfig(design, design, **{field: value})
+
+
+def test_scenario_config_accepts_numpy_numbers():
+    design = CRD(8, 4)
+    cfg = ScenarioConfig(design, design, reps=np.int64(3), k_cap=np.int32(100), master_seed=np.uint8(1),
+                         alpha=np.float64(0.1), true_theta=np.int64(2), combiners=["stouffer"])
+    assert cfg.combiners == ("stouffer",)

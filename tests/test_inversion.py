@@ -351,6 +351,10 @@ class TestTraditional:
         tr = traditional_interval(data, design, diff_means, 0.05, theta_grid=[-3, -1, 0, 1, 3])
         assert (tr.lower, tr.upper) == (0.0, 3.0)
 
+    def test_empty_grid_refused(self, toy, diff_means):
+        with pytest.raises(ValueError, match="theta_grid"):
+            traditional_interval(*toy, diff_means, 0.05, theta_grid=[])
+
     def test_symmetric_dataset_coincidence(self, diff_means):
         # on this symmetric dataset the two constructions agree exactly
         data = ObservedData(

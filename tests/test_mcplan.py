@@ -62,6 +62,12 @@ class TestRequiredK:
         with pytest.raises(ValueError):
             required_k(0.1, 1.0)
 
+    @pytest.mark.parametrize("eps, delta", [(1e-300, 0.01), (1e-160, 0.01), (1e-3, 1e-320)])
+    def test_threshold_past_a_double_refused(self, eps, delta):
+        # eps^2 underflows to 0, or the quotient or ln(4/delta) overflows
+        with pytest.raises(ValueError, match="epsilon=.*delta="):
+            required_k(eps, delta)
+
 
 class TestPlan:
     def test_small_space_enumerates(self):

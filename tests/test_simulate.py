@@ -239,6 +239,10 @@ class TestExactValidityAudit:
         with pytest.raises(ValueError, match="finite"):
             exact_validity_audit(PotentialTable(**outcomes), CRD(8, 4))
 
+    def test_other_statistics_refused(self, wilcoxon, no_enumeration):
+        with pytest.raises(NotImplementedError, match="diff_means only"):
+            exact_validity_audit(toy_population(), CRD(10, 5), stat=wilcoxon)
+
     def test_population_size_must_match_design(self, no_enumeration):
         with pytest.raises(ValueError, match="9 units.* 8"):
             exact_validity_audit(generate_population(9, 1.0, seed=2), CRD(8, 4))
