@@ -8,6 +8,7 @@ sample-size planning.
 
 __version__ = "0.2.0"
 
+from ._util import InputError
 from .combine import (
     CombinedPValueFunction,
     CombinerSpec,

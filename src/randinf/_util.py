@@ -1,6 +1,16 @@
-"""Shared numeric helpers: significant-digit rounding, integer check, seed folding, atoms of a sample."""
+"""Shared helpers: the input-error type, significant-digit rounding, integer check, seed folding, atoms of a sample."""
 
 import numpy as np
+
+
+class InputError(ValueError):
+    """A refused argument: the caller's input breaks a documented rule.
+
+    Raised where the rule is checked, so a caller can tell bad input from a
+    failed computation; it is a ``ValueError``, so ``except ValueError``
+    catches it too.  The CLI exits 2 on it.
+    """
+
 
 # Number of significant digits used everywhere tie classification or breakpoint
 # comparison happens.  Deterministic across platforms, coarse enough to absorb

@@ -1,9 +1,13 @@
 """Command-line interface: CSV ingestion, subcommands, JSON/CSV output.
 
-Exit codes: 0 success, 2 input or validation error, 3 computation error,
-4 method-precondition error (for example inverting a non-monotone statistic),
-141 stdout closed by its reader (128 + SIGPIPE, as for ``randinf ... | head -1``;
-nothing is printed).
+Exit codes: 0 success, 2 input or validation error (an ``InputError``, raised
+by the library where it checks a rule or here while parsing), 3 computation
+error (any other ``ValueError``, numpy's size refusals included, and a
+``RuntimeError``, ``OSError`` or ``MemoryError``), 4 method-precondition
+error (for example inverting a non-monotone statistic), 141 stdout closed by
+its reader (128 + SIGPIPE, as for ``randinf ... | head -1``; nothing is
+printed).  ``main`` maps exception types to these codes in one table,
+``_EXIT_CODES``.
 Numbers are serialized with 12 significant digits and infinities as the
 strings "inf" / "-inf".  Identical inputs and seeds produce byte-identical
 output.
@@ -21,9 +25,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
+from ._util import InputError
 from .combine import combine_functions, make_combiner
 from .datasets import toy_experiment
-from .design import CRD, DEFAULT_ENUMERATION_CAP, RBD, Design, EnumerationCapError, _require_assignment
+from .design import CRD, DEFAULT_ENUMERATION_CAP, RBD, Design, _require_assignment
 from .inversion import (
     ConfidenceInterval,
     LevelTooHighError,
@@ -37,7 +42,7 @@ from .inversion import (
 from .mcplan import required_k, threshold_table
 from .randomization import ExactMode, MCMode, PValueKind, p_values
 from .simulate import ScenarioConfig, balanced_design, run_scenario
-from .statistics import ObservedData, StatisticError, get_statistic, observed_statistic
+from .statistics import ObservedData, get_statistic, observed_statistic
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -45,10 +50,14 @@ EXIT_COMPUTE = 3
 EXIT_PRECONDITION = 4
 EXIT_BROKEN_PIPE = 141
 
-
-class InputError(ValueError):
-    pass
-
+# the exit code of each failure: the first row whose types match decides, so
+# the refused statistics and levels (ValueErrors) come before the input errors
+# and those before every other ValueError
+_EXIT_CODES = (
+    ((NonMonotoneStatisticError, LevelTooHighError), EXIT_PRECONDITION),
+    ((InputError,), EXIT_INPUT),
+    ((ValueError, RuntimeError, OSError, MemoryError), EXIT_COMPUTE),
+)
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -61,7 +70,7 @@ def _num(x):
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     if x != x:
-        raise ValueError("refusing to serialize NaN")
+        raise RuntimeError("refusing to serialize NaN")  # a computation fault: exit 3
     return float(f"{x:.12g}")
 
 
@@ -177,30 +186,20 @@ def read_experiment(path, design: Design) -> ObservedData:
     w_arr = np.array(w, dtype=np.int8)
     try:
         _require_assignment(design, w_arr)
-    except ValueError as exc:
+    except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
     return ObservedData(w_obs=w_arr, y_obs=np.array(y))
 
 
-def _checked(validate, *values):
-    """``validate(*values)``: its ValueError, bar a refused statistic, is an input error."""
-    try:
-        return validate(*values)
-    except NonMonotoneStatisticError:
-        raise
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
 def _mode_from_args(args) -> ExactMode | MCMode:
     if args.mode == "exact":
-        return _checked(ExactMode, args.cap)
+        return ExactMode(args.cap)
     k = args.k
     if k is None:
         if args.epsilon is None:
             raise InputError("mc mode needs --k or --epsilon (with optional --delta)")
-        k = _checked(required_k, args.epsilon, args.delta)
-    return _checked(MCMode, k, args.seed)
+        k = required_k(args.epsilon, args.delta)
+    return MCMode(k, args.seed)
 
 
 def _add_common(p):
@@ -228,8 +227,6 @@ def _experiment(args):
 
 
 def cmd_test(args):
-    if not math.isfinite(args.theta):
-        raise InputError("--theta must be finite")
     design, data, stat, mode = _experiment(args)
     pv = p_values(data, design, stat, args.theta, mode)
     out = {
@@ -303,7 +300,7 @@ def cmd_invert(args):
     design, data, stat, mode = _experiment(args)
     alpha1 = args.alpha1 if args.alpha1 is not None else args.alpha / 2
     alpha2 = args.alpha2 if args.alpha2 is not None else args.alpha / 2
-    _checked(_require_invertible, stat, alpha1, alpha2)
+    _require_invertible(stat, alpha1, alpha2)
     fs = build_step_functions(data, design, stat, mode)
     out = {"proposed": _interval_dict(_proposed_interval(fs, alpha1, alpha2))}
     if args.traditional:
@@ -321,9 +318,9 @@ def cmd_combine(args):
     stat = get_statistic(args.statistic)
     mode = _mode_from_args(args)
     weights = _floats(args.weights, "--weights") if args.weights else None
-    combiner = _checked(make_combiner, args.combiner, weights)
-    _checked(combiner.resolved_weights, len(args.files))
-    _checked(_require_invertible, stat, args.alpha)
+    combiner = make_combiner(args.combiner, weights)
+    combiner.resolved_weights(len(args.files))
+    _require_invertible(stat, args.alpha)
     half = args.alpha / 2
     fss = [build_step_functions(data, design, stat, mode) for data, design in experiments]
     out = {
@@ -339,7 +336,7 @@ def cmd_combine(args):
 
 def cmd_mc_threshold(args):
     eps = _floats(args.epsilons, "--epsilons")
-    rows = _checked(threshold_table, eps, args.delta)
+    rows = threshold_table(eps, args.delta)
     if args.json:
         _dump({"delta": _num(args.delta),
                "rows": [{"epsilon": _num(e), "k_threshold": k} for e, k in rows]}, True)
@@ -349,8 +346,9 @@ def cmd_mc_threshold(args):
             print(f"{e:>10g} {k:>12d}")
 
 
-# the ScenarioConfig fields a scenario file may set by name; the designs
-# come from b1, k1, b2 and k2, and a key left out keeps the field's default
+# a scenario file must set the designs' block counts and sizes, and may set
+# the other ScenarioConfig fields by name; a field left out keeps its default
+_DESIGN_KEYS = ("b1", "k1", "b2", "k2")
 _SCENARIO_FIELDS = [f.name for f in fields(ScenarioConfig) if f.name not in ("design1", "design2")]
 
 
@@ -362,18 +360,22 @@ def cmd_simulate(args):
         raise InputError(f"cannot read {args.config}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"{args.config}: the scenario must be a JSON object")
+    if missing := [key for key in _DESIGN_KEYS if key not in raw]:
+        raise InputError(f"{args.config}: the scenario needs {', '.join(missing)}")
+    if unknown := sorted(set(raw) - {*_DESIGN_KEYS, *_SCENARIO_FIELDS}):
+        raise InputError(f"{args.config}: unknown scenario keys {', '.join(unknown)}")
     try:
         cfg = ScenarioConfig(
             design1=balanced_design(raw["b1"], raw["k1"]),
             design2=balanced_design(raw["b2"], raw["k2"]),
             **{key: raw[key] for key in _SCENARIO_FIELDS if key in raw},
         )
-    except ValueError as exc:
+    except InputError as exc:
         raise InputError(f"{args.config}: {exc}") from exc
     result = run_scenario(cfg)
     if args.json:
         payload = {
-            "scenario": {k: raw.get(k) for k in ("b1", "k1", "b2", "k2")},
+            "scenario": {k: raw[k] for k in _DESIGN_KEYS},
             "reps": cfg.reps, "k_cap": cfg.k_cap, "alpha": _num(cfg.alpha),
             "master_seed": cfg.master_seed,
             "arms": {
@@ -504,15 +506,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (InputError, KeyError) as exc:
+    except _EXIT_CODES[-1][0] as exc:  # the other rows hold ValueErrors only
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NonMonotoneStatisticError, LevelTooHighError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (StatisticError, EnumerationCapError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
     return EXIT_OK
 
 

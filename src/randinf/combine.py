@@ -46,6 +46,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._util import InputError
 from .inversion import (
     ConfidenceInterval,
     _proposed_interval,
@@ -112,7 +113,7 @@ def normal_quantile(p):
     """Standard normal quantile; domain error for any p outside (0, 1), NaN included."""
     p = np.asarray(p, dtype=float)
     if not np.all((p > 0) & (p < 1)):
-        raise ValueError("normal_quantile needs p in (0, 1)")
+        raise InputError("normal_quantile needs p in (0, 1)")
     out = _ndtri(p)
     return float(out) if out.ndim == 0 else out
 
@@ -135,7 +136,7 @@ def chisq_upper(df: int, x):
     0`` gives 1 and ``x = inf`` gives 0.
     """
     if df <= 0 or df % 2:
-        raise ValueError("df must be a positive even integer")
+        raise InputError("df must be a positive even integer")
     x = np.asarray(x, dtype=float)
     t = r = x / 2
     owed = None
@@ -168,7 +169,7 @@ def laplace_sum_cdf(m: int, x):
     lower tail at ``a = -x`` has no cancellation; it underflows to 0 with
     ``e^-a``, past ``a`` of about 745."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InputError("m must be >= 1")
     x = np.asarray(x, dtype=float)
     # c_k as exact integers over 2^(2m-1), rounded once
     num = [math.comb(m - 1 + j, j) << (m - 1 - j) for j in range(m)]
@@ -208,13 +209,13 @@ class CombinerSpec:
             w = tuple(float(x) for x in self.weights)
             object.__setattr__(self, "weights", w)
             if not all(math.isfinite(x) and x >= 0 for x in w) or not any(w):
-                raise ValueError("weights must be finite and non-negative with at least one nonzero")
+                raise InputError("weights must be finite and non-negative with at least one nonzero")
 
     def resolved_weights(self, m: int) -> np.ndarray:
         if self.weights is None:
             return np.ones(m)
         if len(self.weights) != m:
-            raise ValueError(f"{len(self.weights)} weights for {m} p-values")
+            raise InputError(f"{len(self.weights)} weights for {m} p-values")
         return np.asarray(self.weights)
 
 
@@ -246,7 +247,7 @@ def custom_combiner(f0_quantile, reference_cdf, weights=None) -> CombinerSpec:
     interval relies on.
     """
     if f0_quantile is None or reference_cdf is None:
-        raise ValueError("a custom combiner needs both f0_quantile and a reference CDF")
+        raise InputError("a custom combiner needs both f0_quantile and a reference CDF")
     return CombinerSpec("custom", f0_quantile, lambda q, w: reference_cdf(w @ q, w.size), weights)
 
 
@@ -260,7 +261,7 @@ _CLI_NAMES = {
 
 def make_combiner(name: str, weights=None) -> CombinerSpec:
     if not isinstance(name, str) or name not in _CLI_NAMES:
-        raise ValueError(f"unknown combiner {name!r}; choose from {sorted(_CLI_NAMES)}")
+        raise InputError(f"unknown combiner {name!r}; choose from {sorted(_CLI_NAMES)}")
     return _CLI_NAMES[name](weights)
 
 
@@ -341,9 +342,9 @@ def combine_values(ps: Sequence[float], combiner: CombinerSpec) -> float:
     """
     P = np.asarray(ps, dtype=float).reshape(-1, 1)
     if P.size == 0:
-        raise ValueError("need at least one p-value")
+        raise InputError("need at least one p-value")
     if not np.all((P >= 0) & (P <= 1)):
-        raise ValueError("p-values must lie in [0, 1]")
+        raise InputError("p-values must lie in [0, 1]")
     return float(_combine_matrix(P, combiner)[0])
 
 
@@ -391,7 +392,7 @@ def combine_functions(fss: Sequence[dict], combiner: CombinerSpec) -> dict:
     All four share one grid, the union of the distinct breakpoint arrays.
     """
     if not fss:
-        raise ValueError("need at least one experiment")
+        raise InputError("need at least one experiment")
     distinct = {id(f.breakpoints): f.breakpoints for fs in fss for f in fs.values()}
     grid = np.unique(np.concatenate(list(distinct.values())))
     grid.flags.writeable = False
@@ -428,7 +429,7 @@ def combined_interval(
     if modes is None:
         modes = [mode] * len(experiments)
     if len(modes) != len(experiments):
-        raise ValueError(f"need one mode per experiment, got {len(modes)} for {len(experiments)}")
+        raise InputError(f"need one mode per experiment, got {len(modes)} for {len(experiments)}")
     fss = [
         build_step_functions(data, design, stat, m)
         for (data, design), m in zip(experiments, modes)

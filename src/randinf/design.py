@@ -54,7 +54,7 @@ from typing import Union
 
 import numpy as np
 
-from ._util import fold_seed, is_integer
+from ._util import InputError, fold_seed, is_integer
 
 __all__ = [
     "CRD",
@@ -95,7 +95,7 @@ class CRD:
 
     def __post_init__(self):
         if not (is_integer(self.n_units) and is_integer(self.n_treated) and 0 < self.n_treated < self.n_units):
-            raise ValueError(
+            raise InputError(
                 f"CRD requires integers 0 < n_treated < n_units, got ({self.n_units!r}, {self.n_treated!r})"
             )
 
@@ -113,10 +113,10 @@ class RBD:
     def __post_init__(self):
         blocks = tuple(self.blocks)
         if not blocks:
-            raise ValueError("RBD requires at least one block")
+            raise InputError("RBD requires at least one block")
         for k, t in blocks:
             if not (is_integer(k) and is_integer(t) and 0 < t < k):
-                raise ValueError(f"block requires integers 0 < treated < size, got ({k!r}, {t!r})")
+                raise InputError(f"block requires integers 0 < treated < size, got ({k!r}, {t!r})")
         object.__setattr__(self, "blocks", tuple((int(k), int(t)) for k, t in blocks))
 
     @property
@@ -479,25 +479,25 @@ def sample_assignments(design: Design, k: int, seed) -> np.ndarray:
 
 
 def _require_draws(k, seed) -> None:
-    """Refuse, with ``ValueError``, a draw count ``k`` that is not an integer >= 1
+    """Refuse, with ``InputError``, a draw count ``k`` that is not an integer >= 1
     and a seed that is neither an integer nor a tuple of integers."""
     if not (is_integer(k) and k >= 1):
-        raise ValueError(f"Monte Carlo sample size k must be an integer >= 1, got {k!r}")
+        raise InputError(f"Monte Carlo sample size k must be an integer >= 1, got {k!r}")
     if not all(map(is_integer, seed if isinstance(seed, tuple) else (seed,))):
-        raise ValueError(f"Monte Carlo draws need an integer seed for reproducibility, got {seed!r}")
+        raise InputError(f"Monte Carlo draws need an integer seed for reproducibility, got {seed!r}")
 
 
 def _miscount(design: Design, w) -> str:
     """Why the design cannot draw ``w``: a block's treated count, or "" when it can.
 
     A ``w`` of another length, or with entries other than 0 and 1, is no
-    assignment vector of the design at all and raises ``ValueError``.
+    assignment vector of the design at all and raises ``InputError``.
     """
     w = np.asarray(w)
     if w.shape != (design.n_units,):
-        raise ValueError(f"assignment has length {w.size}, design has {design.n_units} units")
+        raise InputError(f"assignment has length {w.size}, design has {design.n_units} units")
     if not np.isin(w, (0, 1)).all():
-        raise ValueError("assignment entries must be 0 or 1")
+        raise InputError("assignment entries must be 0 or 1")
     for b, (start, k, t) in enumerate(_block_slices(design)):
         treated = int(w[start:start + k].sum())
         if treated != t:
@@ -506,9 +506,9 @@ def _miscount(design: Design, w) -> str:
 
 
 def _require_assignment(design: Design, w) -> None:
-    """Refuse, with ``ValueError``, an observed assignment the design cannot draw."""
+    """Refuse, with ``InputError``, an observed assignment the design cannot draw."""
     if miscount := _miscount(design, w):
-        raise ValueError(miscount)
+        raise InputError(miscount)
 
 
 def assignment_probability(design: Design, w) -> float:

@@ -58,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import atoms, round_sig
+from ._util import InputError, atoms, round_sig
 from .design import Design, _require_assignment
 from .randomization import ExactMode, Mode, PValueKind, _replicate_source
 from .statistics import ObservedData, StatisticSpec, _by_tile, observed_statistic
@@ -108,7 +108,7 @@ class _SteppedSide:
     def _at(self, theta, search):
         theta = np.asarray(theta, dtype=float)
         if np.isnan(theta).any():  # searchsorted would sort it above every breakpoint
-            raise ValueError("theta must not be NaN")
+            raise InputError("theta must not be NaN")
         idx = np.searchsorted(self.breakpoints, round_sig(theta), side=search)
         out = self._level_reader()(idx)
         return out.item() if theta.ndim == 0 else out
@@ -143,13 +143,13 @@ class PValueStepFunction(_SteppedSide):
 
     def __post_init__(self):
         if self.side == PValueKind.TWO_SIDED_L:
-            raise ValueError("step functions are one-sided; two-sided values combine LPLUS and LMINUS")
+            raise InputError("step functions are one-sided; two-sided values combine LPLUS and LMINUS")
         if self.cumulative is None:
             cumulative = np.cumsum(np.concatenate(([0], self.counts)))
             cumulative.flags.writeable = False
             object.__setattr__(self, "cumulative", cumulative)
         if self.base_count + int(self.cumulative[-1]) + self.never_count != self.denom:
-            raise ValueError("breakpoint masses do not account for every assignment")
+            raise InputError("breakpoint masses do not account for every assignment")
 
     @property
     def base(self) -> float:
@@ -406,7 +406,7 @@ def build_step_function(
     UMINUS, ``gt`` for UPLUS and LMINUS.
     """
     if side == PValueKind.TWO_SIDED_L:
-        raise ValueError("build one-sided functions; two-sided values combine LPLUS and LMINUS")
+        raise InputError("build one-sided functions; two-sided values combine LPLUS and LMINUS")
     _require_monotone(stat)
     _require_assignment(design, data.w_obs)
     strict = side in (PValueKind.UPLUS, PValueKind.LMINUS)
@@ -444,9 +444,9 @@ def invert_lower(f, alpha1: float) -> float:
     returns, for one experiment ``count / denom`` floats.
     """
     if f.side != PValueKind.LPLUS:
-        raise ValueError("lower inversion needs a LPLUS function")
+        raise InputError("lower inversion needs a LPLUS function")
     if not 0 < alpha1 < 1:
-        raise ValueError("alpha1 must lie in (0, 1)")
+        raise InputError("alpha1 must lie in (0, 1)")
     # the intervals with p <= alpha1 come first; their union ends at the cut
     read = f._level_reader()
     return _cut(f.breakpoints, lambda j: read(j) > alpha1)
@@ -455,9 +455,9 @@ def invert_lower(f, alpha1: float) -> float:
 def invert_upper(f, alpha2: float) -> float:
     """inf{theta : p(theta) <= alpha2} for a LMINUS function (mirror of lower)."""
     if f.side != PValueKind.LMINUS:
-        raise ValueError("upper inversion needs a LMINUS function")
+        raise InputError("upper inversion needs a LMINUS function")
     if not 0 < alpha2 < 1:
-        raise ValueError("alpha2 must lie in (0, 1)")
+        raise InputError("alpha2 must lie in (0, 1)")
     # the intervals with p > alpha2 come first; the rest starts at the cut
     read = f._level_reader()
     return _cut(f.breakpoints, lambda j: read(j) <= alpha2)
@@ -504,9 +504,9 @@ def _require_invertible(stat: StatisticSpec, alpha1: float, alpha2: float | None
     """Every interval needs levels in (0, 1), summing below 1, and an EI statistic."""
     if alpha2 is None:
         if not 0 < alpha1 < 1:
-            raise ValueError("alpha must lie in (0, 1)")
+            raise InputError("alpha must lie in (0, 1)")
     elif not (0 < alpha1 < 1 and 0 < alpha2 < 1 and alpha1 + alpha2 < 1):
-        raise ValueError("need 0 < alpha1, alpha2 and alpha1 + alpha2 < 1")
+        raise InputError("need 0 < alpha1, alpha2 and alpha1 + alpha2 < 1")
     if not stat.ei_certified:
         raise NonMonotoneStatisticError(
             f"statistic {stat.name!r} is not certified effect increasing; "
@@ -539,7 +539,7 @@ def _traditional_interval(f: PValueStepFunction, alpha: float, theta_grid=None) 
         # a coarse grid is read at its points only; nothing below its first point
         grid = np.sort(np.asarray(theta_grid, dtype=float))
         if grid.size == 0:
-            raise ValueError("theta_grid must hold at least one point")
+            raise InputError("theta_grid must hold at least one point")
         read = np.concatenate(([0.0], f.value(grid))).__getitem__
     lower = _cut(grid, lambda j: read(j) > half)
     upper = _cut(grid, lambda j: read(j) >= 1 - half)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import InputError, is_integer
 from .design import Design, total_assignments
 from .inversion import PValueStepFunction
 
@@ -29,10 +30,10 @@ __all__ = [
 
 def error_bound(k: int, epsilon: float) -> float:
     """Bound on P(sup-norm Monte Carlo error of the p-curve > epsilon)."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (is_integer(k) and k >= 1):
+        raise InputError(f"k must be an integer >= 1, got {k!r}")
+    if not epsilon > 0:  # NaN is refused too
+        raise InputError(f"epsilon must be positive, got {epsilon!r}")
     return min(1.0, 4.0 * math.exp(-k * epsilon * epsilon / 8.0))
 
 
@@ -44,13 +45,13 @@ def required_k(epsilon: float, delta: float) -> int:
     Targets so small that the threshold overflows a double are refused.
     """
     if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must lie in (0, 1]")
+        raise InputError("epsilon must lie in (0, 1]")
     if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+        raise InputError("delta must lie in (0, 1)")
     square = epsilon * epsilon
     exact = 8.0 * math.log(4.0 / delta) / square if square else math.inf
     if not math.isfinite(exact):
-        raise ValueError(f"8 ln(4/delta) / epsilon^2 is not finite at epsilon={epsilon!r}, delta={delta!r}")
+        raise InputError(f"8 ln(4/delta) / epsilon^2 is not finite at epsilon={epsilon!r}, delta={delta!r}")
     return int(math.ceil(exact - 1e-9 * max(1.0, abs(exact))))
 
 
@@ -91,7 +92,7 @@ def mc_sup_error(estimated: PValueStepFunction, exact: PValueStepFunction) -> fl
     ``-inf`` or at a union breakpoint.
     """
     if estimated.side != exact.side:
-        raise ValueError("functions must share a side")
+        raise InputError("functions must share a side")
     grid = np.unique(np.concatenate([estimated.breakpoints, exact.breakpoints]))
     starts = np.concatenate(([-np.inf], grid))
     return float(np.max(np.abs(estimated.value_from_right(starts) - exact.value_from_right(starts))))

@@ -38,7 +38,7 @@ from typing import Union
 
 import numpy as np
 
-from ._util import atoms, round_sig
+from ._util import InputError, atoms, is_integer, round_sig
 from .design import (
     DEFAULT_ENUMERATION_CAP,
     Design,
@@ -72,8 +72,8 @@ class ExactMode:
     cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
-        if self.cap < 1:
-            raise ValueError("enumeration cap must be >= 1")
+        if not (is_integer(self.cap) and self.cap >= 1):
+            raise InputError(f"enumeration cap must be >= 1 and an integer, got {self.cap!r}")
 
 
 @dataclass(frozen=True)
@@ -180,12 +180,12 @@ def randomization_distribution(
 ) -> RandomizationDistribution:
     """Distribution of the statistic over assignments under the null at ``theta``.
 
-    Refuses, with ``ValueError``, observed data whose assignment the design
-    cannot draw.
+    Refuses, with ``InputError``, observed data whose assignment the design
+    cannot draw and a ``theta`` that is not finite, before any row is built.
     """
     _require_assignment(design, data.w_obs)
-    source = _replicate_source(design, mode)
     table = impute(data, theta)
+    source = _replicate_source(design, mode)
     t_rep = np.empty(source.size)
     start = 0
     for W in source.blocks():

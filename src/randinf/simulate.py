@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import atoms, is_integer, round_sig
+from ._util import InputError, atoms, is_integer, round_sig
 from .combine import combine_functions, make_combiner
 from .design import CRD, RBD, Design, assignment_matrix, sample_assignments, total_assignments
 from .inversion import (
@@ -52,7 +52,7 @@ from .randomization import (
     _replicate_source,
     _tails,
 )
-from .statistics import PotentialTable, StatisticSpec, evaluate_many, get_statistic, impute, list_statistics
+from .statistics import PotentialTable, StatisticSpec, evaluate_many, get_statistic, impute
 
 __all__ = [
     "ScenarioConfig",
@@ -79,13 +79,13 @@ _MAX_REPS = 1_000_000
 def balanced_design(n_blocks: int, block_size: int) -> Design:
     """``n_blocks`` blocks of an even ``block_size``, half treated in each.
 
-    At most 10,000 units in all; a larger design raises ``ValueError``
+    At most 10,000 units in all; a larger design raises ``InputError``
     before any block is built, as do arguments that are not integers.
     """
     if not (is_integer(n_blocks) and is_integer(block_size)) or block_size < 2 or block_size % 2:
-        raise ValueError(f"need integer n_blocks and even block_size >= 2, got ({n_blocks!r}, {block_size!r})")
+        raise InputError(f"need integer n_blocks and even block_size >= 2, got ({n_blocks!r}, {block_size!r})")
     if n_blocks * block_size > _MAX_UNITS:
-        raise ValueError(f"a scenario design holds at most {_MAX_UNITS} units")
+        raise InputError(f"a scenario design holds at most {_MAX_UNITS} units")
     if n_blocks == 1:
         return CRD(block_size, block_size // 2)
     return RBD(tuple((block_size, block_size // 2) for _ in range(n_blocks)))
@@ -98,7 +98,7 @@ def generate_population(n: int, true_theta: float, seed) -> PotentialTable:
     generator (ziggurat method), so a seed pins the table exactly.
     """
     if n < 2:
-        raise ValueError("a population needs at least two units")
+        raise InputError("a population needs at least two units")
     rng = np.random.default_rng(seed)
     y0 = np.exp(rng.standard_normal(n))
     return PotentialTable(y0=y0, y1=y0 + true_theta)
@@ -113,10 +113,11 @@ def _is_real(value) -> bool:
 class ScenarioConfig:
     """One simulation scenario: two experiments, shared effect, seeded reps.
 
-    Checks its own fields: ``reps``, ``k_cap`` and ``master_seed`` are
-    integers in range, ``true_theta`` and ``alpha`` real numbers a double holds,
-    ``combiners`` a sequence of names :func:`make_combiner` knows and
-    ``statistic`` a registered name; anything else raises ``ValueError``.
+    Checks its own fields: the designs are a ``CRD`` or ``RBD``, ``reps``,
+    ``k_cap`` and ``master_seed`` integers in range, ``true_theta`` and
+    ``alpha`` real numbers a double holds, ``combiners`` a sequence of names
+    :func:`make_combiner` knows and ``statistic`` a name :func:`get_statistic`
+    knows; anything else raises ``InputError``.
     """
 
     design1: Design
@@ -130,22 +131,24 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("design1", "design2"):
+            if not isinstance(getattr(self, name), (CRD, RBD)):
+                raise InputError(f"{name} must be a CRD or RBD, got {getattr(self, name)!r}")
         if not (is_integer(self.reps) and 1 <= self.reps <= _MAX_REPS):
-            raise ValueError(f"reps must be an integer in [1, {_MAX_REPS}], got {self.reps!r}")
+            raise InputError(f"reps must be an integer in [1, {_MAX_REPS}], got {self.reps!r}")
         if not (is_integer(self.k_cap) and self.k_cap >= 1):
-            raise ValueError(f"k_cap must be an integer >= 1, got {self.k_cap!r}")
+            raise InputError(f"k_cap must be an integer >= 1, got {self.k_cap!r}")
         if not (is_integer(self.master_seed) and self.master_seed >= 0):
-            raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
+            raise InputError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
         if not (_is_real(self.true_theta) and abs(self.true_theta) <= sys.float_info.max):
-            raise ValueError(f"true_theta must be a finite number a double holds, got {self.true_theta!r}")
+            raise InputError(f"true_theta must be a finite number a double holds, got {self.true_theta!r}")
         if not (_is_real(self.alpha) and 0 < self.alpha < 1):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+            raise InputError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if isinstance(self.combiners, str) or not isinstance(self.combiners, Sequence):
-            raise ValueError(f"combiners must be a sequence of names, got {self.combiners!r}")
+            raise InputError(f"combiners must be a sequence of names, got {self.combiners!r}")
         for name in self.combiners:
             make_combiner(name)
-        if self.statistic not in list_statistics():
-            raise ValueError(f"unknown statistic {self.statistic!r}; registered: {list_statistics()}")
+        get_statistic(self.statistic)
         object.__setattr__(self, "combiners", tuple(self.combiners))
 
 
@@ -373,18 +376,18 @@ def exact_validity_audit(
         raise NotImplementedError("the vectorized audit supports diff_means only")
     alphas = tuple(alphas)
     if not all(0 < alpha < 1 for alpha in alphas):
-        raise ValueError("alpha must lie in (0, 1)")
+        raise InputError("alpha must lie in (0, 1)")
     if population.n_units != design.n_units:
-        raise ValueError(
+        raise InputError(
             f"the population has {population.n_units} units, the design {design.n_units}"
         )
     y = np.concatenate((population.y0, population.y1))
     if not np.isfinite(y).all():
-        raise ValueError("the audit population must have finite potential outcomes")
+        raise InputError("the audit population must have finite potential outcomes")
     effects = population.y1 - population.y0
     # the tolerance follows the outcome scale, as the kernel's does
     if np.ptp(effects) > 1e-12 * max(1.0, float(np.abs(y).max()), float(np.ptp(y))):
-        raise ValueError("the audit population must have a constant effect")
+        raise InputError("the audit population must have a constant effect")
     theta0 = float(effects[0])
 
     W = assignment_matrix(design, cap=_AUDIT_CAP)

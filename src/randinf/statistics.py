@@ -41,6 +41,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._util import InputError, is_integer
+
 __all__ = [
     "ObservedData",
     "PotentialTable",
@@ -83,11 +85,11 @@ class ObservedData:
         object.__setattr__(self, "w_obs", w)
         object.__setattr__(self, "y_obs", y)
         if w.ndim != 1 or y.shape != w.shape:
-            raise ValueError("w_obs and y_obs must be equal-length vectors")
+            raise InputError("w_obs and y_obs must be equal-length vectors")
         if not np.isin(w, (0, 1)).all():
-            raise ValueError("w_obs entries must be 0 or 1")
+            raise InputError("w_obs entries must be 0 or 1")
         if not np.isfinite(y).all():
-            raise ValueError("y_obs entries must be finite")
+            raise InputError("y_obs entries must be finite")
 
     @property
     def n_units(self) -> int:
@@ -107,7 +109,7 @@ class PotentialTable:
         object.__setattr__(self, "y0", y0)
         object.__setattr__(self, "y1", y1)
         if y0.shape != y1.shape or y0.ndim != 1:
-            raise ValueError("y0 and y1 must be equal-length vectors")
+            raise InputError("y0 and y1 must be equal-length vectors")
 
     @property
     def n_units(self) -> int:
@@ -129,7 +131,7 @@ def impute(data: ObservedData, theta: float) -> PotentialTable:
     the observed data on the observed arm.
     """
     if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
+        raise InputError("theta must be finite")
     w = data.w_obs
     y = data.y_obs
     y1 = np.where(w == 1, y, y + theta)
@@ -174,7 +176,7 @@ class StatisticSpec:
 
     def __post_init__(self):
         if self.ei_certified and not self.theta_monotone_rightcontinuous:
-            raise ValueError(
+            raise InputError(
                 "an EI statistic is automatically monotone and right continuous in theta"
             )
 
@@ -360,18 +362,16 @@ _REGISTRY: dict = {}
 
 def register_statistic(spec: StatisticSpec) -> StatisticSpec:
     if spec.name in _REGISTRY:
-        raise ValueError(f"statistic {spec.name!r} is already registered")
+        raise InputError(f"statistic {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
     return spec
 
 
 def get_statistic(name: str) -> StatisticSpec:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown statistic {name!r}; registered: {sorted(_REGISTRY)}"
-        ) from None
+    """The registered statistic called ``name``; any other name raises ``InputError``."""
+    if not isinstance(name, str) or name not in _REGISTRY:  # a list name is unhashable
+        raise InputError(f"unknown statistic {name!r}; registered: {sorted(_REGISTRY)}")
+    return _REGISTRY[name]
 
 
 def list_statistics():
@@ -452,8 +452,8 @@ def ei_probe(stat: StatisticSpec, data: ObservedData, design, trials: int, seed)
     """
     from . import design as design_mod
 
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not (is_integer(trials) and trials >= 1):
+        raise InputError(f"trials must be an integer >= 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     table = impute(data, 0.0)
     scale = max(1.0, float(np.ptp(data.y_obs)))

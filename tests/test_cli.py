@@ -17,6 +17,7 @@ from randinf import cli as cli_mod
 from randinf.cli import main, parse_design, read_experiment
 from randinf.datasets import data_path
 from randinf.design import CRD, RBD
+from randinf.inversion import BracketingError
 from randinf.simulate import _MAX_UNITS, ScenarioConfig, run_scenario
 
 TOY_CSV = str(data_path("toy_experiment.csv"))
@@ -278,6 +279,25 @@ class TestExitCodes:
         code, out, err = run_cli(argv, capsys)
         assert code == 3 and out == "" and err.startswith("error: Unable to allocate")
 
+    @pytest.mark.parametrize("argv", [
+        ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--mode", "mc", "--k", str(10 ** 20),
+         "--seed", "1"],
+        ["pcurve", TOY_CSV, "--design", "crd:10,5", "--grid-range", "0,1,1e20"],
+    ])
+    def test_numpy_size_refusal_is_3(self, capsys, argv):
+        # numpy refuses the array's size with a ValueError of its own: a
+        # computation too large to allocate, not an input error
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == "" and err.startswith("error: Maximum allowed")
+
+    def test_bracketing_failure_is_3(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise BracketingError("no bracket for the crossing")
+
+        monkeypatch.setattr(cli_mod, "build_step_functions", fail)
+        code, out, err = run_cli(["invert", TOY_CSV, "--design", "crd:10,5"], capsys)
+        assert code == 3 and out == "" and err == "error: no bracket for the crossing\n"
+
     def test_non_ei_inversion_is_4(self, capsys):
         code, _, err = run_cli(
             ["invert", TOY_CSV, "--design", "crd:10,5", "--statistic", "studentized"], capsys
@@ -293,11 +313,12 @@ class TestExitCodes:
         assert code == 4 and out == "" and "not certified monotone" in err
 
     def test_unknown_statistic_is_2(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--statistic", "median"],
             capsys,
         )
         assert code == 2
+        assert err.startswith("error: unknown statistic 'median'; registered: ")
 
     @pytest.mark.parametrize("args", [
         ["pcurve", TOY_CSV, "--design", "crd:10,5", "--grid", "a,b"],
@@ -374,6 +395,10 @@ class TestExitCodes:
         ["mc-threshold", "--delta", "0"],
         ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--cap", "0"],
         ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--cap", "-1"],
+        # theta is refused before the cap or the draws are reached
+        ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "nan", "--cap", "10"],
+        ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "nan", "--mode", "mc", "--k", str(10 ** 18),
+         "--seed", "1"],
     ])
     def test_out_of_range_argument_is_2(self, capsys, args):
         code, out, err = run_cli(args, capsys)
@@ -411,6 +436,19 @@ class TestExitCodes:
         (tmp_path / "scenario.json").write_text(json.dumps(scenario))
         code, out, err = run_cli(["simulate", str(tmp_path / "scenario.json")], capsys)
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("drop, extra, message", [
+        (("b1",), {}, "the scenario needs b1"),
+        (("b1", "k2"), {}, "the scenario needs b1, k2"),
+        ((), {"rep": 5}, "unknown scenario keys rep"),
+        ((), {"rep": 5, "master_sed": 3}, "unknown scenario keys master_sed, rep"),
+    ])
+    def test_missing_or_unknown_scenario_keys_are_2(self, capsys, tmp_path, drop, extra, message):
+        scenario = {"b1": 1, "k1": 8, "b2": 1, "k2": 8, "reps": 1, "k_cap": 100, **extra}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({key: value for key, value in scenario.items() if key not in drop}))
+        code, out, err = run_cli(["simulate", str(path)], capsys)
+        assert code == 2 and out == "" and err == f"error: {path}: {message}\n"
 
     def test_scenario_file_sets_every_config_field(self, capsys, tmp_path, monkeypatch):
         values = {"true_theta": 0.5, "reps": 2, "k_cap": 50, "alpha": 0.2, "combiners": ["stouffer"],

@@ -1,11 +1,18 @@
-"""Each input rule is checked by the type that owns it, in the library itself."""
+"""Each input rule is checked by the type that owns it, in the library itself,
+and a refused argument raises ``InputError``."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randinf
 from randinf import (
     CRD,
     RBD,
+    ExactMode,
+    InputError,
     MCMode,
     ObservedData,
     PValueKind,
@@ -19,6 +26,7 @@ from randinf import (
     confidence_interval,
     dominance_profile,
     fisher,
+    get_statistic,
     p_value,
     p_values,
     randomization_distribution,
@@ -46,20 +54,20 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_inference_refuses_an_assignment_the_design_cannot_draw(toy, diff_means, entry, design):
     data, _ = toy
-    with pytest.raises(ValueError, match="treated units in block|design has 12 units"):
+    with pytest.raises(InputError, match="treated units in block|design has 12 units"):
         ENTRY_POINTS[entry](data, design, diff_means)
 
 
 def test_blocked_miscount_names_the_block(diff_means):
     data = ObservedData(w_obs=np.array([1, 1, 0, 0, 1, 1, 1, 0]), y_obs=np.arange(8.0))
-    with pytest.raises(ValueError, match="3 treated units in block 1, design declares 2"):
+    with pytest.raises(InputError, match="3 treated units in block 1, design declares 2"):
         build_step_functions(data, RBD(((4, 2), (4, 2))), diff_means)
 
 
 @pytest.mark.parametrize("w", [[2, 1, 1, 1, 0, 0, 0, 0, 0, 0], [0.5] * 10, [1, 0, 1]])
 def test_assignment_probability_refuses_non_assignments(w):
     for probability in (assignment_probability, assignment_probability_exact):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             probability(CRD(10, 5), w)
 
 
@@ -75,7 +83,7 @@ def test_assignment_probability_refuses_non_assignments(w):
 ], ids=["crd_float_units", "crd_float_treated", "crd_bool", "crd_string", "rbd_floats",
         "rbd_one_float", "balanced_float_blocks", "balanced_float_size"])
 def test_design_sizes_must_be_integers(make):
-    with pytest.raises(ValueError, match="integer"):
+    with pytest.raises(InputError, match="integer"):
         make()
 
 
@@ -90,7 +98,7 @@ def test_numpy_integer_sizes_are_accepted():
                                      (10, (1, 2.5)), (10, [1, 2])])
 def test_draws_refuse_non_integer_counts_and_seeds(k, seed):
     for draws in (lambda: MCMode(k=k, seed=seed), lambda: sample_assignments(CRD(10, 5), k, seed)):
-        with pytest.raises(ValueError, match="k must be an integer|need an integer seed"):
+        with pytest.raises(InputError, match="k must be an integer|need an integer seed"):
             draws()
 
 
@@ -106,11 +114,12 @@ def test_mc_mode_accepts_integer_and_tuple_seeds():
     ("true_theta", 10 ** 400), ("true_theta", float("inf")), ("true_theta", "0"),
     ("combiners", "fisher"), ("combiners", ["fisherz"]), ("combiners", [1]), ("combiners", 3),
     ("statistic", "median"), ("statistic", ["diff_means"]),
+    ("design1", "a"), ("design2", None), ("design1", (8, 4)),
 ])
 def test_scenario_config_checks_its_own_field_types(field, value):
     design = CRD(8, 4)
-    with pytest.raises(ValueError, match=field if field != "combiners" else "combiner"):
-        ScenarioConfig(design, design, **{field: value})
+    with pytest.raises(InputError, match=field if field != "combiners" else "combiner"):
+        ScenarioConfig(**{"design1": design, "design2": design, field: value})
 
 
 def test_scenario_config_accepts_numpy_numbers():
@@ -118,3 +127,47 @@ def test_scenario_config_accepts_numpy_numbers():
     cfg = ScenarioConfig(design, design, reps=np.int64(3), k_cap=np.int32(100), master_seed=np.uint8(1),
                          alpha=np.float64(0.1), true_theta=np.int64(2), combiners=["stouffer"])
     assert cfg.combiners == ("stouffer",)
+
+
+@pytest.mark.parametrize("cap", [True, 2.5, np.float64(10), "10", 0, -1])
+def test_exact_mode_refuses_a_cap_that_is_no_integer_count(cap):
+    with pytest.raises(InputError, match="enumeration cap must be >= 1 and an integer"):
+        ExactMode(cap=cap)
+
+
+def test_exact_mode_accepts_numpy_integer_caps():
+    assert ExactMode(cap=np.int64(252)).cap == 252
+
+
+@pytest.mark.parametrize("name", ["median", ["diff_means"], None])
+def test_get_statistic_refuses_unknown_names_with_input_error(name):
+    with pytest.raises(InputError, match="unknown statistic"):
+        get_statistic(name)
+
+
+@pytest.mark.parametrize("mode", [ExactMode(cap=10), MCMode(k=10 ** 18, seed=1)], ids=["exact_cap", "mc_huge_k"])
+def test_theta_is_refused_before_any_row_is_built(toy, diff_means, mode):
+    # the cap would refuse 252 rows, and 10**18 draws do not fit in memory
+    data, design = toy
+    with pytest.raises(InputError, match="theta must be finite"):
+        p_values(data, design, diff_means, float("nan"), mode)
+
+
+def test_input_error_is_the_cli_one_and_a_value_error():
+    from randinf import cli
+
+    assert cli.InputError is randinf.InputError
+    assert issubclass(InputError, ValueError)
+
+
+def test_the_library_raises_no_bare_value_or_key_error():
+    # a refusal raised as a plain ValueError or KeyError would reach the CLI
+    # as a computation error; each must be an InputError or a named subclass
+    offenders = []
+    for path in sorted(Path(randinf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "KeyError"):
+                    offenders.append(f"{path.name}:{node.lineno}: raise {exc.id}")
+    assert offenders == []

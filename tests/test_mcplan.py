@@ -5,6 +5,7 @@ import pytest
 
 from randinf import (
     CRD,
+    InputError,
     MCMode,
     PValueKind,
     build_step_function,
@@ -35,6 +36,10 @@ class TestErrorBound:
             error_bound(0, 0.1)
         with pytest.raises(ValueError):
             error_bound(10, 0.0)
+        with pytest.raises(InputError, match="epsilon must be positive"):
+            error_bound(10, float("nan"))
+        with pytest.raises(InputError, match="k must be an integer"):
+            error_bound(2.5, 0.1)
 
 
 class TestRequiredK:

@@ -9,6 +9,7 @@ from randinf import (
     CRD,
     RBD,
     DegenerateDenominatorError,
+    InputError,
     ObservedData,
     PotentialTable,
     StatisticError,
@@ -178,6 +179,8 @@ class TestEIProbe:
         data, design = toy
         with pytest.raises(ValueError):
             ei_probe(diff_means, data, design, trials=0, seed=1)
+        with pytest.raises(InputError, match="trials must be an integer"):
+            ei_probe(diff_means, data, design, trials=2.5, seed=1)
 
 
 class TestWilcoxonSwitchPoints:
