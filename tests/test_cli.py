@@ -701,9 +701,40 @@ GOLDEN_CLI_SHA256 = {
 }
 
 
-def _golden_argv(case, tmp_path):
+# pcurve's two branches, exact breakpoints and a theta grid, as text and JSON
+_GOLDEN_PCURVE_CASES = {
+    f"{name}{suffix}": ([*argv, *flag], designs)
+    for name, (argv, designs) in {
+        "pcurve_exact_dm_lplus": (
+            ["pcurve", "--design", "crd:12,6", "--exact-breakpoints"], ["crd:12,6"]),
+        "pcurve_exact_wilcoxon_uminus": (
+            ["pcurve", "--design", "crd:12,6", "--exact-breakpoints", "--side", "Uminus",
+             "--statistic", "wilcoxon_rank_sum"], ["crd:12,6"]),
+        "pcurve_grid_exact_dm": (
+            ["pcurve", "--design", "crd:10,5", "--grid=-2,-1,0,0.5,1,2,3"], ["crd:10,5"]),
+        "pcurve_grid_range_mc_dm": (
+            ["pcurve", "--design", "rbd:6/3,6/3,6/3,6/3", "--grid-range=-1,2,7",
+             "--mode", "mc", "--k", "2000", "--seed", "7"], ["rbd:6/3,6/3,6/3,6/3"]),
+    }.items()
+    for suffix, flag in (("", []), ("_json", ["--json"]))
+}
+
+# SHA-256 of the stdout bytes of each pcurve case
+GOLDEN_PCURVE_SHA256 = {
+    "pcurve_exact_dm_lplus": "3882f2edcd0f1a221f9a029a7b46b6fc50f91f4f5c6e1c7747eb5bd33c298e8b",
+    "pcurve_exact_dm_lplus_json": "5acd0281dc33c2775a63faf8ff284549fb2165e2cfb14f5d9012e56b737ea199",
+    "pcurve_exact_wilcoxon_uminus": "209a67fc68d8e165084aa8072567fc2d9ba06fa147f537ee7b7cd9c180e87c2d",
+    "pcurve_exact_wilcoxon_uminus_json": "8c5d763d6d19193e847c0544ca25fb89c291f170f787825f490d957f42991623",
+    "pcurve_grid_exact_dm": "eda742e7a22996194643492908596b03cdcb2db9afd6471948c61b7eed1675df",
+    "pcurve_grid_exact_dm_json": "7a700253026681139423ef379e18275cecef80d8dad1132305d85b93ab967a9e",
+    "pcurve_grid_range_mc_dm": "7f4a3f5259d10e31ad628eae8fb1e92fe0f40302ecb80558c4fd513772aee5ff",
+    "pcurve_grid_range_mc_dm_json": "ddc3eaf2eb87d908400dcb6042571d64224adf2d8725d0888e6c16843fd3aaab",
+}
+
+
+def _golden_argv(case, tmp_path, cases=_GOLDEN_CLI_CASES):
     """The full argv of a golden case, its input files written under ``tmp_path``."""
-    argv, design_texts = _GOLDEN_CLI_CASES[case]
+    argv, design_texts = cases[case]
     files = [
         _write_experiment(tmp_path / f"e{i}.csv", _GOLDEN_DESIGNS[text], 100 + i, 200 + i)
         for i, text in enumerate(design_texts)
@@ -725,6 +756,14 @@ def test_cli_interval_golden_bytes(case, capsys, tmp_path):
     code, out, err = run_cli(argv, capsys)
     assert code == 0, err
     assert _golden_digest(out, files) == GOLDEN_CLI_SHA256[case]
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN_PCURVE_CASES))
+def test_cli_pcurve_golden_bytes(case, capsys, tmp_path):
+    argv, files = _golden_argv(case, tmp_path, _GOLDEN_PCURVE_CASES)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert _golden_digest(out, files) == GOLDEN_PCURVE_SHA256[case]
 
 
 # a fresh process runs ``main`` on its arguments, if any, and reports on stderr
