@@ -25,10 +25,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from ._util import InputError
-from .combine import combine_functions, make_combiner
+from ._util import SIG_DIGITS, InputError
+from .combine import _CLI_NAMES, combine_functions, make_combiner
 from .datasets import toy_experiment
-from .design import CRD, DEFAULT_ENUMERATION_CAP, RBD, Design, _require_assignment
+from .design import CRD, DEFAULT_ENUMERATION_CAP, RBD, Design, _require_assignment, total_assignments
 from .inversion import (
     ConfidenceInterval,
     LevelTooHighError,
@@ -59,6 +59,9 @@ _EXIT_CODES = (
     ((ValueError, RuntimeError, OSError, MemoryError), EXIT_COMPUTE),
 )
 
+# the sides that ``test`` reports one by one and ``pcurve --side`` accepts
+_ONE_SIDED = tuple(kind for kind in PValueKind if kind is not PValueKind.TWO_SIDED_L)
+
 # ---------------------------------------------------------------------------
 # serialization helpers
 # ---------------------------------------------------------------------------
@@ -71,7 +74,7 @@ def _num(x):
         return "inf" if x > 0 else "-inf"
     if x != x:
         raise RuntimeError("refusing to serialize NaN")  # a computation fault: exit 3
-    return float(f"{x:.12g}")
+    return float(f"{x:.{SIG_DIGITS}g}")
 
 
 def _dump(obj, as_json: bool):
@@ -232,10 +235,7 @@ def cmd_test(args):
     out = {
         "theta": _num(args.theta),
         "T_obs": _num(observed_statistic(stat, data)),
-        "p_Lplus": _num(pv[PValueKind.LPLUS]),
-        "p_Uplus": _num(pv[PValueKind.UPLUS]),
-        "p_Lminus": _num(pv[PValueKind.LMINUS]),
-        "p_Uminus": _num(pv[PValueKind.UMINUS]),
+        **{f"p_{kind.value}": _num(pv[kind]) for kind in _ONE_SIDED},
         "p_two_sided": _num(pv[PValueKind.TWO_SIDED_L]),
         "statistic": stat.name,
     }
@@ -246,30 +246,22 @@ def cmd_test(args):
 def cmd_pcurve(args):
     design, data, stat, mode = _experiment(args)
     kind = PValueKind(args.side)
+    head = {"side": kind.value}
     if args.exact_breakpoints:
         f = build_step_function(data, design, stat, kind, mode)
-        rows = [{"breakpoint": _num(b), "value_at": _num(v)}
-                for b, v in zip(f.breakpoints, np.atleast_1d(f.value(f.breakpoints)))]
-        payload = {"side": kind.value, "base": _num(f.base), "points": rows}
-        payload.update(_mode_dict(mode))
-        if args.json:
-            _dump(payload, True)
-        else:
-            print("breakpoint,value_at")
-            for row in rows:
-                print(f"{row['breakpoint']},{row['value_at']}")
-        return
-    grid = _parse_grid(args)
-    values = [p_values(data, design, stat, t, mode)[kind] for t in grid]
-    if args.json:
-        payload = {"side": kind.value,
-                   "points": [{"theta": _num(t), "p": _num(p)} for t, p in zip(grid, values)]}
-        payload.update(_mode_dict(mode))
-        _dump(payload, True)
+        head["base"] = _num(f.base)
+        header = ("breakpoint", "value_at")
+        points = zip(f.breakpoints, np.atleast_1d(f.value(f.breakpoints)))
     else:
-        print("theta,p")
-        for t, p in zip(grid, values):
-            print(f"{_num(t)},{_num(p)}")
+        header = ("theta", "p")
+        points = [(t, p_values(data, design, stat, t, mode)[kind]) for t in _parse_grid(args)]
+    rows = [dict(zip(header, map(_num, point))) for point in points]
+    if args.json:
+        _dump({**head, "points": rows, **_mode_dict(mode)}, True)
+    else:
+        print(",".join(header))
+        for row in rows:
+            print(",".join(map(str, row.values())))
 
 
 def _floats(text: str, flag: str) -> list:
@@ -404,7 +396,8 @@ def cmd_toy(args):
                 "w_obs": data.w_obs.tolist(),
                 "y_obs": [_num(v) for v in data.y_obs],
             },
-            "design": {"n_units": 10, "n_treated": 5, "assignments": 252},
+            "design": {"n_units": design.n_units, "n_treated": design.n_treated,
+                       "assignments": total_assignments(design)},
             "T_obs": _num(observed_statistic(stat, data)),
             "p_Lplus": {f"{t:g}": _num(p) for t, p in zip(thetas, pvals)},
             "proposed_interval": _interval_dict(ci),
@@ -415,7 +408,8 @@ def cmd_toy(args):
     print("unit_id  w  y_obs")
     for i, (w, y) in enumerate(zip(data.w_obs, data.y_obs), start=1):
         print(f"{i:>7d}  {w}  {y:>5.2f}")
-    print(f"\nbalanced design, 5 of 10 treated: 252 assignments, exact enumeration")
+    print(f"\nbalanced design, {design.n_treated} of {design.n_units} treated: "
+          f"{total_assignments(design)} assignments, exact enumeration")
     print(f"T_obs (difference of means) = {observed_statistic(stat, data):.3f}")
     print("\n  theta   p_Lplus")
     for t, p in zip(thetas, pvals):
@@ -442,8 +436,7 @@ def build_parser():
     p = sub.add_parser("pcurve", help="dump a p-value curve: grid values or exact breakpoints")
     p.add_argument("file")
     p.add_argument("--design", required=True)
-    p.add_argument("--side", default="Lplus",
-                   choices=[k.value for k in PValueKind if k != PValueKind.TWO_SIDED_L])
+    p.add_argument("--side", default=PValueKind.LPLUS.value, choices=[k.value for k in _ONE_SIDED])
     p.add_argument("--grid", default=None, help="comma-separated theta values")
     p.add_argument("--grid-range", default=None, help="LO,HI,COUNT")
     p.add_argument("--exact-breakpoints", action="store_true")
@@ -464,8 +457,7 @@ def build_parser():
     p = sub.add_parser("combine", help="fuse experiments into one combined interval")
     p.add_argument("files", nargs="+")
     p.add_argument("--designs", required=True, help="one design per file, ';'-separated")
-    p.add_argument("--combiner", default="fisher",
-                   choices=("fisher", "stouffer", "double_exponential", "de"))
+    p.add_argument("--combiner", default="fisher", choices=tuple(_CLI_NAMES))
     p.add_argument("--weights", default=None, help="comma-separated non-negative weights")
     p.add_argument("--alpha", type=float, default=0.05)
     _add_common(p)

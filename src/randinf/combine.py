@@ -251,9 +251,10 @@ def custom_combiner(f0_quantile, reference_cdf, weights=None) -> CombinerSpec:
     return CombinerSpec("custom", f0_quantile, lambda q, w: reference_cdf(w @ q, w.size), weights)
 
 
+# in the order of the CLI's --combiner choices
 _CLI_NAMES = {
-    "stouffer": stouffer,
     "fisher": fisher,
+    "stouffer": stouffer,
     "double_exponential": double_exponential,
     "de": double_exponential,
 }
@@ -359,14 +360,15 @@ class CombinedPValueFunction(_SteppedSide):
     ``components`` are the experiments' functions of the rising side
     ``_RISING[side]``; a falling side is one minus their combination.  A step
     function on ``breakpoints``, the union grid, monotone like its components.
-    ``mode`` is the experiments' common mode, else the tuple of their modes.
+    ``statistic`` and ``mode`` are the experiments' common value, else the
+    tuple of their values in experiment order.
     """
 
     components: tuple
     combiner: CombinerSpec
     side: PValueKind
     breakpoints: np.ndarray
-    statistic: str
+    statistic: str | tuple
     mode: Mode | tuple
 
     def _level_reader(self):
@@ -385,6 +387,12 @@ class CombinedPValueFunction(_SteppedSide):
         return read
 
 
+def _label(fss, field):
+    """The experiments' common ``field``, else the tuple of their values in experiment order."""
+    values = tuple(getattr(fs[PValueKind.LPLUS], field) for fs in fss)
+    return values[0] if len(set(values)) == 1 else values
+
+
 def combine_functions(fss: Sequence[dict], combiner: CombinerSpec) -> dict:
     """The four combined sides of M experiments, from each one's :func:`build_step_functions` sides.
 
@@ -396,10 +404,8 @@ def combine_functions(fss: Sequence[dict], combiner: CombinerSpec) -> dict:
     distinct = {id(f.breakpoints): f.breakpoints for fs in fss for f in fs.values()}
     grid = np.unique(np.concatenate(list(distinct.values())))
     grid.flags.writeable = False
-    modes = [fs[PValueKind.LPLUS].mode for fs in fss]
-    mode = modes[0] if len(set(modes)) == 1 else tuple(modes)
     return {side: CombinedPValueFunction(tuple(fs[rising] for fs in fss), combiner, side, grid,
-                                         fss[0][PValueKind.LPLUS].statistic, mode)
+                                         _label(fss, "statistic"), _label(fss, "mode"))
             for side, rising in _RISING.items()}
 
 

@@ -479,6 +479,8 @@ class ConfidenceInterval:
     ``mode`` is how the interval was computed: one ``ExactMode`` or
     ``MCMode``, or, for a combined interval whose experiments ran under
     different modes, the tuple of per-experiment modes in experiment order.
+    ``statistic`` is labelled the same way: one name, or the tuple of names
+    of a combined interval whose experiments used different statistics.
     """
 
     lower: float
@@ -486,7 +488,7 @@ class ConfidenceInterval:
     alpha1: float
     alpha2: float
     method: str
-    statistic: str
+    statistic: str | tuple
     mode: Mode | tuple
 
     @property

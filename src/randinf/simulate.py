@@ -27,7 +27,7 @@ it carries no guarantee and undercovers on heavily tied data.
 import numbers
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .randomization import (
     _replicate_source,
     _tails,
 )
-from .statistics import PotentialTable, StatisticSpec, evaluate_many, get_statistic, impute
+from .statistics import DIFF_MEANS, PotentialTable, StatisticSpec, evaluate_many, get_statistic, impute
 
 __all__ = [
     "ScenarioConfig",
@@ -324,7 +324,7 @@ def _width_classes(design: Design, table: PotentialTable, W: np.ndarray, tau: np
 def exact_validity_audit(
     population: PotentialTable,
     design: Design,
-    stat: Optional[StatisticSpec] = None,
+    stat: StatisticSpec = DIFF_MEANS,
     alphas: Sequence[float] = (0.05,),
 ) -> AuditReport:
     """Enumerate a small population and verify the exact guarantees.
@@ -366,14 +366,15 @@ def exact_validity_audit(
     row per assignment; a lognormal CRD(12,6) takes 16 ms either way
     (2-vCPU x86_64, fresh processes, best of five).
 
-    Other statistics are refused: their widths need a call per observed
-    assignment, which costs far more (same host: one ``stat.affine`` call
-    each, 0.85 s in all on the tied CRD(15,5); one kernel build each,
-    0.42 s on the lognormal CRD(12,6); best of three).
+    The slope formula is ``diff_means``'s closed form, so ``stat`` must carry
+    that form, ``DIFF_MEANS.affine``, whatever its name; any other statistic
+    is refused with :class:`InputError`.  Another statistic's widths would
+    need a call per observed assignment, which costs far more (same host: one
+    ``stat.affine`` call each, 0.85 s in all on the tied CRD(15,5); one
+    kernel build each, 0.42 s on the lognormal CRD(12,6); best of three).
     """
-    stat = stat or get_statistic("diff_means")
-    if stat.name != "diff_means":
-        raise NotImplementedError("the vectorized audit supports diff_means only")
+    if stat.affine is not DIFF_MEANS.affine:
+        raise InputError(f"the audit's widths need the diff_means closed form; {stat.name!r} lacks it")
     alphas = tuple(alphas)
     if not all(0 < alpha < 1 for alpha in alphas):
         raise InputError("alpha must lie in (0, 1)")

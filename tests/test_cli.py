@@ -15,7 +15,7 @@ import pytest
 import randinf
 from randinf import cli as cli_mod
 from randinf.cli import main, parse_design, read_experiment
-from randinf.datasets import data_path
+from randinf.datasets import data_path, studentized_nonmonotone_experiment, toy_experiment
 from randinf.design import CRD, RBD
 from randinf.inversion import BracketingError
 from randinf.simulate import _MAX_UNITS, ScenarioConfig, run_scenario
@@ -48,6 +48,19 @@ class TestParsing:
         data = read_experiment(TOY_CSV, CRD(10, 5))
         assert data.n_units == 10 and int(data.w_obs.sum()) == 5
         assert data.y_obs[3] == 5.00
+
+    @pytest.mark.parametrize("name, experiment", [
+        ("toy_experiment.csv", toy_experiment),
+        ("studentized_nonmonotone.csv", studentized_nonmonotone_experiment),
+    ])
+    def test_bundled_csv_equals_its_dataset(self, name, experiment):
+        # each bundled CSV is a second copy of a dataset in randinf.datasets
+        data, design = experiment()
+        read = read_experiment(data_path(name), design)
+        assert read.w_obs.dtype == data.w_obs.dtype
+        assert read.w_obs.tobytes() == data.w_obs.tobytes()
+        assert read.y_obs.dtype == data.y_obs.dtype
+        assert read.y_obs.tobytes() == data.y_obs.tobytes()
 
     def test_read_rejects_wrong_counts(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -488,6 +488,19 @@ class TestCombinedInterval:
         ci = combined_interval(pair, diff_means, fisher(), 0.05, mode=mc2)
         assert ci.mode == mc2
 
+    def test_statistic_labelled_as_modes_are(self, toy, diff_means, wilcoxon):
+        data, design = toy
+        mixed = combine_functions(
+            [build_step_functions(data, design, stat) for stat in (diff_means, wilcoxon)], fisher()
+        )
+        # a fusion of two statistics is labelled with both, in experiment order
+        names = ("diff_means", "wilcoxon_rank_sum")
+        assert len(mixed) == 4 and all(f.statistic == names for f in mixed.values())
+        assert _proposed_interval(mixed, 0.025, 0.025).statistic == names
+        same = combine_functions([build_step_functions(data, design, diff_means)] * 2, fisher())
+        assert all(f.statistic == "diff_means" for f in same.values())
+        assert _proposed_interval(same, 0.025, 0.025).statistic == "diff_means"
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_one_mode_per_experiment_required(self, toy, diff_means, count):
         # zip would drop the second experiment, or ignore a third mode

@@ -171,3 +171,25 @@ def test_the_library_raises_no_bare_value_or_key_error():
                 if isinstance(exc, ast.Name) and exc.id in ("ValueError", "KeyError"):
                     offenders.append(f"{path.name}:{node.lineno}: raise {exc.id}")
     assert offenders == []
+
+
+def _name_and_string(a, b):
+    """``a`` is a ``.name`` attribute and ``b`` a string literal."""
+    return (isinstance(a, ast.Attribute) and a.attr == "name"
+            and isinstance(b, ast.Constant) and isinstance(b.value, str))
+
+
+def test_the_library_compares_no_name_with_a_string():
+    # what a statistic or combiner supports is a capability it carries; a
+    # check on its name would admit a renamed copy of something else
+    offenders = []
+    for path in sorted(Path(randinf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                for op, left, right in zip(node.ops, operands, operands[1:]):
+                    if isinstance(op, (ast.Eq, ast.NotEq)) and (
+                        _name_and_string(left, right) or _name_and_string(right, left)
+                    ):
+                        offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

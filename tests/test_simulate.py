@@ -8,6 +8,7 @@ import pytest
 from randinf import (
     CRD,
     RBD,
+    InputError,
     ObservedData,
     ScenarioConfig,
     assignment_matrix,
@@ -196,7 +197,7 @@ class TestExactValidityAudit:
 
     def test_statistic_evaluated_once_per_assignment(self, diff_means):
         # one pass over the enumeration serves the profile, coverage and
-        # widths; a copy keeps the name diff_means, so the audit accepts it
+        # widths; the copy keeps diff_means's closed form, so the audit admits it
         rows = []
 
         def counting(y1, y0, W):
@@ -240,8 +241,21 @@ class TestExactValidityAudit:
             exact_validity_audit(PotentialTable(**outcomes), CRD(8, 4))
 
     def test_other_statistics_refused(self, wilcoxon, no_enumeration):
-        with pytest.raises(NotImplementedError, match="diff_means only"):
+        with pytest.raises(InputError, match="closed form"):
             exact_validity_audit(toy_population(), CRD(10, 5), stat=wilcoxon)
+
+    def test_statistic_refused_by_its_closed_form_not_its_name(self, wilcoxon, no_enumeration):
+        # the swap-formula widths of rank sums would be reported as exact
+        renamed = dataclasses.replace(wilcoxon, name="diff_means")
+        with pytest.raises(InputError, match="closed form"):
+            exact_validity_audit(tied_discrete_population(), CRD(15, 5), stat=renamed)
+
+    def test_statistic_admitted_by_its_closed_form_not_its_name(self, diff_means):
+        pop, design = tied_discrete_population(), CRD(15, 5)
+        copy = dataclasses.replace(diff_means, name="dm_copy")
+        assert audit_digest(exact_validity_audit(pop, design, stat=copy)) == audit_digest(
+            exact_validity_audit(pop, design)
+        )
 
     def test_population_size_must_match_design(self, no_enumeration):
         with pytest.raises(ValueError, match="9 units.* 8"):
