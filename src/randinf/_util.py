@@ -1,4 +1,4 @@
-"""Shared helpers: the input-error type, significant-digit rounding, integer check, seed folding, atoms of a sample."""
+"""Shared helpers: the input-error type, the largest array size, significant-digit rounding, integer check, seed folding, distinct values and atoms of a sample."""
 
 import numpy as np
 
@@ -10,6 +10,12 @@ class InputError(ValueError):
     failed computation; it is a ``ValueError``, so ``except ValueError``
     catches it too.  The CLI exits 2 on it.
     """
+
+
+# The most 8-byte entries (doubles, int64 or object references) that numpy can
+# size one array of; a longer array is refused by numpy with a message that
+# names no argument, a shorter one at worst fails to find memory
+MAX_ARRAY_ENTRIES = np.iinfo(np.intp).max // 8
 
 
 # Number of significant digits used everywhere tie classification or breakpoint
@@ -71,6 +77,19 @@ def fold_seed(seed) -> int:
     entropy = seed if isinstance(seed, (tuple, list)) else (int(seed),)
     state = np.random.SeedSequence([int(e) & ((1 << 64) - 1) for e in entropy]).generate_state(2, np.uint64)
     return int(state[0]) | (int(state[1]) << 64)
+
+
+def sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of the 1-d float array ``x``, which is sorted in place.
+
+    The array ``np.unique(x)`` returns, without the ``numpy.ma`` import that
+    ``np.unique`` makes on its first call with no index or count option.
+    """
+    x.sort()
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def atoms(x: np.ndarray):

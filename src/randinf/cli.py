@@ -1,9 +1,11 @@
 """Command-line interface: CSV ingestion, subcommands, JSON/CSV output.
 
 Exit codes: 0 success, 2 input or validation error (an ``InputError``, raised
-by the library where it checks a rule or here while parsing), 3 computation
-error (any other ``ValueError``, numpy's size refusals included, and a
-``RuntimeError``, ``OSError`` or ``MemoryError``), 4 method-precondition
+by the library where it checks a rule or here while parsing, a ``--k`` or
+``--grid-range`` COUNT past the largest array numpy can size included), 3
+computation error (any other ``ValueError``, and a ``RuntimeError``,
+``OSError`` or ``MemoryError``, so an array numpy can size but memory cannot
+hold), 4 method-precondition
 error (for example inverting a non-monotone statistic), 141 stdout closed by
 its reader (128 + SIGPIPE, as for ``randinf ... | head -1``; nothing is
 printed).  ``main`` maps exception types to these codes in one table,
@@ -25,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from ._util import SIG_DIGITS, InputError
+from ._util import MAX_ARRAY_ENTRIES, SIG_DIGITS, InputError
 from .combine import _CLI_NAMES, combine_functions, make_combiner
 from .datasets import toy_experiment
 from .design import CRD, DEFAULT_ENUMERATION_CAP, RBD, Design, _require_assignment, total_assignments
@@ -40,7 +42,7 @@ from .inversion import (
     build_step_functions,
 )
 from .mcplan import required_k, threshold_table
-from .randomization import ExactMode, MCMode, PValueKind, p_values
+from .randomization import ExactMode, MCMode, PValueKind, _p_value_grid, p_values
 from .simulate import ScenarioConfig, balanced_design, run_scenario
 from .statistics import ObservedData, get_statistic, observed_statistic
 
@@ -254,7 +256,8 @@ def cmd_pcurve(args):
         points = zip(f.breakpoints, np.atleast_1d(f.value(f.breakpoints)))
     else:
         header = ("theta", "p")
-        points = [(t, p_values(data, design, stat, t, mode)[kind]) for t in _parse_grid(args)]
+        grid = _parse_grid(args)
+        points = [(t, p[kind]) for t, p in zip(grid, _p_value_grid(data, design, stat, grid, mode))]
     rows = [dict(zip(header, map(_num, point))) for point in points]
     if args.json:
         _dump({**head, "points": rows, **_mode_dict(mode)}, True)
@@ -284,6 +287,9 @@ def _parse_grid(args):
             raise InputError(f"--grid-range needs LO,HI,COUNT with an integer COUNT >= 1, "
                              f"got {args.grid_range!r}")
         lo, hi, count = bounds
+        if count > MAX_ARRAY_ENTRIES:
+            raise InputError(f"--grid-range COUNT must be at most {MAX_ARRAY_ENTRIES}, the most "
+                             f"thetas numpy can size an array of, got {args.grid_range!r}")
         return np.linspace(lo, hi, int(count)).tolist()
     raise InputError("pcurve needs --grid, --grid-range, or --exact-breakpoints")
 
@@ -386,7 +392,7 @@ def cmd_toy(args):
     data, design = toy_experiment()
     stat = get_statistic("diff_means")
     thetas = [-3.0, -1.0, 0.0, 1.0, 3.0]
-    pvals = [p_values(data, design, stat, t)[PValueKind.LPLUS] for t in thetas]
+    pvals = [p[PValueKind.LPLUS] for p in _p_value_grid(data, design, stat, thetas)]
     fs = build_step_functions(data, design, stat)
     ci = _proposed_interval(fs, 0.025, 0.025)
     tr = _traditional_interval(fs[PValueKind.LPLUS], 0.05, theta_grid=thetas)

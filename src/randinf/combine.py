@@ -46,7 +46,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._util import InputError
+from ._util import InputError, sorted_distinct
 from .inversion import (
     ConfidenceInterval,
     _proposed_interval,
@@ -402,7 +402,7 @@ def combine_functions(fss: Sequence[dict], combiner: CombinerSpec) -> dict:
     if not fss:
         raise InputError("need at least one experiment")
     distinct = {id(f.breakpoints): f.breakpoints for fs in fss for f in fs.values()}
-    grid = np.unique(np.concatenate(list(distinct.values())))
+    grid = sorted_distinct(np.concatenate(list(distinct.values())))
     grid.flags.writeable = False
     return {side: CombinedPValueFunction(tuple(fs[rising] for fs in fss), combiner, side, grid,
                                          _label(fss, "statistic"), _label(fss, "mode"))

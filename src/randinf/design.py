@@ -54,7 +54,7 @@ from typing import Union
 
 import numpy as np
 
-from ._util import InputError, fold_seed, is_integer
+from ._util import MAX_ARRAY_ENTRIES, InputError, fold_seed, is_integer
 
 __all__ = [
     "CRD",
@@ -479,10 +479,14 @@ def sample_assignments(design: Design, k: int, seed) -> np.ndarray:
 
 
 def _require_draws(k, seed) -> None:
-    """Refuse, with ``InputError``, a draw count ``k`` that is not an integer >= 1
-    and a seed that is neither an integer nor a tuple of integers."""
+    """Refuse, with ``InputError``, a draw count ``k`` that is not an integer >= 1,
+    one past the draws numpy can size an index array of, and a seed that is
+    neither an integer nor a tuple of integers."""
     if not (is_integer(k) and k >= 1):
         raise InputError(f"Monte Carlo sample size k must be an integer >= 1, got {k!r}")
+    if k > MAX_ARRAY_ENTRIES:
+        raise InputError(f"Monte Carlo sample size k must be at most {MAX_ARRAY_ENTRIES}, the most "
+                         f"draws numpy can size an array of, got {k!r}")
     if not all(map(is_integer, seed if isinstance(seed, tuple) else (seed,))):
         raise InputError(f"Monte Carlo draws need an integer seed for reproducibility, got {seed!r}")
 

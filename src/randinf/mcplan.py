@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import InputError, is_integer
+from ._util import InputError, is_integer, sorted_distinct
 from .design import Design, total_assignments
 from .inversion import PValueStepFunction
 
@@ -93,6 +93,6 @@ def mc_sup_error(estimated: PValueStepFunction, exact: PValueStepFunction) -> fl
     """
     if estimated.side != exact.side:
         raise InputError("functions must share a side")
-    grid = np.unique(np.concatenate([estimated.breakpoints, exact.breakpoints]))
+    grid = sorted_distinct(np.concatenate([estimated.breakpoints, exact.breakpoints]))
     starts = np.concatenate(([-np.inf], grid))
     return float(np.max(np.abs(estimated.value_from_right(starts) - exact.value_from_right(starts))))

@@ -18,23 +18,26 @@ stochastically smaller; the gap between the two CDFs is bounded by the largest
 atom ``gamma_star`` of the randomization distribution.
 
 Exact mode enumerates every assignment; Monte Carlo mode aggregates over
-``k`` seeded draws with replacement, weight ``1/k`` each.  Both store integer
-counts, so probabilities are exact ratios.  Repeated statistic values are
-merged after rounding to 12 significant digits, which makes tie classification
-deterministic across platforms.
+``k`` seeded draws with replacement, weight ``1/k`` each.  Both count
+replicates in integers, so probabilities are exact ratios.  Statistic values
+are compared after rounding to 12 significant digits, which makes tie
+classification deterministic across platforms.
 
 The assignment rows of a mode are never held as one matrix: a replicate source
 writes them in ``int8`` blocks of at most ``_ROW_BLOCK`` rows, and every
-consumer (here and in :mod:`randinf.inversion`) works block by block, keeping
-only per-row results of 8 bytes a row.  Within a block the float work runs
-on tiles of 2^15 entries or 8 rows (:mod:`randinf.statistics`), so no float
+consumer (here and in :mod:`randinf.inversion`) works block by block.  The
+p-values, at one theta or a grid of them, keep only two tail counts per theta
+(the replicates at or above and above the observed value), so nothing spans
+the rows; a distribution or dominance profile keeps each row's rounded value,
+8 bytes a row, to sort into atoms.  Within a block the float work runs on
+tiles of 2^15 entries or 8 rows (:mod:`randinf.statistics`), so no float
 copy of a whole block is made.  Rows and their order are those of
 ``assignment_matrix`` (exact) or ``sample_assignments`` (Monte Carlo).
 """
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -49,7 +52,14 @@ from .design import (
     _require_draws,
     _sample_indices,
 )
-from .statistics import ObservedData, StatisticSpec, evaluate_many, impute, observed_statistic
+from .statistics import (
+    ObservedData,
+    StatisticSpec,
+    _require_finite_theta,
+    evaluate_many,
+    impute,
+    observed_statistic,
+)
 
 __all__ = [
     "ExactMode",
@@ -195,6 +205,57 @@ def randomization_distribution(
     return RandomizationDistribution(values=values, counts=counts, denom=source.size, mode=mode)
 
 
+def _tail_counts(r: np.ndarray, t: float) -> tuple:
+    """The counts of ``r`` at or above ``t`` and above ``t``, in numpy's sort order.
+
+    That order puts NaN above every number and NaN equal to NaN, as the
+    sorted atoms of :func:`randomization_distribution` hold them, so these
+    are the tails that ``searchsorted`` reads off those atoms.
+    """
+    if np.isnan(t):
+        return int(np.count_nonzero(np.isnan(r))), 0
+    return r.size - int(np.count_nonzero(r < t)), r.size - int(np.count_nonzero(r <= t))
+
+
+def _p_value_grid(
+    data: ObservedData,
+    design: Design,
+    stat: StatisticSpec,
+    thetas: Sequence[float],
+    mode: Mode = ExactMode(),
+) -> list:
+    """The five p-values of :func:`p_values` at each of ``thetas``, in one pass over the rows.
+
+    Refuses what :func:`randomization_distribution` refuses, every theta
+    before any row is built.  The replicate source is built (Monte Carlo
+    rows drawn) once; each block of it is read at every theta, and only the
+    two tail counts of each theta span the rows.
+    """
+    _require_assignment(design, data.w_obs)
+    for theta in thetas:
+        _require_finite_theta(theta)
+    source = _replicate_source(design, mode)
+    t = round_sig(observed_statistic(stat, data))
+    tails = [[0, 0] for _ in thetas]  # the counts of replicates >= and > t, by theta
+    for W in source.blocks():
+        for theta, counts in zip(thetas, tails):
+            ge, gt = _tail_counts(round_sig(evaluate_many(stat, impute(data, theta), W)), t)
+            counts[0] += ge
+            counts[1] += gt
+    d = source.size
+    out = []
+    for ge, gt in tails:
+        p = {
+            PValueKind.LPLUS: ge / d,
+            PValueKind.UPLUS: gt / d,
+            PValueKind.LMINUS: (d - gt) / d,
+            PValueKind.UMINUS: (d - ge) / d,
+        }
+        p[PValueKind.TWO_SIDED_L] = min(1.0, 2.0 * min(p[PValueKind.LPLUS], p[PValueKind.LMINUS]))
+        out.append(p)
+    return out
+
+
 def p_values(
     data: ObservedData,
     design: Design,
@@ -202,22 +263,13 @@ def p_values(
     theta: float,
     mode: Mode = ExactMode(),
 ) -> dict:
-    """All five p-values at ``theta``, computed from one shared distribution."""
-    dist = randomization_distribution(data, design, stat, theta, mode)
-    t, d = round_sig(observed_statistic(stat, data)), dist.denom
-    # counts of replicates >= and > the rounded observed value
-    ge = int(dist.counts[np.searchsorted(dist.values, t, side="left"):].sum())
-    gt = int(dist.counts[np.searchsorted(dist.values, t, side="right"):].sum())
-    out = {
-        PValueKind.LPLUS: ge / d,
-        PValueKind.UPLUS: gt / d,
-        PValueKind.LMINUS: (d - gt) / d,
-        PValueKind.UMINUS: (d - ge) / d,
-    }
-    out[PValueKind.TWO_SIDED_L] = min(
-        1.0, 2.0 * min(out[PValueKind.LPLUS], out[PValueKind.LMINUS])
-    )
-    return out
+    """All five p-values at ``theta``, from the two tail counts of one pass over the rows.
+
+    The counts of replicates at or above and above the observed statistic,
+    both rounded to 12 significant digits, are those of
+    :func:`randomization_distribution` at ``theta``; no distribution is built.
+    """
+    return _p_value_grid(data, design, stat, (theta,), mode)[0]
 
 
 def p_value(

@@ -122,6 +122,12 @@ class PotentialTable:
         return ObservedData(w_obs=w.astype(np.int8), y_obs=y_obs)
 
 
+def _require_finite_theta(theta) -> None:
+    """Refuse, with ``InputError``, a hypothesized effect that is not finite."""
+    if not np.isfinite(theta):
+        raise InputError("theta must be finite")
+
+
 def impute(data: ObservedData, theta: float) -> PotentialTable:
     """Fill in the missing potential outcomes under a constant effect ``theta``.
 
@@ -130,8 +136,7 @@ def impute(data: ObservedData, theta: float) -> PotentialTable:
     The returned table satisfies ``y1 - y0 == theta`` exactly and agrees with
     the observed data on the observed arm.
     """
-    if not np.isfinite(theta):
-        raise InputError("theta must be finite")
+    _require_finite_theta(theta)
     w = data.w_obs
     y = data.y_obs
     y1 = np.where(w == 1, y, y + theta)

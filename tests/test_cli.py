@@ -292,16 +292,17 @@ class TestExitCodes:
         code, out, err = run_cli(argv, capsys)
         assert code == 3 and out == "" and err.startswith("error: Unable to allocate")
 
-    @pytest.mark.parametrize("argv", [
-        ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--mode", "mc", "--k", str(10 ** 20),
-         "--seed", "1"],
-        ["pcurve", TOY_CSV, "--design", "crd:10,5", "--grid-range", "0,1,1e20"],
-    ])
-    def test_numpy_size_refusal_is_3(self, capsys, argv):
-        # numpy refuses the array's size with a ValueError of its own: a
-        # computation too large to allocate, not an input error
+    @pytest.mark.parametrize("argv, named", [
+        (["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--mode", "mc", "--k", str(10 ** 20),
+          "--seed", "1"], "Monte Carlo sample size k must be at most 1152921504606846975"),
+        (["pcurve", TOY_CSV, "--design", "crd:10,5", "--grid-range", "0,1,1e20"],
+         "--grid-range COUNT must be at most 1152921504606846975"),
+    ], ids=["k", "grid_range"])
+    def test_size_numpy_cannot_express_is_2_and_names_its_argument(self, capsys, argv, named):
+        # 1e20 entries are past the largest array numpy can size, whose own
+        # refusal names no argument; the rule's owner refuses the argument
         code, out, err = run_cli(argv, capsys)
-        assert code == 3 and out == "" and err.startswith("error: Maximum allowed")
+        assert code == 2 and out == "" and err.startswith(f"error: {named}")
 
     def test_bracketing_failure_is_3(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -851,6 +852,41 @@ def test_fresh_process_imports_scipy_special_for_stouffer(tmp_path):
     out, loaded = _probe_scipy(argv)
     assert "scipy.special" in loaded
     assert _golden_digest(out, files) == GOLDEN_CLI_SHA256["combine_mc_dm_stouffer"]
+
+
+@pytest.mark.parametrize("name", ["combine_fisher", "combine_weighted_fisher", "simulate_default"])
+def test_fresh_process_leaves_numpy_ma_unimported(name, tmp_path):
+    # np.unique without an index or count option imports numpy.ma on its first
+    # call; the union grids of combine and simulate take their distinct
+    # values from a sort instead
+    script = (
+        "import sys, randinf.cli\n"
+        "code = randinf.cli.main(sys.argv[1:])\n"
+        "sys.stderr.write(repr('numpy.ma' in sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    argv = _fill_argv(_REQUESTS[name], tmp_path)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout and proc.stderr == b"False"
+
+
+def test_mc_grid_draws_its_rows_once(capsys, monkeypatch):
+    # a 21-point Monte Carlo p-curve draws its k indices once, not once per
+    # theta, and prints what one draw per theta printed
+    import randinf.randomization as rz
+
+    data, design = toy_experiment()
+    stat, mode = randinf.get_statistic("diff_means"), randinf.MCMode(500, 6)
+    want = [rz.p_values(data, design, stat, theta, mode)[rz.PValueKind.LPLUS]
+            for theta in np.linspace(-3, 3, 21)]
+    draws, sample_indices = [], rz._sample_indices
+    monkeypatch.setattr(rz, "_sample_indices", lambda *args: draws.append(args) or sample_indices(*args))
+    code, out, err = run_cli(["pcurve", TOY_CSV, "--design", "crd:10,5", "--mode", "mc", "--k", "500",
+                              "--seed", "6", "--grid-range=-3,3,21", "--json"], capsys)
+    assert code == 0, err
+    assert len(draws) == 1
+    assert [point["p"] for point in json.loads(out)["points"]] == [cli_mod._num(p) for p in want]
 
 
 def test_cli_bytes_match_a_fresh_process_in_either_order(capsys, tmp_path):

@@ -102,6 +102,15 @@ def test_draws_refuse_non_integer_counts_and_seeds(k, seed):
             draws()
 
 
+def test_draws_refuse_a_count_numpy_cannot_size():
+    # k 8-byte indices past numpy's largest array size: refused by the rule's
+    # owner, naming k, before any array is asked for
+    for draws in (lambda k: MCMode(k=k, seed=0), lambda k: sample_assignments(CRD(10, 5), k, 0)):
+        with pytest.raises(InputError, match="sample size k must be at most 1152921504606846975"):
+            draws(np.iinfo(np.intp).max // 8 + 1)
+    assert MCMode(k=np.iinfo(np.intp).max // 8, seed=0).k == 1152921504606846975
+
+
 def test_mc_mode_accepts_integer_and_tuple_seeds():
     assert MCMode(k=np.int64(10), seed=np.uint64(3)).k == 10
     assert MCMode(k=10, seed=(1, -2, np.int64(3))).seed == (1, -2, 3)
@@ -170,6 +179,22 @@ def test_the_library_raises_no_bare_value_or_key_error():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if isinstance(exc, ast.Name) and exc.id in ("ValueError", "KeyError"):
                     offenders.append(f"{path.name}:{node.lineno}: raise {exc.id}")
+    assert offenders == []
+
+
+def test_the_library_calls_no_plain_np_unique():
+    # np.unique with none of return_index, return_inverse or return_counts
+    # imports numpy.ma on its first call (16 ms in a fresh process); sorted
+    # distinct values come from _util.sorted_distinct instead
+    options = {"return_index", "return_inverse", "return_counts"}
+    offenders = []
+    for path in sorted(Path(randinf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "unique" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "np"
+                    and not options & {keyword.arg for keyword in node.keywords}):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 
 

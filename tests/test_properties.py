@@ -2,11 +2,14 @@
 p-values, crossings that depend on their row alone, the endpoint search against
 a scan, the interval-level reads of inversion (weighted and custom combiners
 too), the union-grid reads of combined functions against their components'
-values, and sup-norm error against point evaluation, outputs that do not
-depend on the replicate block size, enumerated and sampled row ranges against
+values, sup-norm error against point evaluation, p-values from one counting
+pass against the tail sums of the distribution's atoms and a grid of them
+against one call per theta, outputs that do not depend on the replicate
+block size, enumerated and sampled row ranges against
 the per-block unranker, sampled indices against a scalar replay of their
 Philox streams, prefix-stable draws, ``round_sig`` against references that
-round by boolean gathers and by ``np.power`` on every element, the paper's
+round by boolean gathers and by ``np.power`` on every element, the union
+grids' distinct values against ``np.unique``, the paper's
 exact guarantees on small tied populations, where the exact audit equals the
 per-assignment public intervals, the audit against itself with one breakpoint
 row per observed assignment, and the audit's widths against chunks of float
@@ -39,6 +42,7 @@ from randinf import (
     make_combiner,
     mc_sup_error,
     p_value,
+    p_values,
     randomization_distribution,
     sample_assignments,
     total_assignments,
@@ -54,12 +58,12 @@ from randinf.design import (
     _sample_indices,
     _unrank_block_vectorized,
 )
-from randinf._util import SIG_DIGITS, round_sig
+from randinf._util import SIG_DIGITS, round_sig, sorted_distinct
 from randinf.combine import _combine_matrix
 from randinf.datasets import PotentialTable
 from randinf.inversion import _bisect_crossings, _cut, _proposed_interval, _traditional_interval
-from randinf.randomization import _replicate_source
-from randinf.statistics import _wilcoxon_rows, observed_statistic
+from randinf.randomization import _p_value_grid, _replicate_source
+from randinf.statistics import StatisticError, _wilcoxon_rows, observed_statistic
 from conftest import (
     assert_interval_matches_p_values,
     audit_digest,
@@ -301,6 +305,87 @@ def test_row_block_size_does_not_change_outputs(experiment, stat, block, u):
         blocked = outputs()
     for a, b in zip(one_block, blocked, strict=True):
         assert np.array_equal(a, b)
+
+
+STUDENTIZED = get_statistic("studentized")
+# diff_means with NaN on every row that treats unit 0, the observed row too
+# when it does: NaN sorts above every number, so it joins the upper tails
+NAN_ROWS = dataclasses.replace(
+    DIFF_MEANS_BISECTED, name="nan_rows", ei_certified=False,
+    rows=lambda y1, y0, W: np.where(W[:, 0] == 1, np.nan, DIFF_MEANS.rows(y1, y0, W)),
+)
+
+
+@st.composite
+def tied_or_lognormal_experiments(draw):
+    """(data, design, mode): a CRD or an RBD with at least two units in each arm,
+    outcomes that are small tied integers or lognormal, exact or Monte Carlo."""
+    if draw(st.booleans()):
+        n = draw(st.integers(4, 10))
+        design = CRD(n, draw(st.integers(2, n - 2)))
+    else:
+        sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+        design = RBD(tuple((size, draw(st.integers(1, size - 1))) for size in sizes))
+    n = design.n_units
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.integers(0, 3, n).astype(float) if draw(st.booleans()) else rng.lognormal(size=n)
+    w = np.concatenate([rng.permutation(np.repeat([1, 0], (t, size - t))) for size, t in design.blocks])
+    k, seed = draw(st.integers(1, 400)), draw(st.integers(0, 2**32))
+    return ObservedData(w.astype(np.int8), y), design, draw(st.sampled_from([ExactMode(), MCMode(k, seed)]))
+
+
+def p_values_from_distribution(data, design, stat, theta, mode):
+    """The five p-values read off the atoms of ``randomization_distribution``
+    at ``theta``: the replicate counts at or above and above the rounded
+    observed value, as ``searchsorted`` tail sums."""
+    dist = randomization_distribution(data, design, stat, theta, mode)
+    t, d = round_sig(observed_statistic(stat, data)), dist.denom
+    ge = int(dist.counts[np.searchsorted(dist.values, t, side="left"):].sum())
+    gt = int(dist.counts[np.searchsorted(dist.values, t, side="right"):].sum())
+    out = {PValueKind.LPLUS: ge / d, PValueKind.UPLUS: gt / d,
+           PValueKind.LMINUS: (d - gt) / d, PValueKind.UMINUS: (d - ge) / d}
+    out[PValueKind.TWO_SIDED_L] = min(1.0, 2.0 * min(out[PValueKind.LPLUS], out[PValueKind.LMINUS]))
+    return out
+
+
+def _bits(p):
+    """A p-value dict as the bytes of its values, kind by kind."""
+    return {kind: np.float64(value).tobytes() for kind, value in p.items()}
+
+
+@PROPERTY_SETTINGS
+@given(tied_or_lognormal_experiments(), st.sampled_from([DIFF_MEANS, WILCOXON, STUDENTIZED, NAN_ROWS]),
+       st.floats(-1.0, 1.0), st.sampled_from([randomization_mod._ROW_BLOCK, 8]))
+def test_p_values_equal_tail_sums_of_the_distribution(experiment, stat, u, block):
+    # the tail counts of one pass are the atoms' searchsorted tail sums, for
+    # all five kinds, whether the rows come in one block or in blocks of 8; a
+    # statistic the rows refuse (studentized with both variances zero) is
+    # refused by both
+    data, design, mode = experiment
+    theta = u * 2 * outcome_scale(data)
+    with mock.patch.object(randomization_mod, "_ROW_BLOCK", block):
+        try:
+            want = p_values_from_distribution(data, design, stat, theta, mode)
+        except StatisticError as exc:
+            with pytest.raises(type(exc)):
+                p_values(data, design, stat, theta, mode)
+            return
+        got = p_values(data, design, stat, theta, mode)
+    assert list(got) == list(PValueKind)
+    assert _bits(got) == _bits(want)
+
+
+@PROPERTY_SETTINGS
+@given(tied_or_lognormal_experiments(), st.sampled_from([DIFF_MEANS, WILCOXON, NAN_ROWS]),
+       st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+       st.sampled_from([randomization_mod._ROW_BLOCK, 8]))
+def test_p_value_grid_equals_p_values_at_each_theta(experiment, stat, us, block):
+    data, design, mode = experiment
+    thetas = [u * 2 * outcome_scale(data) for u in us]
+    with mock.patch.object(randomization_mod, "_ROW_BLOCK", block):
+        grid = _p_value_grid(data, design, stat, thetas, mode)
+        one_by_one = [p_values(data, design, stat, theta, mode) for theta in thetas]
+    assert [_bits(p) for p in grid] == [_bits(p) for p in one_by_one]
 
 
 def _treated(draw, k):
@@ -557,6 +642,16 @@ def test_round_sig_equals_gathers(values):
     x = np.array(values, dtype=float)
     assert round_sig(x).tobytes() == round_sig_by_gathers(x).tobytes()
     assert round_sig(x.reshape(-1, 1)).shape == x.reshape(-1, 1).shape
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf]) | st.floats(allow_nan=False),
+                max_size=40))
+def test_sorted_distinct_equals_np_unique(values):
+    # the union grids' distinct values, byte for byte, signed zeros and
+    # infinities included
+    x = np.array(values, dtype=float)
+    assert sorted_distinct(x.copy()).tobytes() == np.unique(x).tobytes()
 
 
 def round_sig_by_power(x):

@@ -199,6 +199,7 @@ class TestDominanceProfile:
       for call in ("build_step_functions", "randomization_distribution") for block in (None, 1 << 12)),
     pytest.param("build_step_functions", 1 << 12, 20, id="build_step_functions-4096-one_vector"),
     pytest.param("generic_bisection", None, 40, id="build_step_functions-generic_bisection"),
+    *(pytest.param("p_values", block, 0, id=f"p_values-{block}") for block in (None, 1 << 12)),
 ])
 def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block, per_row):
     # CRD(20,10) has 184,756 rows; as one float matrix they alone would take
@@ -214,7 +215,8 @@ def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block, pe
     # eight float tiles (6.1 MB), which a second rounded vector would exceed.
     # The generic_bisection case builds diff_means without its closed form:
     # the bisection reads the block in float tiles too, and its per-row
-    # brackets, thetas and values are a few block-sized vectors.
+    # brackets, thetas and values are a few block-sized vectors.  The
+    # p-values keep two tail counts and nothing a row: no per-row term.
     import randinf.randomization as rz
     import randinf.statistics as st
 
@@ -226,6 +228,7 @@ def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block, pe
         "build_step_functions": lambda: build_step_functions(data, design, diff_means),
         "generic_bisection": lambda: build_step_functions(data, design, dataclasses.replace(diff_means, affine=None)),
         "randomization_distribution": lambda: randomization_distribution(data, design, diff_means, 0.5),
+        "p_values": lambda: p_values(data, design, diff_means, 0.5),
     }
     # lazily built tables and caches are not what is measured; the closed
     # form builds the same ones as the slower generic bisection
