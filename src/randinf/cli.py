@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 from functools import lru_cache
@@ -424,6 +425,13 @@ def cmd_toy(args):
     print(f"traditional interval on the theta grid: [{_num(tr.lower)}, {_num(tr.upper)})")
 
 
+# argparse reads an argument that starts with "-" as an option unless it
+# matches the parser's negative-number pattern, one number by default; the
+# grid flags take comma-separated lists, so their parsers accept such lists
+_NUMBER = r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+_NEGATIVE_NUMBER_LIST = re.compile(rf"^(?=-){_NUMBER}(,{_NUMBER})*$")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="randinf",
@@ -446,6 +454,7 @@ def build_parser():
     p.add_argument("--grid", default=None, help="comma-separated theta values")
     p.add_argument("--grid-range", default=None, help="LO,HI,COUNT")
     p.add_argument("--exact-breakpoints", action="store_true")
+    p._negative_number_matcher = _NEGATIVE_NUMBER_LIST
     _add_common(p)
 
     p = sub.add_parser("invert", help="guaranteed-coverage interval for the constant effect")
@@ -458,6 +467,7 @@ def build_parser():
                    help="also report the two-crossing interval (no coverage guarantee)")
     p.add_argument("--grid", default=None,
                    help="theta grid for the traditional comparison interval")
+    p._negative_number_matcher = _NEGATIVE_NUMBER_LIST
     _add_common(p)
 
     p = sub.add_parser("combine", help="fuse experiments into one combined interval")

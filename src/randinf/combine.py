@@ -399,11 +399,21 @@ def combine_functions(fss: Sequence[dict], combiner: CombinerSpec) -> dict:
     LMINUS is one minus combined UPLUS and UMINUS one minus combined LPLUS.
     All four share one grid, the union of the distinct breakpoint arrays.
     """
+    return _combined_sides(fss, combiner, _union_grid(fss))
+
+
+def _union_grid(fss: Sequence[dict]) -> np.ndarray:
+    """The read-only union of the distinct breakpoint arrays of every side of ``fss``."""
     if not fss:
         raise InputError("need at least one experiment")
     distinct = {id(f.breakpoints): f.breakpoints for fs in fss for f in fs.values()}
     grid = sorted_distinct(np.concatenate(list(distinct.values())))
     grid.flags.writeable = False
+    return grid
+
+
+def _combined_sides(fss: Sequence[dict], combiner: CombinerSpec, grid: np.ndarray) -> dict:
+    """:func:`combine_functions` on ``grid``, the :func:`_union_grid` of ``fss``."""
     return {side: CombinedPValueFunction(tuple(fs[rising] for fs in fss), combiner, side, grid,
                                          _label(fss, "statistic"), _label(fss, "mode"))
             for side, rising in _RISING.items()}

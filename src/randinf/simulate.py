@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import InputError, atoms, is_integer, round_sig
-from .combine import combine_functions, make_combiner
+from .combine import _combined_sides, _union_grid, make_combiner
 from .design import CRD, RBD, Design, assignment_matrix, sample_assignments, total_assignments
 from .inversion import (
     PValueStepFunction,
@@ -226,8 +226,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             name = f"exp{e}"
             covered[name][rep] = ci.contains(config.true_theta)
             widths[name][rep] = ci.width
+        grid = _union_grid(fss)  # shared by every combiner of the rep
         for comb_name in config.combiners:
-            ci = _proposed_interval(combine_functions(fss, make_combiner(comb_name)), half, half)
+            ci = _proposed_interval(_combined_sides(fss, make_combiner(comb_name), grid), half, half)
             covered[comb_name][rep] = ci.contains(config.true_theta)
             widths[comb_name][rep] = ci.width
 

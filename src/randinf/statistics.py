@@ -29,8 +29,11 @@ Three statistics ship with the registry:
     read from treated/control pair counts (:func:`_wilcoxon_rows`).  EI.  Its
     exact per-assignment switch points in ``theta`` come from the pairwise
     differences of treated and control outcomes (the structure behind the
-    Hodges-Lehmann estimator), read from one table of pair values per call,
-    see :func:`_wilcoxon_switch_points`.
+    Hodges-Lehmann estimator).  Each call ranks one table of pair values
+    once, and each row sorts the 16- or 32-bit ranks of its pairs, not their
+    doubles; the sorted table and its ranks take 10 or 12 bytes per pair of
+    units, at most 36 KB at n = 60 and 48 MB at n = 2,000, see
+    :func:`_wilcoxon_switch_points`.
 
 All statistics here are oriented so that large values indicate effects above
 the hypothesized ``theta``.
@@ -310,6 +313,17 @@ def _wilcoxon_rows(y1, y0, W):
     return out
 
 
+def _pair_table(y: np.ndarray, w_obs: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """The flat pair-table rows of ``units``: ``(y_j - y_i) / c`` for each ``i``
+    in ``units`` and every ``j``, ``+inf`` where ``c = 0`` and ``+0.0`` for
+    every zero, see :func:`_wilcoxon_switch_points`."""
+    Q = y[None, :] - y[units, None]  # y_j - y_i: the pairs with c = 1 as they stand
+    Q[np.ix_(w_obs[units] == 0, w_obs == 1)] /= 2  # c = 2
+    Q[np.ix_(w_obs[units] == 1, w_obs == 0)] = np.inf  # c = 0
+    Q += 0.0  # -0.0 becomes +0.0, so tied zeros are one double
+    return Q.ravel()
+
+
 def _wilcoxon_switch_points(data: ObservedData, W: np.ndarray, m) -> np.ndarray:
     """Exact switch points of ``1{T(theta, w) >= m}`` for the rank sum.
 
@@ -321,17 +335,31 @@ def _wilcoxon_switch_points(data: ObservedData, W: np.ndarray, m) -> np.ndarray:
     when theta exceeds the ``ceil(m - base)``-th smallest ``q`` of the row.
 
     Neither ``q`` nor a fixed pair's win depends on the row, only on the
-    pair and ``w_obs``.  So each call builds one pair table ``Q`` (``+inf``
-    where ``c = 0``) with a row for each unit ``i`` that some row of ``W``
-    treats, the ``i`` of every pair read, and each row's ``q`` are gathered
-    from it by flat index.  It takes 8·|U|·n bytes for |U| such units, at
-    most 8·n² (29 KB at n = 60; at n = 2,000, 6.4 MB for 200 rows treating
-    two units each, 32 MB once every unit is treated somewhere).
+    pair and ``w_obs``.  So each call builds one pair table (``+inf`` where
+    ``c = 0``, ``+0.0`` for every zero; :func:`_pair_table`) with a row for
+    each unit ``i`` that some row of ``W`` treats, the ``i`` of every pair
+    read, and ranks it once: ``values`` is the table sorted and ``rank`` gives
+    each entry the position of its first copy in ``values``, as ``int16``
+    when the table has at most 32,767 entries (every table of n <= 181
+    units) and ``int32`` above.  A row gathers its ranks by flat index and
+    sorts those 2- or 4-byte integers instead of 8-byte doubles; ranks keep
+    the order of the ``q`` and tie where they tie, so ``values`` at the
+    row's ``need``-th smallest rank is its ``need``-th smallest ``q``.  The
+    ranks are found by binary search in ``values``, the keys of
+    ``_PAIR_CHUNK`` pairs sorted at a time, so that no second table-sized
+    array of doubles or positions is ever alive: for |U| treated units the
+    table has |U|·n entries, at most n², and the call holds 10 (``int16``)
+    or 12 (``int32``) bytes an entry, plus about 40 bytes a key of one
+    search block (2.6 MB at most).  That is 36 KB at n = 60 and, once every
+    unit is treated somewhere, 48 MB at n = 2,000.  Ranking costs a sort
+    and a search per table entry, which pays for itself only where the rows
+    read many more pairs than the table holds, as thousands of rows at
+    small n do and a few rows at large n do not.
     The fixed pairs are the observed-treated ``i`` and observed-control
     ``j`` that the row keeps in place; their wins
     ``B = [y_j < y_i] + 1/2 [y_j = y_i]`` (at most n1_obs·n0_obs doubles)
     give a chunk's ``base`` in one matrix product, exact because every
-    partial sum is a small half-integer.  Each row's ``q`` are sorted once
+    partial sum is a small half-integer.  Each row's ranks are sorted once
     for every threshold in ``m``.
     """
     y = data.y_obs
@@ -344,20 +372,24 @@ def _wilcoxon_switch_points(data: ObservedData, W: np.ndarray, m) -> np.ndarray:
     start[units] = np.arange(units.size) * n
     B = y[None, control] - y[treated, None]  # the pairs with c = 0
     B = (B < 0) + 0.5 * (B == 0)
-    Q = y[None, :] - y[units, None]  # y_j - y_i: the pairs with c = 1 as they stand
-    Q[np.ix_(w_obs[units] == 0, w_obs == 1)] /= 2  # c = 2
-    Q[np.ix_(w_obs[units] == 1, w_obs == 0)] = np.inf  # c = 0
-    Q = Q.ravel()
+    values = _pair_table(y, w_obs, units)
+    values.sort()
+    rank = np.empty(values.size, np.int16 if values.size <= np.iinfo(np.int16).max else np.int32)
+    step = max(1, _PAIR_CHUNK // n)  # units whose table rows are ranked at once
+    for first in range(0, units.size, step):
+        keys = _pair_table(y, w_obs, units[first:first + step])
+        order = np.argsort(keys)  # each ascending key's search starts at the last one's answer
+        rank[first * n:first * n + keys.size][order] = np.searchsorted(values, keys[order])
     out = np.empty((m.size, W.shape[0]))
     for rows, ti, ci in _pair_chunks(W):
         r, n1 = ti.shape
         pairs = n1 * ci.shape[1]
-        q = Q[start[ti][:, :, None] + ci[:, None, :]].reshape(r, pairs)
+        q = rank[start[ti][:, :, None] + ci[:, None, :]].reshape(r, pairs)
         q.sort(axis=1)
         Wr = W[rows]
         base = n1 * (n1 + 1) / 2 + np.einsum("ij,ij->i", Wr[:, treated], (1 - Wr[:, control]) @ B.T)
         need = np.ceil(m.reshape(-1, 1) - base).astype(np.int64)  # pairs that must be on
-        pick = q[np.arange(r), np.clip(need - 1, 0, pairs - 1)]
+        pick = values[q[np.arange(r), np.clip(need - 1, 0, pairs - 1)]]
         out[:, rows] = np.where(need <= 0, -np.inf, np.where(need > pairs, np.inf, pick))
     return out.reshape(m.shape + (W.shape[0],))
 

@@ -637,6 +637,34 @@ class TestDeterminismAndSerialization:
         assert len(rows) == 9
         assert all(0 <= float(r["p"]) <= 1 for r in rows)
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["pcurve", TOY_CSV, "--design", "crd:10,5"], "--grid-range", "-2,3,3"),
+        (["pcurve", TOY_CSV, "--design", "crd:10,5"], "--grid", "-1,0.5"),
+        (["pcurve", TOY_CSV, "--design", "crd:10,5", "--json"], "--grid", "-1e-1,.5,-.25"),
+        (["invert", TOY_CSV, "--design", "crd:10,5", "--traditional"], "--grid", "-3,-1,0,1,3"),
+    ])
+    def test_negative_grid_lists_read_with_or_without_equals(self, argv, flag, value, capsys):
+        assert main([*argv, f"{flag}={value}"]) == 0
+        joined = capsys.readouterr().out
+        assert main([*argv, flag, value]) == 0
+        assert capsys.readouterr().out.encode() == joined.encode()
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["pcurve", TOY_CSV, "--design", "crd:10,5"], "--grid", "-1,abc"),
+        (["pcurve", TOY_CSV, "--design", "crd:10,5"], "--grid-range", "-2,3,2.5"),
+        (["pcurve", TOY_CSV, "--design", "crd:10,5"], "--grid-range", "-2,3"),
+        (["invert", TOY_CSV, "--design", "crd:10,5", "--traditional"], "--grid", "-1,,2"),
+    ])
+    def test_malformed_negative_grid_lists_exit_2_naming_the_flag(self, argv, flag, value, capsys):
+        # a list the pattern reads as a value fails the flag's own parse; any
+        # other is left an option by argparse, which then misses the value
+        try:
+            code = main([*argv, flag, value])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
 
 def _write_experiment(path, design, pop_seed, w_seed):
     """Write a seeded lognormal experiment under ``design`` as a CLI CSV."""

@@ -1,5 +1,7 @@
-"""Property tests: exact switch points against the generic bisection and direct
-p-values, crossings that depend on their row alone, the endpoint search against
+"""Property tests: exact switch points against the generic bisection, direct
+p-values and every row's own pairs (at both rank widths, on signed zeros and
+within the rank table's memory bound), crossings that depend on their row
+alone, the endpoint search against
 a scan, the interval-level reads of inversion (weighted and custom combiners
 too), the union-grid reads of combined functions against their components'
 values, sup-norm error against point evaluation, p-values from one counting
@@ -16,6 +18,7 @@ row per observed assignment, and the audit's widths against chunks of float
 overlaps, past one 64-bit word and past 255 treated units too."""
 
 import dataclasses
+import tracemalloc
 from math import comb, isqrt
 from unittest import mock
 
@@ -65,6 +68,7 @@ from randinf.inversion import _bisect_crossings, _cut, _proposed_interval, _trad
 from randinf.randomization import _p_value_grid, _replicate_source
 from randinf.statistics import StatisticError, _wilcoxon_rows, observed_statistic
 from conftest import (
+    assert_crossings_match_bisection,
     assert_interval_matches_p_values,
     audit_digest,
     crossing_vectors,
@@ -480,6 +484,76 @@ def test_switch_points_equal_per_row_pairs(design, kind, k, seed, picks):
     assert statistics_mod._wilcoxon_switch_points(data, W, m).tobytes() == want.tobytes()
     with mock.patch.object(statistics_mod, "_PAIR_CHUNK", 1):
         assert statistics_mod._wilcoxon_switch_points(data, W, m).tobytes() == want.tobytes()
+
+
+def _pair_table_entries(W):
+    """Entries of the pair table a switch-point call on ``W`` ranks: n per treated unit."""
+    return int((W > 0.5).any(axis=0).sum()) * W.shape[1]
+
+
+@pytest.mark.parametrize("n, k, int16", [(180, 4, True), (200, 4, False), (400, 1, False), (12, 1, True)])
+def test_switch_point_ranks_equal_per_row_pairs_at_both_widths(n, k, int16):
+    # ranks are int16 up to 32,767 table entries and int32 above; either
+    # picks the double the row's own sorted pairs give, one-row blocks and
+    # one-row chunks included
+    design = CRD(n, n // 2)
+    rng = np.random.default_rng(n + k)
+    data = ObservedData(sample_assignments(design, 1, seed=3)[0], rng.integers(-20, 21, size=n) / 4)
+    W = sample_assignments(design, k, seed=4)
+    assert (_pair_table_entries(W) <= np.iinfo(np.int16).max) == int16
+    n1 = n // 2
+    low, pairs = n1 * (n1 + 1) / 2, n1 * (n - n1)
+    m = np.array([low - 1, low, low + pairs / 4 + 0.5, low + pairs / 2, low + pairs, low + pairs + 1])
+    want = switch_points_per_row(data, W, m)
+    assert statistics_mod._wilcoxon_switch_points(data, W, m).tobytes() == want.tobytes()
+    with mock.patch.object(statistics_mod, "_PAIR_CHUNK", 1):
+        assert statistics_mod._wilcoxon_switch_points(data, W, m).tobytes() == want.tobytes()
+
+
+def test_switch_points_of_signed_zeros_are_positive_zeros():
+    # y_j - y_i is -0.0 where y_j = -0.0 and y_i = +0.0, and a row's own sort
+    # may return either zero of a tie; the pair table holds +0.0 for both
+    design = CRD(10, 5)
+    y = np.array([-0.0, 0.0, -0.0, 0.0, 1.0, -1.0, -0.0, 0.0, 2.0, -0.0])
+    W = assignment_matrix(design)
+    n1 = 5
+    low, pairs = n1 * (n1 + 1) / 2, n1 * n1
+    m = low + np.arange(-1, 2 * pairs + 3) / 2
+    for w_obs in W[::25]:
+        data = ObservedData(w_obs, y)
+        want = switch_points_per_row(data, W, m)
+        got = statistics_mod._wilcoxon_switch_points(data, W, m)
+        assert ((got == 0) == (want == 0)).all() and (got == 0).any()
+        assert not np.signbit(got[got == 0]).any()
+        assert got[want != 0].tobytes() == want[want != 0].tobytes()
+        assert_crossings_match_bisection(data, WILCOXON, design, rows=W.shape[0])
+        bisected = build_step_functions(data, design, dataclasses.replace(WILCOXON, switch_points=None))
+        for side, f in build_step_functions(data, design, WILCOXON).items():
+            g = bisected[side]
+            assert f.breakpoints.tobytes() == g.breakpoints.tobytes(), side
+            assert f.counts.tobytes() == g.counts.tobytes(), side
+            assert (f.base_count, f.never_count) == (g.base_count, g.never_count), side
+
+
+def test_switch_point_rank_table_memory_is_bounded_per_entry():
+    # the sorted table and its int32 ranks hold 12 bytes an entry, one search
+    # block about 40 bytes a key, and the fixed pairs' wins 8 bytes a pair; no
+    # second table-sized array of doubles or positions is alive.  CRD(600,300)
+    # with 3 rows is the largest table in the suite
+    design = CRD(600, 300)
+    data = ObservedData(sample_assignments(design, 1, seed=1)[0],
+                        np.random.default_rng(0).normal(size=600))
+    W = sample_assignments(design, 3, seed=2)
+    entries = _pair_table_entries(W)
+    assert entries > np.iinfo(np.int16).max
+    m = np.array([300 * 301 / 2 + 300 * 300 / 2])
+    tracemalloc.start()
+    try:
+        statistics_mod._wilcoxon_switch_points(data, W, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * entries + 40 * statistics_mod._PAIR_CHUNK + 8 * 300 * 300
 
 
 @st.composite

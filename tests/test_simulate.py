@@ -315,6 +315,24 @@ def test_run_scenario_golden_bytes(case):
     assert _arms_digest(run_scenario(cfg)) == GOLDEN_SCENARIO_SHA256[case]
 
 
+def test_run_scenario_builds_one_union_grid_per_rep(monkeypatch):
+    # every combiner of a rep reads the same grid, so its breakpoints are
+    # sorted once whatever the number of combiners
+    grids = []
+
+    def counted(fss):
+        grids.append(union_grid(fss))
+        return grids[-1]
+
+    union_grid = simulate_mod._union_grid
+    monkeypatch.setattr(simulate_mod, "_union_grid", counted)
+    cfg = ScenarioConfig(reps=3, k_cap=5000, master_seed=20260808,
+                         combiners=("fisher", "de", "stouffer"),
+                         **_GOLDEN_SCENARIOS["dm_1x16_mc_2x8_exact"])
+    run_scenario(cfg)
+    assert len(grids) == cfg.reps
+
+
 def _former_endpoint_indices(k, alpha):
     """The audit's index arithmetic before it called the public inverters."""
     half = alpha / 2
