@@ -61,6 +61,7 @@ from .randomization import (
     DominanceProfile,
     ExactMode,
     MCMode,
+    ONE_SIDED,
     PValueKind,
     RandomizationDistribution,
     dominance_profile,

@@ -1,4 +1,6 @@
-"""Shared helpers: the input-error type, the largest array size, significant-digit rounding, integer check, seed folding, distinct values and atoms of a sample."""
+"""Shared helpers: the input-error type, the largest array size, significant-digit rounding, number and level checks, seed folding, distinct values and atoms of a sample."""
+
+import numbers
 
 import numpy as np
 
@@ -63,6 +65,21 @@ def round_sig(x):
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; a bool is not a count or a seed."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a real number, Python, numpy or ``fractions``; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def require_level(value, name: str) -> None:
+    """Refuse, with ``InputError`` naming ``name`` and ``value``, a level outside (0, 1).
+
+    The one rule for every test level, interval tail and probability budget:
+    a real number in (0, 1); a bool, a string, an array and NaN are refused.
+    """
+    if not (is_real(value) and 0 < value < 1):
+        raise InputError(f"{name} must lie in (0, 1), got {value!r}")
 
 
 def fold_seed(seed) -> int:

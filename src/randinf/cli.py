@@ -43,7 +43,7 @@ from .inversion import (
     build_step_functions,
 )
 from .mcplan import required_k, threshold_table
-from .randomization import ExactMode, MCMode, PValueKind, _p_value_grid, p_values
+from .randomization import ONE_SIDED, ExactMode, MCMode, PValueKind, _p_value_grid, p_values
 from .simulate import ScenarioConfig, balanced_design, run_scenario
 from .statistics import ObservedData, get_statistic, observed_statistic
 
@@ -61,9 +61,6 @@ _EXIT_CODES = (
     ((InputError,), EXIT_INPUT),
     ((ValueError, RuntimeError, OSError, MemoryError), EXIT_COMPUTE),
 )
-
-# the sides that ``test`` reports one by one and ``pcurve --side`` accepts
-_ONE_SIDED = tuple(kind for kind in PValueKind if kind is not PValueKind.TWO_SIDED_L)
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -238,7 +235,7 @@ def cmd_test(args):
     out = {
         "theta": _num(args.theta),
         "T_obs": _num(observed_statistic(stat, data)),
-        **{f"p_{kind.value}": _num(pv[kind]) for kind in _ONE_SIDED},
+        **{f"p_{kind.value}": _num(pv[kind]) for kind in ONE_SIDED},
         "p_two_sided": _num(pv[PValueKind.TWO_SIDED_L]),
         "statistic": stat.name,
     }
@@ -297,9 +294,8 @@ def _parse_grid(args):
 
 def cmd_invert(args):
     design, data, stat, mode = _experiment(args)
-    alpha1 = args.alpha1 if args.alpha1 is not None else args.alpha / 2
-    alpha2 = args.alpha2 if args.alpha2 is not None else args.alpha / 2
-    _require_invertible(stat, alpha1, alpha2)
+    alpha1, alpha2 = (args.alpha / 2 if level is None else level for level in (args.alpha1, args.alpha2))
+    _require_invertible(stat, alpha1=alpha1, alpha2=alpha2)
     fs = build_step_functions(data, design, stat, mode)
     out = {"proposed": _interval_dict(_proposed_interval(fs, alpha1, alpha2))}
     if args.traditional:
@@ -319,7 +315,7 @@ def cmd_combine(args):
     weights = _floats(args.weights, "--weights") if args.weights else None
     combiner = make_combiner(args.combiner, weights)
     combiner.resolved_weights(len(args.files))
-    _require_invertible(stat, args.alpha)
+    _require_invertible(stat, alpha=args.alpha)
     half = args.alpha / 2
     fss = [build_step_functions(data, design, stat, mode) for data, design in experiments]
     out = {
@@ -450,7 +446,7 @@ def build_parser():
     p = sub.add_parser("pcurve", help="dump a p-value curve: grid values or exact breakpoints")
     p.add_argument("file")
     p.add_argument("--design", required=True)
-    p.add_argument("--side", default=PValueKind.LPLUS.value, choices=[k.value for k in _ONE_SIDED])
+    p.add_argument("--side", default=PValueKind.LPLUS.value, choices=[k.value for k in ONE_SIDED])
     p.add_argument("--grid", default=None, help="comma-separated theta values")
     p.add_argument("--grid-range", default=None, help="LO,HI,COUNT")
     p.add_argument("--exact-breakpoints", action="store_true")

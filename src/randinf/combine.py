@@ -54,7 +54,7 @@ from .inversion import (
     _require_invertible,
     build_step_functions,
 )
-from .randomization import ExactMode, Mode, PValueKind
+from .randomization import ONE_SIDED, ExactMode, Mode, PValueKind, _require_kind
 
 __all__ = [
     "CombinerSpec",
@@ -349,19 +349,17 @@ def combine_values(ps: Sequence[float], combiner: CombinerSpec) -> float:
     return float(_combine_matrix(P, combiner)[0])
 
 
-_RISING = {PValueKind.LPLUS: PValueKind.LPLUS, PValueKind.UPLUS: PValueKind.UPLUS,
-           PValueKind.LMINUS: PValueKind.UPLUS, PValueKind.UMINUS: PValueKind.LPLUS}
-
-
 @dataclass(frozen=True)
 class CombinedPValueFunction(_SteppedSide):
     """One side of the fusion of M experiments' p-value functions.
 
-    ``components`` are the experiments' functions of the rising side
-    ``_RISING[side]``; a falling side is one minus their combination.  A step
-    function on ``breakpoints``, the union grid, monotone like its components.
-    ``statistic`` and ``mode`` are the experiments' common value, else the
-    tuple of their values in experiment order.
+    ``components`` are the experiments' functions of the rising side that
+    counts what ``side`` counts (``strict``); a falling side is one minus
+    their combination.  A step function on ``breakpoints``, the union grid,
+    monotone like its components.  ``statistic`` and ``mode`` are the
+    experiments' common value, else the tuple of their values in experiment
+    order.  A side that is not one of ``ONE_SIDED`` is refused with
+    ``InputError``.
     """
 
     components: tuple
@@ -371,18 +369,20 @@ class CombinedPValueFunction(_SteppedSide):
     statistic: str | tuple
     mode: Mode | tuple
 
+    def __post_init__(self):
+        _require_kind(self.side, "side")
+
     def _level_reader(self):
         """Reads union intervals ``j``: each component's level where ``j`` starts, combined."""
         starts = np.concatenate(([-np.inf], self.breakpoints))
         levels = [f._level_reader() for f in self.components]
-        falling = self.side != _RISING[self.side]
 
         def read(j):
             out = _combine_matrix(np.vstack([
                 level(np.searchsorted(f.breakpoints, starts[j], side="right"))
                 for f, level in zip(self.components, levels)
             ]), self.combiner)
-            return 1.0 - out if falling else out
+            return out if self.side.rising else 1.0 - out
 
         return read
 
@@ -414,9 +414,10 @@ def _union_grid(fss: Sequence[dict]) -> np.ndarray:
 
 def _combined_sides(fss: Sequence[dict], combiner: CombinerSpec, grid: np.ndarray) -> dict:
     """:func:`combine_functions` on ``grid``, the :func:`_union_grid` of ``fss``."""
-    return {side: CombinedPValueFunction(tuple(fs[rising] for fs in fss), combiner, side, grid,
+    rising = {kind.strict: kind for kind in ONE_SIDED if kind.rising}
+    return {side: CombinedPValueFunction(tuple(fs[rising[side.strict]] for fs in fss), combiner, side, grid,
                                          _label(fss, "statistic"), _label(fss, "mode"))
-            for side, rising in _RISING.items()}
+            for side in ONE_SIDED}
 
 
 def combined_interval(
@@ -441,7 +442,7 @@ def combined_interval(
     ``mode`` records the mode that ran: the common one when all experiments
     share it, else the tuple of per-experiment modes.
     """
-    _require_invertible(stat, alpha)
+    _require_invertible(stat, alpha=alpha)
     if modes is None:
         modes = [mode] * len(experiments)
     if len(modes) != len(experiments):

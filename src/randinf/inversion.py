@@ -58,9 +58,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import InputError, atoms, round_sig
+from ._util import InputError, atoms, require_level, round_sig
 from .design import Design, _require_assignment
-from .randomization import ExactMode, Mode, PValueKind, _replicate_source
+from .randomization import ONE_SIDED, ExactMode, Mode, PValueKind, _replicate_source, _require_kind
 from .statistics import ObservedData, StatisticSpec, _by_tile, observed_statistic
 
 __all__ = [
@@ -99,7 +99,7 @@ class _SteppedSide:
 
     def value(self, theta):
         """Evaluate at ``theta`` (scalar or array), exact step semantics; NaN is refused."""
-        return self._at(theta, "right" if self.side in (PValueKind.LPLUS, PValueKind.UMINUS) else "left")
+        return self._at(theta, "left" if self.side.strict else "right")
 
     def value_from_right(self, theta):
         """Right limit at ``theta``: the value just above it."""
@@ -142,8 +142,7 @@ class PValueStepFunction(_SteppedSide):
     cumulative: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.side == PValueKind.TWO_SIDED_L:
-            raise InputError("step functions are one-sided; two-sided values combine LPLUS and LMINUS")
+        _require_kind(self.side, "side")
         if self.cumulative is None:
             cumulative = np.cumsum(np.concatenate(([0], self.counts)))
             cumulative.flags.writeable = False
@@ -162,16 +161,20 @@ class PValueStepFunction(_SteppedSide):
         Only the levels read are divided.
         """
         below = self.cumulative  # mass switching below interval j
-        if self.side in (PValueKind.LPLUS, PValueKind.UPLUS):  # mass switched on below theta
+        if self.side.rising:  # mass switched on below theta
             return lambda j: (self.base_count + below[j]) / self.denom
         top = self.base_count + int(below[-1])  # mass not yet switched off
         return lambda j: (top - below[j]) / self.denom
 
 
 def _threshold(t_obs, strict):
-    """Value a replicate must reach (or pass, if strict): T_obs moved by half the tie tolerance."""
+    """The least value a replicate passes with: T_obs moved by half the tie tolerance.
+
+    Every test is ``T >= threshold``: a strict one, ``T > t``, holds exactly
+    when ``T >= nextafter(t, inf)``, the threshold it gets.
+    """
     t_tol = 1e-9 * max(1.0, abs(t_obs))  # statistic units
-    return t_obs + t_tol / 2 if strict else t_obs - t_tol / 2
+    return np.nextafter(t_obs + t_tol / 2, np.inf) if strict else t_obs - t_tol / 2
 
 
 def _row_tests(data, stat, W, t_obs, strict):
@@ -193,7 +196,7 @@ def _row_tests(data, stat, W, t_obs, strict):
         return _by_tile(tile, W[rows], theta_rows[:, None])
 
     def passes(values):
-        return (values > threshold) if strict else (values >= threshold)
+        return values >= threshold
 
     return t_at, passes
 
@@ -305,9 +308,7 @@ def _crossings(data, stat, source, t_obs, scale, strict=(False, True)):
             at[near[round_sig(a[near]) == round_sig(t_obs)]] = 0.0
             yield (np.where(moving, at, -np.inf),)
         elif stat.switch_points is not None:
-            # smallest half-integers that pass the tolerance tests
-            m = np.array([np.floor(2 * _threshold(t_obs, True)) / 2 + 0.5 if s
-                          else np.ceil(2 * _threshold(t_obs, False)) / 2 for s in strict])
+            m = np.array([_threshold(t_obs, s) for s in strict])  # the tests as T >= m
             yield tuple(_switch_point_crossings(data, stat, W, t_obs, s, scale, b)
                         for s, b in zip(strict, stat.switch_points(data, W, m)))
         else:
@@ -381,10 +382,10 @@ def _step_functions(data: ObservedData, stat: StatisticSpec, source, strict=(Fal
     fs = {}
     for s in strict:
         (breakpoints, counts, cumulative), on, off = masses[s]
-        rising, falling = (PValueKind.UPLUS, PValueKind.LMINUS) if s else (PValueKind.LPLUS, PValueKind.UMINUS)
-        # complements: rows whose crossing event always holds never satisfy
-        # the <= / < event, and vice versa
-        for side, base, rest in ((rising, on, off), (falling, off, on)):
+        # a falling side is the complement: rows whose crossing event always
+        # holds never satisfy the <= / < event, and vice versa
+        for side in [kind for kind in ONE_SIDED if kind.strict == s]:
+            base, rest = (on, off) if side.rising else (off, on)
             fs[side] = PValueStepFunction(
                 side=side, breakpoints=breakpoints, counts=counts, base_count=base,
                 never_count=rest, denom=source.size, statistic=stat.name, mode=source.mode,
@@ -402,15 +403,14 @@ def build_step_function(
 ) -> PValueStepFunction:
     """One side's p-value curve: ``build_step_functions(...)[side]``.
 
-    Finds only the crossing vector the side reads: ``ge`` for LPLUS and
-    UMINUS, ``gt`` for UPLUS and LMINUS.
+    Finds only the crossing vector the side reads, ``side.strict``: ``ge``
+    for LPLUS and UMINUS, ``gt`` for UPLUS and LMINUS.  A side that is not
+    one of ``ONE_SIDED`` is refused with ``InputError``.
     """
-    if side == PValueKind.TWO_SIDED_L:
-        raise InputError("build one-sided functions; two-sided values combine LPLUS and LMINUS")
+    _require_kind(side, "side")
     _require_monotone(stat)
     _require_assignment(design, data.w_obs)
-    strict = side in (PValueKind.UPLUS, PValueKind.LMINUS)
-    return _step_functions(data, stat, _replicate_source(design, mode), (strict,))[side]
+    return _step_functions(data, stat, _replicate_source(design, mode), (side.strict,))[side]
 
 
 def _cut(grid: np.ndarray, hit) -> float:
@@ -443,10 +443,8 @@ def invert_lower(f, alpha1: float) -> float:
     above ``alpha1``.  Levels are compared with the p-values ``f.value``
     returns, for one experiment ``count / denom`` floats.
     """
-    if f.side != PValueKind.LPLUS:
-        raise InputError("lower inversion needs a LPLUS function")
-    if not 0 < alpha1 < 1:
-        raise InputError("alpha1 must lie in (0, 1)")
+    _require_kind(f.side, "f.side", (PValueKind.LPLUS,))
+    require_level(alpha1, "alpha1")
     # the intervals with p <= alpha1 come first; their union ends at the cut
     read = f._level_reader()
     return _cut(f.breakpoints, lambda j: read(j) > alpha1)
@@ -454,10 +452,8 @@ def invert_lower(f, alpha1: float) -> float:
 
 def invert_upper(f, alpha2: float) -> float:
     """inf{theta : p(theta) <= alpha2} for a LMINUS function (mirror of lower)."""
-    if f.side != PValueKind.LMINUS:
-        raise InputError("upper inversion needs a LMINUS function")
-    if not 0 < alpha2 < 1:
-        raise InputError("alpha2 must lie in (0, 1)")
+    _require_kind(f.side, "f.side", (PValueKind.LMINUS,))
+    require_level(alpha2, "alpha2")
     # the intervals with p > alpha2 come first; the rest starts at the cut
     read = f._level_reader()
     return _cut(f.breakpoints, lambda j: read(j) <= alpha2)
@@ -502,13 +498,12 @@ class ConfidenceInterval:
         return bool(self.lower <= theta < self.upper)
 
 
-def _require_invertible(stat: StatisticSpec, alpha1: float, alpha2: float | None = None):
-    """Every interval needs levels in (0, 1), summing below 1, and an EI statistic."""
-    if alpha2 is None:
-        if not 0 < alpha1 < 1:
-            raise InputError("alpha must lie in (0, 1)")
-    elif not (0 < alpha1 < 1 and 0 < alpha2 < 1 and alpha1 + alpha2 < 1):
-        raise InputError("need 0 < alpha1, alpha2 and alpha1 + alpha2 < 1")
+def _require_invertible(stat: StatisticSpec, **levels):
+    """Every interval needs levels in (0, 1), summing below 1, and an EI statistic; ``levels`` by name."""
+    for name, level in levels.items():
+        require_level(level, name)
+    if sum(levels.values()) >= 1:
+        raise InputError(f"need {' + '.join(levels)} < 1")
     if not stat.ei_certified:
         raise NonMonotoneStatisticError(
             f"statistic {stat.name!r} is not certified effect increasing; "
@@ -566,7 +561,7 @@ def confidence_interval(
     same effect-increasing statistic.  Coverage holds exactly, with no
     tolerance, over the randomization distribution.
     """
-    _require_invertible(stat, alpha1, alpha2)
+    _require_invertible(stat, alpha1=alpha1, alpha2=alpha2)
     return _proposed_interval(build_step_functions(data, design, stat, mode), alpha1, alpha2)
 
 
@@ -586,6 +581,6 @@ def traditional_interval(
     the crossings are read off the grid (first grid point past each level),
     reproducing the coarse-grid workflow; otherwise they are exact.
     """
-    _require_invertible(stat, alpha)
+    _require_invertible(stat, alpha=alpha)
     f = build_step_functions(data, design, stat, mode)[PValueKind.LPLUS]
     return _traditional_interval(f, alpha, theta_grid)

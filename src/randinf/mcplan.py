@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import InputError, is_integer, sorted_distinct
+from ._util import InputError, is_integer, is_real, require_level, sorted_distinct
 from .design import Design, total_assignments
 from .inversion import PValueStepFunction
 
@@ -32,7 +32,7 @@ def error_bound(k: int, epsilon: float) -> float:
     """Bound on P(sup-norm Monte Carlo error of the p-curve > epsilon)."""
     if not (is_integer(k) and k >= 1):
         raise InputError(f"k must be an integer >= 1, got {k!r}")
-    if not epsilon > 0:  # NaN is refused too
+    if not (is_real(epsilon) and epsilon > 0):  # NaN is refused too
         raise InputError(f"epsilon must be positive, got {epsilon!r}")
     return min(1.0, 4.0 * math.exp(-k * epsilon * epsilon / 8.0))
 
@@ -44,10 +44,9 @@ def required_k(epsilon: float, delta: float) -> int:
     exactly representable integer does not round up by one on some platforms.
     Targets so small that the threshold overflows a double are refused.
     """
-    if not 0 < epsilon <= 1:
-        raise InputError("epsilon must lie in (0, 1]")
-    if not 0 < delta < 1:
-        raise InputError("delta must lie in (0, 1)")
+    if not (is_real(epsilon) and 0 < epsilon <= 1):
+        raise InputError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    require_level(delta, "delta")
     square = epsilon * epsilon
     exact = 8.0 * math.log(4.0 / delta) / square if square else math.inf
     if not math.isfinite(exact):

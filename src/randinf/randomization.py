@@ -12,6 +12,11 @@ assignments applied to the imputed potential table.  Five kinds are exposed:
 ``TWO_SIDED_L``  min(1, 2 min(LPLUS, LMINUS))
 ===========  =====================================
 
+What each one-sided kind counts (``ge`` or ``gt``) and whether it rises
+with theta or is one minus that count is said once, by :class:`PValueKind`;
+``ONE_SIDED`` lists the four, and every side table here and in the other
+modules reads them.
+
 At the true effect, ``LPLUS`` and ``LMINUS`` are stochastically larger than
 Uniform[0,1] (valid one-sided tests), while the strict-inequality variants are
 stochastically smaller; the gap between the two CDFs is bounded by the largest
@@ -66,6 +71,7 @@ __all__ = [
     "MCMode",
     "Mode",
     "PValueKind",
+    "ONE_SIDED",
     "RandomizationDistribution",
     "DominanceProfile",
     "randomization_distribution",
@@ -104,11 +110,40 @@ Mode = Union[ExactMode, MCMode]
 
 
 class PValueKind(enum.Enum):
-    LPLUS = "Lplus"
-    UPLUS = "Uplus"
-    LMINUS = "Lminus"
-    UMINUS = "Uminus"
+    """A p-value kind, and for a one-sided kind what it counts and which way it moves.
+
+    ``strict`` is whether the kind counts the replicates above T_obs (the
+    ``gt`` crossings of :mod:`randinf.inversion`) rather than at or above it
+    (``ge``); ``rising`` is whether its p-value is that count over the
+    replicates, which rises with theta, rather than one minus it.  Both are
+    ``None`` for ``TWO_SIDED_L``, which combines LPLUS and LMINUS.
+    """
+
+    LPLUS = "Lplus", False, True
+    UPLUS = "Uplus", True, True
+    LMINUS = "Lminus", True, False
+    UMINUS = "Uminus", False, False
     TWO_SIDED_L = "TwoSidedL"
+
+    def __new__(cls, value, strict=None, rising=None):
+        kind = object.__new__(cls)
+        kind._value_, kind.strict, kind.rising = value, strict, rising
+        return kind
+
+    def tail(self, ge, gt, total):
+        """The p-value numerator: of ``total`` replicates, ``ge`` at or above T_obs and ``gt`` above it."""
+        count = gt if self.strict else ge
+        return count if self.rising else total - count
+
+
+# the four one-sided kinds, in enum order
+ONE_SIDED = (PValueKind.LPLUS, PValueKind.UPLUS, PValueKind.LMINUS, PValueKind.UMINUS)
+
+
+def _require_kind(kind, name: str, kinds=ONE_SIDED) -> None:
+    """Refuse, with ``InputError`` naming ``name`` and ``kind``, anything but one of ``kinds``."""
+    if not (isinstance(kind, PValueKind) and kind in kinds):
+        raise InputError(f"{name} must be one of {', '.join(k.name for k in kinds)}, got {kind!r}")
 
 
 # Rows per block of a replicate source.  A multiple of 8: BLAS row dot
@@ -243,16 +278,9 @@ def _p_value_grid(
             counts[0] += ge
             counts[1] += gt
     d = source.size
-    out = []
-    for ge, gt in tails:
-        p = {
-            PValueKind.LPLUS: ge / d,
-            PValueKind.UPLUS: gt / d,
-            PValueKind.LMINUS: (d - gt) / d,
-            PValueKind.UMINUS: (d - ge) / d,
-        }
+    out = [{kind: kind.tail(ge, gt, d) / d for kind in ONE_SIDED} for ge, gt in tails]
+    for p in out:
         p[PValueKind.TWO_SIDED_L] = min(1.0, 2.0 * min(p[PValueKind.LPLUS], p[PValueKind.LMINUS]))
-        out.append(p)
     return out
 
 
@@ -285,8 +313,10 @@ def p_value(
     The two-sided value doubles the smaller one-sided value and clips at 1
     (the raw doubled value can exceed 1 because both one-sided values count
     the tie atom).  Interval inversion never uses the clipped value; it works
-    on the two one-sided functions separately.
+    on the two one-sided functions separately.  A ``kind`` that is not a
+    ``PValueKind`` is refused with ``InputError`` before any row is built.
     """
+    _require_kind(kind, "kind", tuple(PValueKind))
     return p_values(data, design, stat, theta, mode)[kind]
 
 
@@ -342,10 +372,9 @@ class DominanceProfile:
 
 
 def _tails(counts: np.ndarray) -> dict:
-    """By kind, the p-value numerator of a statistic at each atom: the counts >=, >, <= and < it."""
-    ge, le = np.cumsum(counts[::-1])[::-1], np.cumsum(counts)
-    return {PValueKind.LPLUS: ge, PValueKind.UPLUS: ge - counts,
-            PValueKind.LMINUS: le, PValueKind.UMINUS: le - counts}
+    """By one-sided kind, the p-value numerator at each atom: the counts >=, >, <= and < it."""
+    ge = np.cumsum(counts[::-1])[::-1]
+    return {kind: kind.tail(ge, ge - counts, int(counts.sum())) for kind in ONE_SIDED}
 
 
 def _profile(counts: np.ndarray) -> DominanceProfile:
@@ -358,7 +387,7 @@ def _profile(counts: np.ndarray) -> DominanceProfile:
     denom = int(counts.sum())
     profiles = {}
     for kind, tail in _tails(counts).items():
-        step = -1 if kind in (PValueKind.LPLUS, PValueKind.UPLUS) else 1
+        step = -1 if kind.rising else 1
         profiles[kind] = (tail[::step] / denom, np.cumsum(counts[::step]) / denom)  # P(p <= level)
     return DominanceProfile(profiles=profiles, gamma_star=float(counts.max() / denom), denom=denom)
 

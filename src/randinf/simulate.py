@@ -24,14 +24,13 @@ The traditional two-crossing interval is audited alongside for comparison;
 it carries no guarantee and undercovers on heavily tied data.
 """
 
-import numbers
 import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._util import InputError, atoms, is_integer, round_sig
+from ._util import InputError, atoms, is_integer, is_real, require_level, round_sig
 from .combine import _combined_sides, _union_grid, make_combiner
 from .design import CRD, RBD, Design, assignment_matrix, sample_assignments, total_assignments
 from .inversion import (
@@ -44,6 +43,7 @@ from .inversion import (
     invert_upper,
 )
 from .randomization import (
+    ONE_SIDED,
     DominanceProfile,
     ExactMode,
     MCMode,
@@ -104,18 +104,14 @@ def generate_population(n: int, true_theta: float, seed) -> PotentialTable:
     return PotentialTable(y0=y0, y1=y0 + true_theta)
 
 
-def _is_real(value) -> bool:
-    """True for a real number, Python, numpy or ``fractions``; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulation scenario: two experiments, shared effect, seeded reps.
 
     Checks its own fields: the designs are a ``CRD`` or ``RBD``, ``reps``,
-    ``k_cap`` and ``master_seed`` integers in range, ``true_theta`` and
-    ``alpha`` real numbers a double holds, ``combiners`` a sequence of names
+    ``k_cap`` and ``master_seed`` integers in range, ``true_theta`` a real
+    number a double holds, ``alpha`` a level in (0, 1) by
+    :func:`randinf._util.require_level`, ``combiners`` a sequence of names
     :func:`make_combiner` knows and ``statistic`` a name :func:`get_statistic`
     knows; anything else raises ``InputError``.
     """
@@ -140,10 +136,9 @@ class ScenarioConfig:
             raise InputError(f"k_cap must be an integer >= 1, got {self.k_cap!r}")
         if not (is_integer(self.master_seed) and self.master_seed >= 0):
             raise InputError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
-        if not (_is_real(self.true_theta) and abs(self.true_theta) <= sys.float_info.max):
+        if not (is_real(self.true_theta) and abs(self.true_theta) <= sys.float_info.max):
             raise InputError(f"true_theta must be a finite number a double holds, got {self.true_theta!r}")
-        if not (_is_real(self.alpha) and 0 < self.alpha < 1):
-            raise InputError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        require_level(self.alpha, "alpha")
         if isinstance(self.combiners, str) or not isinstance(self.combiners, Sequence):
             raise InputError(f"combiners must be a sequence of names, got {self.combiners!r}")
         for name in self.combiners:
@@ -201,7 +196,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     stat = get_statistic(config.statistic)
     designs = (config.design1, config.design2)
     half = config.alpha / 2
-    _require_invertible(stat, half, half)
+    _require_invertible(stat, alpha1=half, alpha2=half)
     exact = {design: _replicate_source(design, ExactMode(cap=config.k_cap))
              for design in designs if total_assignments(design) <= config.k_cap}
     arm_names = ["exp1", "exp2", *config.combiners]
@@ -376,9 +371,11 @@ def exact_validity_audit(
     """
     if stat.affine is not DIFF_MEANS.affine:
         raise InputError(f"the audit's widths need the diff_means closed form; {stat.name!r} lacks it")
+    if not np.iterable(alphas):
+        raise InputError(f"alphas must be a sequence of levels, got {alphas!r}")
     alphas = tuple(alphas)
-    if not all(0 < alpha < 1 for alpha in alphas):
-        raise InputError("alpha must lie in (0, 1)")
+    for alpha in alphas:
+        require_level(alpha, "alpha")
     if population.n_units != design.n_units:
         raise InputError(
             f"the population has {population.n_units} units, the design {design.n_units}"
@@ -404,7 +401,9 @@ def exact_validity_audit(
     # the observed assignments at atom i share its p-values at the truth
     _, counts, _ = atoms(round_sig(tau))
     prof = _profile(counts)
-    weak, strict = (PValueKind.LPLUS, PValueKind.LMINUS), (PValueKind.UPLUS, PValueKind.UMINUS)
+    # the weak-inequality kinds, LPLUS and LMINUS, hold at a tie with T_obs
+    weak = [kind for kind in ONE_SIDED if kind.strict != kind.rising]
+    strict = [kind for kind in ONE_SIDED if kind not in weak]
     dominance_ok = all(map(prof.dominated_by_uniform, weak)) and all(map(prof.dominates_uniform, strict))
     shortfall = max(map(prof.max_shortfall, weak))
     excess = max(map(prof.max_excess, strict))

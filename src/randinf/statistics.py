@@ -169,10 +169,10 @@ class StatisticSpec:
     ``switch_points(data, W, m)`` returns every row's exact ``b*`` such that
     ``T(theta, w) >= m`` holds for every theta above ``b*`` and fails below
     it, ``-inf``/``+inf`` for rows where it always/never holds; for an array
-    of thresholds ``m`` the result has shape ``m.shape + (k,)``.  A statistic
-    with it takes only half-integer values, so a tolerance test against the
-    observed value is ``T >= m`` for a half-integer ``m``, and the bisection
-    compares theta with ``b*``.
+    of thresholds ``m`` the result has shape ``m.shape + (k,)``.  ``m`` is
+    any real number: inversion hands it its tolerance tests against the
+    observed value as they stand, ``T >= t`` and, for ``T > t``, ``T >=
+    nextafter(t)``, and the bisection compares theta with ``b*``.
     """
 
     name: str
@@ -294,8 +294,9 @@ def _pair_chunks(W: np.ndarray):
     step = max(1, _PAIR_CHUNK // max(1, n1 * n0))
     for start in range(0, k, step):
         t = treated[start:start + step]
-        r = t.shape[0]
-        yield slice(start, start + r), np.nonzero(t)[1].reshape(r, n1), np.nonzero(~t)[1].reshape(r, n0)
+        # a stable sort of ~t puts each row's treated units first, each arm in unit order
+        units = np.argsort(~t, axis=1, kind="stable")
+        yield slice(start, start + t.shape[0]), units[:, :n1], units[:, n1:]
 
 
 def _wilcoxon_rows(y1, y0, W):

@@ -10,12 +10,15 @@ import pytest
 import randinf
 from randinf import (
     CRD,
+    ONE_SIDED,
     RBD,
+    CombinedPValueFunction,
     ExactMode,
     InputError,
     MCMode,
     ObservedData,
     PValueKind,
+    PValueStepFunction,
     ScenarioConfig,
     assignment_probability,
     assignment_probability_exact,
@@ -25,14 +28,22 @@ from randinf import (
     combined_interval,
     confidence_interval,
     dominance_profile,
+    exact_validity_audit,
     fisher,
+    generate_population,
     get_statistic,
+    invert_lower,
+    invert_upper,
     p_value,
     p_values,
     randomization_distribution,
+    required_k,
     sample_assignments,
     traditional_interval,
 )
+from randinf import inversion as inversion_mod
+from randinf import randomization as randomization_mod
+from randinf import simulate as simulate_mod
 
 # designs the toy data's assignment (5 of 10 treated, no blocks) is not one of
 FOREIGN_DESIGNS = [CRD(10, 4), RBD(((5, 3), (5, 2))), CRD(12, 6)]
@@ -162,6 +173,79 @@ def test_theta_is_refused_before_any_row_is_built(toy, diff_means, mode):
         p_values(data, design, diff_means, float("nan"), mode)
 
 
+def _step(side):
+    """A one-breakpoint step function of ``side`` over two assignments, built without rows."""
+    return PValueStepFunction(side=side, breakpoints=np.array([0.0]), counts=np.array([1]), base_count=1,
+                              never_count=0, denom=2, statistic="diff_means", mode=ExactMode())
+
+
+def _refused_levels():
+    """Every entry that takes a level, called with ``level`` in one place."""
+    design = CRD(8, 4)
+    return {
+        "invert_lower": lambda data, level: invert_lower(_step(PValueKind.LPLUS), level),
+        "invert_upper": lambda data, level: invert_upper(_step(PValueKind.LMINUS), level),
+        "confidence_interval_alpha1": lambda data, level: confidence_interval(*data, level, 0.025),
+        "confidence_interval_alpha2": lambda data, level: confidence_interval(*data, 0.025, level),
+        "traditional_interval": lambda data, level: traditional_interval(*data, level),
+        "combined_interval": lambda data, level: combined_interval([data[:2]], data[2], fisher(), level),
+        "exact_validity_audit": lambda data, level: exact_validity_audit(
+            generate_population(8, 1.0, seed=2), design, alphas=(level,)),
+        "required_k_delta": lambda data, level: required_k(0.05, level),
+        "ScenarioConfig": lambda data, level: ScenarioConfig(design, design, alpha=level),
+    }
+
+
+def _refused_kinds():
+    """Every entry that takes a side or kind, called with ``kind``."""
+    return {
+        "p_value": lambda data, kind: p_value(*data, 0.0, kind),
+        "build_step_function": lambda data, kind: build_step_function(*data, kind),
+        "PValueStepFunction": lambda data, kind: _step(kind),
+        "CombinedPValueFunction": lambda data, kind: CombinedPValueFunction(
+            (_step(PValueKind.LPLUS),), fisher(), kind, np.array([0.0]), "diff_means", ExactMode()),
+    }
+
+
+REFUSALS = [
+    *((f"{entry}-{label}", call, level) for entry, call in _refused_levels().items()
+      for label, level in (("string", "0.05"), ("none", None), ("bool", True),
+                           ("array", np.array([0.01, 0.02])))),
+    ("exact_validity_audit-bare_float",
+     lambda data, level: exact_validity_audit(generate_population(8, 1.0, seed=2), CRD(8, 4), alphas=level), 0.05),
+    *((f"{entry}-string_kind", call, "Lplus") for entry, call in _refused_kinds().items()),
+    *((f"{entry}-two_sided", call, PValueKind.TWO_SIDED_L) for entry, call in _refused_kinds().items()
+      if entry != "p_value"),
+]
+
+
+@pytest.fixture
+def no_rows(monkeypatch):
+    """Make building any assignment row fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("rows were built before the argument was refused")
+
+    for mod in (randomization_mod, inversion_mod, simulate_mod):
+        monkeypatch.setattr(mod, "_replicate_source", refuse)
+    monkeypatch.setattr(simulate_mod, "assignment_matrix", refuse)
+
+
+@pytest.mark.parametrize("call, value", [case[1:] for case in REFUSALS], ids=[case[0] for case in REFUSALS])
+def test_levels_and_sides_outside_their_rules_are_refused_before_any_row(toy, diff_means, no_rows, call, value):
+    with pytest.raises(InputError, match="must lie in|must be one of|sequence of levels"):
+        call((*toy, diff_means), value)
+
+
+def test_each_one_sided_kind_owns_what_it_counts():
+    # ``strict``: the gt crossings, not ge; ``rising``: the count itself, not one minus it
+    assert ONE_SIDED == tuple(kind for kind in PValueKind if kind is not PValueKind.TWO_SIDED_L)
+    assert [(kind.strict, kind.rising) for kind in ONE_SIDED] == [
+        (False, True), (True, True), (True, False), (False, False)]
+    assert [kind.tail(7, 5, 10) for kind in ONE_SIDED] == [7, 5, 5, 3]
+    assert [kind.value for kind in PValueKind] == ["Lplus", "Uplus", "Lminus", "Uminus", "TwoSidedL"]
+    assert PValueKind("Lminus") is PValueKind.LMINUS
+
+
 def test_input_error_is_the_cli_one_and_a_value_error():
     from randinf import cli
 
@@ -218,3 +302,47 @@ def test_the_library_compares_no_name_with_a_string():
                     ):
                         offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _kind_member(node):
+    """``node`` is an attribute ``PValueKind.X``."""
+    return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "PValueKind"
+
+
+def test_only_randomization_spells_out_the_sides():
+    # what each one-sided kind counts and which way it moves is PValueKind's
+    # own; a tuple, list, set or dict of two or more kinds elsewhere is a copy
+    offenders = []
+    for path in sorted(Path(randinf.__file__).parent.glob("*.py")):
+        if path.name == "randomization.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                members = node.elts
+            elif isinstance(node, ast.Dict):
+                members = [*node.keys, *node.values]
+            else:
+                continue
+            if sum(map(_kind_member, members)) >= 2:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def _is_constant(node, value):
+    return isinstance(node, ast.Constant) and type(node.value) is int and node.value == value
+
+
+def test_one_rule_checks_every_level():
+    # a chained 0 < x < 1 outside _util.require_level is a copy of the level rule
+    found = []
+    for path in sorted(Path(randinf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {line for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "require_level" and path.name == "_util.py"
+                 for line in range(fn.lineno, fn.end_lineno + 1)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Compare) and len(node.ops) == 2
+                    and all(isinstance(op, ast.Lt) for op in node.ops)
+                    and _is_constant(node.left, 0) and _is_constant(node.comparators[1], 1)):
+                found.append((path.name, node.lineno in owner))
+    assert found == [("_util.py", True)]

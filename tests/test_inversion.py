@@ -9,6 +9,7 @@ import pytest
 
 from randinf import (
     CRD,
+    ONE_SIDED,
     RBD,
     ExactMode,
     LevelTooHighError,
@@ -17,6 +18,7 @@ from randinf import (
     ObservedData,
     PValueKind,
     PValueStepFunction,
+    StatisticSpec,
     assignment_matrix,
     build_step_function,
     build_step_functions,
@@ -38,10 +40,8 @@ from randinf import statistics as statistics_mod
 from randinf._util import round_sig
 from randinf.datasets import PotentialTable
 from randinf.randomization import _replicate_source
-from randinf.statistics import observed_statistic
+from randinf.statistics import _wilcoxon_rows, _wilcoxon_switch_points, observed_statistic
 from conftest import assert_crossings_match_bisection, crossing_vectors, outcome_scale, random_experiment
-
-ONE_SIDED = (PValueKind.LPLUS, PValueKind.UPLUS, PValueKind.LMINUS, PValueKind.UMINUS)
 
 
 class TestStepFunction:
@@ -128,6 +128,22 @@ class TestStepFunction:
         )
         with pytest.raises(AssertionError, match="generic bisection"):
             assert_crossings_match_bisection(data, skewed, design)
+
+    def test_switch_points_on_a_lattice_other_than_half_integers(self, toy):
+        # three times the rank sum plus a quarter steps by 3 from 0.25: its
+        # hook is handed the tolerance thresholds m as they stand, and maps
+        # them back to the rank sum's own, (m - 0.25) / 3
+        data, design = toy
+        stat = StatisticSpec(
+            name="scaled_rank_sum", ei_certified=True, theta_monotone_rightcontinuous=True,
+            rows=lambda y1, y0, W: 3 * _wilcoxon_rows(y1, y0, W) + 0.25,
+            switch_points=lambda d, W, m: _wilcoxon_switch_points(d, W, (m - 0.25) / 3),
+        )
+        assert_crossings_match_bisection(data, stat, design)
+        bisected = dataclasses.replace(stat, switch_points=None)
+        for side in ONE_SIDED:
+            want = _step_digest(build_step_function(data, design, bisected, side))
+            assert _step_digest(build_step_function(data, design, stat, side)) == want
 
     def test_non_monotone_statistic_refused(self, toy, studentized):
         data, design = toy
@@ -634,6 +650,22 @@ class TestKernel:
         skewed = dataclasses.replace(copy, affine=skewed_affine)
         with pytest.raises(AssertionError, match="generic bisection"):
             assert_crossings_match_bisection(data, skewed, design)
+
+    def test_switch_points_on_a_lattice_other_than_half_integers(self, toy):
+        # three times the rank sum plus a quarter steps by 3 from 0.25: its
+        # hook is handed the tolerance thresholds m as they stand, and maps
+        # them back to the rank sum's own, (m - 0.25) / 3
+        data, design = toy
+        stat = StatisticSpec(
+            name="scaled_rank_sum", ei_certified=True, theta_monotone_rightcontinuous=True,
+            rows=lambda y1, y0, W: 3 * _wilcoxon_rows(y1, y0, W) + 0.25,
+            switch_points=lambda d, W, m: _wilcoxon_switch_points(d, W, (m - 0.25) / 3),
+        )
+        assert_crossings_match_bisection(data, stat, design)
+        bisected = dataclasses.replace(stat, switch_points=None)
+        for side in ONE_SIDED:
+            want = _step_digest(build_step_function(data, design, bisected, side))
+            assert _step_digest(build_step_function(data, design, stat, side)) == want
 
     @pytest.mark.parametrize("mode", [ExactMode(), MCMode(k=300, seed=8)])
     def test_copy_without_affine_bisects_within_oracle_tolerance(self, diff_means, monkeypatch, mode):

@@ -38,6 +38,8 @@ class TestErrorBound:
             error_bound(10, 0.0)
         with pytest.raises(InputError, match="epsilon must be positive"):
             error_bound(10, float("nan"))
+        with pytest.raises(InputError, match="epsilon must be positive"):
+            error_bound(10, "0.1")
         with pytest.raises(InputError, match="k must be an integer"):
             error_bound(2.5, 0.1)
 
@@ -66,6 +68,8 @@ class TestRequiredK:
             required_k(0.0, 0.01)
         with pytest.raises(ValueError):
             required_k(0.1, 1.0)
+        with pytest.raises(InputError, match=r"epsilon must lie in \(0, 1\], got '0.1'"):
+            required_k("0.1", 0.01)
 
     @pytest.mark.parametrize("eps, delta", [(1e-300, 0.01), (1e-160, 0.01), (1e-3, 1e-320)])
     def test_threshold_past_a_double_refused(self, eps, delta):

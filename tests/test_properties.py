@@ -1,4 +1,5 @@
-"""Property tests: exact switch points against the generic bisection, direct
+"""Property tests: rank-sum pair chunks against two ``np.nonzero`` calls,
+exact switch points against the generic bisection, direct
 p-values and every row's own pairs (at both rank widths, on signed zeros and
 within the rank table's memory bound), crossings that depend on their row
 alone, the endpoint search against
@@ -427,6 +428,23 @@ def test_rank_sum_from_pair_counts_equals_midrank_sums(design, kind, k, seed):
     assert _wilcoxon_rows(Y, Y, W).tobytes() == want.tobytes()
     with mock.patch.object(statistics_mod, "_PAIR_CHUNK", 1):
         assert _wilcoxon_rows(Y, Y, W).tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(designs(), st.integers(1, 300), st.integers(0, 2**32 - 1), st.sampled_from([1, 7, None]))
+def test_pair_chunks_give_each_rows_treated_then_control_units(design, k, seed, chunk):
+    # one stable sort of each row gives the indices two np.nonzero calls give:
+    # the treated units, then the control units, each in unit order
+    W = sample_assignments(design, k, seed=seed)
+    treated = W > 0.5
+    n1 = int(treated[0].sum())
+    with mock.patch.object(statistics_mod, "_PAIR_CHUNK", chunk or statistics_mod._PAIR_CHUNK):
+        chunks = list(statistics_mod._pair_chunks(W))
+    assert [rows.start for rows, _, _ in chunks] == list(range(0, k, chunks[0][0].stop))
+    for rows, ti, ci in chunks:
+        t = treated[rows]
+        assert ti.tobytes() == np.nonzero(t)[1].reshape(-1, n1).tobytes()
+        assert ci.tobytes() == np.nonzero(~t)[1].reshape(-1, W.shape[1] - n1).tobytes()
 
 
 def switch_points_per_row(data, W, m):
