@@ -1,5 +1,6 @@
-"""Shared helpers: the input-error type, the largest array size, significant-digit rounding, number and level checks, seed folding, distinct values and atoms of a sample."""
+"""Shared helpers: the input-error type, the largest array size, significant-digit rounding, number, finite-value and level checks, seed folding, distinct values and atoms of a sample."""
 
+import math
 import numbers
 
 import numpy as np
@@ -70,6 +71,21 @@ def is_integer(value) -> bool:
 def is_real(value) -> bool:
     """True for a real number, Python, numpy or ``fractions``; a bool is not one."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def require_finite(value, name: str) -> None:
+    """Refuse, with ``InputError`` naming ``name`` and ``value``, anything but a finite real a double holds.
+
+    A bool, a string, NaN, an infinity and an integer past the largest double
+    are refused.  The test converts to a double, so a numpy float32 is not
+    compared with a double's largest value, a comparison numpy warns on.
+    """
+    try:
+        finite = is_real(value) and math.isfinite(value)
+    except OverflowError:  # past the largest double
+        finite = False
+    if not finite:
+        raise InputError(f"{name} must be a finite number a double holds, got {value!r}")
 
 
 def require_level(value, name: str) -> None:

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from ._util import MAX_ARRAY_ENTRIES, SIG_DIGITS, InputError
+from ._util import MAX_ARRAY_ENTRIES, SIG_DIGITS, InputError, require_level
 from .combine import _CLI_NAMES, combine_functions, make_combiner
 from .datasets import toy_experiment
 from .design import CRD, DEFAULT_ENUMERATION_CAP, RBD, Design, _require_assignment, total_assignments
@@ -294,6 +294,8 @@ def _parse_grid(args):
 
 def cmd_invert(args):
     design, data, stat, mode = _experiment(args)
+    if args.alpha1 is None or args.alpha2 is None:
+        require_level(args.alpha, "--alpha")  # before it is halved
     alpha1, alpha2 = (args.alpha / 2 if level is None else level for level in (args.alpha1, args.alpha2))
     _require_invertible(stat, alpha1=alpha1, alpha2=alpha2)
     fs = build_step_functions(data, design, stat, mode)

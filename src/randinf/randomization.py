@@ -334,6 +334,11 @@ class DominanceProfile:
     gamma_star: float
     denom: int
 
+    def _levels_cdf(self, kind: PValueKind):
+        """``profiles[kind]``; anything but a one-sided kind raises ``InputError``."""
+        _require_kind(kind, "kind")
+        return self.profiles[kind]
+
     def max_shortfall(self, kind: PValueKind) -> float:
         """sup over alpha in (0,1) of alpha - P(p <= alpha).
 
@@ -341,13 +346,13 @@ class DominanceProfile:
         approached just below each level (and just below the smallest one,
         where the CDF is still zero).
         """
-        levels, cdf = self.profiles[kind]
+        levels, cdf = self._levels_cdf(kind)
         upper = np.append(levels[1:], 1.0)
         return float(max(levels[0], np.max(upper - cdf)))
 
     def max_excess(self, kind: PValueKind) -> float:
         """sup over alpha in (0,1) of P(p <= alpha) - alpha (at attainable levels)."""
-        levels, cdf = self.profiles[kind]
+        levels, cdf = self._levels_cdf(kind)
         return float(np.max(cdf - levels))
 
     def dominated_by_uniform(self, kind: PValueKind) -> bool:
@@ -357,7 +362,7 @@ class DominanceProfile:
         sit exactly at the attainable levels.  Levels and CDF are counts over
         one denominator, so the comparison is exact.
         """
-        levels, cdf = self.profiles[kind]
+        levels, cdf = self._levels_cdf(kind)
         return bool(np.all(cdf <= levels))
 
     def dominates_uniform(self, kind: PValueKind) -> bool:
@@ -366,7 +371,7 @@ class DominanceProfile:
         The binding comparisons here are just below the NEXT attainable level
         (the CDF must already have reached it), and 1 at the top.
         """
-        levels, cdf = self.profiles[kind]
+        levels, cdf = self._levels_cdf(kind)
         targets = np.append(levels[1:], 1.0)
         return bool(np.all(cdf >= targets))
 

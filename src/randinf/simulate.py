@@ -24,13 +24,12 @@ The traditional two-crossing interval is audited alongside for comparison;
 it carries no guarantee and undercovers on heavily tied data.
 """
 
-import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._util import InputError, atoms, is_integer, is_real, require_level, round_sig
+from ._util import InputError, atoms, is_integer, require_finite, require_level, round_sig
 from .combine import _combined_sides, _union_grid, make_combiner
 from .design import CRD, RBD, Design, assignment_matrix, sample_assignments, total_assignments
 from .inversion import (
@@ -95,10 +94,13 @@ def generate_population(n: int, true_theta: float, seed) -> PotentialTable:
     """Lognormal(0, 1) control potentials with a constant additive effect.
 
     Control values exponentiate standard normals from numpy's seeded PCG64
-    generator (ziggurat method), so a seed pins the table exactly.
+    generator (ziggurat method), so a seed pins the table exactly.  ``n`` must
+    be an integer >= 2 and ``true_theta`` a finite number a double holds;
+    anything else raises ``InputError``.
     """
-    if n < 2:
-        raise InputError("a population needs at least two units")
+    if not (is_integer(n) and n >= 2):
+        raise InputError(f"a population needs an integer number of units >= 2, got {n!r}")
+    require_finite(true_theta, "true_theta")
     rng = np.random.default_rng(seed)
     y0 = np.exp(rng.standard_normal(n))
     return PotentialTable(y0=y0, y1=y0 + true_theta)
@@ -136,8 +138,7 @@ class ScenarioConfig:
             raise InputError(f"k_cap must be an integer >= 1, got {self.k_cap!r}")
         if not (is_integer(self.master_seed) and self.master_seed >= 0):
             raise InputError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
-        if not (is_real(self.true_theta) and abs(self.true_theta) <= sys.float_info.max):
-            raise InputError(f"true_theta must be a finite number a double holds, got {self.true_theta!r}")
+        require_finite(self.true_theta, "true_theta")
         require_level(self.alpha, "alpha")
         if isinstance(self.combiners, str) or not isinstance(self.combiners, Sequence):
             raise InputError(f"combiners must be a sequence of names, got {self.combiners!r}")

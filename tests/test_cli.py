@@ -19,6 +19,7 @@ from randinf.datasets import data_path, studentized_nonmonotone_experiment, toy_
 from randinf.design import CRD, RBD
 from randinf.inversion import BracketingError
 from randinf.simulate import _MAX_UNITS, ScenarioConfig, run_scenario
+import golden
 
 TOY_CSV = str(data_path("toy_experiment.csv"))
 NONMONO_CSV = str(data_path("studentized_nonmonotone.csv"))
@@ -418,6 +419,16 @@ class TestExitCodes:
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("given", [[], ["--alpha1", "0.02"], ["--alpha2", "0.03"]])
+    def test_a_halved_alpha_is_refused_by_the_flag_given(self, capsys, given):
+        # --alpha is halved for a missing --alpha1 or --alpha2; the refusal
+        # names the flag and the value the user gave, not the half
+        argv = ["invert", TOY_CSV, "--design", "crd:10,5", "--alpha", "2.5"]
+        assert run_cli([*argv, *given], capsys) == (2, "", "error: --alpha must lie in (0, 1), got 2.5\n")
+        # with both tails given --alpha is not read
+        both = ["invert", TOY_CSV, "--design", "crd:10,5", "--alpha1", "0.02", "--alpha2", "0.03"]
+        assert run_cli([*both, "--alpha", "2.5"], capsys) == run_cli(both, capsys)
+
     def test_combine_without_breakpoints_is_unbounded(self, capsys, tmp_path):
         # one Monte Carlo draw of a two-unit design leaves no breakpoint, so
         # the combined interval is the whole line, as the single one is
@@ -729,18 +740,7 @@ _GOLDEN_CLI_CASES = {
 # SHA-256 of the stdout bytes of each case, input paths replaced by "{f0}",
 # "{f1}", ..., recorded while every side of every experiment was built from its
 # own replicate matrix.
-GOLDEN_CLI_SHA256 = {
-    "invert_trad_exact_dm": "9aba3961931388a637bca35445c592f8f3dfece4f7ad83c13b54a3ace31eb1ed",
-    "invert_trad_exact_wilcoxon": "37ccf4f02dd9a10a3aae49bc52987ff93e5b9c774edb0cd6da8afa19f1a2a02b",
-    "invert_trad_grid_exact_dm": "77d68537730feff491988448c40507101bcaea01e1a9612d1c4075fa768e28f3",
-    "invert_trad_mc_dm": "b200e23496f5331bba3fdbe473dacf6268d499d20f327e6c4b7caae9671077f6",
-    "invert_trad_mc_wilcoxon": "45736ebb2c20573e456bb7c7475dc1c376a9a60093661548e9edc79b36de4f4e",
-    "combine_exact_dm_fisher": "e4519a07dc5b2785f6ec7a997d5485cb6871f3025a002e7f7e231edd4735b1b1",
-    "combine_exact_wilcoxon_de": "256b09306acf0dc271a5ad6415ec91363bb0549263bc64837cfed7c9075bc2e6",
-    "combine_exact_dm_weighted_fisher": "14d51b5db7a27cab61683630313ea9ed04f8e2d9dfa542b61d2fed5d52f9b494",
-    "combine_mc_dm_stouffer": "189c4218f21215819ff6c22205db17571f6c1d3c4c470a2d684a22b43af58061",
-    "combine_mc_wilcoxon_fisher": "f4e8f20cbeb5be14cf1174872935db0cf4d644914fc18ff136e812c595bf76b3",
-}
+GOLDEN_CLI = golden.table("GOLDEN_CLI_SHA256", _GOLDEN_CLI_CASES)
 
 
 # pcurve's two branches, exact breakpoints and a theta grid, as text and JSON
@@ -762,16 +762,7 @@ _GOLDEN_PCURVE_CASES = {
 }
 
 # SHA-256 of the stdout bytes of each pcurve case
-GOLDEN_PCURVE_SHA256 = {
-    "pcurve_exact_dm_lplus": "3882f2edcd0f1a221f9a029a7b46b6fc50f91f4f5c6e1c7747eb5bd33c298e8b",
-    "pcurve_exact_dm_lplus_json": "5acd0281dc33c2775a63faf8ff284549fb2165e2cfb14f5d9012e56b737ea199",
-    "pcurve_exact_wilcoxon_uminus": "209a67fc68d8e165084aa8072567fc2d9ba06fa147f537ee7b7cd9c180e87c2d",
-    "pcurve_exact_wilcoxon_uminus_json": "8c5d763d6d19193e847c0544ca25fb89c291f170f787825f490d957f42991623",
-    "pcurve_grid_exact_dm": "eda742e7a22996194643492908596b03cdcb2db9afd6471948c61b7eed1675df",
-    "pcurve_grid_exact_dm_json": "7a700253026681139423ef379e18275cecef80d8dad1132305d85b93ab967a9e",
-    "pcurve_grid_range_mc_dm": "7f4a3f5259d10e31ad628eae8fb1e92fe0f40302ecb80558c4fd513772aee5ff",
-    "pcurve_grid_range_mc_dm_json": "ddc3eaf2eb87d908400dcb6042571d64224adf2d8725d0888e6c16843fd3aaab",
-}
+GOLDEN_PCURVE = golden.table("GOLDEN_PCURVE_SHA256", _GOLDEN_PCURVE_CASES)
 
 
 def _golden_argv(case, tmp_path, cases=_GOLDEN_CLI_CASES):
@@ -792,20 +783,20 @@ def _golden_digest(out, files):
     return hashlib.sha256(out.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("case", list(_GOLDEN_CLI_CASES))
+@pytest.mark.parametrize("case", GOLDEN_CLI.cases)
 def test_cli_interval_golden_bytes(case, capsys, tmp_path):
     argv, files = _golden_argv(case, tmp_path)
     code, out, err = run_cli(argv, capsys)
     assert code == 0, err
-    assert _golden_digest(out, files) == GOLDEN_CLI_SHA256[case]
+    golden.check(GOLDEN_CLI, case, _golden_digest(out, files))
 
 
-@pytest.mark.parametrize("case", list(_GOLDEN_PCURVE_CASES))
+@pytest.mark.parametrize("case", GOLDEN_PCURVE.cases)
 def test_cli_pcurve_golden_bytes(case, capsys, tmp_path):
     argv, files = _golden_argv(case, tmp_path, _GOLDEN_PCURVE_CASES)
     code, out, err = run_cli(argv, capsys)
     assert code == 0, err
-    assert _golden_digest(out, files) == GOLDEN_PCURVE_SHA256[case]
+    golden.check(GOLDEN_PCURVE, case, _golden_digest(out, files))
 
 
 # a fresh process runs ``main`` on its arguments, if any, and reports on stderr
@@ -872,14 +863,14 @@ def test_fresh_process_unit_fisher_imports_no_scipy_and_keeps_its_bytes(tmp_path
     argv, files = _golden_argv("combine_exact_dm_fisher", tmp_path)
     out, loaded = _probe_scipy(argv)
     assert loaded == []
-    assert _golden_digest(out, files) == GOLDEN_CLI_SHA256["combine_exact_dm_fisher"]
+    golden.check(GOLDEN_CLI, "combine_exact_dm_fisher", _golden_digest(out, files))
 
 
 def test_fresh_process_imports_scipy_special_for_stouffer(tmp_path):
     argv, files = _golden_argv("combine_mc_dm_stouffer", tmp_path)
     out, loaded = _probe_scipy(argv)
     assert "scipy.special" in loaded
-    assert _golden_digest(out, files) == GOLDEN_CLI_SHA256["combine_mc_dm_stouffer"]
+    golden.check(GOLDEN_CLI, "combine_mc_dm_stouffer", _golden_digest(out, files))
 
 
 @pytest.mark.parametrize("name", ["combine_fisher", "combine_weighted_fisher", "simulate_default"])

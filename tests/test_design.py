@@ -32,6 +32,7 @@ from randinf.design import (
     _unrank_block_vectorized,
 )
 from conftest import attempt_key
+import golden
 
 
 class TestConstruction:
@@ -338,88 +339,54 @@ GOLDEN_DESIGNS = {
     "rbd_17_1_2x63": RBD(((17, 1),) + ((2, 1),) * 63),
 }
 GOLDEN_SEEDS = {"int": 11, "tuple": (3, 5), "big": (1 << 64) + 12345}
-GOLDEN_SAMPLE_SHA256 = {
-    ("crd_100_50", "int"): "b49db94a17961927fe9842bbded56ab50a4d6229cd3ee36e1e76acd490809568",
-    ("crd_100_50", "tuple"): "8da0e3c3f3ad22f65674dba9c2bd417f491626d23fdce30ced93df615c6a4539",
-    ("crd_100_50", "big"): "8911937df04f7b2540cb3b26e8acac0ec344fc53cea7f3f06a01c8053a95009f",
-    ("crd_200_100", "int"): "18446ada77bd24d56280976d9678eb7df41610ef58c1bc471dedfe8084f32fe7",
-    ("crd_200_100", "tuple"): "d0d12c6b5b1100e37ac2a037885f49ee25de49cd1ea19b32d51aa3ada89027b5",
-    ("crd_200_100", "big"): "084edeb205ed8e4eda686a3673f26dbf1ba4fb305bed88e7810e5f7ed65777ec",
-    ("crd_135_72", "int"): "07cf0c692956b9cb13b163654249cdd3d0cb8735e030b9adc3c35f7180fb7574",
-    ("crd_135_72", "tuple"): "b912eee0fb5851dcbf79267a8543133a8ba3e353e5ec4cb452eebb30c74c4bb0",
-    ("crd_135_72", "big"): "7b7e99422a89d7375a72d9bb10d644b06b00fc3e6b729cd3386ef7524661f982",
-    ("crd_66_33", "int"): "3e590044f0b004e696f45ecb3e21e607c793cefaa8e7a78c1d9c4c46c6e4ff9e",
-    ("crd_66_33", "tuple"): "e571fdeb6c30dee8f4f8f5f10c923caddefd37c00ce8a9e27e294fb2f7ea672a",
-    ("crd_66_33", "big"): "68c5106c7b4390ff25702bd1006749438b0e0d4f6afda0b993aec999238432d8",
-    ("crd_64_32", "int"): "a1abf4042d1e2c1798fab4de9485b83a5955be3051f40691255bbd311764cd2b",
-    ("crd_64_32", "tuple"): "96eeecf6e4bd64a8bf66b9550be27ee48d239ef817dfa32bf127dcaa5cfce976",
-    ("crd_64_32", "big"): "e3a6803db55e9ed095935739e46657382d298fe39fa18581823017a93d12e8cc",
-    ("rbd_30x6_3", "int"): "28fe516690e9988fe8cad8a2df7ddb96549e627cfd0afbf90e5952c15f2ec3c3",
-    ("rbd_30x6_3", "tuple"): "8d0bcb912821b02ba0e4febe9bfb8f5e3b2d83d5d97acc7e323f4119828b3045",
-    ("rbd_30x6_3", "big"): "b7974a3f02dc66ba41f6b5aec86668cb9bddd9fd7ed2481eb787650250ed3c3e",
-    ("rbd_mixed", "int"): "b5a21f28102065fd8f2c368d629417fd0e111f101634509d338165de9d5ff68c",
-    ("rbd_mixed", "tuple"): "c0867f0511b5aefe06baad74056552cc6fa6852607962dc6683cec20cf67dabb",
-    ("rbd_mixed", "big"): "64d853513ba31d26d8ac6626917143c005c347e6f0e328eb30f2a6f0e3e71141",
-    ("rbd_200x6_3", "int"): "5f442dd9059079ad26842139f9c8ed38e480535a4822742a986dc5521b6499f9",
-    ("rbd_200x6_3", "tuple"): "068413f51908324129d7a6bc54d42e0e65f5957e7100f86c754092e64e2194b6",
-    ("rbd_200x6_3", "big"): "484c626104fee5b2ac754327e7ebaf68948acc1a2cb4d3be2e1c1ba046f0f4e0",
-}
+GOLDEN_SAMPLE = golden.table("GOLDEN_SAMPLE_SHA256", [
+    (design, seed) for design in ("crd_100_50", "crd_200_100", "crd_135_72", "crd_66_33", "crd_64_32",
+                                  "rbd_30x6_3", "rbd_mixed", "rbd_200x6_3")
+    for seed in GOLDEN_SEEDS
+])
 
 
-@pytest.mark.parametrize("design_name, seed_name", list(GOLDEN_SAMPLE_SHA256))
+@pytest.mark.parametrize("design_name, seed_name", GOLDEN_SAMPLE.cases)
 def test_sample_golden_bytes(design_name, seed_name):
     draws = sample_assignments(GOLDEN_DESIGNS[design_name], 40, GOLDEN_SEEDS[seed_name])
-    assert hashlib.sha256(draws.tobytes()).hexdigest() == GOLDEN_SAMPLE_SHA256[design_name, seed_name]
+    golden.check(GOLDEN_SAMPLE, (design_name, seed_name), hashlib.sha256(draws.tobytes()).hexdigest())
 
 
 # SHA-256 of sample_assignments(design, k, seed).tobytes() at Monte Carlo
 # sizes (k = 4,794 is the K that required_k plans at epsilon 0.1, delta 0.01),
 # recorded at seed stream 0.2.0: a change here is a seed-stream change.
-GOLDEN_SAMPLE_K_SHA256 = {
-    ("rbd_17_1_2x40", 5000, "int"): "61b6cee4731eaab6a2ff447081d21ffdbc374aaca6d963f2479623a45d119d6a",
-    ("rbd_17_1_2x40", 5000, "tuple"): "f84c67bed5672c7776fcd69360eca56ce897a5bb63493923b68413c4aebd6f94",
-    ("rbd_17_1_2x40", 5000, "big"): "356c21a178149f7bf71b780fe60056e4c2d67762792faa0301ecd680e7b5a9ef",
-    ("rbd_17_1_2x63", 200, "int"): "1a7b382185f64dd05e6da8afa303bf078a4948b59becfa338208f6b6223af9be",
-    ("rbd_17_1_2x63", 200, "tuple"): "5dda15ecf559586125bee747df947153e2c6006253c37d79c658f846667c021e",
-    ("rbd_17_1_2x63", 200, "big"): "6e60e80f04259e3121d9a1d5cfced175fc5e69bf315c11e3b3624a4610bbc301",
-    ("rbd_30x6_3", 4794, "int"): "1986a2b9e4e477e133722311325b772dfd523e6f8c244cdda87b3aac2f89984f",
-    ("rbd_30x6_3", 4794, "tuple"): "e7b780cbdfd8e1e936247dade75ee5f045ef5e17e22471a5ca3c299338699c69",
-    ("rbd_30x6_3", 4794, "big"): "2dc85095f7a3ac8afecb0356331331f7430e5e44f592134293eb05cca4ecd0e4",
-    ("rbd_200x6_3", 1000, "int"): "f834651985703486fbb091c6f666d3fb99c38c95c285891763960d3b161f719e",
-    ("rbd_200x6_3", 1000, "tuple"): "9c3e4d967e99d279bd6ae617aa3b6aef1a52986fb099d1ff87e65f86f4e169fd",
-    ("rbd_200x6_3", 1000, "big"): "df373e708e39d286b5baaa1a17659e50a17628b659f6c25e7bd15e50399993bc",
-}
+GOLDEN_SAMPLE_K = golden.table("GOLDEN_SAMPLE_K_SHA256", [
+    (design, k, seed) for design, k in (("rbd_17_1_2x40", 5000), ("rbd_17_1_2x63", 200),
+                                        ("rbd_30x6_3", 4794), ("rbd_200x6_3", 1000))
+    for seed in GOLDEN_SEEDS
+])
 
 
-@pytest.mark.parametrize("design_name, k, seed_name", list(GOLDEN_SAMPLE_K_SHA256))
+@pytest.mark.parametrize("design_name, k, seed_name", GOLDEN_SAMPLE_K.cases)
 def test_sample_golden_bytes_at_monte_carlo_sizes(design_name, k, seed_name):
     draws = sample_assignments(GOLDEN_DESIGNS[design_name], k, GOLDEN_SEEDS[seed_name])
-    assert hashlib.sha256(draws.tobytes()).hexdigest() == GOLDEN_SAMPLE_K_SHA256[design_name, k, seed_name]
+    golden.check(GOLDEN_SAMPLE_K, (design_name, k, seed_name), hashlib.sha256(draws.tobytes()).hexdigest())
 
 
 # SHA-256 of assignment_matrix(design).tobytes() and of the first and last
 # exact replicate-source blocks, recorded while every enumerated row was
 # unranked one by one: a change here is an enumeration-order change.
-GOLDEN_MATRIX_SHA256 = {
-    "crd_22_11": (CRD(22, 11), "5ebe094e574969feb328dd0904bf8ec4711383074d551f7c8e9a16f309cfdd33"),
-    "rbd_small": (RBD(((4, 2), (3, 1), (5, 2))), "dd410c7936893ac4dfd26af6a536130225b78eb9d59507ac9b9f37c53b91fcf2"),
-    "rbd_2x10_5_8_4": (
-        RBD(((10, 5), (10, 5), (8, 4))),  # 4,445,280 rows, past the default cap
-        "3b8206b31f2d3bb5bae83b0340e00b28a4872d57fdc32d15b6a3b0a09f721c33",
-    ),
+GOLDEN_MATRIX_DESIGNS = {
+    "crd_22_11": CRD(22, 11),
+    "rbd_small": RBD(((4, 2), (3, 1), (5, 2))),
+    "rbd_2x10_5_8_4": RBD(((10, 5), (10, 5), (8, 4))),  # 4,445,280 rows, past the default cap
 }
-GOLDEN_SOURCE_BLOCKS_CRD_24_9 = (
-    ((32768, 24), "f46be9932c79dc0eea4ee0d252338e022fa3ec37891eff3e557b7504c9ad7050"),
-    ((29552, 24), "293c43ce9e5e1692a30eca3986ed76b72489e8e2490ea8e573105d695ee9b538"),
-)
+GOLDEN_MATRIX = golden.table("GOLDEN_MATRIX_SHA256", GOLDEN_MATRIX_DESIGNS)
+GOLDEN_SOURCE_BLOCK_SHAPES = {"first": (32768, 24), "last": (29552, 24)}
+GOLDEN_SOURCE_BLOCKS = golden.table("GOLDEN_SOURCE_BLOCKS_CRD_24_9", GOLDEN_SOURCE_BLOCK_SHAPES)
 
 
-@pytest.mark.parametrize("name", list(GOLDEN_MATRIX_SHA256))
+@pytest.mark.parametrize("name", GOLDEN_MATRIX.cases)
 def test_assignment_matrix_golden_bytes(name):
-    design, digest = GOLDEN_MATRIX_SHA256[name]
+    design = GOLDEN_MATRIX_DESIGNS[name]
     mat = assignment_matrix(design, cap=5_000_000)
     assert mat.shape == (total_assignments(design), design.n_units)
-    assert hashlib.sha256(mat.tobytes()).hexdigest() == digest
+    golden.check(GOLDEN_MATRIX, name, hashlib.sha256(mat.tobytes()).hexdigest())
 
 
 def test_exact_source_first_and_last_block_golden_bytes():
@@ -427,9 +394,9 @@ def test_exact_source_first_and_last_block_golden_bytes():
 
     blocks = list(_replicate_source(CRD(24, 9), ExactMode()).blocks())
     assert sum(b.shape[0] for b in blocks) == comb(24, 9)
-    for block, (shape, digest) in zip((blocks[0], blocks[-1]), GOLDEN_SOURCE_BLOCKS_CRD_24_9):
-        assert block.shape == shape
-        assert hashlib.sha256(block.tobytes()).hexdigest() == digest
+    for case, block in zip(GOLDEN_SOURCE_BLOCKS.cases, (blocks[0], blocks[-1])):
+        assert block.shape == GOLDEN_SOURCE_BLOCK_SHAPES[case]
+        golden.check(GOLDEN_SOURCE_BLOCKS, case, hashlib.sha256(block.tobytes()).hexdigest())
 
 
 class TestProbability:

@@ -142,11 +142,21 @@ def test_scenario_config_checks_its_own_field_types(field, value):
         ScenarioConfig(**{"design1": design, "design2": design, field: value})
 
 
+@pytest.mark.parametrize("n, true_theta", [(10, float("inf")), (10, float("nan")), (2.5, 0), (10, "1")],
+                         ids=["inf_theta", "nan_theta", "float_n", "string_theta"])
+def test_generate_population_refuses_what_scenario_config_refuses(n, true_theta):
+    with pytest.raises(InputError, match="integer number of units|true_theta must be a finite number"):
+        generate_population(n, true_theta, 1)
+
+
 def test_scenario_config_accepts_numpy_numbers():
     design = CRD(8, 4)
     cfg = ScenarioConfig(design, design, reps=np.int64(3), k_cap=np.int32(100), master_seed=np.uint8(1),
                          alpha=np.float64(0.1), true_theta=np.int64(2), combiners=["stouffer"])
     assert cfg.combiners == ("stouffer",)
+    # a float32 effect is read as a double, without numpy's overflow warning
+    assert ScenarioConfig(design, design, true_theta=np.float32(0.5)).true_theta == 0.5
+    assert np.array_equal(generate_population(np.int64(4), np.float32(0.5), 1).y1, generate_population(4, 0.5, 1).y1)
 
 
 @pytest.mark.parametrize("cap", [True, 2.5, np.float64(10), "10", 0, -1])
@@ -196,9 +206,18 @@ def _refused_levels():
     }
 
 
+def _dominance():
+    """A dominance profile over two atoms, built without rows."""
+    return randomization_mod._profile(np.array([1, 1]))
+
+
 def _refused_kinds():
     """Every entry that takes a side or kind, called with ``kind``."""
     return {
+        "DominanceProfile.max_shortfall": lambda data, kind: _dominance().max_shortfall(kind),
+        "DominanceProfile.max_excess": lambda data, kind: _dominance().max_excess(kind),
+        "DominanceProfile.dominated_by_uniform": lambda data, kind: _dominance().dominated_by_uniform(kind),
+        "DominanceProfile.dominates_uniform": lambda data, kind: _dominance().dominates_uniform(kind),
         "p_value": lambda data, kind: p_value(*data, 0.0, kind),
         "build_step_function": lambda data, kind: build_step_function(*data, kind),
         "PValueStepFunction": lambda data, kind: _step(kind),

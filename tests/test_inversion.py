@@ -42,6 +42,7 @@ from randinf.datasets import PotentialTable
 from randinf.randomization import _replicate_source
 from randinf.statistics import _wilcoxon_rows, _wilcoxon_switch_points, observed_statistic
 from conftest import assert_crossings_match_bisection, crossing_vectors, outcome_scale, random_experiment
+import golden as pins  # not golden: a test parameter of that name keeps its test ids
 
 
 class TestStepFunction:
@@ -446,31 +447,17 @@ def _step_digest(f):
 # functions, recorded while every switch point was found by re-ranking at each
 # bisection step (the Monte Carlo case re-recorded at seed stream 0.2.0): a
 # change here changes breakpoint bytes.
-GOLDEN_WILCOXON_SHA256 = {
-    ("rbd_10x6_3_mc", "LPLUS"): "6de8371e6d8143672e3ff8c2c53659a46a5c94c2ea312799fdf1d01422789479",
-    ("rbd_10x6_3_mc", "UPLUS"): "6311b19d3fda2dd4b6660fb59bf5bf9fc72c48b06ed2887dc35882968483e33e",
-    ("rbd_10x6_3_mc", "LMINUS"): "6311b19d3fda2dd4b6660fb59bf5bf9fc72c48b06ed2887dc35882968483e33e",
-    ("rbd_10x6_3_mc", "UMINUS"): "6de8371e6d8143672e3ff8c2c53659a46a5c94c2ea312799fdf1d01422789479",
-    ("crd_14_7_exact", "LPLUS"): "06cde742e0abeb6151dddc33d3c1e0c57cb4c911a25ccab52cbe03d3f9cd6262",
-    ("crd_14_7_exact", "UPLUS"): "8f3f75a761c45c8783fbccd472a81424ffca802e8f7f82d412c0f142704d8ef5",
-    ("crd_14_7_exact", "LMINUS"): "60219ac04345fc4eef0835712c6eccec0bb08503a0b0b3feaf285a91f0b8d394",
-    ("crd_14_7_exact", "UMINUS"): "4e006c570f1a3b342a0ef8bbd09e0573a94560593a715ca5292717926604c0e7",
-    ("tied_crd_15_5_exact", "LPLUS"): "d728a15f7cea4e82bf6fa9a98f637b2b6b659c03cb248c3889f0fe1ea26cbd1a",
-    ("tied_crd_15_5_exact", "UPLUS"): "1187594837a6d0f44d9c3d7a7c3a7584782ef74f4c68bcca8f49401eb5a65422",
-    ("tied_crd_15_5_exact", "LMINUS"): "6e7082024e48d2e1d70e84fafea5b9004dca50575695f9711e2aa0bb97960032",
-    ("tied_crd_15_5_exact", "UMINUS"): "723661e71cc262b62e76d15ef4a9c88d2ee854014eca7690c1b0e144e0e6e626",
-    ("int_crd_16_8_exact", "LPLUS"): "87389281c1282df2a90b62114dda2bafff84f1eaf32769ce6fa6d3192dd3ed7b",
-    ("int_crd_16_8_exact", "UPLUS"): "5da5fabaa72b193ad9e7fe0fe68645a0971dc42d8a980c2a1b2f680c50bba014",
-    ("int_crd_16_8_exact", "LMINUS"): "8a1c4ac3f8257b7bc562d3e64e7109081df2730233c16a6468aba7b3b484ca18",
-    ("int_crd_16_8_exact", "UMINUS"): "b69ab80fd7535ae8b519ca41bc35cd7633488ed9e0396ad60607c1046f1eabd8",
-}
+GOLDEN_WILCOXON = pins.table("GOLDEN_WILCOXON_SHA256", [
+    (case, side) for case in ("rbd_10x6_3_mc", "crd_14_7_exact", "tied_crd_15_5_exact", "int_crd_16_8_exact")
+    for side in ("LPLUS", "UPLUS", "LMINUS", "UMINUS")
+])
 
 
-@pytest.mark.parametrize("case, side", list(GOLDEN_WILCOXON_SHA256))
+@pytest.mark.parametrize("case, side", GOLDEN_WILCOXON.cases)
 def test_wilcoxon_step_function_golden_bytes(wilcoxon, case, side):
     data, design, mode = _golden_case(case)
     f = build_step_function(data, design, wilcoxon, PValueKind[side], mode)
-    assert _step_digest(f) == GOLDEN_WILCOXON_SHA256[case, side]
+    pins.check(GOLDEN_WILCOXON, (case, side), _step_digest(f))
 
 
 # SHA-256 of the four sides of diff_means without its closed form, every
@@ -478,28 +465,22 @@ def test_wilcoxon_step_function_golden_bytes(wilcoxon, case, side):
 # table of its own: it is pinned to the switch-point bytes above, and its
 # strict sides in crd_14_7_exact have 84 rows whose rank sums saturate, so
 # that they never switch.
-GOLDEN_GENERIC_DIFF_MEANS_SHA256 = {
-    ("crd_14_7_exact", "LPLUS"): "4bbead093038a59e7af0dc0a3b5e6f9e8701782a2f8d304e683b6b563857a85d",
-    ("crd_14_7_exact", "UMINUS"): "488c591aa24e3c2fbb356b3dfa23c27a1c6b873de6eac75216c018ee731d2421",
-    ("crd_14_7_exact", "UPLUS"): "cc23415ceb0cd1168e4f5097725af8c9c650d797e9ded4667efd45ba60884b37",
-    ("crd_14_7_exact", "LMINUS"): "5e3f4497ec008bcf0b8a09e58106a4aa9361c4ecf08b6f87fd48354f7f210087",
-    ("rbd_10x6_3_mc", "LPLUS"): "b52b29c592bcd0f357703a1b8d47047315bb0b324d89b50fdaeb251fbf13dfcf",
-    ("rbd_10x6_3_mc", "UMINUS"): "b52b29c592bcd0f357703a1b8d47047315bb0b324d89b50fdaeb251fbf13dfcf",
-    ("rbd_10x6_3_mc", "UPLUS"): "43121098f317d51404e8438f639648220a0a45b20a1a990376f408488b06c24b",
-    ("rbd_10x6_3_mc", "LMINUS"): "43121098f317d51404e8438f639648220a0a45b20a1a990376f408488b06c24b",
-}
+GOLDEN_GENERIC_CASES = ["crd_14_7_exact", "rbd_10x6_3_mc"]
+GOLDEN_GENERIC_DIFF_MEANS = pins.table("GOLDEN_GENERIC_DIFF_MEANS_SHA256", [
+    (case, side.name) for case in GOLDEN_GENERIC_CASES for side in ONE_SIDED
+])
 
 
-@pytest.mark.parametrize("name, golden", [("diff_means", GOLDEN_GENERIC_DIFF_MEANS_SHA256),
-                                          ("wilcoxon_rank_sum", GOLDEN_WILCOXON_SHA256)])
-@pytest.mark.parametrize("case", ["crd_14_7_exact", "rbd_10x6_3_mc"])
+@pytest.mark.parametrize("name, golden", [("diff_means", GOLDEN_GENERIC_DIFF_MEANS),
+                                          ("wilcoxon_rank_sum", GOLDEN_WILCOXON)])
+@pytest.mark.parametrize("case", GOLDEN_GENERIC_CASES)
 def test_generic_step_functions_golden_bytes(name, golden, case):
     stat = dataclasses.replace(get_statistic(name), affine=None, switch_points=None)
     data, design, mode = _golden_case(case)
     fs = build_step_functions(data, design, stat, mode)
-    assert {side.name: _step_digest(f) for side, f in fs.items()} == {
-        side.name: golden[case, side.name] for side in ONE_SIDED
-    }
+    assert set(fs) == set(ONE_SIDED)
+    for side, f in fs.items():
+        pins.check(golden, (case, side.name), _step_digest(f))
 
 
 class TestKernel:
@@ -710,24 +691,14 @@ def _golden_diff_means_case(name):
 # functions, recorded while the closed form found the ge and gt crossings as
 # two separately rounded vectors (the Monte Carlo cases re-recorded at seed
 # stream 0.2.0): a change here changes breakpoint bytes.
-GOLDEN_DIFF_MEANS_SHA256 = {
-    ("crd_16_8_exact", "LPLUS"): "59b1b1b4ee8636d8e98206391b695935871b4004c8c95e3902c28fc3cc9d79d7",
-    ("crd_16_8_exact", "UPLUS"): "b2ec947b1bdde9aea0d7cbf7a9c4b52665eb8eb6aa2b0492509c45765e31212b",
-    ("crd_16_8_exact", "LMINUS"): "59b1b1b4ee8636d8e98206391b695935871b4004c8c95e3902c28fc3cc9d79d7",
-    ("crd_16_8_exact", "UMINUS"): "b2ec947b1bdde9aea0d7cbf7a9c4b52665eb8eb6aa2b0492509c45765e31212b",
-    ("rbd_10x6_3_mc", "LPLUS"): "383e50568118928844a4f48bc9e03b896bf43db96853a53c45d0a0e54c57f805",
-    ("rbd_10x6_3_mc", "UPLUS"): "383e50568118928844a4f48bc9e03b896bf43db96853a53c45d0a0e54c57f805",
-    ("rbd_10x6_3_mc", "LMINUS"): "383e50568118928844a4f48bc9e03b896bf43db96853a53c45d0a0e54c57f805",
-    ("rbd_10x6_3_mc", "UMINUS"): "383e50568118928844a4f48bc9e03b896bf43db96853a53c45d0a0e54c57f805",
-    ("crd_100_50_mc", "LPLUS"): "7eca5c67e50b2028d9a4ec5e51c9a48dbb335aacb77f031c6cb33e57da2c7f59",
-    ("crd_100_50_mc", "UPLUS"): "7eca5c67e50b2028d9a4ec5e51c9a48dbb335aacb77f031c6cb33e57da2c7f59",
-    ("crd_100_50_mc", "LMINUS"): "7eca5c67e50b2028d9a4ec5e51c9a48dbb335aacb77f031c6cb33e57da2c7f59",
-    ("crd_100_50_mc", "UMINUS"): "7eca5c67e50b2028d9a4ec5e51c9a48dbb335aacb77f031c6cb33e57da2c7f59",
-}
+GOLDEN_DIFF_MEANS = pins.table("GOLDEN_DIFF_MEANS_SHA256", [
+    (case, side) for case in ("crd_16_8_exact", "rbd_10x6_3_mc", "crd_100_50_mc")
+    for side in ("LPLUS", "UPLUS", "LMINUS", "UMINUS")
+])
 
 
-@pytest.mark.parametrize("case, side", list(GOLDEN_DIFF_MEANS_SHA256))
+@pytest.mark.parametrize("case, side", GOLDEN_DIFF_MEANS.cases)
 def test_diff_means_step_function_golden_bytes(diff_means, case, side):
     data, design, mode = _golden_diff_means_case(case)
     f = build_step_functions(data, design, diff_means, mode)[PValueKind[side]]
-    assert _step_digest(f) == GOLDEN_DIFF_MEANS_SHA256[case, side]
+    pins.check(GOLDEN_DIFF_MEANS, (case, side), _step_digest(f))

@@ -25,6 +25,7 @@ from randinf import simulate as simulate_mod
 from randinf.simulate import _MAX_UNITS, AuditReport, _width_classes
 from randinf.randomization import PValueKind
 from conftest import audit_digest
+import golden
 
 
 class TestGeneratePopulation:
@@ -292,11 +293,7 @@ _GOLDEN_SCENARIOS = {
 # SHA-256 of every arm's (coverage, width_mean, width_sd) float64 bytes in
 # arm order, recorded while every side of every experiment was built from its
 # own replicate matrix (dm_1x16_mc_2x8_exact re-recorded at seed stream 0.2.0).
-GOLDEN_SCENARIO_SHA256 = {
-    "dm_1x16_mc_2x8_exact": "2d58a1372d4286fc90b5fcfa8a0aa23e799538e312d8fa5fd44706f49e13142d",
-    "dm_1x16_mc_both": "de000b698087b71e5f8ec5c7776c0809e9ec8683abd2a8ad280d2ca4557ae5a8",
-    "wilcoxon_2x8_exact_1x16_mc": "dff9dcb4d6582800dcb078274bb5827de96a9959ed7f4ae2d3de3d8d521dd2b1",
-}
+GOLDEN_SCENARIO = golden.table("GOLDEN_SCENARIO_SHA256", _GOLDEN_SCENARIOS)
 
 
 def _arms_digest(result):
@@ -309,10 +306,10 @@ def _arms_digest(result):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("case", list(_GOLDEN_SCENARIOS))
+@pytest.mark.parametrize("case", GOLDEN_SCENARIO.cases)
 def test_run_scenario_golden_bytes(case):
     cfg = ScenarioConfig(reps=3, k_cap=5000, master_seed=20260808, **_GOLDEN_SCENARIOS[case])
-    assert _arms_digest(run_scenario(cfg)) == GOLDEN_SCENARIO_SHA256[case]
+    golden.check(GOLDEN_SCENARIO, case, _arms_digest(run_scenario(cfg)))
 
 
 def test_run_scenario_builds_one_union_grid_per_rep(monkeypatch):
@@ -393,19 +390,16 @@ def _golden_audit_case(name):
 
 # SHA-256 of every audit report field, recorded while the audit partitioned a
 # replicates x observed breakpoint matrix at every alpha's ranks.
-GOLDEN_AUDIT_SHA256 = {
-    "tied_crd_15_5_perm0": "0c8e995ea8695974e12816132d30becd6af31f58aab871365be4b3cd3eecb8d1",
-    "tied_crd_15_5_perm1": "0a5759320073dc0c3c5f3b1ae6dd4122ea663289ccc0e8a6d43e9e1afbf11764",
-    "tied_crd_15_5_perm2": "8223a83c95a0142e6f6dccbada835918989a58935adb2d71341324ce11acef59",
-    "tied_crd_8_4_at_1.5": "d63063e26a2c89ce25e011fd3705915db397f833642ff73c96098f9f9e81801b",
-    "lognormal_rbd_2x4_2_at_-0.75": "f7bdc7f8bf329f79d8ae119874c7739abf6945f41eb90cded849ddba7468e14f",
-}
+GOLDEN_AUDIT = golden.table("GOLDEN_AUDIT_SHA256", [
+    "tied_crd_15_5_perm0", "tied_crd_15_5_perm1", "tied_crd_15_5_perm2", "tied_crd_8_4_at_1.5",
+    "lognormal_rbd_2x4_2_at_-0.75",
+])
 
 
-@pytest.mark.parametrize("case", list(GOLDEN_AUDIT_SHA256))
+@pytest.mark.parametrize("case", GOLDEN_AUDIT.cases)
 def test_exact_validity_audit_golden_bytes(case):
     pop, design, alphas = _golden_audit_case(case)
-    assert audit_digest(exact_validity_audit(pop, design, alphas=alphas)) == GOLDEN_AUDIT_SHA256[case]
+    golden.check(GOLDEN_AUDIT, case, audit_digest(exact_validity_audit(pop, design, alphas=alphas)))
 
 
 @pytest.mark.parametrize("case", [f"tied_crd_15_5_perm{i}" for i in range(3)])
