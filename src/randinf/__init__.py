@@ -6,7 +6,7 @@ p-value functions across independent experiments, and Monte Carlo
 sample-size planning.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from ._util import InputError
 from .combine import (

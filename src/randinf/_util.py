@@ -1,4 +1,4 @@
-"""Shared helpers: the input-error type, the largest array size, significant-digit rounding, number, finite-value and level checks, seed folding, distinct values and atoms of a sample."""
+"""Shared helpers: the input-error type, the largest array size, significant-digit rounding, number, finite-value, level and seed checks, seed folding, distinct values and atoms of a sample."""
 
 import math
 import numbers
@@ -98,17 +98,30 @@ def require_level(value, name: str) -> None:
         raise InputError(f"{name} must lie in (0, 1), got {value!r}")
 
 
-def fold_seed(seed) -> int:
-    """Collapse an int or tuple-of-ints seed into one 128-bit integer key.
+def require_seed(seed, name: str) -> None:
+    """Refuse, with ``InputError`` naming ``name`` and ``seed``, anything but a
+    non-negative integer or a tuple of them.
 
-    Plain non-negative ints below 2**128 are used directly, so documented
-    integer seeds map to the same stream everywhere.  Anything else is folded
-    through numpy's SeedSequence, which is stable across platforms.
+    A negative integer is refused: folded as two's complement it would share
+    its stream with a positive one.
+    """
+    if not all(is_integer(e) and e >= 0 for e in (seed if isinstance(seed, tuple) else (seed,))):
+        raise InputError(f"{name} must be a non-negative integer or a tuple of them, got {seed!r}")
+
+
+def fold_seed(seed) -> int:
+    """Collapse a non-negative int or tuple-of-ints seed into one 128-bit integer key.
+
+    Plain ints below 2**128 are used directly, so documented integer seeds
+    map to the same stream everywhere.  Anything else is folded through
+    numpy's SeedSequence, which is stable across platforms and splits each
+    element into words, so elements of 2**64 or more, and ints of 2**128 or
+    more, keep all their bits.
     """
     if isinstance(seed, (int, np.integer)) and 0 <= int(seed) < (1 << 128):
         return int(seed)
-    entropy = seed if isinstance(seed, (tuple, list)) else (int(seed),)
-    state = np.random.SeedSequence([int(e) & ((1 << 64) - 1) for e in entropy]).generate_state(2, np.uint64)
+    entropy = seed if isinstance(seed, (tuple, list)) else (seed,)
+    state = np.random.SeedSequence([int(e) for e in entropy]).generate_state(2, np.uint64)
     return int(state[0]) | (int(state[1]) << 64)
 
 

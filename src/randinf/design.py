@@ -19,30 +19,40 @@ as often as the earlier blocks have assignments, so its columns are filled
 pieces expanded by ``np.repeat``.  :func:`assignment_matrix` and the exact
 replicate source in :mod:`randinf.randomization` both use it.
 
-Sampled rows come from global indices.  An index is split once per run of
-consecutive blocks whose joint count fits in 2**62 (object ``%`` and ``//``
-past 2**62), and into group ranks within the run on int64, block 0 fastest.
-A group is a stretch of consecutive blocks of a run, merged while their
-units times their joint count fit the table budget.  Its product table
-holds all of its assignments in enumeration order, so rank ``m`` is row
-``m``, and its rows are one gather from that table (cached, read-only).  A
-block too large for a table of its own is unranked by a ``searchsorted``
-walk down a cached binomial table, all rows at once: on exact Python ints
-(numpy ``object`` arrays) while a rank may exceed 2**62, on int64 from the
-step where every rank fits.
+Sampled rows come from one draw per run of blocks (:func:`_block_runs`).
+A run of consecutive blocks whose joint count fits in 2**62 draws one int64
+index, split into group ranks on int64, block 0 fastest.  A group is a
+stretch of consecutive blocks of a run, merged while their units times their
+joint count fit the table budget.  Its product table holds all of its
+assignments in enumeration order, so rank ``m`` is row ``m``, and its rows
+are one gather from that table (cached, read-only).  A block too large for a
+table of its own is unranked by a ``searchsorted`` walk down a cached int64
+binomial table, all rows at once.  A block whose own count is past 2**62 is
+a run of its own, and draws its row by random keys.
 
 Sampling is counter based: draw ``j`` of ``sample_assignments(design, k,
 seed)`` depends only on ``(seed, j)``, so the first draws are the same for
-every ``k``.  Each draw is an exact uniform index, by rejection against the
-power of two above the space size, on rows of Philox words: eight words, or
-``ceil(bits / 64)`` past 512 bits.  Up to 2**62 the eight words are eight
-candidates, the first one below the size taken: every row is decided on its
-first word, and only rows whose first word misses read the other seven.
-Otherwise the row's last ``ceil(bits / 64)`` words are one candidate, the
-first word most significant.  Attempt 0 reads row ``j`` of the stream keyed
-by the folded seed; attempt ``a`` gives the draws still missing, in order,
-the rows of the stream keyed by ``fold_seed((key_lo, key_hi, a))``.  This is
-the seed stream of version 0.2.0.
+every ``k``.  Each run draws from its own Philox streams, and each of its
+draws is exactly uniform, by rejection:
+
+- a run that fits reads rows of eight Philox words, each word masked to the
+  bits of the run's count a candidate; the first one below the count is
+  taken, so every row is decided on its first word, and only rows whose
+  first word misses read the other seven;
+- a block of ``n`` units past 2**62 reads rows of ``n`` words, one key a
+  unit, and treats the ``t`` units of smallest key.  A row whose ``t``-th
+  and ``(t+1)``-th smallest keys tie misses.  The keys are iid, so given no
+  tie there every ``t``-subset is equally likely to hold the smallest.  The
+  words are drawn a chunk of rows at a time, never ``k * n`` at once.
+
+A row that misses is redrawn at the next attempt: attempt ``a`` of a run
+gives the draws still missing, in order, the next rows of its stream.  Run
+0's attempt 0 is keyed by the folded seed, and its attempt ``a`` by
+``fold_seed((key_lo, key_hi, a))``; run ``r >= 1``'s attempt ``a`` by
+``fold_seed((key_lo, key_hi, a, r))``.  (A trailing 0 would give no new key:
+SeedSequence pads short entropy with zeros.)  This is the seed stream of
+version 0.3.0.  A design of one run that fits in 2**62, which is every
+design of at most 2**62 assignments, draws the bytes of stream 0.2.0.
 """
 
 from bisect import bisect_left, bisect_right
@@ -54,7 +64,7 @@ from typing import Union
 
 import numpy as np
 
-from ._util import MAX_ARRAY_ENTRIES, InputError, fold_seed, is_integer
+from ._util import MAX_ARRAY_ENTRIES, InputError, fold_seed, is_integer, require_seed
 
 __all__ = [
     "CRD",
@@ -69,9 +79,12 @@ __all__ = [
     "assignment_probability_exact",
 ]
 
-# Vectorized index arithmetic needs headroom below 2**63; larger indices and
-# block ranks are exact Python ints in object arrays.
+# The largest count of a run of blocks that draws one int64 index: index
+# arithmetic keeps headroom below 2**63.  A block past it draws by random keys.
 _INT64_SAFE_TOTAL = 1 << 62
+
+# Most Philox words drawn at once for the rows of a block past 2**62
+_KEY_WORDS = 1 << 16
 
 # Full enumeration is refused above this many assignments unless a caller
 # passes its own cap.
@@ -157,39 +170,35 @@ def total_assignments(design: Design) -> int:
 _BINOMIAL_ENTRIES = 1 << 15
 
 
-def _binomial_tables(n, k):
-    """C(r, i) for i <= k and r <= n: exact (object) and clipped to 2**62 (int64), read-only."""
-    # exact C(r, i) by the hockey-stick rule C(r, i) = sum of C(s, i - 1) over s < r
-    exact = np.empty((k + 1, n + 1), dtype=object)
-    exact[0] = 1
-    exact[1:, 0] = 0
+def _binomial_table(n, k):
+    """C(r, i) for i <= k <= n / 2 and r <= n, as a read-only int64 table.
+
+    Built by the hockey-stick rule C(r, i) = sum of C(s, i - 1) over s < r, a
+    cumulative sum of the row above.  Every entry, and so every partial sum,
+    is at most C(n, k), which an unranked block keeps within 2**62.
+    """
+    table = np.zeros((k + 1, n + 1), dtype=np.int64)
+    table[0] = 1
     for i in range(1, k + 1):
-        exact[i, 1:] = np.cumsum(exact[i - 1, :-1])
-    clipped = np.minimum(exact, _INT64_SAFE_TOTAL).astype(np.int64)
-    exact.flags.writeable = clipped.flags.writeable = False
-    return exact, clipped
+        np.cumsum(table[i - 1, :-1], out=table[i, 1:])
+    table.flags.writeable = False
+    return table
 
 
 # at most 8 tables of at most _BINOMIAL_ENTRIES entries each
-_kept_binomial_tables = lru_cache(maxsize=8)(_binomial_tables)
+_kept_binomial_table = lru_cache(maxsize=8)(_binomial_table)
 
 
 def _unrank_block_vectorized(n, k, m):
-    """Colex-unrank an array of ranks into a (len(m), n) 0/1 matrix.
+    """Colex-unrank int64 ranks below C(n, k) <= 2**62 into a (len(m), n) 0/1 matrix.
 
-    int64 ranks are unranked against binomials clipped to 2**62: ranks of a
-    block that fits stay below that, so a clipped entry is never selected.
-    object ranks (Python ints, for blocks past 2**62) use exact binomials
-    until every rank fits: after step ``i`` a rank is below C(c_i, i - 1),
-    so once that is at most 2**62 for the largest c_i the rest is int64.
     A block that treats most of its units is the complement of the set of
     ``n - k`` at colex rank ``C(n, k) - 1 - m``, which takes fewer steps.
     """
     if 2 * k > n:
         return 1 - _unrank_block_vectorized(n, n - k, (comb(n, k) - 1) - m)
     kept = (k + 1) * (n + 1) <= _BINOMIAL_ENTRIES
-    exact, clipped = (_kept_binomial_tables if kept else _binomial_tables)(n, k)
-    table = exact if m.dtype == object else clipped
+    table = (_kept_binomial_table if kept else _binomial_table)(n, k)
     rows = np.arange(m.size)
     w = np.zeros((m.size, n), dtype=np.int8)
     for i in range(k, 0, -1):
@@ -198,8 +207,6 @@ def _unrank_block_vectorized(n, k, m):
         c = np.searchsorted(table[i], m, side="right") - 1
         w[rows, c] = 1
         m = m - table[i, c]
-        if table is exact and m.size and comb(int(c.max()), i - 1) <= _INT64_SAFE_TOTAL:
-            m, table = m.astype(np.int64), clipped
     return w
 
 
@@ -237,25 +244,24 @@ def _product_table(blocks):
     return table
 
 
-def _indices_to_assignments(design: Design, idx: np.ndarray) -> np.ndarray:
-    """Map global assignment indices to assignment vectors (block 0 fastest).
+def _indices_to_assignments(design: Design, draws) -> np.ndarray:
+    """Map the draws of :func:`_sample_indices` to assignment vectors.
 
-    ``idx`` is int64, or object (Python ints) for spaces past 2**62.  It is
-    split once per run of blocks whose joint count fits in 2**62 (one object
-    ``%`` and ``//`` each), and into group ranks within the run on int64
-    (:func:`_block_runs`).  A group's rows are gathered from its
-    :func:`_product_table` by rank; a block too large for a table is
-    unranked by :func:`_unrank_block_vectorized`.
+    ``draws`` holds one array per run of :func:`_block_runs`: the int64
+    ranks of a run that fits in 2**62, split into group ranks within the run
+    (block 0 fastest), or the packed rows of a block past it, unpacked.  A
+    group's rows are gathered from its :func:`_product_table` by rank; a
+    block too large for a table is unranked by
+    :func:`_unrank_block_vectorized`.
     """
-    w = np.empty((idx.size, design.n_units), dtype=np.int8)
-    rem = idx
-    runs = _block_runs(design)
-    for r, (groups, run_total) in enumerate(runs):
-        m = rem
-        if r < len(runs) - 1:
-            m, rem = rem % run_total, rem // run_total
-        if run_total <= _INT64_SAFE_TOTAL:
-            m = m.astype(np.int64, copy=False)
+    w = np.empty((len(draws[0]), design.n_units), dtype=np.int8)
+    for (groups, _), m in zip(_block_runs(design), draws):
+        if m.ndim == 2:  # the rows of one block past 2**62, unpacked as many at once as keys are drawn
+            (start, ((k, _),), _), = groups
+            step = max(1, 8 * _KEY_WORDS // k)
+            for lo in range(0, len(m), step):
+                w[lo:lo + step, start:start + k] = np.unpackbits(m[lo:lo + step], axis=1, count=k)
+            continue
         for g, (start, blocks, g_total) in enumerate(groups):
             ranks = m
             if g < len(groups) - 1:
@@ -420,59 +426,90 @@ def assignment_matrix(design: Design, cap: int = DEFAULT_ENUMERATION_CAP) -> np.
     return _range_to_assignments(design, 0, _enumerable_total(design, cap))
 
 
-def _sample_indices(design: Design, k: int, seed) -> np.ndarray:
-    """k iid uniform assignment indices; entry j depends only on (seed, j).
+def _stream_key(key: int, run: int, attempt: int) -> int:
+    """The Philox key of one attempt of one run of blocks, from the folded seed ``key``."""
+    if run == attempt == 0:
+        return key
+    words = (key & ((1 << 64) - 1), key >> 64, attempt)
+    return fold_seed(words + (run,) if run else words)
 
-    int64 for spaces of at most 2**62 assignments, object (Python ints) past it.
-    A retry's row depends on the draws missing before j, hence on (seed, j).
+
+def _ranks(gen, count: int, total: int):
+    """``count`` candidate ranks below ``total`` <= 2**62 from ``gen``, and which of them hit.
+
+    Each reads a row of eight words masked to the bits of ``total``, taking
+    the first one below it; only rows whose first word misses read the rest.
     """
-    total = total_assignments(design)
-    bits = total.bit_length()
-    words = (bits + 63) // 64  # of a candidate, the first most significant
-    top = np.uint64((1 << (bits - 64 * (words - 1))) - 1)  # bits kept of its first word
-    width = max(8, words)  # of a row
+    top = np.uint64((1 << total.bit_length()) - 1)
+    rows = gen.random_raw(count * 8).reshape(-1, 8)
+    got = (rows[:, 0] & top).astype(np.int64)
+    hit = got < total
+    miss = np.flatnonzero(~hit)
+    if miss.size:
+        cand = (rows[miss, 1:] & top).astype(np.int64)
+        ok = cand < total
+        got[miss] = cand[np.arange(miss.size), np.argmax(ok, axis=1)]
+        hit[miss] = ok.any(axis=1)
+    return got, hit
+
+
+def _key_rows(gen, count: int, n: int, t: int):
+    """``count`` candidate rows of a block of ``n`` units treating ``t``, packed, and which of them hit.
+
+    Each reads ``n`` words from ``gen``, one key a unit, and treats the units
+    whose keys are at most the ``t``-th smallest: exactly ``t`` of them, and
+    a hit, unless the ``(t+1)``-th smallest key ties the ``t``-th.
+    """
+    packed = np.empty((count, (n + 7) // 8), dtype=np.uint8)
+    hit = np.empty(count, dtype=bool)
+    chunk = max(1, _KEY_WORDS // n)
+    for lo in range(0, count, chunk):
+        keys = gen.random_raw(min(chunk, count - lo) * n).reshape(-1, n)
+        treated = keys <= np.partition(keys, t - 1, axis=1)[:, t - 1:t]
+        hit[lo:lo + len(keys)] = np.count_nonzero(treated, axis=1) == t
+        packed[lo:lo + len(keys)] = np.packbits(treated, axis=1)
+    return packed, hit
+
+
+def _sample_indices(design: Design, k: int, seed) -> list:
+    """k iid uniform draws, as one array per run of :func:`_block_runs`; draw j depends only on (seed, j).
+
+    A run that fits in 2**62 gives its draws' int64 ranks, and a block past
+    it their rows, ``ceil(n / 8)`` bytes each (``np.packbits``).  Each run
+    draws by rejection from its own streams (see the module docstring); a
+    retry's row depends on the draws missing before j, hence on (seed, j).
+    """
     key = fold_seed(seed)
-    fits = total <= _INT64_SAFE_TOTAL
-    idx = np.empty(k, dtype=np.int64 if fits else object)
-    missing, attempt = np.arange(k), 0
-    while missing.size:
-        stream = key if attempt == 0 else fold_seed((key & ((1 << 64) - 1), key >> 64, attempt))
-        rows = np.random.Philox(key=stream).random_raw(missing.size * width).reshape(-1, width)
-        if fits:
-            # eight candidates per row; the first one below total is taken,
-            # and only rows whose first candidate misses read the other seven
-            got = (rows[:, 0] & top).astype(np.int64)
-            hit = got < total
-            miss = np.flatnonzero(~hit)
-            if miss.size:
-                cand = (rows[miss, 1:] & top).astype(np.int64)
-                ok = cand < total
-                got[miss] = cand[np.arange(miss.size), np.argmax(ok, axis=1)]
-                hit[miss] = ok.any(axis=1)
+    draws = []
+    for run, (groups, total) in enumerate(_block_runs(design)):
+        if total <= _INT64_SAFE_TOTAL:
+            out, candidates, shape = np.empty(k, dtype=np.int64), _ranks, (total,)
         else:
-            # one candidate per row: its last `words` words read as one integer
-            cand = rows[:, width - words:]
-            cand[:, 0] &= top
-            got = cand[:, 0].astype(object)
-            for j in range(1, words):
-                got = (got << 64) | cand[:, j].astype(object)
-            hit = got < total
-        idx[missing] = got  # a miss is written over by a later attempt
-        missing, attempt = missing[~hit], attempt + 1
-    return idx
+            (_, ((n, t),), _), = groups
+            out, candidates, shape = np.empty((k, (n + 7) // 8), dtype=np.uint8), _key_rows, (n, t)
+        missing, attempt = np.arange(k), 0
+        while missing.size:
+            gen = np.random.Philox(key=_stream_key(key, run, attempt))
+            got, hit = candidates(gen, missing.size, *shape)
+            out[missing] = got  # a miss is written over by a later attempt
+            missing, attempt = missing[~hit], attempt + 1
+        draws.append(out)
+    return draws
 
 
 def sample_assignments(design: Design, k: int, seed) -> np.ndarray:
     """Draw ``k`` iid uniform assignments with replacement, as a (k, n) matrix.
 
     Fully reproducible: draw ``j`` is a pure function of ``(seed, j)``, so the
-    first ``m`` draws are the same for every ``k >= m``.  Each draw is a
-    uniform index into the space, drawn from Philox streams of the folded seed
-    (see the module docstring), and unranked into the row of
-    :func:`assignment_matrix` at that index.  Indices are int64 while the
-    space has at most 2**62 assignments and exact Python ints past it; even
-    then a run of blocks whose joint space fits is read on int64.  ``k`` is
-    an integer >= 1, and ``seed`` an integer or a tuple of integers.
+    first ``m`` draws are the same for every ``k >= m``.  Each run of blocks
+    whose joint count fits in 2**62 draws a uniform int64 index into its
+    space, unranked into that run's part of the row of
+    :func:`assignment_matrix` at that index; a block past 2**62 treats the
+    units of smallest random key.  Every draw is exactly uniform, by
+    rejection, from Philox streams of the folded seed, one set a run: seed
+    stream 0.3.0 (see the module docstring), which draws the bytes of 0.2.0
+    for every design of at most 2**62 assignments.  ``k`` is an integer >=
+    1, and ``seed`` a non-negative integer or a tuple of them.
     """
     _require_draws(k, seed)
     return _indices_to_assignments(design, _sample_indices(design, k, seed))
@@ -480,15 +517,14 @@ def sample_assignments(design: Design, k: int, seed) -> np.ndarray:
 
 def _require_draws(k, seed) -> None:
     """Refuse, with ``InputError``, a draw count ``k`` that is not an integer >= 1,
-    one past the draws numpy can size an index array of, and a seed that is
-    neither an integer nor a tuple of integers."""
+    one past the draws numpy can size an index array of, and a seed that
+    :func:`randinf._util.require_seed` refuses."""
     if not (is_integer(k) and k >= 1):
         raise InputError(f"Monte Carlo sample size k must be an integer >= 1, got {k!r}")
     if k > MAX_ARRAY_ENTRIES:
         raise InputError(f"Monte Carlo sample size k must be at most {MAX_ARRAY_ENTRIES}, the most "
                          f"draws numpy can size an array of, got {k!r}")
-    if not all(map(is_integer, seed if isinstance(seed, tuple) else (seed,))):
-        raise InputError(f"Monte Carlo draws need an integer seed for reproducibility, got {seed!r}")
+    require_seed(seed, "the Monte Carlo seed")
 
 
 def _miscount(design: Design, w) -> str:

@@ -155,17 +155,20 @@ class _ReplicateSource:
     """The assignment rows of one design under one mode, as int8 row blocks.
 
     Exact mode enumerates the rows ``0..size-1``; Monte Carlo mode holds the
-    ``k`` indices drawn once at construction (8 bytes a row).  :meth:`blocks`
-    writes ``_ROW_BLOCK`` rows at a time, so the blocks are, in order, the
-    rows of ``assignment_matrix`` or ``sample_assignments``.  Each pass writes
-    them again, except that a source whose rows fit in one block keeps it.
+    ``k`` draws made once at construction by ``design._sample_indices``: for
+    each row, 8 bytes (an int64 rank) a run of blocks whose joint count fits
+    in 2**62 and ``ceil(n / 8)`` bytes (its packed row) a block of ``n`` units
+    past it.  :meth:`blocks` writes ``_ROW_BLOCK`` rows at a time, so the
+    blocks are, in order, the rows of ``assignment_matrix`` or
+    ``sample_assignments``.  Each pass writes them again, except that a
+    source whose rows fit in one block keeps it.
     """
 
-    def __init__(self, design: Design, mode: Mode, size: int, indices=None):
+    def __init__(self, design: Design, mode: Mode, size: int, draws=None):
         self.design = design
         self.mode = mode
         self.size = size
-        self._indices = indices
+        self._draws = draws
         self._kept = None
 
     def blocks(self):
@@ -175,10 +178,10 @@ class _ReplicateSource:
             return
         for start in range(0, self.size, _ROW_BLOCK):
             stop = min(start + _ROW_BLOCK, self.size)
-            if self._indices is None:
+            if self._draws is None:
                 block = _range_to_assignments(self.design, start, stop)
             else:
-                block = _indices_to_assignments(self.design, self._indices[start:stop])
+                block = _indices_to_assignments(self.design, [run[start:stop] for run in self._draws])
             block.flags.writeable = False
             if stop - start == self.size:
                 self._kept = block

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import InputError, atoms, is_integer, require_finite, require_level, round_sig
+from ._util import InputError, atoms, is_integer, require_finite, require_level, require_seed, round_sig
 from .combine import _combined_sides, _union_grid, make_combiner
 from .design import CRD, RBD, Design, assignment_matrix, sample_assignments, total_assignments
 from .inversion import (
@@ -95,12 +95,14 @@ def generate_population(n: int, true_theta: float, seed) -> PotentialTable:
 
     Control values exponentiate standard normals from numpy's seeded PCG64
     generator (ziggurat method), so a seed pins the table exactly.  ``n`` must
-    be an integer >= 2 and ``true_theta`` a finite number a double holds;
-    anything else raises ``InputError``.
+    be an integer >= 2, ``true_theta`` a finite number a double holds and
+    ``seed`` a non-negative integer or a tuple of them; anything else raises
+    ``InputError``.
     """
     if not (is_integer(n) and n >= 2):
         raise InputError(f"a population needs an integer number of units >= 2, got {n!r}")
     require_finite(true_theta, "true_theta")
+    require_seed(seed, "the population seed")
     rng = np.random.default_rng(seed)
     y0 = np.exp(rng.standard_normal(n))
     return PotentialTable(y0=y0, y1=y0 + true_theta)

@@ -119,45 +119,66 @@ def audit_digest(report):
     return h.hexdigest()
 
 
-def attempt_key(seed, attempt):
-    """The Philox key of a sampling attempt: the folded seed, then its fold with the attempt."""
-    key = fold_seed(seed)
-    return key if attempt == 0 else fold_seed((key & ((1 << 64) - 1), key >> 64, attempt))
+def stream_key(seed, run, attempt):
+    """The Philox key of one sampling attempt of one run of blocks.
 
-
-def replay_indices(seed, k, total):
-    """Exact uniform indices on [0, total) for draws 0..k-1, one draw and one attempt at a time.
-
-    The scalar reference for ``design._sample_indices``.  A row holds eight
-    64-bit words, or ``ceil(bits / 64)`` when that is more; the words of a
-    candidate are read most significant first and masked to ``bits`` bits.
-    Up to 62 bits each of a row's eight words is a candidate, the first one
-    below ``total`` taken; past it the row's last ``ceil(bits / 64)`` words
-    are one.  Each draw takes the next unread row of attempt 0's stream, and
-    after a miss the next unread row of the following attempt's stream.
+    Run 0 keys attempt 0 by the folded seed and attempt ``a`` by its fold
+    with ``a``; run ``r >= 1`` keys attempt ``a`` by the fold with ``(a, r)``.
     """
-    bits = total.bit_length()
-    words = (bits + 63) // 64
-    width = max(8, words)
+    key = fold_seed(seed)
+    if run == attempt == 0:
+        return key
+    return fold_seed((key & ((1 << 64) - 1), key >> 64, attempt) + ((run,) if run else ()))
+
+
+def _replay(seed, k, run, width, decide):
+    """Draws 0..k-1 of one run, one draw and one attempt at a time.
+
+    Each draw takes the next unread row of ``width`` words of attempt 0's
+    stream, and after a miss the next unread row of the following attempt's
+    stream; ``decide(row)`` is the draw a row of Python ints gives, or None
+    for a miss.
+    """
     rows_read = []  # of each attempt's stream, by the draws before
     out = []
     for _ in range(k):
-        attempt, index = 0, None
-        while index is None:
+        attempt, draw = 0, None
+        while draw is None:
             if attempt == len(rows_read):
                 rows_read.append(0)
             start = rows_read[attempt] * width  # in words; Philox yields four per counter step
             rows_read[attempt] += 1
-            gen = np.random.Philox(key=attempt_key(seed, attempt))
+            gen = np.random.Philox(key=stream_key(seed, run, attempt))
             gen.advance(start // 4)
-            row = [int(x) for x in gen.random_raw(start % 4 + width)[start % 4:]]
-            if bits > 62:
-                row = [sum(word << (64 * i) for i, word in enumerate(reversed(row[width - words:])))]
-            hits = [c & ((1 << bits) - 1) for c in row if c & ((1 << bits) - 1) < total]
-            index = hits[0] if hits else None
+            draw = decide([int(x) for x in gen.random_raw(start % 4 + width)[start % 4:]])
             attempt += 1
-        out.append(index)
+        out.append(draw)
     return out
+
+
+def replay_indices(seed, k, total, run=0):
+    """Exact uniform indices on [0, total <= 2**62) for draws 0..k-1 of run ``run``.
+
+    The scalar reference for the ranks of ``design._sample_indices``.  A row
+    holds eight 64-bit words, each masked to the bits of ``total`` a
+    candidate; the first one below ``total`` is taken.
+    """
+    mask = (1 << total.bit_length()) - 1
+    return _replay(seed, k, run, 8, lambda row: next((c & mask for c in row if c & mask < total), None))
+
+
+def replay_key_rows(seed, k, n, t, run=0):
+    """Treated-unit sets of draws 0..k-1 of a block of ``n`` units treating ``t``, run ``run``.
+
+    The scalar reference for the key rows of ``design._sample_indices``: a
+    row of ``n`` words is one key a unit, and treats the ``t`` units of
+    smallest key, unless the ``t``-th and ``(t+1)``-th smallest keys tie.
+    """
+    def decide(keys):
+        order = sorted(keys)
+        return None if order[t - 1] == order[t] else {u for u in range(n) if keys[u] <= order[t - 1]}
+
+    return _replay(seed, k, run, n, decide)
 
 
 @pytest.fixture

@@ -31,7 +31,9 @@ from randinf.design import (
     _range_to_assignments,
     _unrank_block_vectorized,
 )
-from conftest import attempt_key
+from randinf._util import fold_seed
+from scipy.stats import chi2
+from conftest import replay_key_rows, stream_key
 import golden
 
 
@@ -166,43 +168,46 @@ class TestEnumeration:
             finally:
                 tracemalloc.stop()
             assert peak - rows.nbytes < 2 << 20
-            want = _indices_to_assignments(design, np.arange(lo, lo + 1024))
+            want = _indices_to_assignments(design, [np.arange(lo, lo + 1024)])
             np.testing.assert_array_equal(rows, want)
+
+
+def _spread_ranks(total, seed):
+    """Both ends, the middle and 20 seeded ranks of [0, total)."""
+    rng = np.random.default_rng(seed)
+    ranks = [0, 1, total // 2, total - 2, total - 1]
+    return ranks + [int(x) * total // (1 << 62) for x in rng.integers(0, 1 << 62, size=20)]
 
 
 class TestUnranker:
     @pytest.mark.parametrize("n, t", [(1, 1), (4, 2), (6, 1), (7, 3), (8, 5), (9, 8)])
-    def test_object_ranks_match_colex_oracle(self, n, t):
+    def test_ranks_match_colex_oracle(self, n, t):
         ranks = np.arange(comb(n, t))
         oracle = _colex(n, t)
         want = np.array([[int(j in oracle[m]) for j in range(n)] for m in ranks], dtype=np.int8)
-        np.testing.assert_array_equal(_unrank_block_vectorized(n, t, ranks.astype(object)), want)
         np.testing.assert_array_equal(_unrank_block_vectorized(n, t, ranks), want)
 
-    @pytest.mark.parametrize("n, t", [(66, 33), (100, 50), (200, 100), (135, 72)])
-    def test_object_ranks_past_int64_invert_the_rank(self, n, t):
+    @pytest.mark.parametrize("n, t", [(64, 32), (65, 32), (65, 37), (1500, 7)])
+    def test_ranks_up_to_2_62_invert_the_rank(self, n, t):
+        # the largest blocks that still draw an int64 index: every binomial
+        # of the table, and so every partial sum it is built from, fits
         total = comb(n, t)
-        rng = np.random.default_rng(n)
-        ranks = [0, 1, total // 2, total - 2, total - 1]
-        ranks += [int(x) * total // (1 << 62) for x in rng.integers(0, 1 << 62, size=20)]
-        rows = _unrank_block_vectorized(n, t, np.array(ranks, dtype=object))
+        assert (1 << 60) < total <= design_mod._INT64_SAFE_TOTAL
+        ranks = _spread_ranks(total, n)
+        rows = _unrank_block_vectorized(n, t, np.array(ranks, dtype=np.int64))
         assert (rows.sum(axis=1) == t).all()
         assert [_colex_rank(np.nonzero(r)[0]) for r in rows] == ranks
 
-    @pytest.mark.parametrize("n, t", [(400, 398), (40, 30), (70, 40), (300, 260)])
+    @pytest.mark.parametrize("n, t", [(400, 398), (40, 30), (62, 40), (3000, 2995)])
     def test_majority_treated_blocks_invert_the_rank(self, n, t):
         # too large for the colex table, so sampling unranks these blocks, by
-        # their complements; int64 ranks while the block fits in 2**62
+        # their complements
         total = comb(n, t)
-        assert n * total > design_mod._TABLE_BYTES
-        rng = np.random.default_rng(n + t)
-        ranks = [0, 1, total // 2, total - 2, total - 1]
-        ranks += [int(x) * total // (1 << 62) for x in rng.integers(0, 1 << 62, size=20)]
-        dtypes = (object, np.int64) if total <= design_mod._INT64_SAFE_TOTAL else (object,)
-        for dtype in dtypes:
-            rows = _unrank_block_vectorized(n, t, np.array(ranks, dtype=dtype))
-            assert rows.dtype == np.int8 and (rows.sum(axis=1) == t).all()
-            assert [_colex_rank(np.nonzero(r)[0]) for r in rows] == ranks
+        assert n * total > design_mod._TABLE_BYTES and total <= design_mod._INT64_SAFE_TOTAL
+        ranks = _spread_ranks(total, n + t)
+        rows = _unrank_block_vectorized(n, t, np.array(ranks, dtype=np.int64))
+        assert rows.dtype == np.int8 and (rows.sum(axis=1) == t).all()
+        assert [_colex_rank(np.nonzero(r)[0]) for r in rows] == ranks
 
 
 class TestProductTables:
@@ -232,7 +237,7 @@ class TestProductTables:
         _product_table.cache_clear()
         tables = set()
         for design in self.GROUPED:
-            _indices_to_assignments(design, np.arange(5))
+            _indices_to_assignments(design, [np.arange(5)] * len(_block_runs(design)))
             for run_groups, _ in _block_runs(design):
                 for _, blocks, count in run_groups:
                     if sum(k for k, _ in blocks) * count <= design_mod._TABLE_BYTES:
@@ -246,6 +251,15 @@ class TestProductTables:
             assert not table.flags.writeable and table.nbytes <= design_mod._TABLE_BYTES
             total = total_assignments(RBD(blocks))
             np.testing.assert_array_equal(table, _range_to_assignments(RBD(blocks), 0, total))
+
+
+def _chi_square(design, k, seed):
+    """Pearson's statistic of ``k`` seeded draws over every cell of the design's space."""
+    index = {row: i for i, row in enumerate(map(tuple, assignment_matrix(design).tolist()))}
+    cells = np.bincount([index[row] for row in map(tuple, sample_assignments(design, k, seed).tolist())],
+                        minlength=len(index))
+    expected = k / len(index)
+    return float(((cells - expected) ** 2 / expected).sum())
 
 
 class TestSampling:
@@ -280,11 +294,12 @@ class TestSampling:
         assert not np.array_equal(a, b)
 
     def test_prefix_stable_past_int64(self):
-        # the big-integer path keeps the (seed, j) contract too
-        for design in (CRD(100, 50), RBD(((6, 3),) * 30)):
-            long = sample_assignments(design, 40, seed=31)
-            short = sample_assignments(design, 7, seed=31)
-            np.testing.assert_array_equal(long[:7], short)
+        # random-key rows, three runs of int64 ranks, and runs of each kind
+        # keep the (seed, j) contract too
+        for design in (CRD(100, 50), RBD(((6, 3),) * 30), RBD(((70, 35), (6, 3)) * 4)):
+            long = sample_assignments(design, 400, seed=31)
+            for m in (1, 7, 143):
+                np.testing.assert_array_equal(long[:m], sample_assignments(design, m, seed=31))
 
     def test_huge_space(self):
         draws = sample_assignments(CRD(135, 72), 4, seed=0)
@@ -292,29 +307,86 @@ class TestSampling:
 
     def test_uniformity_chi_square(self):
         # goodness of fit over the ten cells of CRD(5, 2), seeded
-        design = CRD(5, 2)
-        draws = sample_assignments(design, 5000, seed=77)
-        keys = [tuple(r) for r in assignment_matrix(design).tolist()]
-        index = {k: i for i, k in enumerate(keys)}
-        counts = np.zeros(len(keys))
-        for row in draws.tolist():
-            counts[index[tuple(row)]] += 1
-        expected = 5000 / len(keys)
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
-        assert chi2 < 27.88  # df=9 critical value at the 0.1% level
+        assert _chi_square(CRD(5, 2), 5000, seed=77) < chi2.ppf(0.999, 9)
+
+    @pytest.mark.parametrize("design, limit, kinds", [
+        (CRD(6, 3), 10, ["keys"]),
+        (CRD(7, 2), 10, ["keys"]),
+        (RBD(((3, 1), (3, 1), (2, 1))), 3, ["ranks"] * 3),
+        (RBD(((4, 2), (2, 1), (2, 1), (3, 2))), 5, ["keys", "ranks", "ranks"]),
+    ], ids=["crd_6_3_keys", "crd_7_2_keys", "three_runs", "keys_and_runs"])
+    def test_uniform_down_each_path(self, monkeypatch, design, limit, kinds):
+        # a lowered 2**62 sends small designs down the random-key path and
+        # into several runs; every cell of the space stays equally likely
+        monkeypatch.setattr(design_mod, "_INT64_SAFE_TOTAL", limit)
+        assert [("ranks" if count <= limit else "keys") for _, count in _block_runs(design)] == kinds
+        cells = total_assignments(design)
+        assert _chi_square(design, 250 * cells, seed=77) < chi2.ppf(0.999, cells - 1)
+
+    def test_tied_keys_are_redrawn(self, monkeypatch):
+        # with keys of two bits, most rows of CRD(6, 3) tie at the third and
+        # fourth smallest key; each is redrawn from the next attempt's stream,
+        # so the rows equal the scalar replay and stay uniform
+        real = np.random.Philox
+
+        class TwoBitPhilox:
+            def __init__(self, key):
+                self._gen = real(key=key)
+
+            def advance(self, delta):
+                self._gen.advance(delta)
+
+            def random_raw(self, size):
+                return self._gen.random_raw(size) & np.uint64(3)
+
+        monkeypatch.setattr(design_mod, "_INT64_SAFE_TOTAL", 10)
+        monkeypatch.setattr(np.random, "Philox", TwoBitPhilox)
+        with mock.patch.object(np.random, "Philox", wraps=TwoBitPhilox) as philox:
+            rows = sample_assignments(CRD(6, 3), 60, seed=5)
+        assert philox.call_count > 3
+        assert [set(np.flatnonzero(r)) for r in rows] == replay_key_rows(5, 60, 6, 3)
+        assert _chi_square(CRD(6, 3), 5000, seed=77) < chi2.ppf(0.999, 19)
+
+    def test_run_and_attempt_keys_all_differ(self):
+        # SeedSequence pads short entropy with zeros, so a fold with a
+        # trailing 0 is no new key; run r >= 1 folds (lo, hi, a, r), never 0
+        assert fold_seed((5, 0, 1)) == fold_seed((5, 0, 1, 0))
+        for seed in (0, 5, 11, (3, 5), (1 << 64) + 12345, (1 << 128) - 1, (1 << 70, 1)):
+            key = fold_seed(seed)
+            keys = [design_mod._stream_key(key, run, attempt) for run in range(20) for attempt in range(20)]
+            assert len(set(keys)) == len(keys)
+            assert keys[:20] == [stream_key(seed, 0, attempt) for attempt in range(20)]
 
     def test_no_generator_per_draw(self):
-        # draws that miss attempt 0 (a third of them in CRD(100, 50), and about
-        # half of them in RBD 200x(6, 3), past 512 bits) are retried together:
-        # one Philox stream an attempt, never a generator a draw
-        for design, k in ((CRD(100, 50), 1000), (RBD(((6, 3),) * 200), 50)):
+        # draws that miss attempt 0 (about half of them in each run of RBD
+        # 200x(6, 3), 15 runs) are retried together: one Philox stream an
+        # attempt of a run, the runs in order, never a generator a draw
+        for design, k in ((RBD(((6, 3),) * 200), 50), (RBD(((6, 3),) * 10), 1000), (CRD(100, 50), 1000)):
             with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as made, \
                     mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as philox:
                 sample_assignments(design, k, seed=3)
             assert made.call_count == 0
-            keys = [call.kwargs["key"] for call in philox.call_args_list]
-            assert 1 < len(keys) < 30
-            assert keys == [attempt_key(3, a) for a in range(len(keys))]
+            runs = len(_block_runs(design))
+            stream = {stream_key(3, run, attempt): (run, attempt) for run in range(runs) for attempt in range(30)}
+            made_keys = [stream[call.kwargs["key"]] for call in philox.call_args_list]
+            assert made_keys == sorted(made_keys) and {run for run, _ in made_keys} == set(range(runs))
+            assert all(attempt == 0 or (run, attempt - 1) in made_keys for run, attempt in made_keys)
+
+    def test_key_rows_equal_scalar_replay(self):
+        # a block past 2**62 treats the units of its 50 smallest Philox keys
+        for seed in (31, (3, 5)):
+            rows = sample_assignments(CRD(100, 50), 12, seed)
+            assert [set(np.flatnonzero(r)) for r in rows] == replay_key_rows(seed, 12, 100, 50)
+
+    def test_seeds_past_64_bit_elements_and_2_128_keep_every_bit(self):
+        # elements of 2**64 or more and ints of 2**128 or more are split into
+        # words, not cut to their low 64 bits; smaller ones keep their keys
+        assert fold_seed(2**128 + 5) != fold_seed(2**129 + 5)
+        assert fold_seed((2**64 + 1, 2)) != fold_seed((1, 2))
+        assert fold_seed(11) == 11 and fold_seed((1 << 64) + 12345) == (1 << 64) + 12345
+        assert fold_seed((3, 5)) == fold_seed((np.uint64(3), np.int64(5)))
+        a, b = (sample_assignments(CRD(10, 5), 20, seed) for seed in (2**128 + 5, 2**129 + 5))
+        assert not np.array_equal(a, b)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -322,8 +394,8 @@ class TestSampling:
 
 
 # SHA-256 of sample_assignments(design, 40, seed).tobytes(), recorded at seed
-# stream 0.2.0 (crd_64_32's also before the sampler was vectorized): a change
-# here is a seed-stream change.
+# stream 0.3.0; crd_64_32's is also that of 0.2.0 and of the sampler before
+# it was vectorized: a change here is a seed-stream change.
 GOLDEN_DESIGNS = {
     "crd_100_50": CRD(100, 50),
     "crd_200_100": CRD(200, 100),
@@ -354,7 +426,8 @@ def test_sample_golden_bytes(design_name, seed_name):
 
 # SHA-256 of sample_assignments(design, k, seed).tobytes() at Monte Carlo
 # sizes (k = 4,794 is the K that required_k plans at epsilon 0.1, delta 0.01),
-# recorded at seed stream 0.2.0: a change here is a seed-stream change.
+# recorded at seed stream 0.3.0 (rbd_17_1_2x40's also at 0.2.0): a change
+# here is a seed-stream change.
 GOLDEN_SAMPLE_K = golden.table("GOLDEN_SAMPLE_K_SHA256", [
     (design, k, seed) for design, k in (("rbd_17_1_2x40", 5000), ("rbd_17_1_2x63", 200),
                                         ("rbd_30x6_3", 4794), ("rbd_200x6_3", 1000))

@@ -106,10 +106,12 @@ def test_numpy_integer_sizes_are_accepted():
 
 
 @pytest.mark.parametrize("k, seed", [(2.5, 0), (0, 0), (True, 0), (10, None), (10, 1.5), (10, "1"),
-                                     (10, (1, 2.5)), (10, [1, 2])])
+                                     (10, (1, 2.5)), (10, [1, 2]), (10, -1), (10, np.int64(-1)),
+                                     (10, (1, -2, 3))])
 def test_draws_refuse_non_integer_counts_and_seeds(k, seed):
+    # a negative seed would fold as two's complement: -1 onto 2**64 - 1
     for draws in (lambda: MCMode(k=k, seed=seed), lambda: sample_assignments(CRD(10, 5), k, seed)):
-        with pytest.raises(InputError, match="k must be an integer|need an integer seed"):
+        with pytest.raises(InputError, match="k must be an integer|seed must be a non-negative integer"):
             draws()
 
 
@@ -124,7 +126,22 @@ def test_draws_refuse_a_count_numpy_cannot_size():
 
 def test_mc_mode_accepts_integer_and_tuple_seeds():
     assert MCMode(k=np.int64(10), seed=np.uint64(3)).k == 10
-    assert MCMode(k=10, seed=(1, -2, np.int64(3))).seed == (1, -2, 3)
+    assert MCMode(k=10, seed=(1, 0, np.int64(3), 2**70)).seed == (1, 0, 3, 2**70)
+    assert MCMode(k=10, seed=2**200).seed == 2**200
+
+
+@pytest.mark.parametrize("seed", ["abc", 1.5, -1, (1, -2), [1, 2], None, True])
+def test_population_refuses_the_seeds_draws_refuse(seed):
+    with pytest.raises(InputError, match="population seed must be a non-negative integer"):
+        generate_population(10, 1.0, seed)
+
+
+def test_a_negative_cli_seed_exits_2(capsys):
+    from randinf.cli import main
+
+    toy = Path(randinf.__file__).parent / "data" / "toy_experiment.csv"
+    assert main(["invert", str(toy), "--design", "crd:10,5", "--mode", "mc", "--k", "50", "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer or a tuple of them, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -282,6 +299,24 @@ def test_the_library_raises_no_bare_value_or_key_error():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if isinstance(exc, ast.Name) and exc.id in ("ValueError", "KeyError"):
                     offenders.append(f"{path.name}:{node.lineno}: raise {exc.id}")
+    assert offenders == []
+
+
+def _object_dtype(node):
+    """``node`` is the name ``object`` or the dtype string ``"object"`` or ``"O"``."""
+    return (isinstance(node, ast.Name) and node.id == "object") or (
+        isinstance(node, ast.Constant) and node.value in ("object", "O"))
+
+
+def test_the_sampler_holds_no_object_array():
+    # every index and rank of design.py is int64, and a block past 2**62
+    # draws packed key rows; an object dtype handed to any call (dtype=object,
+    # .astype(object), np.empty(k, object)) would bring back Python-int
+    # arithmetic
+    path = Path(randinf.__file__).parent / "design.py"
+    offenders = [f"design.py:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and any(map(_object_dtype, [*node.args, *(kw.value for kw in node.keywords)]))]
     assert offenders == []
 
 

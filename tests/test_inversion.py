@@ -681,7 +681,7 @@ def _golden_diff_means_case(name):
         design = RBD(((6, 3),) * 10)
         pop = generate_population(60, 1.0, seed=82)
         return pop.observe(sample_assignments(design, 1, seed=83)[0]), design, MCMode(k=20000, seed=84)
-    assert name == "crd_100_50_mc"  # ~1e29 assignments: object-int ranks
+    assert name == "crd_100_50_mc"  # ~1e29 assignments: random-key rows
     design = CRD(100, 50)
     pop = generate_population(100, -0.5, seed=85)
     return pop.observe(sample_assignments(design, 1, seed=86)[0]), design, MCMode(k=1000, seed=87)
@@ -690,7 +690,7 @@ def _golden_diff_means_case(name):
 # SHA-256 of (breakpoints, counts, base_count, never_count) of diff_means step
 # functions, recorded while the closed form found the ge and gt crossings as
 # two separately rounded vectors (the Monte Carlo cases re-recorded at seed
-# stream 0.2.0): a change here changes breakpoint bytes.
+# stream 0.2.0, and crd_100_50_mc at 0.3.0): a change here changes breakpoint bytes.
 GOLDEN_DIFF_MEANS = pins.table("GOLDEN_DIFF_MEANS_SHA256", [
     (case, side) for case in ("crd_16_8_exact", "rbd_10x6_3_mc", "crd_100_50_mc")
     for side in ("LPLUS", "UPLUS", "LMINUS", "UMINUS")

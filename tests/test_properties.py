@@ -9,8 +9,8 @@ values, sup-norm error against point evaluation, p-values from one counting
 pass against the tail sums of the distribution's atoms and a grid of them
 against one call per theta, outputs that do not depend on the replicate
 block size, enumerated and sampled row ranges against
-the per-block unranker, sampled indices against a scalar replay of their
-Philox streams, prefix-stable draws, ``round_sig`` against references that
+the per-block unranker, sampled ranks and random-key rows against a scalar
+replay of their Philox streams, prefix-stable draws, ``round_sig`` against references that
 round by boolean gathers and by ``np.power`` on every element, the union
 grids' distinct values against ``np.unique``, the paper's
 exact guarantees on small tied populations, where the exact audit equals the
@@ -57,6 +57,7 @@ from randinf import simulate as simulate_mod
 from randinf import statistics as statistics_mod
 from randinf.design import (
     _INT64_SAFE_TOTAL,
+    _block_runs,
     _indices_to_assignments,
     _range_to_assignments,
     _sample_indices,
@@ -75,6 +76,7 @@ from conftest import (
     crossing_vectors,
     outcome_scale,
     replay_indices,
+    replay_key_rows,
 )
 
 WILCOXON = get_statistic("wilcoxon_rank_sum")
@@ -595,21 +597,20 @@ def enumeration_ranges(draw):
     return design, lo, hi
 
 
-def unranked_rows(design, idx):
-    """Rows of the global indices ``idx``, every block unranked by the descent alone.
+def unranked_rows(blocks, idx):
+    """Rows of the indices ``idx`` into the product of ``blocks``, every block unranked by the descent alone.
 
     Block ``b``'s rank is ``(i // stride) % C(k, t)`` in exact Python ints,
-    ``stride`` being the product of the earlier blocks' counts; it is passed
-    to :func:`_unrank_block_vectorized` as int64 when the block fits in 2**62.
+    ``stride`` being the product of the earlier blocks' counts; each block
+    fits in 2**62 and its ranks are passed to :func:`_unrank_block_vectorized`
+    as int64.
     """
-    rem = np.asarray(idx).astype(object)
+    rem = [int(i) for i in idx]
     parts = []
-    for k, t in design.blocks:
+    for k, t in blocks:
         b_total = comb(k, t)
-        ranks, rem = rem % b_total, rem // b_total
-        if b_total <= _INT64_SAFE_TOTAL:
-            ranks = ranks.astype(np.int64)
-        parts.append(_unrank_block_vectorized(k, t, ranks))
+        parts.append(_unrank_block_vectorized(k, t, np.array([i % b_total for i in rem], dtype=np.int64)))
+        rem = [i // b_total for i in rem]
     return np.concatenate(parts, axis=1)
 
 
@@ -617,19 +618,34 @@ def unranked_rows(design, idx):
 @given(enumeration_ranges())
 def test_range_to_assignments_equals_unranked_rows(case):
     design, lo, hi = case
-    want = unranked_rows(design, np.arange(lo, hi, dtype=object))
-    assert np.array_equal(_range_to_assignments(design, lo, hi), want)
+    assert np.array_equal(_range_to_assignments(design, lo, hi), unranked_rows(design.blocks, range(lo, hi)))
+
+
+def drawn_rows(design, draws):
+    """Rows of the per-run draws of ``_sample_indices``: each run's ranks
+    unranked block by block, each key row unpacked one row at a time."""
+    parts = []
+    for (groups, _), run in zip(_block_runs(design), draws):
+        blocks = [b for _, group_blocks, _ in groups for b in group_blocks]
+        if run.ndim == 2:
+            (k, _), = blocks
+            parts.append(np.array([np.unpackbits(row)[:k] for row in run], dtype=np.int8))
+        else:
+            parts.append(unranked_rows(blocks, run))
+    return np.concatenate(parts, axis=1)
 
 
 @st.composite
 def sampled_indices(draw):
-    """(design, idx): indices into a random design, one whose runs mix object and
-    int64 ranks, or one whose blocks form product-table groups of each kind.
+    """(design, draws): per-run draws into a random design, one whose runs mix
+    random-key blocks and int64 ranks, or one whose blocks form product-table
+    groups of each kind.
 
-    ``idx`` is int64 or object when the space fits in 2**62, object past it.
+    A run that fits in 2**62 gets int64 ranks, and a block past it packed
+    rows of random ``t``-subsets.
     """
     design = draw(designs() | st.sampled_from([
-        RBD(((70, 35), (6, 3)) * 4),  # runs of one object block and of one small block
+        RBD(((70, 35), (6, 3)) * 4),  # runs of one random-key block and of one small block
         RBD(((6, 3),) * 30),  # runs of 14, 14 and 2 blocks
         RBD(((6, 3),) * 10),  # groups of 3, 3, 3 and 1 blocks
         RBD(((8, 4),) * 3),  # groups of 2 and 1 blocks
@@ -640,44 +656,75 @@ def sampled_indices(draw):
         CRD(66, 33),
         CRD(64, 32),
     ]))
-    total = total_assignments(design)
-    index = st.sampled_from([0, total - 1]) | st.integers(0, total - 1)
-    idx = draw(st.lists(index, min_size=1, max_size=50))
-    fits = total <= _INT64_SAFE_TOTAL
-    return design, np.array(idx, dtype=np.int64 if fits and draw(st.booleans()) else object)
+    size = draw(st.integers(1, 50))
+    draws = []
+    for groups, total in _block_runs(design):
+        if total <= _INT64_SAFE_TOTAL:
+            rank = st.sampled_from([0, total - 1]) | st.integers(0, total - 1)
+            draws.append(np.array(draw(st.lists(rank, min_size=size, max_size=size)), dtype=np.int64))
+        else:
+            (_, ((k, t),), _), = groups
+            subsets = st.lists(st.permutations(range(k)).map(lambda units: units[:t]), min_size=size, max_size=size)
+            rows = np.zeros((size, k), dtype=np.uint8)
+            for row, treated in zip(rows, draw(subsets)):
+                row[treated] = 1
+            draws.append(np.packbits(rows, axis=1))
+    return design, draws
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)
 @given(sampled_indices())
 def test_indices_to_assignments_equals_per_block_unranker(case):
-    design, idx = case
-    assert np.array_equal(_indices_to_assignments(design, idx), unranked_rows(design, idx))
+    design, draws = case
+    assert np.array_equal(_indices_to_assignments(design, draws), drawn_rows(design, draws))
 
 
 @st.composite
 def sample_totals(draw):
-    """A space size of 2-2,000 bits: any, or 2**b + 1."""
-    bits = draw(st.integers(2, 2000))
+    """A space size of 2-62 bits, at most 2**62: any, or 2**b + 1."""
+    bits = draw(st.integers(2, 62))
     return draw(st.just((1 << (bits - 1)) + 1) | st.integers((1 << (bits - 1)) + 1, 1 << bits))
 
 
 SEEDS = (st.integers(0, 2**63) | st.tuples(st.integers(0, 2**32), st.integers(0, 2**32))
-         | st.integers(2**64, 2**128 - 1))
+         | st.integers(2**64, 2**128 - 1) | st.integers(2**128, 2**140)
+         | st.tuples(st.integers(2**64, 2**70), st.integers(0, 9)))
 
 
 @PROPERTY_SETTINGS
 @given(SEEDS, st.integers(1, 40), sample_totals())
 def test_sample_indices_equal_scalar_replay(seed, k, total):
     # CRD(total, 1) has exactly `total` assignments
-    assert list(_sample_indices(CRD(total, 1), k, seed)) == replay_indices(seed, k, total)
+    draws, = _sample_indices(CRD(total, 1), k, seed)
+    assert draws.dtype == np.int64 and list(draws) == replay_indices(seed, k, total)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(st.sampled_from([CRD(100, 50), CRD(66, 40), RBD(((6, 3),) * 30), RBD(((70, 35), (6, 3)) * 4),
+                        RBD(((17, 1),) + ((2, 1),) * 63)]),
+       SEEDS, st.integers(1, 12))
+def test_sampled_rows_equal_scalar_replay(design, seed, k):
+    # each run from its own streams: ranks of the runs that fit, the
+    # smallest keys of the blocks past 2**62
+    parts = []
+    for run, (groups, total) in enumerate(_block_runs(design)):
+        blocks = [b for _, group_blocks, _ in groups for b in group_blocks]
+        if total <= _INT64_SAFE_TOTAL:
+            parts.append(unranked_rows(blocks, replay_indices(seed, k, total, run)))
+        else:
+            (n, t), = blocks
+            treated = replay_key_rows(seed, k, n, t, run)
+            parts.append(np.array([[u in units for u in range(n)] for units in treated], dtype=np.int8))
+    assert np.array_equal(sample_assignments(design, k, seed), np.concatenate(parts, axis=1))
 
 
 @settings(PROPERTY_SETTINGS, max_examples=20)
-@given(st.sampled_from([RBD(((17, 1),) + ((2, 1),) * 63), RBD(((6, 3),) * 200)]),
+@given(st.sampled_from([RBD(((17, 1),) + ((2, 1),) * 63), RBD(((6, 3),) * 200), CRD(100, 50),
+                        RBD(((6, 3),) * 30), RBD(((70, 35), (6, 3)) * 4)]),
        SEEDS, st.integers(1, 300), st.integers(1, 300))
 def test_sampled_draws_are_prefix_stable(design, seed, k, m):
-    # about half of the draws of the first design miss attempt 0, and the
-    # second is past 512 bits
+    # about half of the draws of the first design miss attempt 0, the second
+    # is 15 runs, the third one block of random keys, and the last mixes both
     m = min(k, m)
     assert np.array_equal(sample_assignments(design, k, seed)[:m], sample_assignments(design, m, seed))
 

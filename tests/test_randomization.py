@@ -139,7 +139,7 @@ class TestPValues:
         from randinf.design import total_assignments
 
         monkeypatch.setattr(
-            rz, "_sample_indices", lambda d, k, seed: np.arange(total_assignments(d))
+            rz, "_sample_indices", lambda d, k, seed: [np.arange(total_assignments(d))]
         )
         mc = p_values(data, design, diff_means, 0.3, MCMode(k=20, seed=0))
         assert mc == exact
@@ -242,6 +242,28 @@ def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block, pe
         tracemalloc.stop()
     rows = 184_756
     assert peak < per_row * rows + 4 * rz._ROW_BLOCK * design.n_units + 8 * st._TILE_ENTRIES * 8
+
+
+def test_mc_interval_memory_past_2_62_is_bounded_per_row(diff_means):
+    # CRD(10000,5000) has about 10^3008 assignments.  Its draws keep one
+    # packed row each, 1,250 bytes, and a block of rows is 10,000 int8 bytes
+    # a row; keys are drawn and rows unpacked a chunk of at most _KEY_WORDS
+    # words at a time, and the kernel reads float tiles.  Nothing else spans
+    # the rows: no Python int per draw, no binomial table of the block and no
+    # second copy of the block (a second copy alone would exceed the bound).
+    import randinf.design as ds
+    import randinf.statistics as st
+
+    design, k = CRD(10_000, 5_000), 500
+    data = generate_population(10_000, 1.0, seed=0).observe(sample_assignments(design, 1, seed=1)[0])
+    confidence_interval(data, design, diff_means, 0.05, 0.05, MCMode(k=8, seed=3))  # lazily built tables
+    tracemalloc.start()
+    try:
+        confidence_interval(data, design, diff_means, 0.05, 0.05, MCMode(k=k, seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < k * (design.n_units + 1_250) + 4 * 8 * ds._KEY_WORDS + 8 * st._TILE_ENTRIES * 8
 
 
 @pytest.mark.parametrize("k", [200, 8192])
