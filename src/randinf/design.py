@@ -83,7 +83,8 @@ __all__ = [
 # arithmetic keeps headroom below 2**63.  A block past it draws by random keys.
 _INT64_SAFE_TOTAL = 1 << 62
 
-# Most Philox words drawn at once for the rows of a block past 2**62
+# Most Philox words drawn at once for the rows of a block past 2**62, and
+# most bytes of its rows unpacked at once
 _KEY_WORDS = 1 << 16
 
 # Full enumeration is refused above this many assignments unless a caller
@@ -256,7 +257,7 @@ def _indices_to_assignments(design: Design, draws) -> np.ndarray:
     """
     w = np.empty((len(draws[0]), design.n_units), dtype=np.int8)
     for (groups, _), m in zip(_block_runs(design), draws):
-        if m.ndim == 2:  # the rows of one block past 2**62, unpacked as many at once as keys are drawn
+        if m.ndim == 2:  # the rows of one block past 2**62
             (start, ((k, _),), _), = groups
             step = max(1, 8 * _KEY_WORDS // k)
             for lo in range(0, len(m), step):
