@@ -10,8 +10,9 @@ pass against the tail sums of the distribution's atoms and a grid of them
 against one call per theta, outputs that do not depend on the replicate
 block size, enumerated and sampled row ranges against
 the per-block unranker, sampled ranks and random-key rows against a scalar
-replay of their Philox streams, prefix-stable draws, ``round_sig`` against references that
-round by boolean gathers and by ``np.power`` on every element, the union
+replay of their Philox streams, prefix-stable draws, ``round_sig`` against
+references that round by boolean gathers and by ``np.power`` on every
+element, the union
 grids' distinct values against ``np.unique``, the paper's
 exact guarantees on small tied populations, where the exact audit equals the
 per-assignment public intervals, the audit against itself with one breakpoint
