@@ -17,7 +17,10 @@ contiguous rank range is a few slice copies of small colex tables and fixed
 columns.  Each block of an RBD runs through consecutive ranks, each repeated
 as often as the earlier blocks have assignments, so its columns are filled
 pieces expanded by ``np.repeat``.  :func:`assignment_matrix` and the exact
-replicate source in :mod:`randinf.randomization` both use it.
+replicate source in :mod:`randinf.randomization` both use it.  The same
+range splitting gives rows' sums of unit columns with no row written
+(:class:`_UnitSums`): a slice of a colex table's row sums, one small product
+per table and build, plus the units every row of the slice treats.
 
 Sampled rows come from one draw per run of blocks (:func:`_block_runs`).
 A run of consecutive blocks whose joint count fits in 2**62 draws one int64
@@ -94,6 +97,12 @@ DEFAULT_ENUMERATION_CAP = 2_000_000
 # Largest colex or product table kept, in bytes (rows x units, int8); a
 # longer piece of the enumeration order is split at its top unit first.
 _TABLE_BYTES = 1 << 18
+
+# Largest table of colex row sums made per build, in bytes (rows x sums x
+# 8); the enumeration order is cut into leaves no longer than it.  Larger
+# tables mean fewer leaves but more memory: at 512 KB those of one exact
+# diff_means build on CRD(22,11) hold 2.9 MB.
+_SUM_TABLE_BYTES = 1 << 16
 
 
 class EnumerationCapError(RuntimeError):
@@ -316,68 +325,152 @@ def _colex_table(t):
     return table
 
 
-def _fill_colex(out, n, t, lo, hi):
+def _colex_leaves(n, t, lo, hi, rows=_TABLE_BYTES):
+    """Rows ``lo..hi-1`` of T(n, t), split into leaves that are written at once.
+
+    Yields ``(first, n', t', lo', hi', on)``: rows ``first..first+hi'-lo'-1``
+    of the range are rows ``lo'..hi'-1`` of T(n', t') in their first n'
+    units, with the units of the list ``on`` treated and the other units from
+    n' on left off.  A leaf treats at most two units, or leaves at most two
+    untreated (:func:`_closed_form_units`), or its T(n', t') fits the table
+    budget and has at most ``rows`` rows (a slice of :func:`_colex_table`).
+    Above that, the leading units that every row leaves off, or the trailing
+    ones that every row treats, are peeled at once (found by bisection), and
+    a range that straddles C(n-1, t) is split there; the piece above is kept
+    for later, so at most log2(hi - lo) + 1 pieces wait at a time.
+    """
+    pieces = [(0, n, t, lo, hi, [])]
+    while pieces:
+        first, n, t, lo, hi, on = pieces.pop()
+        while True:
+            total = comb(n, t)
+            if min(t, n - t) <= 2 or (n * total <= _TABLE_BYTES and total <= rows):
+                yield first, n, t, lo, hi, on
+                break
+            m = t + bisect_left(range(t, n + 1), hi, key=lambda r: comb(r, t))
+            if m < n:  # rows below C(m, t) leave units m.. off
+                n = m
+                continue
+            # rows in the last C(n-j, t-j) treat units n-j..
+            j = bisect_right(range(t + 1), lo - total, key=lambda i: -comb(n - i, t - i)) - 1
+            if j > 0:
+                shift = total - comb(n - j, t - j)
+                on = on + list(range(n - j, n))
+                n, t, lo, hi = n - j, t - j, lo - shift, hi - shift
+                continue
+            split = comb(n - 1, t) - lo
+            pieces.append((first + split, n - 1, t - 1, 0, hi - lo - split, on + [n - 1]))
+            n, hi = n - 1, lo + split
+
+
+def _closed_form_units(n, t, lo, hi):
+    """Rows ``lo..hi-1`` of T(n, t), ``min(t, n - t) <= 2``, as ``(flip, units)``.
+
+    ``units`` holds ``min(t, n - t)`` index arrays, one entry a row: the
+    units each row treats, or with ``flip`` (more than two treated) the
+    units it leaves off.  Complements are read from T(n, n - t) with ranks
+    reversed: the complement of a set of colex rank r has rank total - 1 - r.
+    """
+    total = comb(n, t)
+    u = min(t, n - t)
+    flip = t > u
+    ranks = np.arange(total - 1 - lo, total - 1 - hi, -1) if flip else np.arange(lo, hi)
+    units = []
+    if u == 2:
+        starts = np.arange(n) * np.arange(-1, n - 1) // 2  # C(c, 2)
+        top = np.searchsorted(starts, ranks, side="right") - 1
+        units.append(top)
+        ranks = ranks - starts[top]
+    if u >= 1:
+        units.append(ranks)
+    return flip, units
+
+
+class _UnitSums:
+    """Row sums of unit columns over enumerated rows of one design block, no row written.
+
+    ``columns`` is the block's (k, c) slice of the unit columns; it is kept
+    transposed, so that each of its ``c`` sums runs along the rows.  Every
+    subset sum of a column must be exact in any order (integers, or the
+    layers of :func:`randinf.statistics._exact_layers`): the sums then have
+    the same bits however they are taken.  A leaf with more than two units
+    treated and untreated reads a slice of the row sums of a colex table of
+    at most ``rows`` rows: one product, made on first use and kept with the
+    object.
+    """
+
+    def __init__(self, columns):
+        self.columns = np.ascontiguousarray(columns.T)
+        self.rows = max(1, _SUM_TABLE_BYTES // (8 * len(self.columns)))
+        self._tables = {}
+
+    def leaf(self, out, n, t, lo, hi, on):
+        """Write the sums of a leaf of :func:`_colex_leaves` into the (c, hi - lo) view ``out``."""
+        fixed = self.columns[:, on].sum(axis=1, keepdims=True)  # the units every row treats
+        if min(t, n - t) > 2:
+            np.add(self._table(t)[:, lo:hi], fixed, out=out)
+            return
+        flip, units = _closed_form_units(n, t, lo, hi)
+        out[...] = 0
+        for u in units:
+            out += self.columns.take(u, axis=1)
+        if flip:  # the rows treat all n units but the ones summed
+            np.subtract(fixed + self.columns[:, :n].sum(axis=1, keepdims=True), out, out=out)
+        else:
+            out += fixed
+
+    def _table(self, t):
+        """The row sums of T(m, t) for the largest m whose table a leaf may read, (c, C(m, t))."""
+        if t not in self._tables:
+            m = min(_colex_table(t).shape[1], self.columns.shape[1])
+            while comb(m, t) > self.rows:
+                m -= 1
+            self._tables[t] = self.columns[:, :m] @ _colex_table(t)[:comb(m, t), :m].T
+        return self._tables[t]
+
+
+def _unit_sums(design: Design, columns) -> list:
+    """One :class:`_UnitSums` per block of ``design``, of the unit ``columns`` (n_units x c)."""
+    return [_UnitSums(columns[start:start + k]) for start, k, _ in _block_slices(design)]
+
+
+def _fill_colex(out, n, t, lo, hi, sums=None):
     """Write rows ``lo..hi-1`` of T(n, t) into the (hi - lo, n) int8 view ``out``.
 
-    With at most two units treated, or at most two untreated, the rows are
-    written in closed form; a piece whose T(n, t) fits the table budget is a
-    slice of :func:`_colex_table`.
-    Otherwise the leading units that every row leaves off, or the trailing
-    ones that every row treats, are set at once (found by bisection), and a
-    range that straddles C(n-1, t) is split there: the shorter piece recurses
-    and the longer one loops, so the depth stays below log2(hi - lo) + 1.
+    Given the block's :class:`_UnitSums` as ``sums``, ``out`` is a
+    (hi - lo, c) float view instead, the transpose of a (c, hi - lo) one,
+    and each row's column sums are written into it.  Each leaf of :func:`_colex_leaves` is written in closed form
+    or as a colex table slice, or its sums are taken from the table's.
     """
-    while True:
-        total = comb(n, t)
-        u = min(t, n - t)
-        if u <= 2:
-            # complements are read from T(n, n - t) with ranks reversed: the
-            # complement of a set of colex rank r has rank total - 1 - r
-            flip = t > u
-            ranks = np.arange(total - 1 - lo, total - 1 - hi, -1) if flip else np.arange(lo, hi)
-            rows = np.arange(hi - lo)
-            out[...] = flip
-            if u == 2:
-                starts = np.arange(n) * np.arange(-1, n - 1) // 2  # C(c, 2)
-                top = np.searchsorted(starts, ranks, side="right") - 1
-                out[rows, top] = not flip
-                ranks = ranks - starts[top]
-            if u >= 1:
-                out[rows, ranks] = not flip
-            return
-        if n * total <= _TABLE_BYTES:
-            out[...] = _colex_table(t)[lo:hi, :n]
-            return
-        m = t + bisect_left(range(t, n + 1), hi, key=lambda r: comb(r, t))
-        if m < n:  # rows below C(m, t) leave units m.. off
-            out[:, m:] = 0
-            out, n = out[:, :m], m
+    if sums is None:
+        out[...] = 0
+    for first, n, t, lo, hi, on in _colex_leaves(n, t, lo, hi, _TABLE_BYTES if sums is None else sums.rows):
+        part = out[first:first + hi - lo]
+        if sums is not None:
+            sums.leaf(part.T, n, t, lo, hi, on)
             continue
-        # rows in the last C(n-j, t-j) treat units n-j..
-        j = bisect_right(range(t + 1), lo - total, key=lambda i: -comb(n - i, t - i)) - 1
-        if j > 0:
-            out[:, n - j:] = 1
-            shift = total - comb(n - j, t - j)
-            out, n, t, lo, hi = out[:, :n - j], n - j, t - j, lo - shift, hi - shift
+        part[:, on] = 1
+        if min(t, n - t) > 2:
+            part[:, :n] = _colex_table(t)[lo:hi, :n]
             continue
-        split = comb(n - 1, t) - lo
-        out[:split, n - 1] = 0
-        out[split:, n - 1] = 1
-        pieces = [(out[:split, :n - 1], n - 1, t, lo, lo + split),
-                  (out[split:, :n - 1], n - 1, t - 1, 0, hi - lo - split)]
-        pieces.sort(key=lambda piece: piece[0].shape[0])
-        _fill_colex(*pieces[0])
-        out, n, t, lo, hi = pieces[1]
+        flip, units = _closed_form_units(n, t, lo, hi)
+        rows = np.arange(hi - lo)
+        part[:, :n] = flip
+        for u in units:
+            part[rows, u] = not flip
 
 
-def _fill_cyclic(out, k, t, r0):
-    """Write ranks r0, r0 + 1, ... of T(k, t), modulo C(k, t), into the rows of ``out``."""
+def _fill_cyclic(out, k, t, r0, sums=None):
+    """Write ranks r0, r0 + 1, ... of T(k, t), modulo C(k, t), into the rows of ``out``.
+
+    ``out`` and ``sums`` are as for :func:`_fill_colex`.
+    """
     count, total = out.shape[0], comb(k, t)
     head = min(count, total - r0)
-    _fill_colex(out[:head], k, t, r0, r0 + head)
+    _fill_colex(out[:head], k, t, r0, r0 + head, sums)
     filled = min(count - head, total)
     if filled:
-        _fill_colex(out[head:head + filled], k, t, 0, filled)
+        _fill_colex(out[head:head + filled], k, t, 0, filled, sums)
     # past the wrap the rows repeat with period total: copy, doubling
     while head + filled < count:
         step = min(filled, count - head - filled)
@@ -385,7 +478,7 @@ def _fill_cyclic(out, k, t, r0):
         filled += step
 
 
-def _range_to_assignments(design: Design, lo: int, hi: int) -> np.ndarray:
+def _range_to_assignments(design: Design, lo: int, hi: int, sums=None) -> np.ndarray:
     """Rows ``lo..hi-1`` of the enumeration order as a (hi - lo, n_units) int8 matrix.
 
     Row ``i``'s block rank is ``(i // stride) % C(k, t)``, ``stride`` being
@@ -393,23 +486,35 @@ def _range_to_assignments(design: Design, lo: int, hi: int) -> np.ndarray:
     runs through consecutive ranks modulo C(k, t), each repeated ``stride``
     times except where the range cuts a run: one filled piece per block,
     expanded by ``np.repeat``.
+
+    Given the design's :func:`_unit_sums` as ``sums``, no row is written:
+    the result is the rows' sums of the unit columns, a (c, hi - lo) float
+    matrix, the blocks' sums added.
     """
-    w = np.empty((hi - lo, design.n_units), dtype=np.int8)
+    if sums is None:
+        out = np.empty((hi - lo, design.n_units), dtype=np.int8)
+    else:
+        out = np.empty((len(sums[0].columns), hi - lo))
     stride = 1
-    for start, k, t in _block_slices(design):
+    for b, (start, k, t) in enumerate(_block_slices(design)):
         b_total = comb(k, t)
         first, last = lo // stride, (hi - 1) // stride
-        if stride == 1:
-            _fill_cyclic(w[:, start:start + k], k, t, first % b_total)
-        else:
-            runs = np.empty((last - first + 1, k), dtype=np.int8)
+        if sums is None:
+            runs = out[:, start:start + k] if stride == 1 else np.empty((last - first + 1, k), dtype=np.int8)
             _fill_cyclic(runs, k, t, first % b_total)
-            counts = np.full(len(runs), min(stride, hi - lo))
+        else:  # each sum runs along the rows, which are the second axis
+            runs = out if stride == 1 else np.empty((len(out), last - first + 1))
+            _fill_cyclic(runs.T, k, t, first % b_total, sums[b])
+        if stride > 1:
+            counts = np.full(last - first + 1, min(stride, hi - lo))
             counts[0] = min(hi, (first + 1) * stride) - lo
             counts[-1] = hi - max(lo, last * stride)
-            w[:, start:start + k] = np.repeat(runs, counts, axis=0)
+            if sums is None:
+                out[:, start:start + k] = np.repeat(runs, counts, axis=0)
+            else:
+                out += np.repeat(runs, counts, axis=1)
         stride *= b_total
-    return w
+    return out
 
 
 def _enumerable_total(design: Design, cap: int) -> int:

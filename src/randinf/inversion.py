@@ -8,14 +8,18 @@ step function jumping exactly at those points, so it is represented losslessly
 by sorted breakpoints with probability weights.
 
 :func:`build_step_functions` is the one kernel per experiment: one pass over
-the replicate rows in ``int8`` blocks (see :mod:`randinf.randomization`), two
+the replicate rows in blocks (see :mod:`randinf.randomization`), two
 crossing vectors ``ge`` (``T >= T_obs``) and ``gt`` (``T > T_obs``) found
 block by block and rounded as they arrive, and all four one-sided functions
 from them by counting.  An ``affine`` statistic's two vectors have the same
 finite values, so it keeps one, whose breakpoints all four sides share.  How
 crossings are found is a capability of the statistic:
 
-- ``affine`` (``diff_means``): ``T = a + b * theta`` per row, closed form;
+- ``affine`` (``diff_means``): ``T = a + b * theta`` per row, closed form
+  from each row's sums of the statistic's unit columns.  The sums are exact,
+  so they are the same bits whether the source sums enumerated rows off its
+  colex tables, writing no row, or takes one product on drawn ``int8`` rows,
+  and whatever BLAS kernel runs it;
 - ``switch_points`` (``wilcoxon_rank_sum``): each row's exact switch point
   ``b*`` (for the rank sum an order statistic of the pairwise differences
   ``(y_j - y_i) / c``, ``c`` in {1, 2}) decides each bisection step instead
@@ -291,14 +295,16 @@ def _crossings(data, stat, source, t_obs, scale, strict=(False, True)):
     """Per block of the source's rows, in row order, a crossing vector for each of ``strict``.
 
     ``strict`` holds False for the ``ge`` crossings, True for the ``gt``
-    ones.  How they are found is a capability of the statistic, which reads
-    the ``int8`` block itself.  An ``affine`` statistic yields the ``ge``
-    crossings alone, whatever ``strict`` asks: its ``gt`` crossings are the
-    same finite values, and its ``-inf`` rows, tied at every theta, never pass.
+    ones.  How they are found is a capability of the statistic.  An
+    ``affine`` statistic reads each block's row sums of its unit columns,
+    and yields the ``ge`` crossings alone, whatever ``strict`` asks: its
+    ``gt`` crossings are the same finite values, and its ``-inf`` rows, tied
+    at every theta, never pass.  The others read the ``int8`` block itself.
     """
-    for W in source.blocks():
-        if stat.affine is not None:
-            a, b = stat.affine(data, W)
+    if stat.affine is not None:
+        columns, form = stat.affine(data)
+        for sums in source.sums(columns):
+            a, b = form(sums)
             moving = b > 0  # rows with b = 0 tie T_obs at every theta
             gap = t_obs - a
             at = np.divide(gap, b, out=np.zeros_like(a), where=moving)
@@ -307,7 +313,9 @@ def _crossings(data, stat, source, t_obs, scale, strict=(False, True)):
             near = np.flatnonzero(np.abs(gap) <= 1e-10 * abs(t_obs))
             at[near[round_sig(a[near]) == round_sig(t_obs)]] = 0.0
             yield (np.where(moving, at, -np.inf),)
-        elif stat.switch_points is not None:
+        return
+    for W in source.blocks():
+        if stat.switch_points is not None:
             m = np.array([_threshold(t_obs, s) for s in strict])  # the tests as T >= m
             yield tuple(_switch_point_crossings(data, stat, W, t_obs, s, scale, b)
                         for s, b in zip(strict, stat.switch_points(data, W, m)))

@@ -36,7 +36,10 @@ p-values, at one theta or a grid of them, keep only two tail counts per theta
 the rows; a distribution or dominance profile keeps each row's rounded value,
 8 bytes a row, to sort into atoms.  Within a block the float work runs on
 tiles of 2^15 entries or 8 rows (:mod:`randinf.statistics`), so no float
-copy of a whole block is made.  Rows and their order are those of
+copy of a whole block is made.  An ``affine`` statistic reads each block as
+its rows' sums of a few unit columns instead: enumerated rows are then
+summed off the colex recurrence and no ``int8`` row is written.  Rows and
+their order are those of
 ``assignment_matrix`` (exact) or ``sample_assignments`` (Monte Carlo).
 """
 
@@ -56,10 +59,12 @@ from .design import (
     _require_assignment,
     _require_draws,
     _sample_indices,
+    _unit_sums,
 )
 from .statistics import (
     ObservedData,
     StatisticSpec,
+    _by_tile,
     _require_finite_theta,
     evaluate_many,
     impute,
@@ -186,6 +191,23 @@ class _ReplicateSource:
             if stop - start == self.size:
                 self._kept = block
             yield block
+
+    def sums(self, columns):
+        """Per block of rows, in row order, the rows' sums of the unit ``columns``: a (c, rows) float block.
+
+        ``columns`` (n_units x c) must have subset sums that are exact in any
+        order, so that both routes give the same bits on every BLAS kernel.
+        Enumerated rows are never written: their sums come from the colex
+        recurrence.  Drawn rows are written in ``int8`` blocks and summed by
+        one product a float tile.
+        """
+        if self._draws is not None:
+            for W in self.blocks():
+                yield _by_tile(lambda tile: tile @ columns, W).T
+            return
+        sums = _unit_sums(self.design, columns)
+        for start in range(0, self.size, _ROW_BLOCK):
+            yield _range_to_assignments(self.design, start, min(start + _ROW_BLOCK, self.size), sums)
 
 
 def _replicate_source(design: Design, mode: Mode) -> _ReplicateSource:

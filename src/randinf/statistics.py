@@ -12,7 +12,8 @@ control potentials elsewhere (:class:`StatisticSpec`).
 Assignment rows arrive as ``int8`` blocks.  The float work walks a block in
 tiles of at most ``_TILE_ENTRIES`` entries (:func:`_by_tile`), so the float
 copies of the rows and their temporaries stay cache sized whatever the
-block size.
+block size.  The ``affine`` capability reads no rows but each row's sums of
+its unit columns, whose layers (:func:`_exact_layers`) make every sum exact.
 
 Three statistics ship with the registry:
 
@@ -69,6 +70,14 @@ class StatisticError(ValueError):
 
 class DegenerateDenominatorError(StatisticError):
     """Studentized denominator is zero: both arm variances vanish."""
+
+
+class ArmSizeError(StatisticError, InputError):
+    """An arm too small for the statistic.
+
+    Every assignment of a design treats the design's counts, so the design
+    alone decides this refusal: it is an ``InputError`` too.
+    """
 
 
 @dataclass(frozen=True)
@@ -161,25 +170,30 @@ class StatisticSpec:
     and non-increasing in the control potentials, which guarantees
     ``theta_monotone_rightcontinuous`` for the map theta -> T(imputed, w).
 
-    Optional capabilities replace inversion's generic bisection.  Both
-    receive a read-only ``int8`` block of assignment rows.
-    ``affine(data, W)`` returns per-row ``(a, b)``, ``b >= 0``, with
-    ``T(theta, w) = a + b * theta`` and ``b = 0`` only on rows that tie the
-    observed value: switch points are closed form.
-    ``switch_points(data, W, m)`` returns every row's exact ``b*`` such that
-    ``T(theta, w) >= m`` holds for every theta above ``b*`` and fails below
-    it, ``-inf``/``+inf`` for rows where it always/never holds; for an array
-    of thresholds ``m`` the result has shape ``m.shape + (k,)``.  ``m`` is
-    any real number: inversion hands it its tolerance tests against the
-    observed value as they stand, ``T >= t`` and, for ``T > t``, ``T >=
-    nextafter(t)``, and the bisection compares theta with ``b*``.
+    Optional capabilities replace inversion's generic bisection.
+    ``affine(data)`` returns a pair: the unit columns, an (n, c) float
+    matrix whose every subset sum is exact in any order, and a map from k
+    rows' sums of those columns, a (c, k) array, to per-row ``(a, b)``,
+    ``b >= 0``, with ``T(theta, w) = a + b * theta`` and ``b = 0`` only on
+    rows that tie the observed value: switch points are closed form.  The
+    sums are the same bits however they are taken, so enumerated rows hand
+    over sums straight from the colex recurrence and drawn rows one product
+    a float tile.  ``switch_points(data, W, m)`` receives a read-only
+    ``int8`` block of assignment rows and returns every row's exact ``b*``
+    such that ``T(theta, w) >= m`` holds for every theta above ``b*`` and
+    fails below it, ``-inf``/``+inf`` for rows where it always/never holds;
+    for an array of thresholds ``m`` the result has shape ``m.shape +
+    (k,)``.  ``m`` is any real number: inversion hands it its tolerance
+    tests against the observed value as they stand, ``T >= t`` and, for
+    ``T > t``, ``T >= nextafter(t)``, and the bisection compares theta with
+    ``b*``.
     """
 
     name: str
     ei_certified: bool
     theta_monotone_rightcontinuous: bool
     rows: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    affine: Optional[Callable[..., tuple]] = None
+    affine: Optional[Callable[[ObservedData], tuple]] = None
     switch_points: Optional[Callable[..., np.ndarray]] = None
 
     def __post_init__(self):
@@ -232,35 +246,75 @@ def _diff_means_rows(y1, y0, W):
     return treated / n1 - picked.sum(axis=1) / n0
 
 
-def _diff_means_affine(data: ObservedData, W: np.ndarray):
-    """Intercept and slope of theta -> diff_means(imputed_theta, w), per row.
+def _exact_layers(y):
+    """``y`` scaled by ``2**-s`` and split into layers whose subset sums are exact in any order: ``(layers, s)``.
 
-    The slope counts treatment/control mismatches against the observed
-    assignment scaled by arm sizes, so it is >= 0 and vanishes exactly for
-    rows equal to the observed assignment (which stay tied at T_obs).  Both
-    mismatch counts follow from the units treated under both and the arm
-    sizes, one product with ``[ones, w_obs]``, all as exact integers.
+    Each layer is ``q = (sigma + r) - sigma`` of what is left of the scaled
+    ``y``, ``r``, with ``sigma`` a power of two at least ``max|r| * (n + 1)``
+    (Rump, Ogita & Oishi 2008, "Accurate floating-point summation part I",
+    SIAM J. Sci. Comput. 31(1)): every ``q`` is a multiple of ``sigma *
+    2**-53`` and every sum of some of them is below ``sigma`` in size, so
+    each partial sum, in any order, is exact.  Layers are taken,
+    the largest first, until nothing is left (at least one, for a zero
+    ``y``); together they hold the scaled ``y`` exactly.  ``s`` is 0 unless
+    the largest ``sigma`` would overflow; the scaling is then exact except
+    for entries it makes subnormal.
     """
-    y = data.y_obs
+    bits = y.size.bit_length()  # 2**bits >= n + 1
+    s = max(0, int(np.frexp(np.max(np.abs(y), initial=0.0))[1]) + bits - 1023)
+    r = np.ldexp(y, -s)
+    layers = []
+    while not layers or r.any():
+        sigma = np.ldexp(1.0, int(np.frexp(np.max(np.abs(r)))[1]) + bits)
+        q = (sigma + r) - sigma
+        layers.append(q)
+        r = r - q
+    return layers, s
+
+
+def _diff_means_affine(data: ObservedData):
+    """The unit columns of diff_means's closed form, and the map from rows' column sums to ``(a, b)``.
+
+    ``T(theta, w) = a + b * theta``.  The columns are ``[1, w_obs, q1, q2,
+    ...]``, with the layers of :func:`_exact_layers`, largest first, so a
+    row's sums of them are its treated count, the units it treats that the
+    observed assignment treats too (``both``) and the layers' treated sums,
+    all exact whatever the order of their additions.  The map takes the
+    sums as a (c, k) array, one row a column, and adds the layer sums
+    smallest first, each layer's control sum being its exact total minus the
+    treated sum.  Where two layers hold ``y`` the treated and control sums
+    are the correctly rounded ones.  The slope counts treatment/control
+    mismatches against the observed assignment scaled by arm sizes, so it is
+    >= 0 and vanishes exactly for rows equal to the observed assignment
+    (which stay tied at T_obs).
+    """
     w_obs = data.w_obs.astype(float)
-    sizes = np.column_stack((np.ones(y.size), w_obs))
+    layers, s = _exact_layers(data.y_obs)
+    columns = np.column_stack((np.ones(w_obs.size), w_obs, *layers))
+    totals = columns.sum(axis=0)  # exact, as every subset sum of a column is
 
-    def tile(W):
-        n1, both = (W @ sizes).T
-        n0 = W.shape[1] - n1
-        treated = W @ y
-        control = np.subtract(1, W, out=W) @ y  # the tile is scratch, refilled for the next
-        a = treated / n1 - control / n0
-        b = (n1 - both) / n1 + (w_obs.sum() - both) / n0
-        return a, b
+    def form(sums):
+        n1, both = sums[0], sums[1]
+        treated = sums[-1].copy()
+        control = np.subtract(totals[-1], sums[-1])
+        for j in range(len(sums) - 2, 1, -1):  # the smallest layer first
+            treated += sums[j]
+            control += totals[j] - sums[j]
+        n0 = np.subtract(totals[0], n1)
+        a = np.divide(treated, n1, out=treated)
+        a -= np.divide(control, n0, out=control)
+        b = np.subtract(n1, both)
+        b /= n1
+        b += np.divide(np.subtract(totals[1], both, out=control), n0, out=control)
+        return (np.ldexp(a, s, out=a) if s else a), b
 
-    return _by_tile(tile, W)
+    return columns, form
 
 
 def _studentized_rows(y1, y0, W):
     n1, n0 = _arm_sizes(W)
     if (n1 < 2).any() or (n0 < 2).any():
-        raise StatisticError("studentized statistic requires both arms of size >= 2")
+        raise ArmSizeError("studentized statistic requires both arms of size >= 2")
     m1 = (W * y1).sum(axis=1) / n1
     m0 = ((1 - W) * y0).sum(axis=1) / n0
     ss1 = ((y1 * y1) * W).sum(axis=1) - n1 * m1 * m1

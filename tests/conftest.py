@@ -79,7 +79,7 @@ def assert_crossings_match_bisection(data, stat, design, mode=None, rows=100):
     W = next(_replicate_source(design, mode or ExactMode()).blocks())[:rows]
     t_obs = observed_statistic(stat, data)
     scale = outcome_scale(data)
-    head = SimpleNamespace(blocks=lambda: iter([W]))
+    head = SimpleNamespace(blocks=lambda: iter([W]), sums=lambda columns: iter([(W @ columns).T]))
     atol = 1e-6 * scale if stat.affine is not None else 0.0
     for strict, kernel in zip((False, True), crossing_vectors(data, stat, head, t_obs, scale)):
         ref = _bisect_crossings(data, stat, W, t_obs, strict, scale)

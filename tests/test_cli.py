@@ -327,6 +327,16 @@ class TestExitCodes:
         )
         assert code == 4 and out == "" and "not certified monotone" in err
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "mc", "--k", "50", "--seed", "1"]], ids=["exact", "mc"])
+    def test_studentized_arm_below_two_is_2(self, capsys, tmp_path, mode):
+        # every assignment of crd:4,1 treats one unit: the design alone
+        # refuses the statistic, so it is an input error
+        path = tmp_path / "one_treated.csv"
+        path.write_text("unit_id,w,y\n" + "".join(f"u{i},{int(i == 0)},{i}.5\n" for i in range(4)))
+        code, out, err = run_cli(["test", str(path), "--design", "crd:4,1", "--theta", "0",
+                                  "--statistic", "studentized", *mode], capsys)
+        assert code == 2 and out == "" and err == "error: studentized statistic requires both arms of size >= 2\n"
+
     def test_unknown_statistic_is_2(self, capsys):
         code, _, err = run_cli(
             ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--statistic", "median"],

@@ -2,6 +2,11 @@
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -35,6 +40,7 @@ from randinf import (
     tied_discrete_population,
     traditional_interval,
 )
+import randinf
 from randinf import inversion as inversion_mod
 from randinf import statistics as statistics_mod
 from randinf._util import round_sig
@@ -608,9 +614,14 @@ class TestKernel:
         data, design = random_experiment(rng, n=9, lognormal=True)
         calls = []
 
-        def affine(d, W):
-            calls.append(W.shape[0])
-            return diff_means.affine(d, W)
+        def affine(d):
+            columns, form = diff_means.affine(d)
+
+            def counted(sums):
+                calls.append(sums.shape[1])  # the rows of one block
+                return form(sums)
+
+            return columns, counted
 
         monkeypatch.setitem(
             statistics_mod._REGISTRY, "diff_means_copy",
@@ -624,9 +635,14 @@ class TestKernel:
         for side in ONE_SIDED:
             assert _step_digest(fs[side]) == _step_digest(ref[side])
         # a closed form off by a constant is caught by the bisection oracle
-        def skewed_affine(d, W):
-            a, b = diff_means.affine(d, W)
-            return a + 0.01, b
+        def skewed_affine(d):
+            columns, form = diff_means.affine(d)
+
+            def skewed(sums):
+                a, b = form(sums)
+                return a + 0.01, b
+
+            return columns, skewed
 
         skewed = dataclasses.replace(copy, affine=skewed_affine)
         with pytest.raises(AssertionError, match="generic bisection"):
@@ -702,3 +718,35 @@ def test_diff_means_step_function_golden_bytes(diff_means, case, side):
     data, design, mode = _golden_diff_means_case(case)
     f = build_step_functions(data, design, diff_means, mode)[PValueKind[side]]
     pins.check(GOLDEN_DIFF_MEANS, (case, side), _step_digest(f))
+
+
+def _golden_diff_means_digests():
+    """``case/side`` -> step-function digest of every :data:`GOLDEN_DIFF_MEANS` case."""
+    stat = get_statistic("diff_means")
+    digests = {}
+    for case in dict.fromkeys(case for case, _ in GOLDEN_DIFF_MEANS.cases):
+        data, design, mode = _golden_diff_means_case(case)
+        fs = build_step_functions(data, design, stat, mode)
+        digests.update({f"{case}/{side.name}": _step_digest(fs[side]) for side in ONE_SIDED})
+    return digests
+
+
+_KERNEL_DIGESTS = """
+import json
+from test_inversion import _golden_diff_means_digests
+print(json.dumps(_golden_diff_means_digests()))
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Sandybridge", "Prescott"])
+def test_diff_means_bytes_do_not_depend_on_the_blas_kernel(coretype):
+    # OPENBLAS_CORETYPE makes a fresh process's OpenBLAS take the kernel of
+    # an older x86_64 CPU, which sums in its own order; the exact layers make
+    # every row sum the same bits whatever the order.  The variable is set
+    # for the child process alone
+    src = Path(randinf.__file__).parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _KERNEL_DIGESTS], cwd=Path(__file__).parent, env=env,
+                           capture_output=True, text=True, check=True)
+    assert json.loads(child.stdout) == _golden_diff_means_digests()

@@ -20,6 +20,7 @@ row per observed assignment, and the audit's widths against chunks of float
 overlaps, past one 64-bit word and past 255 treated units too."""
 
 import dataclasses
+import math
 import tracemalloc
 from math import comb, isqrt
 from unittest import mock
@@ -57,11 +58,13 @@ from randinf import randomization as randomization_mod
 from randinf import simulate as simulate_mod
 from randinf import statistics as statistics_mod
 from randinf.design import (
+    DEFAULT_ENUMERATION_CAP,
     _INT64_SAFE_TOTAL,
     _block_runs,
     _indices_to_assignments,
     _range_to_assignments,
     _sample_indices,
+    _unit_sums,
     _unrank_block_vectorized,
 )
 from randinf._util import SIG_DIGITS, round_sig, sorted_distinct
@@ -620,6 +623,58 @@ def unranked_rows(blocks, idx):
 def test_range_to_assignments_equals_unranked_rows(case):
     design, lo, hi = case
     assert np.array_equal(_range_to_assignments(design, lo, hi), unranked_rows(design.blocks, range(lo, hi)))
+
+
+@st.composite
+def outcomes_for_sums(draw, n):
+    """``n`` outcomes: lognormal, two-decimal, the zero vector, or wide-range.
+
+    Wide-range outcomes run from about 1e-300 to past 2**(1023 - log2(n + 1)),
+    so their layers are scaled and more than two.
+    """
+    kind = draw(st.sampled_from(["lognormal", "two-decimal", "zero", "wide-range"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lognormal":
+        return kind, rng.lognormal(size=n)
+    if kind == "two-decimal":
+        return kind, np.round(rng.normal(0.0, 50.0, n), 2)
+    if kind == "zero":
+        return kind, np.zeros(n)
+    y = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1000, 1010, n))
+    y[rng.integers(n)] = np.ldexp(rng.uniform(0.5, 1.0), 1017)
+    return kind, y
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(enumeration_ranges().filter(lambda case: total_assignments(case[0]) <= DEFAULT_ENUMERATION_CAP),
+       st.data())
+def test_enumerated_row_sums_equal_one_product(case, data):
+    # the row sums of a range of the enumeration order, taken off the colex
+    # tables with no row written, and their (a, b), are bit for bit those of
+    # one product on the int8 rows: the layers make every sum exact.  Where
+    # two layers hold y, which they do for all but the wide-range outcomes,
+    # the treated sums and a are the correctly rounded ones
+    design, lo, hi = case
+    kind, y = data.draw(outcomes_for_sums(design.n_units))
+    rows = _range_to_assignments(design, lo, hi)
+    obs = ObservedData(rows[data.draw(st.integers(0, hi - lo - 1))], y)
+    columns, form = DIFF_MEANS.affine(obs)
+    layers, scale = statistics_mod._exact_layers(y)
+    assert np.array_equal(np.ldexp(sum(layers[::-1]), scale), y)
+    assert (len(layers) > 2) == (kind == "wide-range")
+    sums = _range_to_assignments(design, lo, hi, _unit_sums(design, columns))
+    want = (rows.astype(float) @ columns).T
+    assert sums.tobytes() == np.ascontiguousarray(want).tobytes()
+    for got, ref in zip(form(sums), form(want)):
+        assert got.tobytes() == ref.tobytes()
+    if len(layers) > 2:
+        return
+    a, _ = form(sums)
+    n1 = rows.sum(axis=1)
+    for r, row in enumerate(rows.astype(bool)):
+        treated, control = math.fsum(y[row]), math.fsum(y[~row])
+        assert sums[2:, r].sum() == treated
+        assert a[r] == treated / n1[r] - control / (design.n_units - n1[r])
 
 
 def drawn_rows(design, draws):

@@ -9,9 +9,11 @@ import pytest
 
 from randinf import (
     CRD,
+    RBD,
     MCMode,
     ObservedData,
     PValueKind,
+    assignment_matrix,
     build_step_functions,
     confidence_interval,
     dominance_profile,
@@ -20,6 +22,7 @@ from randinf import (
     p_values,
     randomization_distribution,
     sample_assignments,
+    total_assignments,
 )
 from randinf.datasets import toy_population
 from conftest import random_experiment
@@ -194,27 +197,33 @@ class TestDominanceProfile:
             assert (np.diff(cdf) > 0).all()
 
 
-@pytest.mark.parametrize("call, block, per_row", [
-    *(pytest.param(call, block, 40, id=f"{call}-{block}")
+@pytest.mark.parametrize("call, block, per_row, design", [
+    *(pytest.param(call, block, 40, CRD(20, 10), id=f"{call}-{block}")
       for call in ("build_step_functions", "randomization_distribution") for block in (None, 1 << 12)),
-    pytest.param("build_step_functions", 1 << 12, 20, id="build_step_functions-4096-one_vector"),
-    pytest.param("generic_bisection", None, 40, id="build_step_functions-generic_bisection"),
-    *(pytest.param("p_values", block, 0, id=f"p_values-{block}") for block in (None, 1 << 12)),
+    pytest.param("build_step_functions", 1 << 12, 20, CRD(20, 10), id="build_step_functions-4096-one_vector"),
+    pytest.param("build_step_functions", None, 40, RBD(((10, 5), (10, 5))), id="build_step_functions-rbd"),
+    pytest.param("generic_bisection", None, 40, CRD(20, 10), id="build_step_functions-generic_bisection"),
+    *(pytest.param("p_values", block, 0, CRD(20, 10), id=f"p_values-{block}") for block in (None, 1 << 12)),
 ])
-def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block, per_row):
+def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block, per_row, design):
     # CRD(20,10) has 184,756 rows; as one float matrix they alone would take
     # 160 bytes a row.  Streamed in blocks, what spans every row is at most
     # 40 bytes of it: for the kernel, one rounded crossing vector, since
     # diff_means is affine, and while atoms runs its run starts and the
     # breakpoint and count arrays all four sides share (about 25 bytes a row
     # when every crossing is distinct); for the distribution, the rounded
-    # values and their atoms.  The per-block temporaries are the int8 block
-    # and a few int8-sized passes over it, plus float tiles: no float copy
-    # of a whole block, which alone is 5.2 MB at 2^15 rows.  The one_vector
-    # case holds the kernel to 20 bytes a row, four 2^12-row int8 blocks and
-    # eight float tiles (6.1 MB), which a second rounded vector would exceed.
-    # The generic_bisection case builds diff_means without its closed form:
-    # the bisection reads the block in float tiles too, and its per-row
+    # values and their atoms.  The kernel writes no int8 row: a block is
+    # each row's four column sums (32 bytes a row), summed off colex tables
+    # whose sums take at most 64 KB each, then its (a, b) and crossings, a
+    # few vectors of 8 bytes a row; the exact RBD((10,5),(10,5)), 63,504
+    # rows, also adds one block's sums expanded by np.repeat.  The
+    # distribution reads the int8 block, a few int8-sized passes over it,
+    # and float tiles: no float copy of a whole block, which alone is 5.2 MB
+    # at 2^15 rows.  The one_vector case holds the kernel to 20 bytes a row,
+    # what four 2^12-row int8 blocks and eight float tiles take besides
+    # (6.1 MB in all), which a second rounded vector would exceed.  The
+    # generic_bisection case builds diff_means without its closed form: the
+    # bisection reads the int8 block in float tiles too, and its per-row
     # brackets, thetas and values are a few block-sized vectors.  The
     # p-values keep two tail counts and nothing a row: no per-row term.
     import randinf.randomization as rz
@@ -222,8 +231,7 @@ def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block, pe
 
     if block is not None:
         monkeypatch.setattr(rz, "_ROW_BLOCK", block)
-    design = CRD(20, 10)
-    data = generate_population(20, 1.0, seed=0).observe(sample_assignments(design, 1, seed=1)[0])
+    data = generate_population(design.n_units, 1.0, seed=0).observe(sample_assignments(design, 1, seed=1)[0])
     runs = {
         "build_step_functions": lambda: build_step_functions(data, design, diff_means),
         "generic_bisection": lambda: build_step_functions(data, design, dataclasses.replace(diff_means, affine=None)),
@@ -240,8 +248,31 @@ def test_peak_memory_is_bounded_per_row(diff_means, monkeypatch, call, block, pe
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rows = 184_756
+    rows = total_assignments(design)
     assert peak < per_row * rows + 4 * rz._ROW_BLOCK * design.n_units + 8 * st._TILE_ENTRIES * 8
+
+
+@pytest.mark.parametrize("design", [CRD(12, 6), RBD(((6, 3), (7, 4), (5, 2)))], ids=["crd", "rbd"])
+def test_exact_affine_build_writes_no_assignment_row(diff_means, monkeypatch, design):
+    # an exact diff_means build reads its rows' sums straight off the colex
+    # recurrence; every int8 row of the enumeration order is written by
+    # _fill_colex, which assignment_matrix shows the wrapper sees
+    import randinf.design as ds
+
+    data = generate_population(design.n_units, 1.0, seed=0).observe(sample_assignments(design, 1, seed=1)[0])
+    written = []
+    fill = ds._fill_colex
+
+    def recording(out, *args):
+        if out.dtype == np.int8:
+            written.append(len(out))
+        return fill(out, *args)
+
+    monkeypatch.setattr(ds, "_fill_colex", recording)
+    build_step_functions(data, design, diff_means)
+    assert written == []
+    assignment_matrix(design)
+    assert written
 
 
 def test_mc_interval_memory_past_2_62_is_bounded_per_row(diff_means):

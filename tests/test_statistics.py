@@ -314,7 +314,8 @@ class TestAffineCapability:
         rng = np.random.default_rng(12)
         data, design = random_experiment(rng, n=8)
         W = assignment_matrix(design).astype(float)
-        a, b = diff_means.affine(data, W)
+        columns, form = diff_means.affine(data)
+        a, b = form((W @ columns).T)
         assert (b >= 0).all()
         for theta in (-2.0, 0.0, 1.5):
             direct = evaluate_many(diff_means, impute(data, theta), W)
