@@ -12,7 +12,9 @@ printed).  ``main`` maps exception types to these codes in one table,
 ``_EXIT_CODES``.
 Numbers are serialized with 12 significant digits and infinities as the
 strings "inf" / "-inf".  Identical inputs and seeds produce byte-identical
-output.
+output, whatever BLAS kernel numpy picks for the CPU, except that the
+Stouffer, weighted and custom combiners' weighted sums ``w @ q`` follow the
+kernel's summation order.
 """
 
 import argparse

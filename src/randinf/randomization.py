@@ -39,8 +39,8 @@ tiles of 2^15 entries or 8 rows (:mod:`randinf.statistics`), so no float
 copy of a whole block is made.  An ``affine`` statistic reads each block as
 its rows' sums of a few unit columns instead: enumerated rows are then
 summed off the colex recurrence and no ``int8`` row is written.  Rows and
-their order are those of
-``assignment_matrix`` (exact) or ``sample_assignments`` (Monte Carlo).
+their order are those of ``assignment_matrix`` (exact) or
+``sample_assignments`` (Monte Carlo).
 """
 
 import enum
@@ -157,7 +157,7 @@ _ROW_BLOCK = 1 << 15
 
 
 class _ReplicateSource:
-    """The assignment rows of one design under one mode, as int8 row blocks.
+    """The assignment rows of one design under one mode, as int8 row blocks or their row sums.
 
     Exact mode enumerates the rows ``0..size-1``; Monte Carlo mode holds the
     ``k`` draws made once at construction by ``design._sample_indices``: for
@@ -198,16 +198,18 @@ class _ReplicateSource:
         ``columns`` (n_units x c) must have subset sums that are exact in any
         order, so that both routes give the same bits on every BLAS kernel.
         Enumerated rows are never written: their sums come from the colex
-        recurrence.  Drawn rows are written in ``int8`` blocks and summed by
-        one product a float tile.
+        recurrence, half a row block at a time, which keeps a process's peak
+        resident memory where ``int8`` blocks kept it.  Drawn rows are written
+        in ``int8`` blocks and summed by one product a float tile.
         """
         if self._draws is not None:
             for W in self.blocks():
                 yield _by_tile(lambda tile: tile @ columns, W).T
             return
         sums = _unit_sums(self.design, columns)
-        for start in range(0, self.size, _ROW_BLOCK):
-            yield _range_to_assignments(self.design, start, min(start + _ROW_BLOCK, self.size), sums)
+        step = _ROW_BLOCK // 2  # a row's sums and their closed form's vectors are 8 bytes each
+        for start in range(0, self.size, step):
+            yield _range_to_assignments(self.design, start, min(start + step, self.size), sums)
 
 
 def _replicate_source(design: Design, mode: Mode) -> _ReplicateSource:

@@ -40,6 +40,7 @@ All statistics here are oriented so that large values indicate effects above
 the hypothesized ``theta``.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -261,15 +262,18 @@ def _exact_layers(y):
     for entries it makes subnormal.
     """
     bits = y.size.bit_length()  # 2**bits >= n + 1
-    s = max(0, int(np.frexp(np.max(np.abs(y), initial=0.0))[1]) + bits - 1023)
-    r = np.ldexp(y, -s)
+    top = float(np.max(np.abs(y)))
+    s = max(0, math.frexp(top)[1] + bits - 1023)
+    r, top = np.ldexp(y, -s), math.ldexp(top, -s)
     layers = []
-    while not layers or r.any():
-        sigma = np.ldexp(1.0, int(np.frexp(np.max(np.abs(r)))[1]) + bits)
+    while True:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + bits)
         q = (sigma + r) - sigma
         layers.append(q)
         r = r - q
-    return layers, s
+        top = float(np.max(np.abs(r)))
+        if not top:
+            return layers, s
 
 
 def _diff_means_affine(data: ObservedData):

@@ -704,9 +704,9 @@ def _golden_diff_means_case(name):
 
 
 # SHA-256 of (breakpoints, counts, base_count, never_count) of diff_means step
-# functions, recorded while the closed form found the ge and gt crossings as
-# two separately rounded vectors (the Monte Carlo cases re-recorded at seed
-# stream 0.2.0, and crd_100_50_mc at 0.3.0): a change here changes breakpoint bytes.
+# functions, all re-recorded when the closed form's treated and control sums
+# became exact layer sums, the same bits on every BLAS kernel: a change here
+# changes breakpoint bytes.
 GOLDEN_DIFF_MEANS = pins.table("GOLDEN_DIFF_MEANS_SHA256", [
     (case, side) for case in ("crd_16_8_exact", "rbd_10x6_3_mc", "crd_100_50_mc")
     for side in ("LPLUS", "UPLUS", "LMINUS", "UMINUS")

@@ -629,8 +629,9 @@ def test_range_to_assignments_equals_unranked_rows(case):
 def outcomes_for_sums(draw, n):
     """``n`` outcomes: lognormal, two-decimal, the zero vector, or wide-range.
 
-    Wide-range outcomes run from about 1e-300 to past 2**(1023 - log2(n + 1)),
-    so their layers are scaled and more than two.
+    Wide-range outcomes run from about 1e-301 to 1.3e308, so their layers
+    are scaled, and more than two: the largest has its last bit set, below
+    the first layer's, and the smallest is far below the second's.
     """
     kind = draw(st.sampled_from(["lognormal", "two-decimal", "zero", "wide-range"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -641,7 +642,9 @@ def outcomes_for_sums(draw, n):
     if kind == "zero":
         return kind, np.zeros(n)
     y = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1000, 1010, n))
-    y[rng.integers(n)] = np.ldexp(rng.uniform(0.5, 1.0), 1017)
+    big, small = rng.permutation(n)[:2]
+    y[big] = np.ldexp(np.nextafter(0.75, 1.0), 1023)
+    y[small] = np.ldexp(rng.uniform(0.5, 1.0), -1000)
     return kind, y
 
 
@@ -661,7 +664,7 @@ def test_enumerated_row_sums_equal_one_product(case, data):
     columns, form = DIFF_MEANS.affine(obs)
     layers, scale = statistics_mod._exact_layers(y)
     assert np.array_equal(np.ldexp(sum(layers[::-1]), scale), y)
-    assert (len(layers) > 2) == (kind == "wide-range")
+    assert (len(layers) > 2) == (scale > 0) == (kind == "wide-range")
     sums = _range_to_assignments(design, lo, hi, _unit_sums(design, columns))
     want = (rows.astype(float) @ columns).T
     assert sums.tobytes() == np.ascontiguousarray(want).tobytes()
