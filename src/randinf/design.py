@@ -439,8 +439,9 @@ def _fill_colex(out, n, t, lo, hi, sums=None):
 
     Given the block's :class:`_UnitSums` as ``sums``, ``out`` is a
     (hi - lo, c) float view instead, the transpose of a (c, hi - lo) one,
-    and each row's column sums are written into it.  Each leaf of :func:`_colex_leaves` is written in closed form
-    or as a colex table slice, or its sums are taken from the table's.
+    and each row's column sums are written into it.  Each leaf of
+    :func:`_colex_leaves` is written in closed form or as a colex table
+    slice, or its sums are taken from the table's.
     """
     if sums is None:
         out[...] = 0
