@@ -10,17 +10,27 @@ enumeration order is fixed: treated-index sets in colexicographic order, and
 for an RBD the product order over blocks with block 0 varying fastest.  This
 order is part of the public contract so that golden results are stable.
 
+A colex rank becomes a subset by one walk, the combinatorial number system
+(:func:`_colex_units`): for i = t, ..., 2 the unit ``c`` is the largest with
+C(c, i) at most what is left of the rank, found by ``searchsorted`` along a
+row of an int64 binomial table, and what is left at the end is the last
+unit.  A block that treats most of its units walks its complement at the
+reversed rank.  The colex tables are this walk over all their ranks, and it
+writes the short leaves of the enumeration and the sampled rows of blocks
+too large for a table, in place.
+
 Enumerated rows are written straight from that order's recurrence
 (:func:`_range_to_assignments`): the t-subsets of ``range(n)`` are those of
 ``range(n-1)``, then those of size ``t-1`` with unit ``n-1`` added, so any
-contiguous rank range is a few slice copies of small colex tables and fixed
-columns.  Each block of an RBD runs through consecutive ranks, each repeated
-as often as the earlier blocks have assignments, so its columns are filled
-pieces expanded by ``np.repeat``.  :func:`assignment_matrix` and the exact
-replicate source in :mod:`randinf.randomization` both use it.  The same
-range splitting gives rows' sums of unit columns with no row written
-(:class:`_UnitSums`): a slice of a colex table's row sums, one small product
-per table and build, plus the units every row of the slice treats.
+contiguous rank range is a few slice copies of small colex tables, walks of
+at most two steps and fixed columns.  Each block of an RBD runs through
+consecutive ranks, each repeated as often as the earlier blocks have
+assignments, so its columns are filled pieces expanded by ``np.repeat``.
+:func:`assignment_matrix` and the exact replicate source in
+:mod:`randinf.randomization` both use it.  The same range splitting gives
+rows' sums of unit columns with no row written (:class:`_UnitSums`): a
+slice of a colex table's row sums, one small product per table and build,
+plus the units every row of the slice treats.
 
 Sampled rows come from one draw per run of blocks (:func:`_block_runs`).
 A run of consecutive blocks whose joint count fits in 2**62 draws one int64
@@ -29,8 +39,8 @@ stretch of consecutive blocks of a run, merged while their units times their
 joint count fit the table budget.  Its product table holds all of its
 assignments in enumeration order, so rank ``m`` is row ``m``, and its rows
 are one gather from that table (cached, read-only).  A block too large for a
-table of its own is unranked by a ``searchsorted`` walk down a cached int64
-binomial table, all rows at once.  A block whose own count is past 2**62 is
+table of its own is unranked by the walk, all rows at once, straight into
+its columns of the rows.  A block whose own count is past 2**62 is
 a run of its own, and draws its row by random keys.
 
 Sampling is counter based: draw ``j`` of ``sample_assignments(design, k,
@@ -172,12 +182,10 @@ def total_assignments(design: Design) -> int:
 # Colexicographic unranking of k-subsets
 #
 # The rank of a treated-index set {c_1 < ... < c_k} is sum_i C(c_i, i); rank 0
-# is {0, ..., k-1}.  The vectorized unranker maps sampled ranks to rows.
+# is {0, ..., k-1}.  One walk down a binomial table maps ranks to units: the
+# colex tables, the small leaves of the enumeration and sampled blocks all
+# read it.
 # ---------------------------------------------------------------------------
-
-# Largest binomial table kept by the unranker's cache, in entries; a bigger
-# one is built for each call.
-_BINOMIAL_ENTRIES = 1 << 15
 
 
 def _binomial_table(n, k):
@@ -195,29 +203,41 @@ def _binomial_table(n, k):
     return table
 
 
-# at most 8 tables of at most _BINOMIAL_ENTRIES entries each
+# at most 8 tables of at most _TABLE_BYTES each
 _kept_binomial_table = lru_cache(maxsize=8)(_binomial_table)
 
 
-def _unrank_block_vectorized(n, k, m):
-    """Colex-unrank int64 ranks below C(n, k) <= 2**62 into a (len(m), n) 0/1 matrix.
+def _colex_units(n, t, ranks):
+    """Yield the units of the t-subsets of range(n) at the int64 colex ``ranks``.
 
-    A block that treats most of its units is the complement of the set of
-    ``n - k`` at colex rank ``C(n, k) - 1 - m``, which takes fewer steps.
+    ``ranks`` lie below C(n, t) <= 2**62.  Yields ``min(t, n - t)`` index
+    arrays, one entry a rank, largest unit first: the units each subset
+    treats, or when ``2 * t > n`` the units it leaves off, walked as the
+    complement, the (n - t)-subset of colex rank ``C(n, t) - 1 - rank``.
+    The last unit is what is left of the rank, since C(c, 1) = c.
     """
-    if 2 * k > n:
-        return 1 - _unrank_block_vectorized(n, n - k, (comb(n, k) - 1) - m)
-    kept = (k + 1) * (n + 1) <= _BINOMIAL_ENTRIES
-    table = (_kept_binomial_table if kept else _binomial_table)(n, k)
-    rows = np.arange(m.size)
-    w = np.zeros((m.size, n), dtype=np.int8)
-    for i in range(k, 0, -1):
-        # table[i] is non-decreasing in r and C(r, i) = 0 for r < i, so this
-        # is the largest c >= i - 1 with C(c, i) <= m
-        c = np.searchsorted(table[i], m, side="right") - 1
-        w[rows, c] = 1
-        m = m - table[i, c]
-    return w
+    if 2 * t > n:
+        t, ranks = n - t, (comb(n, t) - 1) - ranks
+    if t > 1:
+        kept = 8 * (t + 1) * (n + 1) <= _TABLE_BYTES
+        table = (_kept_binomial_table if kept else _binomial_table)(n, t)
+        for i in range(t, 1, -1):
+            # table[i] is non-decreasing in r and C(r, i) = 0 for r < i, so
+            # this is the largest c >= i - 1 with C(c, i) <= rank
+            c = np.searchsorted(table[i], ranks, side="right") - 1
+            yield c
+            ranks = ranks - table[i, c]
+    if t > 0:
+        yield ranks
+
+
+def _unrank_block_vectorized(out, n, t, ranks):
+    """Write the t-subsets of range(n) at the int64 colex ``ranks`` into the (len(ranks), n) int8 view ``out``."""
+    flip = 2 * t > n
+    out[...] = flip
+    rows = np.arange(len(ranks))
+    for c in _colex_units(n, t, ranks):
+        out[rows, c] = not flip
 
 
 def _block_runs(design: Design):
@@ -281,7 +301,7 @@ def _indices_to_assignments(design: Design, draws) -> np.ndarray:
                 w[:, start:start + units] = np.take(_product_table(blocks), ranks, axis=0)
             else:
                 (k, t), = blocks
-                w[:, start:start + k] = _unrank_block_vectorized(k, t, ranks)
+                _unrank_block_vectorized(w[:, start:start + k], k, t, ranks)
     return w
 
 
@@ -300,27 +320,12 @@ def _colex_table(t):
     """T(m, t) for the largest m with m * C(m, t) <= _TABLE_BYTES, read-only.
 
     Its first C(n, t) rows and first n columns are T(n, t) for every n <= m.
-    It is built one unit at a time, keeping only the T(j, u) that lead to
-    T(m, t); those of one j together are at most the size of T(m, t).
     """
     m = t
     while (m + 1) * comb(m + 1, t) <= _TABLE_BYTES:
         m += 1
-    level = {0: np.zeros((1, 0), dtype=np.int8)}
-    for j in range(1, m + 1):
-        nxt = {}
-        for u in range(max(0, t - (m - j)), min(j, t) + 1):
-            tab = np.empty((comb(j, u), j), dtype=np.int8)
-            off = comb(j - 1, u)
-            if u < j:
-                tab[:off, :-1] = level[u]
-            if u > 0:
-                tab[off:, :-1] = level[u - 1]
-            tab[:off, -1] = 0
-            tab[off:, -1] = 1
-            nxt[u] = tab
-        level = nxt
-    table = level[t]
+    table = np.empty((comb(m, t), m), dtype=np.int8)
+    _unrank_block_vectorized(table, m, t, np.arange(len(table)))
     table.flags.writeable = False
     return table
 
@@ -332,8 +337,9 @@ def _colex_leaves(n, t, lo, hi, rows=_TABLE_BYTES):
     of the range are rows ``lo'..hi'-1`` of T(n', t') in their first n'
     units, with the units of the list ``on`` treated and the other units from
     n' on left off.  A leaf treats at most two units, or leaves at most two
-    untreated (:func:`_closed_form_units`), or its T(n', t') fits the table
-    budget and has at most ``rows`` rows (a slice of :func:`_colex_table`).
+    untreated (a walk of :func:`_colex_units` of at most two steps), or its
+    T(n', t') fits the table budget and has at most ``rows`` rows (a slice of
+    :func:`_colex_table`).
     Above that, the leading units that every row leaves off, or the trailing
     ones that every row treats, are peeled at once (found by bisection), and
     a range that straddles C(n-1, t) is split there; the piece above is kept
@@ -363,29 +369,6 @@ def _colex_leaves(n, t, lo, hi, rows=_TABLE_BYTES):
             n, hi = n - 1, lo + split
 
 
-def _closed_form_units(n, t, lo, hi):
-    """Rows ``lo..hi-1`` of T(n, t), ``min(t, n - t) <= 2``, as ``(flip, units)``.
-
-    ``units`` holds ``min(t, n - t)`` index arrays, one entry a row: the
-    units each row treats, or with ``flip`` (more than two treated) the
-    units it leaves off.  Complements are read from T(n, n - t) with ranks
-    reversed: the complement of a set of colex rank r has rank total - 1 - r.
-    """
-    total = comb(n, t)
-    u = min(t, n - t)
-    flip = t > u
-    ranks = np.arange(total - 1 - lo, total - 1 - hi, -1) if flip else np.arange(lo, hi)
-    units = []
-    if u == 2:
-        starts = np.arange(n) * np.arange(-1, n - 1) // 2  # C(c, 2)
-        top = np.searchsorted(starts, ranks, side="right") - 1
-        units.append(top)
-        ranks = ranks - starts[top]
-    if u >= 1:
-        units.append(ranks)
-    return flip, units
-
-
 class _UnitSums:
     """Row sums of unit columns over enumerated rows of one design block, no row written.
 
@@ -396,7 +379,8 @@ class _UnitSums:
     the same bits however they are taken.  A leaf with more than two units
     treated and untreated reads a slice of the row sums of a colex table of
     at most ``rows`` rows: one product, made on first use and kept with the
-    object.
+    object.  A smaller leaf adds the columns of the units
+    :func:`_colex_units` walks.
     """
 
     def __init__(self, columns):
@@ -410,11 +394,10 @@ class _UnitSums:
         if min(t, n - t) > 2:
             np.add(self._table(t)[:, lo:hi], fixed, out=out)
             return
-        flip, units = _closed_form_units(n, t, lo, hi)
         out[...] = 0
-        for u in units:
+        for u in _colex_units(n, t, np.arange(lo, hi)):
             out += self.columns.take(u, axis=1)
-        if flip:  # the rows treat all n units but the ones summed
+        if 2 * t > n:  # the rows treat all n units but the ones summed
             np.subtract(fixed + self.columns[:, :n].sum(axis=1, keepdims=True), out, out=out)
         else:
             out += fixed
@@ -440,8 +423,9 @@ def _fill_colex(out, n, t, lo, hi, sums=None):
     Given the block's :class:`_UnitSums` as ``sums``, ``out`` is a
     (hi - lo, c) float view instead, the transpose of a (c, hi - lo) one,
     and each row's column sums are written into it.  Each leaf of
-    :func:`_colex_leaves` is written in closed form or as a colex table
-    slice, or its sums are taken from the table's.
+    :func:`_colex_leaves` is unranked in place by
+    :func:`_unrank_block_vectorized` or written as a colex table slice, or
+    its sums are taken from the walk or the table's.
     """
     if sums is None:
         out[...] = 0
@@ -453,12 +437,8 @@ def _fill_colex(out, n, t, lo, hi, sums=None):
         part[:, on] = 1
         if min(t, n - t) > 2:
             part[:, :n] = _colex_table(t)[lo:hi, :n]
-            continue
-        flip, units = _closed_form_units(n, t, lo, hi)
-        rows = np.arange(hi - lo)
-        part[:, :n] = flip
-        for u in units:
-            part[rows, u] = not flip
+        else:
+            _unrank_block_vectorized(part[:, :n], n, t, np.arange(lo, hi))
 
 
 def _fill_cyclic(out, k, t, r0, sums=None):

@@ -25,8 +25,9 @@ crossings are found is a capability of the statistic:
   ``(y_j - y_i) / c``, ``c`` in {1, 2}) decides each bisection step instead
   of re-ranking the replicates; the statistic is evaluated only at exact hits
   on ``b*``, so breakpoints are the same bytes as from plain bisection;
-- otherwise bisection to an absolute tolerance of ``1e-9 * max(1, scale)`` in
-  theta, comparing statistic values with a tolerance of
+- otherwise bisection to an absolute tolerance of ``1e-9 * scale`` in theta,
+  ``scale`` the larger of ``max |y|`` and the range of ``y`` (1 when that
+  is below the smallest normal double), comparing statistic values with a tolerance of
   ``1e-9 * max(1, |T_obs|)`` in the statistic's own units.  Each row's
   bracket is halved until it alone is that narrow, so a row's crossing
   depends on that row only, not on the other rows drawn or on the blocks.
@@ -235,9 +236,9 @@ def _bisect_crossings(data, stat, W, t_obs, strict, scale):
     read once and carried to the next doubling.  :func:`_bisect` then halves
     every moving row's bracket until it is within the tolerance.
     """
-    tol = 1e-9 * max(1.0, scale)  # theta units: bisection width
+    tol = 1e-9 * scale  # theta units: bisection width
     t_tol = 1e-9 * max(1.0, abs(t_obs))  # statistic units: tie tolerance
-    reach = 2.0 * max(1.0, scale)
+    reach = 2.0 * scale
     t_at, passes = _row_tests(data, stat, W, t_obs, strict)
     lo = np.full(W.shape[0], -reach)
     hi = np.full(W.shape[0], reach)
@@ -274,8 +275,8 @@ def _switch_point_crossings(data, stat, W, t_obs, strict, scale, b_star):
     decisions under the same row-local stopping rule and final check of
     :func:`_bisect`, so they give the same bytes.
     """
-    tol = 1e-9 * max(1.0, scale)
-    near_tol = 1e-12 * max(1.0, scale)
+    tol = 1e-9 * scale
+    near_tol = 1e-12 * scale
     t_at, passes = _row_tests(data, stat, W, t_obs, strict)
 
     def on(theta_rows):
@@ -287,7 +288,7 @@ def _switch_point_crossings(data, stat, W, t_obs, strict, scale, b_star):
 
     always = b_star == -np.inf
     moving = ~always & (b_star != np.inf)
-    reach = np.full(b_star.size, 2.0 * max(1.0, scale))
+    reach = np.full(b_star.size, 2.0 * scale)
     return _bisect(on, -reach, reach, moving, always, tol)
 
 
@@ -362,7 +363,12 @@ def _step_functions(data: ObservedData, stat: StatisticSpec, source, strict=(Fal
     cumulative arrays all its sides share.
     """
     t_obs = observed_statistic(stat, data)
-    scale = max(1.0, float(np.max(np.abs(data.y_obs))), float(np.ptp(data.y_obs)))
+    # theta units follow the outcomes down to the smallest normal double;
+    # below it (zero outcomes included) 1e-9 of them could round to 0, which
+    # no bisection reaches, so they take 1
+    scale = max(float(np.max(np.abs(data.y_obs))), float(np.ptp(data.y_obs)))
+    if scale < np.finfo(float).tiny:
+        scale = 1.0
     found = (False,) if stat.affine is not None else strict
     rounded = [np.empty(source.size) for _ in found]  # finite crossings, rounded
     filled = [0] * len(found)

@@ -319,6 +319,12 @@ def _studentized_rows(y1, y0, W):
     n1, n0 = _arm_sizes(W)
     if (n1 < 2).any() or (n0 < 2).any():
         raise ArmSizeError("studentized statistic requires both arms of size >= 2")
+    # the statistic is scale-free: outcomes whose squares could overflow are
+    # first scaled by an exact power of two, below 1
+    top = max(float(np.max(np.abs(y1))), float(np.max(np.abs(y0))))
+    if top >= 2.0**500:
+        e = -math.frexp(top)[1]
+        y1, y0 = np.ldexp(y1, e), np.ldexp(y0, e)
     m1 = (W * y1).sum(axis=1) / n1
     m0 = ((1 - W) * y0).sum(axis=1) / n0
     ss1 = ((y1 * y1) * W).sum(axis=1) - n1 * m1 * m1

@@ -48,8 +48,9 @@ def random_experiment(rng, n=8, n_treated=None, effect=0.0, lognormal=False):
 
 
 def outcome_scale(data):
-    """The inversion kernel's theta scale: the largest of 1, max |y| and the range of y."""
-    return max(1.0, float(np.max(np.abs(data.y_obs))), float(np.ptp(data.y_obs)))
+    """The inversion kernel's theta scale: the larger of max |y| and the range of y, or 1 below the smallest normal double."""
+    scale = max(float(np.max(np.abs(data.y_obs))), float(np.ptp(data.y_obs)))
+    return scale if scale >= np.finfo(float).tiny else 1.0
 
 
 def crossing_vectors(data, stat, source, t_obs, scale):

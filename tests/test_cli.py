@@ -337,6 +337,21 @@ class TestExitCodes:
                                   "--statistic", "studentized", *mode], capsys)
         assert code == 2 and out == "" and err == "error: studentized statistic requires both arms of size >= 2\n"
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "mc", "--k", "50", "--seed", "1"]], ids=["exact", "mc"])
+    def test_studentized_outcomes_near_1e300_read_as_at_scale_1(self, capsys, tmp_path, mode):
+        # the statistic is scale-free; near 1e300 its arm variances overflowed
+        # to NaN, which exited 3
+        ys = ["1.25", "0.5", "3.75", "2.0", "0.25", "4.5"]
+        outs = []
+        for suffix in ("", "e300"):
+            path = tmp_path / f"y{suffix}.csv"
+            path.write_text("unit_id,w,y\n" + "".join(f"u{i},{i % 2},{y}{suffix}\n" for i, y in enumerate(ys)))
+            code, out, err = run_cli(["test", str(path), "--design", "crd:6,3", "--theta", "0",
+                                      "--statistic", "studentized", "--json", *mode], capsys)
+            assert code == 0 and err == ""
+            outs.append(json.loads(out))
+        assert outs[1] == outs[0]
+
     def test_unknown_statistic_is_2(self, capsys):
         code, _, err = run_cli(
             ["test", TOY_CSV, "--design", "crd:10,5", "--theta", "0", "--statistic", "median"],

@@ -171,6 +171,25 @@ class TestEnumeration:
             assert peak - rows.nbytes < 2 << 20
             want = _indices_to_assignments(design, [np.arange(lo, lo + 1024)])
             np.testing.assert_array_equal(rows, want)
+            # both read the same walk, so each row's rank is checked on its own
+            assert [_colex_rank(np.nonzero(r)[0]) for r in rows] == list(range(lo, lo + 1024))
+
+    def test_colex_tables_match_colex_oracle(self):
+        for n in range(1, 13):
+            for t in range(n + 1):
+                want = np.array([[int(j in s) for j in range(n)] for s in _colex(n, t)], dtype=np.int8)
+                np.testing.assert_array_equal(_colex_table(t)[:comb(n, t), :n], want)
+
+
+def _unranked(n, t, ranks):
+    """The rows :func:`_unrank_block_vectorized` writes for ``ranks`` into a view of a wider matrix.
+
+    The columns either side of the view must keep their fill.
+    """
+    rows = np.full((len(ranks), n + 2), 7, dtype=np.int8)
+    _unrank_block_vectorized(rows[:, 1:-1], n, t, np.asarray(ranks, dtype=np.int64))
+    assert (rows[:, [0, -1]] == 7).all()
+    return rows[:, 1:-1]
 
 
 def _spread_ranks(total, seed):
@@ -186,7 +205,7 @@ class TestUnranker:
         ranks = np.arange(comb(n, t))
         oracle = _colex(n, t)
         want = np.array([[int(j in oracle[m]) for j in range(n)] for m in ranks], dtype=np.int8)
-        np.testing.assert_array_equal(_unrank_block_vectorized(n, t, ranks), want)
+        np.testing.assert_array_equal(_unranked(n, t, ranks), want)
 
     @pytest.mark.parametrize("n, t", [(64, 32), (65, 32), (65, 37), (1500, 7)])
     def test_ranks_up_to_2_62_invert_the_rank(self, n, t):
@@ -195,7 +214,7 @@ class TestUnranker:
         total = comb(n, t)
         assert (1 << 60) < total <= design_mod._INT64_SAFE_TOTAL
         ranks = _spread_ranks(total, n)
-        rows = _unrank_block_vectorized(n, t, np.array(ranks, dtype=np.int64))
+        rows = _unranked(n, t, ranks)
         assert (rows.sum(axis=1) == t).all()
         assert [_colex_rank(np.nonzero(r)[0]) for r in rows] == ranks
 
@@ -206,7 +225,7 @@ class TestUnranker:
         total = comb(n, t)
         assert n * total > design_mod._TABLE_BYTES and total <= design_mod._INT64_SAFE_TOTAL
         ranks = _spread_ranks(total, n + t)
-        rows = _unrank_block_vectorized(n, t, np.array(ranks, dtype=np.int64))
+        rows = _unranked(n, t, ranks)
         assert rows.dtype == np.int8 and (rows.sum(axis=1) == t).all()
         assert [_colex_rank(np.nonzero(r)[0]) for r in rows] == ranks
 

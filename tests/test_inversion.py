@@ -106,21 +106,41 @@ class TestStepFunction:
         np.testing.assert_allclose(np.atleast_1d(f.value(grid)), direct, atol=0)
 
     @pytest.mark.parametrize("side", ONE_SIDED)
-    @pytest.mark.parametrize("factor", [1e9, 1e10])
+    @pytest.mark.parametrize("factor", [1e9, 1e10, 1e-3, 1e-9, 2.0**-40])
     def test_wilcoxon_outcome_scale_invariance(self, toy, wilcoxon, side, factor):
         # rank statistics ignore the outcome scale: statistic values are
-        # compared in rank units, so outcomes near 1e9 invert like outcomes near 1
+        # compared in rank units and crossings resolved relative to the
+        # outcomes, so outcomes near 1e9 or 1e-9 invert like outcomes near 1
         data, design = toy
         big = ObservedData(data.w_obs, data.y_obs * factor)
         f = build_step_function(data, design, wilcoxon, side)
         assert_crossings_match_bisection(big, wilcoxon, design)
         g = build_step_function(big, design, wilcoxon, side)
-        np.testing.assert_array_equal(g.breakpoints, round_sig(f.breakpoints * factor))
+        if factor == 2.0**-40:  # 12-digit decimal rounding does not commute with a binary scale
+            np.testing.assert_allclose(g.breakpoints, round_sig(f.breakpoints * factor), rtol=1e-11, atol=0)
+        else:
+            np.testing.assert_array_equal(g.breakpoints, round_sig(f.breakpoints * factor))
         np.testing.assert_array_equal(g.counts, f.counts)
         assert (g.base_count, g.never_count) == (f.base_count, f.never_count)
         grid = (np.linspace(-6, 6, 61) + 0.0037137) * factor
         direct = np.array([p_value(big, design, wilcoxon, t, side) for t in grid])
         np.testing.assert_array_equal(np.atleast_1d(g.value(grid)), direct)
+
+    def test_subnormal_outcomes_bisect_to_a_nonzero_width(self, toy, wilcoxon, monkeypatch):
+        # 1e-9 of outcomes below the smallest normal double rounds to 0, a
+        # width no bisection halves down to, so such outcomes take scale 1
+        data, design = toy
+        widths = []
+        bisect = inversion_mod._bisect
+
+        def recorded(on, b_lo, b_hi, moving, always, tol):
+            widths.append(tol)
+            assert tol > 0
+            return bisect(on, b_lo, b_hi, moving, always, tol)
+
+        monkeypatch.setattr(inversion_mod, "_bisect", recorded)
+        build_step_functions(ObservedData(data.w_obs, data.y_obs * 1e-318), design, wilcoxon)
+        assert widths
 
     @pytest.mark.parametrize("side", ONE_SIDED)
     def test_wilcoxon_switch_points_match_the_bisection_oracle(self, toy, wilcoxon, side):
@@ -300,6 +320,16 @@ class TestConfidenceInterval:
             ci = confidence_interval(pop.observe(w), design, diff_means, alpha / 2, alpha / 2)
             covered += ci.contains(1.0)
         assert covered / 70 >= 1 - alpha
+
+    def test_exact_wilcoxon_coverage_of_tiny_outcomes(self, wilcoxon):
+        # outcomes near 1e-9: crossings resolved to 1e-9 absolute, not relative
+        # to the outcomes, covered the truth for 0.8413 of the assignments
+        y0 = np.random.default_rng(3).lognormal(size=10) * 1e-9
+        theta0 = -0.3e-9
+        pop, design = PotentialTable(y0, y0 + theta0), CRD(10, 5)
+        covered = [confidence_interval(pop.observe(w), design, wilcoxon, 0.05, 0.05).contains(theta0)
+                   for w in assignment_matrix(design)]
+        assert np.mean(covered) >= 0.90
 
     def test_decimal_ties_at_zero_cross_at_zero(self, diff_means):
         # one-decimal outcomes: at w = (1,1,0,1,1) two replicates tie T_obs at

@@ -613,7 +613,9 @@ def unranked_rows(blocks, idx):
     parts = []
     for k, t in blocks:
         b_total = comb(k, t)
-        parts.append(_unrank_block_vectorized(k, t, np.array([i % b_total for i in rem], dtype=np.int64)))
+        part = np.empty((len(rem), k), dtype=np.int8)
+        _unrank_block_vectorized(part, k, t, np.array([i % b_total for i in rem], dtype=np.int64))
+        parts.append(part)
         rem = [i // b_total for i in rem]
     return np.concatenate(parts, axis=1)
 
