@@ -1,4 +1,4 @@
-"""Shared helpers: the input-error type, the largest array size, significant-digit rounding, number, finite-value, level and seed checks, seed folding, distinct values and atoms of a sample."""
+"""Shared helpers: the input-error type, the largest array size, significant-digit rounding, the outcome scale and the tie tolerance, number, finite-value, level and seed checks, seed folding, distinct values and atoms of a sample."""
 
 import math
 import numbers
@@ -61,6 +61,29 @@ def round_sig(x):
     if np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def outcome_scale(y) -> float:
+    """How big the outcomes ``y`` are: the larger of ``max |y|`` and their range.
+
+    The one rule for every tolerance in the outcomes' units (theta's): the
+    inversion kernel's bisection width and bracket, the exact audit's
+    constant-effect check and ``ei_probe``'s perturbations follow it down to
+    the smallest normal double.  Below it (zero outcomes included) 1e-9 of
+    the scale could round to 0, which no bisection reaches, so it is 1.
+    """
+    scale = max(float(np.max(np.abs(y))), float(np.ptp(y)))
+    return scale if scale >= np.finfo(float).tiny else 1.0
+
+
+def tie_tolerance(t) -> float:
+    """The width within which two statistic values near ``t`` tie: ``1e-9 * max(1, |t|)``.
+
+    The one rule in the statistic's own units, read by the inversion
+    kernel's thresholds and saturation test and by ``ei_probe``.  With the
+    floor of 1, statistic values near 0 tie within 1e-9.
+    """
+    return 1e-9 * max(1.0, abs(float(t)))
 
 
 def is_integer(value) -> bool:

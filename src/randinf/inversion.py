@@ -25,12 +25,16 @@ crossings are found is a capability of the statistic:
   ``(y_j - y_i) / c``, ``c`` in {1, 2}) decides each bisection step instead
   of re-ranking the replicates; the statistic is evaluated only at exact hits
   on ``b*``, so breakpoints are the same bytes as from plain bisection;
-- otherwise bisection to an absolute tolerance of ``1e-9 * scale`` in theta,
-  ``scale`` the larger of ``max |y|`` and the range of ``y`` (1 when that
-  is below the smallest normal double), comparing statistic values with a tolerance of
-  ``1e-9 * max(1, |T_obs|)`` in the statistic's own units.  Each row's
-  bracket is halved until it alone is that narrow, so a row's crossing
-  depends on that row only, not on the other rows drawn or on the blocks.
+- otherwise bisection to an absolute tolerance of ``1e-9 * scale`` in theta
+  from a first bracket of ``2 * scale`` on either side of 0, comparing
+  statistic values with a tolerance of ``1e-9 * max(1, |T_obs|)`` in the
+  statistic's own units.  ``scale`` is :func:`randinf._util.outcome_scale`,
+  the larger of ``max |y|`` and the range of ``y`` (1 when that is below
+  the smallest normal double), and the statistic tolerance is
+  :func:`randinf._util.tie_tolerance`; the exact audit and ``ei_probe``
+  read the same two rules.  Each row's bracket is halved until it alone is
+  that narrow, so a row's crossing depends on that row only, not on the
+  other rows drawn or on the blocks.
 
 Evaluation semantics per side (``b`` a breakpoint):
 
@@ -63,7 +67,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import InputError, atoms, require_level, round_sig
+from ._util import InputError, atoms, outcome_scale, require_level, round_sig, tie_tolerance
 from .design import Design, _require_assignment
 from .randomization import ONE_SIDED, ExactMode, Mode, PValueKind, _replicate_source, _require_kind
 from .statistics import ObservedData, StatisticSpec, _by_tile, observed_statistic
@@ -178,7 +182,7 @@ def _threshold(t_obs, strict):
     Every test is ``T >= threshold``: a strict one, ``T > t``, holds exactly
     when ``T >= nextafter(t, inf)``, the threshold it gets.
     """
-    t_tol = 1e-9 * max(1.0, abs(t_obs))  # statistic units
+    t_tol = tie_tolerance(t_obs)
     return np.nextafter(t_obs + t_tol / 2, np.inf) if strict else t_obs - t_tol / 2
 
 
@@ -206,13 +210,20 @@ def _row_tests(data, stat, W, t_obs, strict):
     return t_at, passes
 
 
-def _bisect(on, b_lo, b_hi, moving, always, tol):
-    """A block's crossings: each moving row's bracket halved until it is at most ``tol`` wide.
+def _bracket(rows, scale):
+    """Each of ``rows`` rows' first bracket in theta: twice the outcome scale on either side of 0."""
+    reach = np.full(rows, 2.0 * scale)
+    return -reach, reach
+
+
+def _bisect(on, b_lo, b_hi, moving, always, scale):
+    """A block's crossings: each moving row's bracket halved until it is at most ``1e-9 * scale`` wide.
 
     Each row stops on its own bracket, so its crossing does not depend on the
     other rows.  Every moving row's crossing is then confirmed to switch within
-    ``tol``; the other rows are ``-inf`` where ``always`` on, else ``+inf``.
+    that width; the other rows are ``-inf`` where ``always`` on, else ``+inf``.
     """
+    tol = 1e-9 * scale  # theta units: the bisection width
     live = moving & (b_hi - b_lo > tol)
     while live.any():
         mid = 0.5 * (b_lo + b_hi)
@@ -236,12 +247,9 @@ def _bisect_crossings(data, stat, W, t_obs, strict, scale):
     read once and carried to the next doubling.  :func:`_bisect` then halves
     every moving row's bracket until it is within the tolerance.
     """
-    tol = 1e-9 * scale  # theta units: bisection width
-    t_tol = 1e-9 * max(1.0, abs(t_obs))  # statistic units: tie tolerance
-    reach = 2.0 * scale
+    t_tol = tie_tolerance(t_obs)
     t_at, passes = _row_tests(data, stat, W, t_obs, strict)
-    lo = np.full(W.shape[0], -reach)
-    hi = np.full(W.shape[0], reach)
+    lo, hi = _bracket(W.shape[0], scale)
     t_lo, t_hi = t_at(lo), t_at(hi)
     never = np.zeros(W.shape[0], dtype=bool)
     always = np.zeros(W.shape[0], dtype=bool)
@@ -260,22 +268,21 @@ def _bisect_crossings(data, stat, W, t_obs, strict, scale):
             always |= grow_lo & (np.abs(t_lo - old) <= t_tol / 4) & passes(t_lo)
     else:
         raise BracketingError("no bracket for some assignment after 200 doublings")
-    return _bisect(lambda theta: passes(t_at(theta)), lo, hi, ~never & ~always, always, tol)
+    return _bisect(lambda theta: passes(t_at(theta)), lo, hi, ~never & ~always, always, scale)
 
 
 def _switch_point_crossings(data, stat, W, t_obs, strict, scale, b_star):
     """One int8 block's crossings from its rows' exact switch points ``b_star``.
 
     Rows with ``b* = +-inf`` are classified directly.  Every finite ``b*`` lies
-    within the outcome range, inside the initial bracket of
-    :func:`_bisect_crossings`, which therefore never widens it.  Each bisection
+    within the outcome range, inside the first bracket, :func:`_bracket`,
+    which :func:`_bisect_crossings` therefore never widens.  Each bisection
     decision is then ``theta > b*``; the statistic is evaluated only where
     theta is within ``1e-12 * scale`` of ``b*``, where rounding or a tie at
     ``b*`` itself can decide.  Both ways halve the same bracket with the same
     decisions under the same row-local stopping rule and final check of
     :func:`_bisect`, so they give the same bytes.
     """
-    tol = 1e-9 * scale
     near_tol = 1e-12 * scale
     t_at, passes = _row_tests(data, stat, W, t_obs, strict)
 
@@ -288,8 +295,7 @@ def _switch_point_crossings(data, stat, W, t_obs, strict, scale, b_star):
 
     always = b_star == -np.inf
     moving = ~always & (b_star != np.inf)
-    reach = np.full(b_star.size, 2.0 * scale)
-    return _bisect(on, -reach, reach, moving, always, tol)
+    return _bisect(on, *_bracket(b_star.size, scale), moving, always, scale)
 
 
 def _crossings(data, stat, source, t_obs, scale, strict=(False, True)):
@@ -363,12 +369,7 @@ def _step_functions(data: ObservedData, stat: StatisticSpec, source, strict=(Fal
     cumulative arrays all its sides share.
     """
     t_obs = observed_statistic(stat, data)
-    # theta units follow the outcomes down to the smallest normal double;
-    # below it (zero outcomes included) 1e-9 of them could round to 0, which
-    # no bisection reaches, so they take 1
-    scale = max(float(np.max(np.abs(data.y_obs))), float(np.ptp(data.y_obs)))
-    if scale < np.finfo(float).tiny:
-        scale = 1.0
+    scale = outcome_scale(data.y_obs)
     found = (False,) if stat.affine is not None else strict
     rounded = [np.empty(source.size) for _ in found]  # finite crossings, rounded
     filled = [0] * len(found)

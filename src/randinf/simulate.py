@@ -29,7 +29,16 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import InputError, atoms, is_integer, require_finite, require_level, require_seed, round_sig
+from ._util import (
+    InputError,
+    atoms,
+    is_integer,
+    outcome_scale,
+    require_finite,
+    require_level,
+    require_seed,
+    round_sig,
+)
 from .combine import _combined_sides, _union_grid, make_combiner
 from .design import CRD, RBD, Design, assignment_matrix, sample_assignments, total_assignments
 from .inversion import (
@@ -328,11 +337,12 @@ def exact_validity_audit(
 ) -> AuditReport:
     """Enumerate a small population and verify the exact guarantees.
 
-    The population must satisfy a constant-effect null (``y1 - y0`` constant);
-    that constant is the audited truth.  Each assignment, of at most 200,000,
-    is treated in turn as the observed one.  Reports the p-value dominance
-    checks, the largest-atom bound on their discrepancy, and exact interval
-    coverage and mean width per level.
+    The population must satisfy a constant-effect null (``y1 - y0`` constant
+    to ``1e-12`` of :func:`randinf._util.outcome_scale` of both arms, the
+    kernel's scale); that constant is the audited truth.  Each assignment,
+    of at most 200,000, is treated in turn as the observed one.  Reports the
+    p-value dominance checks, the largest-atom bound on their discrepancy,
+    and exact interval coverage and mean width per level.
 
     Coverage is read from each observed assignment's LPLUS and LMINUS at the
     truth, integer tail counts of its atom in one pass of the statistic,
@@ -387,8 +397,8 @@ def exact_validity_audit(
     if not np.isfinite(y).all():
         raise InputError("the audit population must have finite potential outcomes")
     effects = population.y1 - population.y0
-    # the tolerance follows the outcome scale, as the kernel's does
-    if np.ptp(effects) > 1e-12 * max(1.0, float(np.abs(y).max()), float(np.ptp(y))):
+    # the tolerance follows the kernel's outcome scale
+    if np.ptp(effects) > 1e-12 * outcome_scale(y):
         raise InputError("the audit population must have a constant effect")
     theta0 = float(effects[0])
 

@@ -46,7 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import InputError, is_integer
+from ._util import InputError, is_integer, outcome_scale, require_seed, tie_tolerance
 
 __all__ = [
     "ObservedData",
@@ -551,21 +551,27 @@ def ei_probe(stat: StatisticSpec, data: ObservedData, design, trials: int, seed)
     control-potential coordinate) by a random positive amount and checks the
     statistic's change over a handful of sampled assignments.  Raising ``y1``
     must never decrease the statistic; lowering ``y0`` must never increase it.
+    Perturbations are powers of two times the outcome scale and changes are
+    compared with the tie tolerance of the largest statistic value, the
+    inversion kernel's two rules, so the search reads the same at any
+    outcome scale.
     """
     from . import design as design_mod
 
     if not (is_integer(trials) and trials >= 1):
         raise InputError(f"trials must be an integer >= 1, got {trials!r}")
+    require_seed(seed, "seed")
+    design_mod._require_assignment(design, data.w_obs)
     rng = np.random.default_rng(seed)
     table = impute(data, 0.0)
-    scale = max(1.0, float(np.ptp(data.y_obs)))
+    scale = outcome_scale(data.y_obs)
     n = data.n_units
     if design_mod.total_assignments(design) <= 256:
         W = design_mod.assignment_matrix(design)
     else:
         W = design_mod.sample_assignments(design, 64, seed=seed)
     base = evaluate_many(stat, table, W)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(base))))
+    tol = tie_tolerance(np.max(np.abs(base)))
     for trial in range(trials):
         i = int(rng.integers(0, n))
         delta = float(scale * 2.0 ** rng.integers(-2, 5))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from randinf import CRD, ExactMode, ObservedData, PValueKind, get_statistic, p_values
-from randinf._util import fold_seed
+from randinf._util import fold_seed, outcome_scale
 from randinf.statistics import observed_statistic
 from randinf.datasets import studentized_nonmonotone_experiment, toy_experiment
 
@@ -47,12 +47,6 @@ def random_experiment(rng, n=8, n_treated=None, effect=0.0, lognormal=False):
     return ObservedData(w_obs=w, y_obs=y_obs), CRD(n, n_treated)
 
 
-def outcome_scale(data):
-    """The inversion kernel's theta scale: the larger of max |y| and the range of y, or 1 below the smallest normal double."""
-    scale = max(float(np.max(np.abs(data.y_obs))), float(np.ptp(data.y_obs)))
-    return scale if scale >= np.finfo(float).tiny else 1.0
-
-
 def crossing_vectors(data, stat, source, t_obs, scale):
     """The inversion kernel's ``ge`` and ``gt`` crossings of every row, joined from its blocks.
 
@@ -79,7 +73,7 @@ def assert_crossings_match_bisection(data, stat, design, mode=None, rows=100):
 
     W = next(_replicate_source(design, mode or ExactMode()).blocks())[:rows]
     t_obs = observed_statistic(stat, data)
-    scale = outcome_scale(data)
+    scale = outcome_scale(data.y_obs)
     head = SimpleNamespace(blocks=lambda: iter([W]), sums=lambda columns: iter([(W @ columns).T]))
     atol = 1e-6 * scale if stat.affine is not None else 0.0
     for strict, kernel in zip((False, True), crossing_vectors(data, stat, head, t_obs, scale)):

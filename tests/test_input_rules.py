@@ -28,6 +28,7 @@ from randinf import (
     combined_interval,
     confidence_interval,
     dominance_profile,
+    ei_probe,
     exact_validity_audit,
     fisher,
     generate_population,
@@ -58,6 +59,7 @@ ENTRY_POINTS = {
     "confidence_interval": lambda data, design, stat: confidence_interval(data, design, stat, 0.025, 0.025),
     "traditional_interval": lambda data, design, stat: traditional_interval(data, design, stat, 0.05),
     "combined_interval": lambda data, design, stat: combined_interval([(data, design)], stat, fisher(), 0.05),
+    "ei_probe": lambda data, design, stat: ei_probe(stat, data, design, 10, 0),
 }
 
 
@@ -134,6 +136,13 @@ def test_mc_mode_accepts_integer_and_tuple_seeds():
 def test_population_refuses_the_seeds_draws_refuse(seed):
     with pytest.raises(InputError, match="population seed must be a non-negative integer"):
         generate_population(10, 1.0, seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, None, (1, -2)])
+def test_ei_probe_refuses_the_seeds_draws_refuse(toy, diff_means, seed):
+    data, design = toy
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        ei_probe(diff_means, data, design, 10, seed)
 
 
 def test_a_negative_cli_seed_exits_2(capsys):
@@ -400,3 +409,37 @@ def test_one_rule_checks_every_level():
                     and _is_constant(node.left, 0) and _is_constant(node.comparators[1], 1)):
                 found.append((path.name, node.lineno in owner))
     assert found == [("_util.py", True)]
+
+
+def _scale_rule_calls(tree):
+    """Each ``np.ptp(...)`` and each ``max(...)`` with a float literal, with its innermost function."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr == "ptp")
+            or (isinstance(node.func, ast.Name) and node.func.id == "max"
+                and any(isinstance(a, ast.Constant) and type(a.value) is float for a in node.args))
+        ):
+            found.append((function, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_rule_sets_the_outcome_scale_and_the_tie_tolerance():
+    # an outcome range or a floor of 1.0 outside _util.outcome_scale and
+    # _util.tie_tolerance is a copy of one of those rules; the audit's effect
+    # spread and required_k's ceiling guard are other rules
+    found = sorted((path.name, *call) for path in Path(randinf.__file__).parent.glob("*.py")
+                   for call in _scale_rule_calls(ast.parse(path.read_text())))
+    assert found == [
+        ("_util.py", "outcome_scale", "np.ptp(y)"),
+        ("_util.py", "tie_tolerance", "max(1.0, abs(float(t)))"),
+        ("mcplan.py", "required_k", "max(1.0, abs(exact))"),
+        ("simulate.py", "exact_validity_audit", "np.ptp(effects)"),
+    ]

@@ -43,11 +43,11 @@ from randinf import (
 import randinf
 from randinf import inversion as inversion_mod
 from randinf import statistics as statistics_mod
-from randinf._util import round_sig
+from randinf._util import outcome_scale, round_sig
 from randinf.datasets import PotentialTable
 from randinf.randomization import _replicate_source
 from randinf.statistics import _wilcoxon_rows, _wilcoxon_switch_points, observed_statistic
-from conftest import assert_crossings_match_bisection, crossing_vectors, outcome_scale, random_experiment
+from conftest import assert_crossings_match_bisection, crossing_vectors, random_experiment
 import golden as pins  # not golden: a test parameter of that name keeps its test ids
 
 
@@ -133,10 +133,22 @@ class TestStepFunction:
         widths = []
         bisect = inversion_mod._bisect
 
-        def recorded(on, b_lo, b_hi, moving, always, tol):
-            widths.append(tol)
-            assert tol > 0
-            return bisect(on, b_lo, b_hi, moving, always, tol)
+        def recorded(on, b_lo, b_hi, moving, always, scale):
+            thetas = []
+
+            def seen(theta):
+                # a width of 0 would halve to adjacent doubles and loop there
+                assert len(thetas) < 200, "the bisection does not stop"
+                thetas.append(theta)
+                return on(theta)
+
+            crossings = bisect(seen, b_lo, b_hi, moving, always, scale)
+            # the last test checks each moving row two bisection widths below
+            # its crossing
+            width = (crossings - thetas[-1])[moving] / 2
+            widths.append(width)
+            assert width.size and (width > 0).all()
+            return crossings
 
         monkeypatch.setattr(inversion_mod, "_bisect", recorded)
         build_step_functions(ObservedData(data.w_obs, data.y_obs * 1e-318), design, wilcoxon)
@@ -705,7 +717,7 @@ class TestKernel:
         bisected = get_statistic("diff_means_bisected")
         source = _replicate_source(design, mode)
         t_obs = observed_statistic(diff_means, data)
-        scale = outcome_scale(data)
+        scale = outcome_scale(data.y_obs)
         for closed, generic in zip(crossing_vectors(data, diff_means, source, t_obs, scale),
                                    crossing_vectors(data, bisected, source, t_obs, scale)):
             np.testing.assert_array_equal(np.isinf(closed), np.isinf(generic))

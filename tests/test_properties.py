@@ -67,7 +67,7 @@ from randinf.design import (
     _unit_sums,
     _unrank_block_vectorized,
 )
-from randinf._util import SIG_DIGITS, round_sig, sorted_distinct
+from randinf._util import SIG_DIGITS, outcome_scale, round_sig, sorted_distinct
 from randinf.combine import _combine_matrix
 from randinf.datasets import PotentialTable
 from randinf.inversion import _bisect_crossings, _cut, _proposed_interval, _traditional_interval
@@ -78,7 +78,6 @@ from conftest import (
     assert_interval_matches_p_values,
     audit_digest,
     crossing_vectors,
-    outcome_scale,
     replay_indices,
     replay_key_rows,
 )
@@ -136,7 +135,7 @@ def test_switch_point_crossings_equal_generic_bisection(experiment):
     data, design, mode = experiment
     source = _replicate_source(design, mode)
     t_obs = observed_statistic(WILCOXON, data)
-    scale = outcome_scale(data)
+    scale = outcome_scale(data.y_obs)
     for strict, exact in zip((False, True), crossing_vectors(data, WILCOXON, source, t_obs, scale)):
         generic = np.concatenate([_bisect_crossings(data, WILCOXON, W, t_obs, strict, scale)
                                   for W in source.blocks()])
@@ -157,7 +156,7 @@ def test_crossing_depends_on_its_row_alone():
 
     def crossings(k):
         return crossing_vectors(data, ROW_SCALED, _replicate_source(design, MCMode(k=k, seed=9)),
-                                t_obs, outcome_scale(data))
+                                t_obs, outcome_scale(data.y_obs))
 
     full = crossings(40)
     for m in range(1, 40):
@@ -170,10 +169,10 @@ def test_crossing_depends_on_its_row_alone():
 def test_step_function_equals_direct_p_value_off_candidates(experiment, side, u):
     data, design, mode = experiment
     y = data.y_obs
-    theta = u * 2 * outcome_scale(data)
+    theta = u * 2 * outcome_scale(data.y_obs)
     # the rank statistic can only change at (y_j - y_i) / c, c in {1, 2}
     candidates = np.concatenate([(y[None, :] - y[:, None]).ravel() / c for c in (1, 2)])
-    assume(np.min(np.abs(candidates - theta)) > 1e-6 * outcome_scale(data))
+    assume(np.min(np.abs(candidates - theta)) > 1e-6 * outcome_scale(data.y_obs))
     f = build_step_function(data, design, WILCOXON, side, mode)
     assert f.value(theta) == p_value(data, design, WILCOXON, theta, side, mode)
 
@@ -301,7 +300,7 @@ def test_row_block_size_does_not_change_outputs(experiment, stat, block, u):
     # every experiment here fits one default block and tile; 8 or 16 rows
     # split it into blocks, and each block into 8-row float tiles
     data, design, mode = experiment
-    theta = u * 2 * outcome_scale(data)
+    theta = u * 2 * outcome_scale(data.y_obs)
 
     def outputs():
         fs = build_step_functions(data, design, stat, mode)
@@ -373,7 +372,7 @@ def test_p_values_equal_tail_sums_of_the_distribution(experiment, stat, u, block
     # statistic the rows refuse (studentized with both variances zero) is
     # refused by both
     data, design, mode = experiment
-    theta = u * 2 * outcome_scale(data)
+    theta = u * 2 * outcome_scale(data.y_obs)
     with mock.patch.object(randomization_mod, "_ROW_BLOCK", block):
         try:
             want = p_values_from_distribution(data, design, stat, theta, mode)
@@ -392,7 +391,7 @@ def test_p_values_equal_tail_sums_of_the_distribution(experiment, stat, u, block
        st.sampled_from([randomization_mod._ROW_BLOCK, 8]))
 def test_p_value_grid_equals_p_values_at_each_theta(experiment, stat, us, block):
     data, design, mode = experiment
-    thetas = [u * 2 * outcome_scale(data) for u in us]
+    thetas = [u * 2 * outcome_scale(data.y_obs) for u in us]
     with mock.patch.object(randomization_mod, "_ROW_BLOCK", block):
         grid = _p_value_grid(data, design, stat, thetas, mode)
         one_by_one = [p_values(data, design, stat, theta, mode) for theta in thetas]

@@ -278,6 +278,17 @@ class TestExactValidityAudit:
             for alpha in alphas:
                 assert got[alpha] == pytest.approx(1e6 * want[alpha], rel=1e-12, abs=0)
 
+    def test_constant_effect_tolerance_has_no_floor(self):
+        # outcomes near 1e-13 whose effects spread over all of their range
+        # break the audit's null however small they are; a constant effect
+        # at that scale is still a null the audit checks
+        y0 = np.random.default_rng(3).lognormal(size=8) * 1e-13
+        spread = PotentialTable(y0=y0, y1=y0 + np.linspace(0, 5e-13, 8))
+        with pytest.raises(InputError, match="constant effect"):
+            exact_validity_audit(spread, CRD(8, 4), alphas=(0.1,))
+        report = exact_validity_audit(PotentialTable(y0=y0, y1=y0 + 2e-13), CRD(8, 4), alphas=(0.1,))
+        assert report.coverage_ok(0.1) and report.dominance_ok
+
 
 _GOLDEN_SCENARIOS = {
     # CRD(16,8) has 12870 assignments: Monte Carlo with k_cap draws;

@@ -175,6 +175,21 @@ class TestEIProbe:
         assert not result.consistent
         assert result.counterexample["statistic_after"] < result.counterexample["statistic_before"]
 
+    @pytest.mark.parametrize("factor", [2.0**-30, 2.0**30])
+    def test_studentized_counterexample_ignores_the_outcome_scale(self, nonmono, studentized, factor):
+        # perturbations follow the outcome scale with no floor, so outcomes
+        # scaled by a power of two find the same counterexample
+        data, design = nonmono
+        scaled = ObservedData(data.w_obs, data.y_obs * factor)
+
+        def found(d):
+            c = ei_probe(studentized, d, design, trials=200, seed=4).counterexample
+            return c["trial"], c["unit"], c["assignment"], c["statistic_before"], c["statistic_after"]
+
+        assert found(scaled) == found(data)
+        assert found(data)[:2] == (0, 5)
+        assert found(data)[3:] == pytest.approx((1.98494870327, 1.14038762415), rel=1e-11, abs=0)
+
     def test_trials_validated(self, toy, diff_means):
         data, design = toy
         with pytest.raises(ValueError):
