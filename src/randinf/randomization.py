@@ -38,8 +38,14 @@ the rows; a distribution or dominance profile keeps each row's rounded value,
 tiles of 2^15 entries or 8 rows (:mod:`randinf.statistics`), so no float
 copy of a whole block is made.  An ``affine`` statistic reads each block as
 its rows' sums of a few unit columns instead: enumerated rows are then
-summed off the colex recurrence and no ``int8`` row is written.  Rows and
-their order are those of ``assignment_matrix`` (exact) or
+summed off the colex recurrence and no ``int8`` row is written.  Its
+p-values count a row from the closed form ``a + b * theta`` when that lies
+farther from the observed value than a band
+(:func:`randinf._util.closed_form_bands`) that bounds the closed form's
+distance from the rounded statistic, and write and evaluate only the rows
+within it, so their counts are those of evaluating every row.  One
+classifier, :func:`_tail_counts`, evaluates and counts rows for every
+p-value.  Rows and their order are those of ``assignment_matrix`` (exact) or
 ``sample_assignments`` (Monte Carlo).
 """
 
@@ -49,7 +55,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._util import InputError, atoms, is_integer, round_sig
+from ._util import InputError, atoms, closed_form_bands, is_integer, round_sig
 from .design import (
     DEFAULT_ENUMERATION_CAP,
     Design,
@@ -211,6 +217,18 @@ class _ReplicateSource:
         for start in range(0, self.size, step):
             yield _range_to_assignments(self.design, start, min(start + step, self.size), sums)
 
+    def rows(self, positions):
+        """The rows at int64 ``positions`` as one int8 matrix, in the order given.
+
+        One :func:`design._indices_to_assignments` gather: of the kept draws
+        at those positions, or of the enumeration ranks themselves, which
+        are the ranks that gather reads for a design of one run of blocks,
+        as every design of at most 2**62 assignments is.
+        """
+        if self._draws is None:
+            return _indices_to_assignments(self.design, [positions])
+        return _indices_to_assignments(self.design, [run[positions] for run in self._draws])
+
 
 def _replicate_source(design: Design, mode: Mode) -> _ReplicateSource:
     """The rows of ``mode``: refused above an exact cap, drawn once for Monte Carlo."""
@@ -267,13 +285,16 @@ def randomization_distribution(
     return RandomizationDistribution(values=values, counts=counts, denom=source.size, mode=mode)
 
 
-def _tail_counts(r: np.ndarray, t: float) -> tuple:
-    """The counts of ``r`` at or above ``t`` and above ``t``, in numpy's sort order.
+def _tail_counts(stat: StatisticSpec, table, W: np.ndarray, t: float) -> tuple:
+    """Of the rows of ``W``, the counts whose statistic on ``table`` is at or above ``t`` and above it.
 
-    That order puts NaN above every number and NaN equal to NaN, as the
-    sorted atoms of :func:`randomization_distribution` hold them, so these
-    are the tails that ``searchsorted`` reads off those atoms.
+    The one tail classifier: values rounded to 12 significant digits, then
+    compared in numpy's sort order, which puts NaN above every number and
+    NaN equal to NaN, as the sorted atoms of
+    :func:`randomization_distribution` hold them; so these are the tails
+    that ``searchsorted`` reads off those atoms.
     """
+    r = round_sig(evaluate_many(stat, table, W))
     if np.isnan(t):
         return int(np.count_nonzero(np.isnan(r))), 0
     return r.size - int(np.count_nonzero(r < t)), r.size - int(np.count_nonzero(r <= t))
@@ -290,22 +311,47 @@ def _p_value_grid(
 
     Refuses what :func:`randomization_distribution` refuses, every theta
     before any row is built.  The replicate source is built (Monte Carlo
-    rows drawn) once; each block of it is read at every theta, and only the
-    two tail counts of each theta span the rows.
+    rows drawn) once, and only the two tail counts of each theta span the
+    rows.  Every row is classified by :func:`_tail_counts`, except that an
+    ``affine`` statistic settles most rows from its closed form first: the
+    source hands over each block's row sums, ``form`` turns them into
+    ``(a, b)``, and a row whose ``a + b * theta`` is finite and farther from
+    the rounded observed value than the band of
+    :func:`randinf._util.closed_form_bands` joins both upper tails or
+    neither.  Only the rows within the band are written, by
+    :meth:`_ReplicateSource.rows`, and classified.  The band bounds the
+    distance between the closed form and the rounded statistic, so the
+    counts are those of the classifier on every row, to the bit.  When a
+    band or the observed value is not finite, every row is classified.
     """
     _require_assignment(design, data.w_obs)
     for theta in thetas:
         _require_finite_theta(theta)
     source = _replicate_source(design, mode)
     t = round_sig(observed_statistic(stat, data))
-    tails = [[0, 0] for _ in thetas]  # the counts of replicates >= and > t, by theta
-    for W in source.blocks():
-        for theta, counts in zip(thetas, tails):
-            ge, gt = _tail_counts(round_sig(evaluate_many(stat, impute(data, theta), W)), t)
-            counts[0] += ge
-            counts[1] += gt
+    tables = [impute(data, theta) for theta in thetas]
+    tails = np.zeros((len(thetas), 2), dtype=np.int64)  # the counts of replicates >= and > t, by theta
+    bands = closed_form_bands(t, data.y_obs, thetas) if stat.affine is not None else [np.inf]
+    if not np.isfinite(bands).all():
+        for W in source.blocks():
+            for table, counts in zip(tables, tails):
+                counts += _tail_counts(stat, table, W, t)
+    else:
+        columns, form = stat.affine(data)
+        start = 0
+        for sums in source.sums(columns):
+            a, b = form(sums)
+            for theta, band, table, counts in zip(thetas, bands, tables, tails):
+                gap = a + b * theta - t
+                far = np.abs(gap)
+                far = (far > band) & (far < np.inf)  # a NaN or infinite closed form is classified
+                counts += np.count_nonzero(far & (gap > 0))
+                near = np.flatnonzero(~far)
+                if near.size:
+                    counts += _tail_counts(stat, table, source.rows(start + near), t)
+            start += a.size
     d = source.size
-    out = [{kind: kind.tail(ge, gt, d) / d for kind in ONE_SIDED} for ge, gt in tails]
+    out = [{kind: kind.tail(int(ge), int(gt), d) / d for kind in ONE_SIDED} for ge, gt in tails]
     for p in out:
         p[PValueKind.TWO_SIDED_L] = min(1.0, 2.0 * min(p[PValueKind.LPLUS], p[PValueKind.LMINUS]))
     return out
@@ -323,6 +369,9 @@ def p_values(
     The counts of replicates at or above and above the observed statistic,
     both rounded to 12 significant digits, are those of
     :func:`randomization_distribution` at ``theta``; no distribution is built.
+    An ``affine`` statistic counts most rows from its closed form, and
+    evaluates only the rows whose closed form lies within a band of the
+    observed value (see :func:`_p_value_grid`), with the same counts.
     """
     return _p_value_grid(data, design, stat, (theta,), mode)[0]
 

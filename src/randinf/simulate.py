@@ -339,7 +339,8 @@ def exact_validity_audit(
 
     The population must satisfy a constant-effect null (``y1 - y0`` constant
     to ``1e-12`` of :func:`randinf._util.outcome_scale` of both arms, the
-    kernel's scale); that constant is the audited truth.  Each assignment,
+    kernel's scale, which must be finite); that constant is the audited
+    truth.  Each assignment,
     of at most 200,000, is treated in turn as the observed one.  Reports the
     p-value dominance checks, the largest-atom bound on their discrepancy,
     and exact interval coverage and mean width per level.
@@ -396,9 +397,13 @@ def exact_validity_audit(
     y = np.concatenate((population.y0, population.y1))
     if not np.isfinite(y).all():
         raise InputError("the audit population must have finite potential outcomes")
+    # the tolerance follows the kernel's outcome scale, which must be finite
+    # for the tolerance to refuse anything
+    scale = outcome_scale(y)
+    if not np.isfinite(scale):
+        raise InputError("the audit population's outcomes must span a range a double holds")
     effects = population.y1 - population.y0
-    # the tolerance follows the kernel's outcome scale
-    if np.ptp(effects) > 1e-12 * outcome_scale(y):
+    if np.ptp(effects) > 1e-12 * scale:
         raise InputError("the audit population must have a constant effect")
     theta0 = float(effects[0])
 

@@ -411,24 +411,29 @@ def test_one_rule_checks_every_level():
     assert found == [("_util.py", True)]
 
 
-def _scale_rule_calls(tree):
-    """Each ``np.ptp(...)`` and each ``max(...)`` with a float literal, with its innermost function."""
+def _by_function(tree, match):
+    """Each node of ``tree`` that ``match`` accepts, with its innermost function's name (None outside one)."""
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call) and (
-            (isinstance(node.func, ast.Attribute) and node.func.attr == "ptp")
-            or (isinstance(node.func, ast.Name) and node.func.id == "max"
-                and any(isinstance(a, ast.Constant) and type(a.value) is float for a in node.args))
-        ):
-            found.append((function, ast.unparse(node)))
+        if match(node):
+            found.append((function, node))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(tree, None)
     return found
+
+
+def _scale_rule_calls(tree):
+    """Each ``np.ptp(...)`` and each ``max(...)`` with a float literal, with its innermost function."""
+    return [(function, ast.unparse(node)) for function, node in _by_function(tree, lambda node: (
+        isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr == "ptp")
+            or (isinstance(node.func, ast.Name) and node.func.id == "max"
+                and any(isinstance(a, ast.Constant) and type(a.value) is float for a in node.args)))))]
 
 
 def test_one_rule_sets_the_outcome_scale_and_the_tie_tolerance():
@@ -443,3 +448,14 @@ def test_one_rule_sets_the_outcome_scale_and_the_tie_tolerance():
         ("mcplan.py", "required_k", "max(1.0, abs(exact))"),
         ("simulate.py", "exact_validity_audit", "np.ptp(effects)"),
     ]
+
+
+def test_p_values_evaluate_rows_in_one_classifier():
+    # every p-value counts its rows through randomization._tail_counts, and
+    # the distribution evaluates its own rows; another use of evaluate_many in
+    # randomization.py would be a second route to a p-value
+    path = Path(randinf.__file__).parent / "randomization.py"
+    found = _by_function(ast.parse(path.read_text()), lambda node: (
+        (isinstance(node, ast.Name) and node.id == "evaluate_many")
+        or (isinstance(node, ast.Attribute) and node.attr == "evaluate_many")))
+    assert sorted(function for function, _ in found) == ["_tail_counts", "randomization_distribution"]

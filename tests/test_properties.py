@@ -7,8 +7,9 @@ a scan, the interval-level reads of inversion (weighted and custom combiners
 too), the union-grid reads of combined functions against their components'
 values, sup-norm error against point evaluation, p-values from one counting
 pass against the tail sums of the distribution's atoms and a grid of them
-against one call per theta, outputs that do not depend on the replicate
-block size, enumerated and sampled row ranges against
+against one call per theta, at outcome scales from 2^-40 to 1e300 and at
+cancellation noise on one-decimal data, outputs that do not depend on the
+replicate block size, enumerated and sampled row ranges against
 the per-block unranker, sampled ranks and random-key rows against a scalar
 replay of their Philox streams, prefix-stable draws, ``round_sig`` against
 references that round by boolean gathers and by ``np.power`` on every
@@ -326,10 +327,17 @@ NAN_ROWS = dataclasses.replace(
 )
 
 
+# outcome scales for the p-value properties: tiny, small, dollar-sized and near
+# the top of the double range, where the closed form's band and the rounded
+# statistic must still agree without a numpy warning
+OUTCOME_SCALES = (1.0, 2.0**-40, 1e-9, 1e6, 1e300)
+
+
 @st.composite
 def tied_or_lognormal_experiments(draw):
     """(data, design, mode): a CRD or an RBD with at least two units in each arm,
-    outcomes that are small tied integers or lognormal, exact or Monte Carlo."""
+    outcomes that are small tied integers or lognormal times one of
+    ``OUTCOME_SCALES``, exact or Monte Carlo."""
     if draw(st.booleans()):
         n = draw(st.integers(4, 10))
         design = CRD(n, draw(st.integers(2, n - 2)))
@@ -339,6 +347,7 @@ def tied_or_lognormal_experiments(draw):
     n = design.n_units
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     y = rng.integers(0, 3, n).astype(float) if draw(st.booleans()) else rng.lognormal(size=n)
+    y *= draw(st.sampled_from(OUTCOME_SCALES))
     w = np.concatenate([rng.permutation(np.repeat([1, 0], (t, size - t))) for size, t in design.blocks])
     k, seed = draw(st.integers(1, 400)), draw(st.integers(0, 2**32))
     return ObservedData(w.astype(np.int8), y), design, draw(st.sampled_from([ExactMode(), MCMode(k, seed)]))
@@ -390,12 +399,29 @@ def test_p_values_equal_tail_sums_of_the_distribution(experiment, stat, u, block
        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
        st.sampled_from([randomization_mod._ROW_BLOCK, 8]))
 def test_p_value_grid_equals_p_values_at_each_theta(experiment, stat, us, block):
+    # one pass for the grid, whose affine rows near the observed value are
+    # evaluated at each theta, gives each theta's tails of the distribution
     data, design, mode = experiment
     thetas = [u * 2 * outcome_scale(data.y_obs) for u in us]
     with mock.patch.object(randomization_mod, "_ROW_BLOCK", block):
         grid = _p_value_grid(data, design, stat, thetas, mode)
         one_by_one = [p_values(data, design, stat, theta, mode) for theta in thetas]
-    assert [_bits(p) for p in grid] == [_bits(p) for p in one_by_one]
+        want = [p_values_from_distribution(data, design, stat, theta, mode) for theta in thetas]
+    assert [_bits(p) for p in grid] == [_bits(p) for p in one_by_one] == [_bits(p) for p in want]
+
+
+def test_p_values_at_cancellation_noise_equal_the_distribution():
+    # one-decimal outcomes under RBD((3,1),(5,2),(4,3)): at theta = 0 the
+    # rows that tie the observed statistic in exact arithmetic carry +-2.78e-17
+    # of cancellation, a hair from T_obs and on either side of it; a row the
+    # closed form settles without evaluating it must land in the tails the
+    # rounded statistic puts it in, for every one of the 120 assignments
+    design = RBD(((3, 1), (5, 2), (4, 3)))
+    y = np.array([3, 0, 4, 4, 5, 1, 0, 5, 0, 3, 0, 1]) * 0.1
+    for w in assignment_matrix(design):
+        data = ObservedData(w, y)
+        want = p_values_from_distribution(data, design, DIFF_MEANS, 0.0, ExactMode())
+        assert _bits(p_values(data, design, DIFF_MEANS, 0.0)) == _bits(want)
 
 
 def _treated(draw, k):

@@ -10,6 +10,7 @@ import pytest
 from randinf import (
     CRD,
     RBD,
+    ExactMode,
     MCMode,
     ObservedData,
     PValueKind,
@@ -24,7 +25,9 @@ from randinf import (
     sample_assignments,
     total_assignments,
 )
+from randinf._util import closed_form_bands, round_sig
 from randinf.datasets import toy_population
+from randinf.statistics import observed_statistic
 from conftest import random_experiment
 
 TOY_GOLDEN = {-3.0: 0.004, -1.0: 0.012, 0.0: 0.131, 1.0: 0.560, 3.0: 0.988}
@@ -273,6 +276,59 @@ def test_exact_affine_build_writes_no_assignment_row(diff_means, monkeypatch, de
     assert written == []
     assignment_matrix(design)
     assert written
+
+
+def test_affine_p_values_evaluate_a_few_rows_and_write_no_enumerated_row(diff_means, monkeypatch):
+    # lognormal CRD(20,10), 184,756 rows: the closed form settles every row
+    # but the few near the observed value, which alone are written, by one
+    # gather; the enumeration writes no int8 row, only row sums
+    import randinf.randomization as rz
+
+    design = CRD(20, 10)
+    data = generate_population(20, 1.0, seed=0).observe(sample_assignments(design, 1, seed=1)[0])
+    want = randomization_distribution(data, design, diff_means, 0.5)
+    handed, unsummed = [], []
+
+    def rows(y1, y0, W):
+        handed.append(len(W))
+        return diff_means.rows(y1, y0, W)
+
+    def enumerate_rows(design, lo, hi, sums=None):
+        if sums is None:
+            unsummed.append((lo, hi))
+        return enumerate_all(design, lo, hi, sums)
+
+    enumerate_all = rz._range_to_assignments
+    monkeypatch.setattr(rz, "_range_to_assignments", enumerate_rows)
+    got = p_values(data, design, dataclasses.replace(diff_means, rows=rows), 0.5)
+    assert 2 <= sum(handed) <= 10  # the observed statistic, its own row and any near it
+    assert unsummed == []
+    t = round_sig(observed_statistic(diff_means, data))
+    assert got[PValueKind.LPLUS] == want.counts[want.values >= t].sum() / want.denom
+
+
+def test_affine_grid_evaluates_only_rows_within_the_band(diff_means, monkeypatch):
+    # each theta of a 21-point grid gathers exactly the rows whose closed
+    # form lies within its band of the rounded observed value
+    import randinf.randomization as rz
+
+    design, thetas = CRD(14, 7), list(np.linspace(-2.0, 3.0, 21))
+    data = generate_population(14, 1.0, seed=4).observe(sample_assignments(design, 1, seed=5)[0])
+    asked, gather = [], rz._ReplicateSource.rows
+
+    def rows(source, positions):
+        asked.append(positions.tolist())
+        return gather(source, positions)
+
+    monkeypatch.setattr(rz._ReplicateSource, "rows", rows)
+    rz._p_value_grid(data, design, diff_means, thetas)
+    columns, form = diff_means.affine(data)
+    a, b = form(np.hstack(list(rz._replicate_source(design, ExactMode()).sums(columns))))
+    t = round_sig(observed_statistic(diff_means, data))
+    bands = closed_form_bands(t, data.y_obs, thetas)
+    within = [np.flatnonzero(np.abs(a + b * theta - t) <= band).tolist() for theta, band in zip(thetas, bands)]
+    assert asked == within
+    assert all(within) and sum(map(len, within)) < 3 * len(thetas)
 
 
 def test_mc_interval_memory_past_2_62_is_bounded_per_row(diff_means):

@@ -262,6 +262,13 @@ class TestExactValidityAudit:
         with pytest.raises(ValueError, match="9 units.* 8"):
             exact_validity_audit(generate_population(9, 1.0, seed=2), CRD(8, 4))
 
+    def test_outcomes_whose_range_overflows_refused(self, no_enumeration):
+        # their scale is inf, and so would be the constant-effect tolerance:
+        # effects spread over 1e300 would be audited as a constant effect
+        y0 = 9e307 * np.linspace(-1, 1, 8)
+        with pytest.raises(InputError, match="range a double holds"):
+            exact_validity_audit(PotentialTable(y0=y0, y1=y0 + np.linspace(0, 1e300, 8)), CRD(8, 4))
+
     def test_constant_effect_tolerance_follows_outcome_scale(self):
         # dollar-scale outcomes: the effect spread of y0 + 1e6 is about 1e-10
         pop = generate_population(10, 1.0, seed=2)
